@@ -21,7 +21,7 @@ solver's absolute tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -110,13 +110,9 @@ def constraint_points(support: SetSample, metric: MetricSpace,
 
 
 def build_problem(dom: DomainSpec, target, kernel, resolution: int,
-                  tolerance: float = 1e-6, seed: int = 0,
-                  constraints=None) -> CapacityProblem:
-    support = sample_set_and_measure(dom, target, resolution, seed)
-    if constraints is None:
-        cx, ct = constraint_points(support, dom.metric, resolution)
-    else:
-        cx, ct = constraints
+                  tolerance: float = 1e-6) -> CapacityProblem:
+    support = sample_set_and_measure(dom, target, resolution)
+    cx, ct = constraint_points(support, dom.metric, resolution)
     return CapacityProblem(kernel, support, cx, ct, tolerance)
 
 
@@ -198,25 +194,24 @@ def potential_eval(est: CapacityEstimate, p: CapacityProblem,
 class RefinementStep:
     resolution: int
     estimate: CapacityEstimate
-    measure: float
+    problem: CapacityProblem
 
 
 def refine_capacity(dom: DomainSpec, target, kernel, levels: int = 3,
-                    base_resolution: int = 3, tolerance: float = 1e-6,
-                    seed: int = 0) -> list[RefinementStep]:
+                    base_resolution: int = 3,
+                    tolerance: float = 1e-6) -> list[RefinementStep]:
     """Re-solve the capacity across a ladder of grid resolutions."""
     out = []
     for j in range(levels):
         res = base_resolution + j
-        prob = build_problem(dom, target, kernel, res, tolerance, seed)
-        est = solve_capacity(prob)
-        out.append(RefinementStep(res, est, prob.support.measure_estimate))
+        prob = build_problem(dom, target, kernel, res, tolerance)
+        out.append(RefinementStep(res, solve_capacity(prob), prob))
     return out
 
 
 def capacity_of_target(dom: DomainSpec, target, kernel, resolution: int,
-                       tolerance: float = 1e-6, seed: int = 0):
+                       tolerance: float = 1e-6):
     """Convenience wrapper returning (estimate, problem)."""
-    prob = build_problem(dom, target, kernel, resolution, tolerance, seed)
+    prob = build_problem(dom, target, kernel, resolution, tolerance)
     est = solve_capacity(prob)
     return est, prob

@@ -33,16 +33,13 @@ from .domain import (BallComplementTarget, DomainError, DomainSpec, RingSpec,
                      RingTarget, SectionTarget, BENCHMARK_STATUS, benchmark,
                      benchmark_names, cone as cone_domain, cusp, cylinder,
                      halfspace_time, mask_domain, punctured, spatial_halfspace)
-from .kernel import GaussBounds, GaussianKernel, HeatKernel, euclidean_bounds
-from .metric import (MetricSpace, euclidean, heisenberg_koranyi,
-                     parabolic_dist_many, stp)
-from .pde import (PDEError, WalkConfig, boundary_holder,
-                  boundary_phi_distance, classification_probe,
-                  interior_axis_probes, pwb_solve)
+from .kernel import GaussBounds, GaussianKernel, euclidean_bounds
+from .metric import MetricSpace, euclidean, heisenberg_koranyi, stp
+from .pde import PDEError, WalkConfig, classification_probe, pwb_solve
 from .regularity import RegularityError, classify, cone_check
 from .report import ReportBundle
 from .wiener import (WienerError, divergence_verdict, integral_test,
-                     series_table, wiener_function)
+                     series_table)
 
 EXIT_OK = 0
 EXIT_IRREGULAR = 1
@@ -115,26 +112,17 @@ def exponents(cfg: RunConfig, bounds: GaussBounds) -> tuple[float, float]:
     return a, b
 
 
-def series_kernel(cfg, metric, bounds) -> GaussianKernel:
-    a, _ = exponents(cfg, bounds)
-    return GaussianKernel(metric, a)
-
-
-def wiener_kernel(cfg, metric, bounds):
-    """Balayage kernel for the Wiener function: the exact heat kernel on
-    Euclidean runs, the lower Gaussian bound G_{b0}/Lambda otherwise."""
-    if metric.kind == "euclidean":
-        return HeatKernel(metric.N, cfg["pde.beta"]), "heat-kernel"
-    return (GaussianKernel(metric, bounds.b0, scale=1.0 / bounds.Lambda),
-            "lower-gaussian-bound")
-
-
-def default_probe_offsets(cfg) -> list[float]:
-    offs = list(cfg["wiener.probes"])
-    if offs:
-        return offs
-    lam = cfg["wiener.lambda"]
-    return [0.15 * lam ** (0.45 * j) for j in range(12)]
+def run_classify(cfg: RunConfig, dom: DomainSpec, bounds: GaussBounds):
+    """The three-step classifier with every setting read from the config."""
+    a, b = exponents(cfg, bounds)
+    return classify(dom, bounds, cfg["wiener.lambda"], a, b,
+                    K_max=cfg["wiener.K-max"], H_max=cfg["wiener.H-max"],
+                    resolution=cfg["capacity.resolution"],
+                    cone_M0=cfg["cone.M0"], cone_r0=cfg["cone.r0"],
+                    cone_levels=cfg["cone.levels"],
+                    cone_theta_min=cfg["cone.theta-min"],
+                    cone_resolution=cfg["cone.resolution"],
+                    tolerance=cfg["capacity.tolerance"])
 
 
 def _domain_summary(dom: DomainSpec) -> dict:
@@ -181,10 +169,8 @@ def cmd_capacity(cfg, bundle, quiet):
     levels = max(1, cfg["capacity.refine-levels"])
     steps = refine_capacity(dom, target, kern, levels,
                             cfg["capacity.resolution"],
-                            cfg["capacity.tolerance"], cfg["seed"])
-    last = steps[-1]
-    est, prob = capacity_of_target(dom, target, kern, last.resolution,
-                                   cfg["capacity.tolerance"], cfg["seed"])
+                            cfg["capacity.tolerance"])
+    est, prob = steps[-1].estimate, steps[-1].problem
     record = {
         "domain": _domain_summary(dom),
         "target": repr(target),
@@ -200,7 +186,8 @@ def cmd_capacity(cfg, bundle, quiet):
         "measure_standard_error": prob.support.standard_error,
         "refinement": [{"resolution": s.resolution, "value": s.estimate.value,
                         "dual_value": s.estimate.dual_value,
-                        "gap": s.estimate.gap, "measure": s.measure}
+                        "gap": s.estimate.gap,
+                        "measure": s.problem.support.measure_estimate}
                        for s in steps],
     }
     bundle.write_json("capacity.json", record)
@@ -302,16 +289,10 @@ def cmd_classify(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
     bounds = build_bounds(cfg, metric)
-    a, b = exponents(cfg, bounds)
-    cls = classify(dom, bounds, cfg["wiener.lambda"], a, b,
-                   cfg["wiener.K-max"], cfg["wiener.H-max"],
-                   cfg["capacity.resolution"],
-                   cfg["cone.M0"], cfg["cone.r0"], cfg["cone.levels"],
-                   cfg["cone.theta-min"], cfg["cone.resolution"],
-                   cfg["capacity.tolerance"])
+    cls = run_classify(cfg, dom, bounds)
     bundle.write_json("classification.json", _classification_payload(cls, dom))
     # attach one representative equilibrium measure for provenance
-    kern = GaussianKernel(metric, a)
+    kern = GaussianKernel(metric, exponents(cfg, bounds)[0])
     try:
         est, prob = capacity_of_target(
             dom, RingTarget(RingSpec(cfg["wiener.lambda"], 2, 1)), kern,
@@ -384,17 +365,12 @@ def cmd_pde_verify(cfg, bundle, quiet):
 def cmd_benchmark_suite(cfg, bundle, quiet):
     metric = build_metric(cfg)
     bounds = build_bounds(cfg, metric)
-    a, b = exponents(cfg, bounds)
+    _, b = exponents(cfg, bounds)
     summary = []
     all_ok = True
     for name in benchmark_names():
         dom = benchmark(name, metric)
-        cls = classify(dom, bounds, cfg["wiener.lambda"], a, b,
-                       cfg["wiener.K-max"], cfg["wiener.H-max"],
-                       cfg["capacity.resolution"],
-                       cfg["cone.M0"], cfg["cone.r0"], cfg["cone.levels"],
-                       cfg["cone.theta-min"], cfg["cone.resolution"],
-                       cfg["capacity.tolerance"])
+        cls = run_classify(cfg, dom, bounds)
         bundle.write_json(f"{name}_classification.json",
                           _classification_payload(cls, dom))
         if cls.sufficient is not None:

@@ -17,14 +17,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "yes", "1", "on"):
-        return True
-    if s.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_floats(s: str) -> tuple:
     return tuple(float(v) for v in s.split())
 
@@ -33,7 +25,6 @@ _TYPES = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "floats": _parse_floats,
 }
 
@@ -70,12 +61,6 @@ SCHEMA = {
     "wiener.variant": ("str", "sufficient", "sufficient | necessary | nested"),
     "wiener.K-max": ("int", 40, "time levels in the series"),
     "wiener.H-max": ("int", 40, "annulus bands per level"),
-    "wiener.rho": ("float", 0.05, "Wiener-function weight in (0, 1)"),
-    "wiener.L-max": ("int", 8, "Wiener-function levels"),
-    "wiener.mu": ("float", 0.5, "second scale for comparability"),
-    "wiener.s-values": ("floats", (10.0, 15.0, 20.0, 25.0, 30.0),
-                        "depths s for comparability"),
-    "wiener.probes": ("floats", (), "probe offsets above z0; empty = auto"),
     "capacity.resolution": ("int", 4, "dyadic sampling resolution"),
     "capacity.tolerance": ("float", 1e-6, "relative duality-gap tolerance"),
     "capacity.exponent": ("float", 0.25, "Gaussian kernel exponent"),

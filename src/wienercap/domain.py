@@ -573,14 +573,13 @@ def _ballcomp_eval(dom: DomainSpec, bt: BallComplementTarget, cells_x: int,
     return X_all, T_all, w_all, meas
 
 
-def sample_set_and_measure(dom: DomainSpec, target, resolution: int,
-                           seed: int = 0) -> SetSample:
+def sample_set_and_measure(dom: DomainSpec, target,
+                           resolution: int) -> SetSample:
     """Deterministic midpoint-grid sample of a target set.
 
     resolution r uses 2^r + 1 spatial cells per axis (odd, so the axis
     through x0 is sampled) and 2^r time cells; the standard error is the
-    discrepancy against the next-coarser grid.  The seed is accepted for
-    interface uniformity (grids are deterministic).
+    discrepancy against the next-coarser grid.
     """
     if resolution < 1:
         raise DomainError("resolution must be >= 1")

@@ -95,8 +95,8 @@ def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
              K_max: int = 40, H_max: int = 40, resolution: int = 4,
              cone_M0: float = 1.0, cone_r0: float = 0.25,
              cone_levels: int = 6, cone_theta_min: float = 0.01,
-             cone_resolution: int = 7, tolerance: float = 1e-6,
-             series_thresholds: dict | None = None) -> Classification:
+             cone_resolution: int = 7,
+             tolerance: float = 1e-6) -> Classification:
     """Three-step verdict for the marked boundary point of dom.
 
     Exponents default to a = a0 (capacities) and b = 2 b0 (weights), the
@@ -119,14 +119,13 @@ def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
                               structural_constant(bounds), notes)
     kw = dict(K_max=K_max, H_max=H_max, resolution=resolution,
               tolerance=tolerance)
-    thr = series_thresholds or {}
     suff = divergence_verdict(
-        series_table(dom, lam, a, b, "sufficient", **kw), **thr)
+        series_table(dom, lam, a, b, "sufficient", **kw))
     if suff.verdict == "DIVERGENT" and not suff.table_partial:
         return Classification("REGULAR", "sufficient-series", cone_rep, suff,
                               None, structural_constant(bounds), notes)
     nec = divergence_verdict(
-        series_table(dom, lam, a, b, "necessary", **kw), **thr)
+        series_table(dom, lam, a, b, "necessary", **kw))
     if nec.verdict == "CONVERGENT" and not nec.table_partial:
         return Classification("IRREGULAR", "necessary-series", cone_rep, suff,
                               nec, structural_constant(bounds), notes)

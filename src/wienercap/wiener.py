@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, stats
 
-from .capacity import (CapacityConvergenceError, CapacityEstimate,
-                       build_problem, potential_many, solve_capacity)
+from .capacity import (CapacityConvergenceError, build_problem,
+                       potential_many, solve_capacity)
 from .domain import (BallComplementTarget, DomainSpec, RingSpec, RingTarget,
                      SectionTarget, max_nonempty_band, sample_set_and_measure)
 from .kernel import GaussianKernel

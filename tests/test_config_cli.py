@@ -45,7 +45,7 @@ def test_parse_types_comments_and_whitespace():
 seed = 7          # trailing comment
 metric.kind=heisenberg-koranyi
 wiener.lambda =   0.125
-wiener.s-values = 1 2.5 4
+integral.probes = 1 2.5 4
 capacity.refine-levels = 3
 """
     cfg = parse_config(text)
@@ -53,22 +53,10 @@ capacity.refine-levels = 3
     assert isinstance(cfg["seed"], int)
     assert cfg["metric.kind"] == "heisenberg-koranyi"
     assert cfg["wiener.lambda"] == 0.125
-    assert cfg["wiener.s-values"] == (1.0, 2.5, 4.0)
+    assert cfg["integral.probes"] == (1.0, 2.5, 4.0)
     assert cfg["capacity.refine-levels"] == 3
     # untouched keys still fall back to defaults
     assert cfg["pde.walkers"] == SCHEMA["pde.walkers"][1]
-
-
-@pytest.mark.parametrize("literal,expected", [
-    ("true", True), ("Yes", True), ("1", True), ("on", True),
-    ("false", False), ("No", False), ("0", False), ("off", False),
-])
-def test_bool_literals(literal, expected, monkeypatch):
-    # no bool key exists in the schema today; exercise the parser via a
-    # temporary schema entry so bool support stays tested
-    monkeypatch.setitem(SCHEMA, "test.flag", ("bool", False, "test"))
-    cfg = parse_config(f"test.flag = {literal}")
-    assert cfg["test.flag"] is expected
 
 
 def test_unknown_key_reports_line_number():
@@ -228,6 +216,29 @@ def test_rerun_bundles_are_byte_identical(tmp_path):
     assert set(match) == set(names)
 
 
+@pytest.mark.parametrize("levels", [1, 3])
+def test_capacity_solves_once_per_refinement_level(tmp_path, monkeypatch,
+                                                   levels):
+    import wienercap.capacity as capmod
+    solved = []
+    real = capmod.solve_capacity
+
+    def counting(prob):
+        solved.append(prob.support.resolution)
+        return real(prob)
+
+    monkeypatch.setattr(capmod, "solve_capacity", counting)
+    # base resolution 2 keeps the finest of three levels a small LP
+    text = FAST_CAPACITY.replace("resolution = 3", "resolution = 2")
+    cfg = _write(tmp_path, "cap.cfg",
+                 text + f"capacity.refine-levels = {levels}\n")
+    out = _run_capacity(tmp_path, cfg, "run")
+    assert solved == [2 + j for j in range(levels)]
+    record = json.loads((out / "capacity.json").read_text())
+    assert record["resolution"] == solved[-1]
+    assert len(record["refinement"]) == levels
+
+
 def test_manifest_fields_and_config_copy(tmp_path):
     text = FAST_CAPACITY
     cfg = _write(tmp_path, "cap.cfg", text)
@@ -253,6 +264,24 @@ def test_seed_flag_overrides_config(tmp_path):
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 99
+
+
+FAST_SUITE = """
+wiener.K-max = 16
+capacity.resolution = 3
+pde.walkers = 200
+"""
+
+
+def test_benchmark_suite_matches_every_pinned_verdict(tmp_path):
+    cfg = _write(tmp_path, "suite.cfg", FAST_SUITE)
+    out = tmp_path / "out"
+    code = main(["benchmark-suite", "--config", cfg, "--out", str(out),
+                 "--quiet"])
+    assert code == EXIT_OK
+    assert len(list(out.glob("*_classification.json"))) == 6
+    summary = json.loads((out / "suite_summary.json").read_text())
+    assert summary["all_pinned_match"] is True
 
 
 def test_series_table_csv_layout(tmp_path):
