@@ -6,15 +6,15 @@ __version__ = "0.1.0"
 
 from .capacity import (CapacityConvergenceError, CapacityEstimate,
                        CapacityInputError, CapacityProblem, build_problem,
-                       capacity_of_target, constraint_points, potential_eval,
-                       potential_many, refine_capacity, solve_capacity)
+                       constraint_points, potential_many, refine_capacity,
+                       solve_capacity)
 from .config import ConfigError, RunConfig, config_hash, load_config, parse_config
 from .domain import (BENCHMARK_STATUS, BallComplementTarget, DomainError,
                      DomainSpec, RingSpec,
                      RingTarget, SectionTarget, SetSample, benchmark,
                      benchmark_names, cone, contains, contains_many, cusp,
                      cylinder, halfspace_time, mask_domain, max_nonempty_band,
-                     punctured, read_mask, ring_mask, ring_membership,
+                     punctured, read_mask, ring_mask,
                      sample_set_and_measure, spatial_halfspace,
                      validate_boundary_point, write_mask)
 from .kernel import (GaussBounds, GaussianKernel, HeatKernel, KernelError,

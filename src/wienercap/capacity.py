@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .domain import DomainSpec, SetSample, sample_set_and_measure
-from .metric import MetricSpace, SpaceTimePoint, ball_coord_halfwidths
+from .metric import MetricSpace, ball_coord_halfwidths
 
 MAX_CONSTRAINT_GRID = 4096
 
@@ -185,11 +185,6 @@ def potential_many(est: CapacityEstimate, p: CapacityProblem, X, T) -> np.ndarra
     return K @ est.mu
 
 
-def potential_eval(est: CapacityEstimate, p: CapacityProblem,
-                   z: SpaceTimePoint) -> float:
-    return float(potential_many(est, p, z.x[None, :], np.array([z.t]))[0])
-
-
 @dataclass
 class RefinementStep:
     resolution: int
@@ -207,11 +202,3 @@ def refine_capacity(dom: DomainSpec, target, kernel, levels: int = 3,
         prob = build_problem(dom, target, kernel, res, tolerance)
         out.append(RefinementStep(res, solve_capacity(prob), prob))
     return out
-
-
-def capacity_of_target(dom: DomainSpec, target, kernel, resolution: int,
-                       tolerance: float = 1e-6):
-    """Convenience wrapper returning (estimate, problem)."""
-    prob = build_problem(dom, target, kernel, resolution, tolerance)
-    est = solve_capacity(prob)
-    return est, prob

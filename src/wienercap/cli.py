@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import (CapacityConvergenceError, CapacityInputError,
-                       capacity_of_target, refine_capacity)
+                       build_problem, refine_capacity, solve_capacity)
 from .config import (ConfigError, RunConfig, describe_schema, load_config)
 from .domain import (BallComplementTarget, DomainError, DomainSpec, RingSpec,
                      RingTarget, SectionTarget, BENCHMARK_STATUS, benchmark,
@@ -54,11 +54,9 @@ EXIT_CONFIG = 64
 def build_metric(cfg: RunConfig) -> MetricSpace:
     kind = cfg["metric.kind"]
     if kind == "euclidean":
-        return euclidean(cfg["metric.N"], cfg["metric.volume-mode"],
-                         cfg["metric.mc-samples"], cfg["seed"])
+        return euclidean(cfg["metric.N"])
     if kind == "heisenberg-koranyi":
-        return heisenberg_koranyi(cfg["metric.volume-mode"],
-                                  cfg["metric.mc-samples"], cfg["seed"])
+        return heisenberg_koranyi()
     raise ConfigError("table metrics must be constructed programmatically; "
                       "the CLI supports euclidean and heisenberg-koranyi")
 
@@ -294,9 +292,10 @@ def cmd_classify(cfg, bundle, quiet):
     # attach one representative equilibrium measure for provenance
     kern = GaussianKernel(metric, exponents(cfg, bounds)[0])
     try:
-        est, prob = capacity_of_target(
+        prob = build_problem(
             dom, RingTarget(RingSpec(cfg["wiener.lambda"], 2, 1)), kern,
             cfg["capacity.resolution"], cfg["capacity.tolerance"])
+        est = solve_capacity(prob)
         bundle.write_csv("equilibrium_measure.csv", _eq_header(dom.N),
                          _equilibrium_rows(est, prob))
     except (CapacityInputError, CapacityConvergenceError):
@@ -401,7 +400,10 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
                 pde_status = f"SKIPPED: {exc}"
         expected = BENCHMARK_STATUS[name]
         match = None if expected is None else (cls.verdict == expected)
-        if match is False or not consistent:
+        # the cusp probes flip with the walk seed, so a contradicting
+        # probe fails the suite on pinned domains only
+        if (match is False or not consistent
+                or (expected is not None and pde_contradicts)):
             all_ok = False
         summary.append({
             "benchmark": name, "verdict": cls.verdict, "basis": cls.basis,

@@ -33,8 +33,6 @@ SCHEMA = {
     "seed": ("int", 0, "master seed; --seed overrides"),
     "metric.kind": ("str", "euclidean", "euclidean | heisenberg-koranyi | table"),
     "metric.N": ("int", 1, "spatial dimension (euclidean only; Heisenberg is 3)"),
-    "metric.volume-mode": ("str", "analytic", "analytic | monte-carlo"),
-    "metric.mc-samples": ("int", 20000, "samples for monte-carlo ball volumes"),
     "domain.benchmark": ("str", "", "registry name; empty = use domain.family"),
     "domain.family": ("str", "halfspace-time", "family when no benchmark given"),
     "domain.t0": ("float", 0.0, "marked boundary time"),

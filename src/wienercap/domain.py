@@ -418,10 +418,6 @@ def ring_mask(dom: DomainSpec, rs: RingSpec, X, T) -> np.ndarray:
     return ok
 
 
-def ring_membership(dom: DomainSpec, rs: RingSpec, z: SpaceTimePoint) -> bool:
-    return bool(ring_mask(dom, rs, z.x[None, :], np.array([z.t]))[0])
-
-
 def max_nonempty_band(lam: float, k: int) -> int:
     """Largest h for which the band-h ring can be nonempty: the annulus
     lower radius sqrt((h-1) eta log(1/lam)) must not exceed the dhat cap

@@ -101,16 +101,7 @@ class GaussianKernel:
         pos = dt > 0
         dtp = np.where(pos, dt, 1.0)
         d2 = dist(self.metric, Zx[:, None, :], Wx[None, :, :]) ** 2
-        if self.metric.kind in ("euclidean", "heisenberg-koranyi"):
-            # |B(x, r)| depends on r only (translation invariance)
-            vol = ball_volume_many(self.metric, Zx[0], np.sqrt(dtp))
-        else:
-            # table metrics: per-entry monte-carlo volumes (slow; small use)
-            vol = np.empty(dtp.shape)
-            from .metric import ball_volume
-            for i in range(dtp.shape[0]):
-                for j in range(dtp.shape[1]):
-                    vol[i, j] = ball_volume(self.metric, Zx[i], math.sqrt(dtp[i, j]))
+        vol = ball_volume_many(self.metric, Zx, np.sqrt(dtp))
         logk = math.log(self.scale) - np.log(np.maximum(vol, _TINY)) - self.a * d2 / dtp
         return _finish(logk, pos)
 

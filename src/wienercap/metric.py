@@ -8,8 +8,10 @@ strip R^N x (T1, T2) and carry the parabolic gauge
 
     dhat(z, w) = (d(x, y)^4 + (t - s)^2)^(1/4).
 
-Ball volumes are either analytic (Euclidean, Koranyi) or Monte Carlo
-hit-count estimates (always used for table metrics).
+The metric kind alone decides how ball volumes are computed: Euclidean
+and Koranyi balls have closed forms, omega_N r^N and (pi^2/8) r^4, that do
+not depend on the centre; table metrics use a Monte Carlo hit-count
+estimate taken at each ball's own centre.
 """
 
 from __future__ import annotations
@@ -49,16 +51,15 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """A distance on R^N together with how ball volumes are computed.
+    """A distance on R^N with the data its ball volumes need.
 
     kind             one of "euclidean", "heisenberg-koranyi", "table"
     N                topological dimension of the coordinate chart
     Q                volume-doubling exponent (|B(x, 2r)| <= c_d |B(x, r)|,
                      |B(x, r)| ~ r^Q for the built-in kinds)
     c_d              doubling constant
-    volume_mode      "analytic" or "monte-carlo"
-    mc_samples       sample count for monte-carlo volumes
-    seed             seed for the volume-estimate stream
+    mc_samples       (table kind only) sample count for monte-carlo volumes
+    seed             (table kind only) seed for the volume-estimate stream
     table_axis       (table kind only) shared 1-D coordinate grid
     table_values     (table kind only) matrix d(axis_i, axis_j)
     """
@@ -67,7 +68,6 @@ class MetricSpace:
     N: int
     Q: float
     c_d: float
-    volume_mode: str = "analytic"
     mc_samples: int = 20000
     seed: int = 0
     table_axis: np.ndarray | None = field(default=None, repr=False)
@@ -76,27 +76,19 @@ class MetricSpace:
     def __post_init__(self):
         if self.kind not in ("euclidean", "heisenberg-koranyi", "table"):
             raise MetricError(f"unknown metric kind {self.kind!r}")
-        if self.volume_mode not in ("analytic", "monte-carlo"):
-            raise MetricError(f"unknown volume mode {self.volume_mode!r}")
-        if self.kind == "table" and self.volume_mode != "monte-carlo":
-            raise MetricError("table metrics support monte-carlo volumes only")
         if self.Q <= 0 or self.c_d <= 1:
             raise MetricError("need Q > 0 and c_d > 1")
 
 
-def euclidean(N: int, volume_mode: str = "analytic", mc_samples: int = 20000,
-              seed: int = 0) -> MetricSpace:
+def euclidean(N: int) -> MetricSpace:
     if N < 1:
         raise MetricError("N must be >= 1")
-    return MetricSpace("euclidean", N, float(N), 2.0 ** N, volume_mode,
-                       mc_samples, seed)
+    return MetricSpace("euclidean", N, float(N), 2.0 ** N)
 
 
-def heisenberg_koranyi(volume_mode: str = "analytic", mc_samples: int = 20000,
-                       seed: int = 0) -> MetricSpace:
+def heisenberg_koranyi() -> MetricSpace:
     """First Heisenberg group, Koranyi gauge; N = 3, Q = 4."""
-    return MetricSpace("heisenberg-koranyi", 3, 4.0, 16.0, volume_mode,
-                       mc_samples, seed)
+    return MetricSpace("heisenberg-koranyi", 3, 4.0, 16.0)
 
 
 def table_metric(axis, values, Q: float, c_d: float, mc_samples: int = 20000,
@@ -120,8 +112,8 @@ def table_metric(axis, values, Q: float, c_d: float, mc_samples: int = 20000,
         raise MetricError("distance table must vanish on the diagonal")
     if np.any(values < 0):
         raise MetricError("distance table must be nonnegative")
-    return MetricSpace("table", 1, float(Q), float(c_d), "monte-carlo",
-                       mc_samples, seed, table_axis=axis, table_values=values)
+    return MetricSpace("table", 1, float(Q), float(c_d), mc_samples, seed,
+                       table_axis=axis, table_values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +198,8 @@ def ball_coord_halfwidths(m: MetricSpace, r: float) -> np.ndarray:
 
     For the Koranyi gauge the box of the UNtranslated ball is
     [-r, r]^2 x [-r^2/4, r^2/4]; translation by x adds a twist of at most
-    (|x1| + |x2|) r / 2 in the vertical coordinate, which callers that
-    re-center handle themselves (see mc path in ball_volume).
+    (|x1| + |x2|) r / 2 in the vertical coordinate, which this box leaves
+    out.
     """
     r = float(r)
     if m.kind == "heisenberg-koranyi":
@@ -215,31 +207,32 @@ def ball_coord_halfwidths(m: MetricSpace, r: float) -> np.ndarray:
     return np.full(m.N, r)
 
 
+def _closed_form_volume(m: MetricSpace, r):
+    """|B(x, r)| for the kinds whose ball volumes do not depend on the
+    centre x; None for table metrics."""
+    if m.kind == "euclidean":
+        return unit_ball_volume_euclidean(m.N) * r ** m.N
+    if m.kind == "heisenberg-koranyi":
+        return koranyi_ball_constant() * r ** 4
+    return None
+
+
 def ball_volume_with_error(m: MetricSpace, x, r: float) -> tuple[float, float]:
-    """|B_d(x, r)| and the standard error of the estimate (0 if analytic)."""
+    """|B_d(x, r)| and the standard error of the estimate (0 if closed-form)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(r)
     if r <= 0:
         return 0.0, 0.0
-    if m.volume_mode == "analytic":
-        if m.kind == "euclidean":
-            return unit_ball_volume_euclidean(m.N) * r ** m.N, 0.0
-        if m.kind == "heisenberg-koranyi":
-            return koranyi_ball_constant() * r ** 4, 0.0
-        raise MetricError("analytic volumes unavailable for table metrics")
-    # monte-carlo: uniform proposals over a coordinate box containing the
-    # ball, unbiased hit-count estimate.
+    vol = _closed_form_volume(m, r)
+    if vol is not None:
+        return vol, 0.0
+    # table metric: uniform proposals over the interval [x - r, x + r],
+    # which contains the ball when d dominates |x - y|; unbiased hit count.
     rng = np.random.default_rng(m.seed)
     half = ball_coord_halfwidths(m, r)
-    center = x.copy()
-    if m.kind == "heisenberg-koranyi":
-        half = half.copy()
-        half[2] += 0.5 * (abs(x[0]) + abs(x[1])) * r
-    pts = center + rng.uniform(-1.0, 1.0, size=(m.mc_samples, m.N)) * half
-    if m.kind == "table":
-        lo, hi = m.table_axis[0], m.table_axis[-1]
-        pts = np.clip(pts, lo, hi)
-    hits = dist(m, pts, center[None, :]) < r
+    pts = np.clip(x + rng.uniform(-1.0, 1.0, size=(m.mc_samples, m.N)) * half,
+                  m.table_axis[0], m.table_axis[-1])
+    hits = dist(m, pts, x[None, :]) < r
     p = hits.mean()
     box = float(np.prod(2.0 * half))
     se = box * math.sqrt(max(p * (1.0 - p), 0.0) / m.mc_samples)
@@ -250,14 +243,14 @@ def ball_volume(m: MetricSpace, x, r: float) -> float:
     return ball_volume_with_error(m, x, r)[0]
 
 
-def ball_volume_many(m: MetricSpace, x, r: np.ndarray) -> np.ndarray:
-    """Vectorized |B_d(x, r_i)| for analytic modes; loops otherwise."""
+def ball_volume_many(m: MetricSpace, X, r) -> np.ndarray:
+    """|B_d(X[i], r[i, ...])| for row centres X of shape (n, N) and radii r
+    of shape (n, ...).  Closed-form kinds ignore the centres; table metrics
+    take one Monte Carlo estimate per entry at its row's centre."""
     r = np.asarray(r, dtype=float)
-    if m.volume_mode == "analytic":
-        if m.kind == "euclidean":
-            return unit_ball_volume_euclidean(m.N) * r ** m.N
-        if m.kind == "heisenberg-koranyi":
-            return koranyi_ball_constant() * r ** 4
-    flat = r.reshape(-1)
-    out = np.array([ball_volume(m, x, ri) for ri in flat])
-    return out.reshape(r.shape)
+    vol = _closed_form_volume(m, r)
+    if vol is not None:
+        return vol
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.array([[ball_volume(m, x, ri) for ri in row.reshape(-1)]
+                     for x, row in zip(X, r)]).reshape(r.shape)

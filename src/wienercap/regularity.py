@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainSpec, contains_many
+from .domain import DomainSpec, _spatial_grid, contains_many
 from .kernel import GaussBounds
 from .metric import ball_coord_halfwidths, ball_volume, dist
 from .wiener import SeriesReport, divergence_verdict, series_table
@@ -60,13 +60,8 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
             skipped.append(r)
             continue
         R = M0 * r
-        half = ball_coord_halfwidths(dom.metric, R)
-        axes = [np.linspace(x0[i] - half[i], x0[i] + half[i], cells + 1)
-                for i in range(dom.N)]
-        axes = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        cellvol = float(np.prod([2.0 * half[i] / cells for i in range(dom.N)]))
+        X, cellvol = _spatial_grid(x0, ball_coord_halfwidths(dom.metric, R),
+                                   cells)
         in_ball = dist(dom.metric, X, x0[None, :]) <= R
         outside = ~contains_many(dom, X, np.full(X.shape[0], t_slice))
         excluded = float(np.sum(in_ball & outside)) * cellvol

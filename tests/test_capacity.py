@@ -24,8 +24,8 @@ from scipy.optimize import linprog
 
 import wienercap as wc
 from wienercap.capacity import (CapacityInputError, CapacityProblem,
-                                build_problem, capacity_of_target,
-                                constraint_points, potential_many,
+                                build_problem, constraint_points,
+                                potential_many,
                                 refine_capacity, solve_capacity)
 from wienercap.domain import RingSpec, RingTarget, SetSample
 
@@ -216,13 +216,3 @@ def test_constraint_grid_covers_forward_time(m1):
     assert ct.max() > s.ts.max()
     assert cx.shape[0] == ct.shape[0]
     assert cx.shape[0] <= 4096 + s.n
-
-
-def test_capacity_of_target_wrapper(m1):
-    dom = wc.benchmark("halfspace", m1)
-    kern = wc.GaussianKernel(m1, 0.5)
-    est, prob = capacity_of_target(dom, RingTarget(RingSpec(0.25, 2, 1)),
-                                   kern, 3)
-    assert est.value > 0
-    assert est.rel_gap() <= 1e-6
-    assert prob.support.n == est.n_atoms

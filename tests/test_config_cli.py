@@ -9,9 +9,11 @@ reruns), and the documented exit codes: 0 success/REGULAR, 1 IRREGULAR,
 import filecmp
 import json
 import os
+import re
 
 import pytest
 
+from wienercap import cli
 from wienercap.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -28,6 +30,7 @@ from wienercap.config import (
     load_config,
     parse_config,
 )
+from wienercap.pde import HolderFit
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -111,6 +114,13 @@ def test_describe_schema_lists_every_key():
         assert key in text
 
 
+def test_cli_reads_exactly_the_schema_keys():
+    """A schema key no command reads, or a read of an undefined key, fails."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        read = set(re.findall(r'cfg\["([^"]+)"\]', fh.read()))
+    assert read == set(SCHEMA)
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes and bundles
 
@@ -167,6 +177,16 @@ def test_unknown_config_key_exits_64(tmp_path, capsys):
     code = main(["capacity", "--config", cfg, "--quiet"])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_removed_volume_mode_key_exits_64_at_parse_time(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.cfg", "metric.kind = heisenberg-koranyi\n"
+                 "metric.volume-mode = monte-carlo\n")
+    out = tmp_path / "out"
+    code = main(["capacity", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "unknown key 'metric.volume-mode'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exits_64(capsys):
@@ -282,6 +302,26 @@ def test_benchmark_suite_matches_every_pinned_verdict(tmp_path):
     assert len(list(out.glob("*_classification.json"))) == 6
     summary = json.loads((out / "suite_summary.json").read_text())
     assert summary["all_pinned_match"] is True
+
+
+def test_benchmark_suite_fails_on_pinned_pde_contradiction(tmp_path,
+                                                           monkeypatch):
+    def probe(dom, verdict, offsets, walk):
+        status = "NO-DECAY" if dom.family == "halfspace-time" else "DECAY-FIT"
+        fit = HolderFit(status, 0.5, 1.0, 0.99, 0.0)
+        return fit, verdict == "REGULAR" and status == "NO-DECAY"
+
+    monkeypatch.setattr(cli, "classification_probe", probe)
+    cfg = _write(tmp_path, "suite.cfg", FAST_SUITE)
+    out = tmp_path / "out"
+    code = main(["benchmark-suite", "--config", cfg, "--out", str(out),
+                 "--quiet"])
+    assert code == EXIT_FAILURE
+    summary = json.loads((out / "suite_summary.json").read_text())
+    assert summary["all_pinned_match"] is False
+    rows = {r["benchmark"]: r for r in summary["results"]}
+    assert rows["halfspace"]["match"] is True
+    assert rows["halfspace"]["pde_contradicts"] is True
 
 
 def test_series_table_csv_layout(tmp_path):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import wienercap as wc
 from wienercap.kernel import GaussianKernel, HeatKernel
-from wienercap.metric import stp
+from wienercap.metric import ball_volume, stp
+
+from conftest import sinh_table_metric
 
 times = st.floats(-2.0, 2.0, allow_nan=False)
 coords = st.floats(-2.0, 2.0, allow_nan=False)
@@ -114,6 +116,28 @@ def test_matrix_matches_pointwise_eval(m2):
             assert K[i, j] == pytest.approx(
                 kern.eval(stp(Zx[i], Zt[i]), stp(Wx[j], Wt[j])),
                 rel=1e-12, abs=1e-300)
+
+
+def test_table_matrix_uses_each_rows_own_ball_volume():
+    # d(x, y) = |sinh x - sinh y|: ball volumes shrink as |x| grows, so a
+    # matrix that reused one centre's volume for every row would differ
+    tm = sinh_table_metric(mc_samples=2000)
+    kern = GaussianKernel(tm, 0.3)
+    Zx = np.array([[-1.0], [0.0], [0.7], [1.2]])
+    Zt = np.array([0.3, 0.5, 0.2, 0.4])
+    Wx = np.array([[-0.2], [0.1], [0.5]])
+    Wt = np.array([0.0, -0.1, 0.1])
+    K = kern.matrix(Zx, Zt, Wx, Wt)
+    assert K.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            dt = Zt[i] - Wt[j]
+            d = wc.dist(tm, Zx[i], Wx[j])
+            ref = math.exp(-0.3 * d * d / dt) / ball_volume(tm, Zx[i],
+                                                             math.sqrt(dt))
+            assert K[i, j] == pytest.approx(ref, rel=1e-12)
+    r = math.sqrt(0.3)
+    assert ball_volume(tm, Zx[0], r) < 0.8 * ball_volume(tm, Zx[1], r)
 
 
 def test_matrix_scale_factor(m1):

@@ -14,6 +14,8 @@ from wienercap.metric import (ball_coord_halfwidths, ball_volume,
                               parabolic_dist_many, stp,
                               unit_ball_volume_euclidean)
 
+from conftest import sinh_table_metric
+
 coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
@@ -168,21 +170,29 @@ def test_heisenberg_ball_volume_translation_invariant(heis):
     assert v1 == pytest.approx(v0, rel=1e-9)
 
 
-def test_mc_ball_volume_agrees_with_analytic():
-    heis_mc = wc.heisenberg_koranyi(volume_mode="monte-carlo",
-                                    mc_samples=40000, seed=5)
-    v, se = ball_volume_with_error(heis_mc, np.zeros(3), 1.0)
-    assert se > 0
-    assert abs(v - math.pi ** 2 / 8) <= 4 * se
+def test_mc_ball_volume_agrees_with_table_closed_form():
+    # d(x, y) = |sinh x - sinh y| has |B(x, r)| = asinh(sinh x + r)
+    # - asinh(sinh x - r), which varies with the centre x
+    tm = sinh_table_metric(mc_samples=40000, seed=5)
+    r = 0.5
+    for x in (-1.0, 0.0, 0.7, 1.2):
+        v, se = ball_volume_with_error(tm, np.array([x]), r)
+        exact = math.asinh(math.sinh(x) + r) - math.asinh(math.sinh(x) - r)
+        assert se > 0
+        assert abs(v - exact) <= 4 * se
 
 
 def test_ball_volume_many_matches_scalar(m1, heis):
-    rs = np.array([0.1, 0.5, 1.3])
-    for m in (m1, heis):
-        vm = ball_volume_many(m, np.zeros(m.N), rs)
-        for i, r in enumerate(rs):
-            assert vm[i] == pytest.approx(ball_volume(m, np.zeros(m.N), r),
-                                          rel=1e-12)
+    rs = np.array([[0.1, 0.5, 1.3], [0.2, 0.4, 0.9]])
+    tm = sinh_table_metric(mc_samples=2000)
+    for m in (m1, heis, tm):
+        X = np.linspace(-0.6, 0.6, 2 * m.N).reshape(2, m.N)
+        vm = ball_volume_many(m, X, rs)
+        assert vm.shape == rs.shape
+        for i in range(2):
+            for j, r in enumerate(rs[i]):
+                assert vm[i, j] == pytest.approx(ball_volume(m, X[i], r),
+                                                 rel=1e-12)
 
 
 def test_ball_coord_halfwidths_cover_ball(heis):
