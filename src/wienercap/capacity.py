@@ -16,10 +16,25 @@ rounding of two matrix-vector products.  The kernel matrix is normalized
 by its largest entry before the solve; capacities of sets at depth
 lambda^40 are ~1e-25 in absolute size and would otherwise drown in the
 solver's absolute tolerances.
+
+HiGHS runs without presolve, which on these dense LPs costs more than it
+saves (about 4x in total on the ring LPs of a nested series).  The LP's columns
+are equilibrated: the LP is solved in x = s * mu with s the column maxima
+of the normalized matrix, because HiGHS drops matrix entries below 1e-9,
+and with large mu those dropped entries would let K mu overshoot 1 by
+more than the gap gate allows.  Certification uses the scaled matrix, so
+only one m x n copy is held.
+
+A caller may pass a store (series_table keeps one per call) in which
+certified (mu, y) pairs are filed under a hash of the normalized matrix
+rounded to 1e-12.  A stored pair is rescaled and gap-gated on the new
+problem's own matrix, exactly like a fresh solve, and used only if it
+passes; otherwise the LP is solved afresh.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -63,6 +78,7 @@ class CapacityEstimate:
     resolution: int
     n_atoms: int = 0
     n_constraints: int = 0
+    reused: bool = False           # served from a series table's store
 
     def rel_gap(self) -> float:
         return self.gap / max(self.value, 1e-300)
@@ -116,62 +132,95 @@ def build_problem(dom: DomainSpec, target, kernel, resolution: int,
     return CapacityProblem(kernel, support, cx, ct, tolerance)
 
 
-def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
-    """Solve the packing LP and its covering dual; certify both."""
+def _store_key(Kn: np.ndarray) -> tuple:
+    """Data key of a normalized LP matrix: its shape and a hash of its
+    entries rounded to 1e-12 (they lie in [0, 1])."""
+    digest = hashlib.blake2b(np.round(Kn, 12).tobytes(), digest_size=16)
+    return Kn.shape, digest.digest()
+
+
+def _solve_lp(A: np.ndarray, s: np.ndarray):
+    """Fresh primal/dual pair (nu, y) for Kn = A diag(s), and the covering
+    solve's failure message ("" when none).
+
+    The packing LP is solved in x = s * nu, whose matrix A has unit column
+    maxima; its constraint marginals are a dual-optimal y for Kn.  If they
+    are degenerate an explicit covering LP is solved instead."""
+    m = A.shape[0]
+    res_p = linprog(c=-1.0 / s, A_ub=A, b_ub=np.ones(m), bounds=(0.0, None),
+                    method="highs", options={"presolve": False})
+    if not res_p.success:
+        raise CapacityConvergenceError(f"packing LP failed: {res_p.message}")
+    nu = np.maximum(res_p.x, 0.0) / s
+    y = np.maximum(-np.asarray(res_p.ineqlin.marginals), 0.0)
+    if y.any() and float((s * (A.T @ y)).min()) >= 0.5:
+        return nu, y, ""
+    res_d = linprog(c=np.ones(m), A_ub=-A.T, b_ub=-1.0 / s, bounds=(0.0, None),
+                    method="highs", options={"presolve": False})
+    if not res_d.success:
+        return nu, np.zeros(m), f"covering LP failed: {res_d.message}"
+    return nu, np.maximum(res_d.x, 0.0), ""
+
+
+def _certify(p: CapacityProblem, A: np.ndarray, s: np.ndarray, kappa: float,
+             nu: np.ndarray, y: np.ndarray) -> CapacityEstimate:
+    """Rescale (nu, y) into exactly feasible points for this problem's
+    Kn = A diag(s): Kn nu = A (s nu) and Kn^T y = s (A^T y)."""
+    overshoot = float((A @ (s * nu)).max(initial=0.0))
+    if overshoot > 1.0:
+        nu = nu / overshoot
+    value = float(nu.sum() / kappa)
+    slack = float((s * (A.T @ y)).min()) if y.any() else 0.0
+    dual_value = float((y / slack).sum() / kappa) if slack > 0.0 else math.inf
+    return CapacityEstimate(value=value, mu=nu / kappa, dual_value=dual_value,
+                            gap=max(dual_value - value, 0.0),
+                            resolution=p.support.resolution,
+                            n_atoms=A.shape[1], n_constraints=A.shape[0])
+
+
+def _within_gap(est: CapacityEstimate, tolerance: float) -> bool:
+    return math.isfinite(est.dual_value) and (
+        est.gap <= tolerance * max(est.value, 1e-300) + 1e-14 * est.dual_value)
+
+
+def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEstimate:
+    """Solve the packing LP and its covering dual; certify both.
+
+    `store`, if given, maps the data key of a normalized matrix to the
+    (nu, y) pair of a certified solve.  A stored pair is certified on this
+    problem's own matrix and returned (with `reused` set) if it meets the
+    gap gate; otherwise the LP is solved afresh and its pair stored."""
     n = p.support.n
     if n == 0:
         return CapacityEstimate(0.0, np.zeros(0), 0.0, 0.0,
                                 p.support.resolution, 0, 0)
-    K = p.kernel.matrix(p.cons_x, p.cons_t, p.support.xs, p.support.ts)
-    col_max = K.max(axis=0) if K.size else np.zeros(n)
-    if K.size == 0 or np.any(col_max <= 0.0):
+    A = p.kernel.matrix(p.cons_x, p.cons_t, p.support.xs, p.support.ts)
+    col_max = A.max(axis=0) if A.size else np.zeros(n)
+    if A.size == 0 or np.any(col_max <= 0.0):
         raise CapacityInputError(
             "some support atoms are invisible to every constraint point; "
             "the packing program would be unbounded")
-    kappa = float(K.max())
-    Kn = K / kappa
-    m = K.shape[0]
+    kappa = float(col_max.max())
+    A /= kappa                       # Kn, entries in [0, 1]
+    key = _store_key(A) if store is not None else None
+    s = col_max / kappa              # column maxima of Kn
+    A /= s                           # Kn = A diag(s), unit column maxima
 
-    res_p = linprog(c=-np.ones(n), A_ub=Kn, b_ub=np.ones(m),
-                    bounds=(0.0, None), method="highs")
-    if not res_p.success:
-        raise CapacityConvergenceError(f"packing LP failed: {res_p.message}")
-    nu = np.maximum(res_p.x, 0.0)
-    pot = Kn @ nu
-    overshoot = float(pot.max(initial=0.0))
-    if overshoot > 1.0:
-        nu = nu / overshoot
-    value = float(nu.sum() / kappa)
-
-    # covering certificate: the packing solve's constraint marginals are a
-    # dual-optimal vector; verify feasibility directly and rescale.  Fall
-    # back to an explicit covering solve if the marginals are degenerate.
-    y = np.maximum(-np.asarray(res_p.ineqlin.marginals), 0.0)
-    slack = float((Kn.T @ y).min()) if y.any() else 0.0
-    if slack < 0.5:
-        res_d = linprog(c=np.ones(m), A_ub=-Kn.T, b_ub=-np.ones(n),
-                        bounds=(0.0, None), method="highs")
-        if not res_d.success:
-            raise CapacityConvergenceError(
-                f"covering LP failed: {res_d.message}",
-                estimate=CapacityEstimate(value, nu / kappa, math.inf,
-                                          math.inf, p.support.resolution, n, m))
-        y = np.maximum(res_d.x, 0.0)
-        slack = float((Kn.T @ y).min())
-        if slack <= 0.0:
-            raise CapacityConvergenceError("covering certificate degenerate")
-    y = y / slack
-    dual_value = float(y.sum() / kappa)
-
-    est = CapacityEstimate(value=value, mu=nu / kappa,
-                           dual_value=dual_value,
-                           gap=max(dual_value - value, 0.0),
-                           resolution=p.support.resolution,
-                           n_atoms=n, n_constraints=m)
-    if est.gap > p.tolerance * max(value, 1e-300) + 1e-14 * dual_value:
+    if store is not None and key in store:
+        est = _certify(p, A, s, kappa, *store[key])
+        if _within_gap(est, p.tolerance):
+            est.reused = True
+            return est
+    nu, y, covering_error = _solve_lp(A, s)
+    est = _certify(p, A, s, kappa, nu, y)
+    if covering_error:
+        raise CapacityConvergenceError(covering_error, estimate=est)
+    if not _within_gap(est, p.tolerance):
         raise CapacityConvergenceError(
             f"duality gap {est.gap:.3e} exceeds tolerance "
             f"({p.tolerance:.1e} relative)", estimate=est)
+    if store is not None:
+        store[key] = (nu, y)
     return est
 
 

@@ -57,6 +57,7 @@ class SeriesTable:
     terms: np.ndarray                       # (K_max, H_max) weighted terms
     capacities: dict = field(default_factory=dict)   # (k, h) -> CapacityEstimate
     failed: list = field(default_factory=list)       # (k, h) of failed solves
+    reused: list = field(default_factory=list)       # (k, h) served from the store
     truncation_bound: float = 0.0
     partial: bool = False
 
@@ -100,6 +101,10 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     tail is accumulated into truncation_bound.  Terms whose ring sample is
     empty are exactly zero and cost no solve.  Failed solves are recorded
     and flag the table PARTIAL.
+
+    Rings at different levels often give the same normalized LP (the
+    kernel is covariant under parabolic dilation), so the solves of one
+    call share a store of certified solutions (see solve_capacity).
     """
     if variant not in VARIANTS:
         raise WienerError(f"variant must be one of {VARIANTS}")
@@ -113,6 +118,7 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     Q = dom.metric.Q
     tab = SeriesTable(variant, lam, a, b, K_max, H_max, resolution,
                       np.zeros((K_max, H_max)))
+    store = {}
     running = 0.0
     C_fit = 0.0
     for k in range(1, K_max + 1):
@@ -135,8 +141,10 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
                             continue
                         ratio = 0.0
                     else:
-                        est = solve_capacity(prob)
+                        est = solve_capacity(prob, store)
                         tab.capacities[(k, h)] = est
+                        if est.reused:
+                            tab.reused.append((k, h))
                         ratio = est.value / vol
                 except CapacityConvergenceError as exc:
                     tab.failed.append((k, h))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.optimize import linprog
 
 import wienercap as wc
+from wienercap import capacity
 from wienercap.domain import SetSample
 
 settings.register_profile(
@@ -46,6 +48,22 @@ def sinh_table_metric(mc_samples=20000, seed=0):
     phi = np.sinh(axis)
     return wc.table_metric(axis, np.abs(phi[:, None] - phi[None, :]), Q=1.0,
                            c_d=2.0, mc_samples=mc_samples, seed=seed)
+
+
+def counting_linprog(monkeypatch, tamper=None):
+    """Replace capacity.linprog by a wrapper recording each call's A_ub
+    shape; tamper(i, res) may edit the i-th result."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        calls.append(np.shape(kwargs["A_ub"]))
+        if tamper is not None:
+            tamper(len(calls) - 1, res)
+        return res
+
+    monkeypatch.setattr(capacity, "linprog", wrapper)
+    return calls
 
 
 def flat_rect_sample(widths, tau, res):

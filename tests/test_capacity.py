@@ -28,8 +28,10 @@ from wienercap.capacity import (CapacityInputError, CapacityProblem,
                                 potential_many,
                                 refine_capacity, solve_capacity)
 from wienercap.domain import RingSpec, RingTarget, SetSample
+from wienercap.metric import ball_coord_halfwidths
 
-from conftest import flat_rect_sample, parabolic_ball_sample, random_cloud_sample
+from conftest import (counting_linprog, flat_rect_sample, parabolic_ball_sample,
+                      random_cloud_sample)
 
 ORACLE_N20 = 0.6254538889215207
 ORACLE_N40 = 0.5948086943201603
@@ -216,3 +218,92 @@ def test_constraint_grid_covers_forward_time(m1):
     assert ct.max() > s.ts.max()
     assert cx.shape[0] == ct.shape[0]
     assert cx.shape[0] <= 4096 + s.n
+
+
+def test_parabolic_dilation_scales_capacity_by_r_to_the_Q(m1, m2, heis):
+    """cap(delta_r F) = r^Q cap(F) for delta_r(x, t) = (r x, r^2 t) on R^N
+    and ((r x1, r x2, r^2 x3), r^2 t) on the Heisenberg group: G_a scales
+    by r^(-Q), so with the constraint grid dilated too the two LPs differ
+    by a constant factor and their certified brackets must meet."""
+    rng = np.random.default_rng(31)
+    for m, x_scale in ((m1, [1.0]), (m2, [1.0, 1.0]),
+                       (heis, [1.0, 1.0, 2.0])):
+        s = random_cloud_sample(rng, m.N, 40)
+        cx, ct = constraint_points(s, m, 3)
+        est, _ = solve_sample(m, s, 0.25, (cx, ct))
+        for r in (0.3, 1.7, 5.0):
+            xr = r ** np.asarray(x_scale)
+            sd = SetSample(s.xs * xr, s.ts * r * r, s.weights, s.measure_estimate,
+                           s.standard_error, s.resolution)
+            ed, _ = solve_sample(m, sd, 0.25, (cx * xr, ct * r * r))
+            scale = r ** m.Q
+            assert ed.value / scale == pytest.approx(est.value, rel=2e-6)
+            # the two certified brackets meet
+            assert ed.value / scale <= est.dual_value * (1 + 1e-9)
+            assert est.value <= ed.dual_value / scale * (1 + 1e-9)
+
+
+def gap_gate_cloud():
+    """The 8th random cloud drawn from default_rng(5) (Euclidean N=2, 260
+    atoms).  Against its resolution-3 constraint grid the normalized matrix
+    has 33,276 nonzeros below HiGHS's dropping threshold of 1e-9; solved
+    without column scaling, the primal overshoots K mu <= 1 by ~2e-6 and
+    the certified gap came out at 1.98e-6 relative."""
+    rng = np.random.default_rng(5)
+    sizes = (50, 75, 100, 130, 160, 190, 220, 260)
+    metrics = (wc.euclidean(1), wc.euclidean(2), wc.heisenberg_koranyi())
+    for i, n in enumerate(sizes):
+        m = metrics[i % 3]
+        X = rng.uniform(-1.0, 1.0, size=(n, m.N)) * ball_coord_halfwidths(m, 0.5)
+        T = rng.uniform(-0.25, 0.0, size=n)
+    s = SetSample(X, T, np.full(n, 1.0 / n), 1.0, 0.0, 3)
+    return m, s
+
+
+def test_gap_gate_met_on_cloud_with_tiny_kernel_entries():
+    m, s = gap_gate_cloud()
+    assert (m.kind, m.N, s.n) == ("euclidean", 2, 260)
+    est, prob = solve_sample(m, s, 0.25)
+    assert 0.0 <= est.rel_gap() <= 1e-6
+    pot = potential_many(est, prob, prob.cons_x, prob.cons_t)
+    assert float(pot.max()) <= 1.0 + 1e-9
+
+
+def test_covering_fallback_yields_certified_bracket(m1, monkeypatch):
+    """Degenerate packing marginals send the dual to the explicit covering
+    LP, which must still produce a certified bracket."""
+    s = random_cloud_sample(np.random.default_rng(32), 1, 50)
+    ref, _ = solve_sample(m1, s, 0.25)
+
+    def zero_marginals(i, res):
+        if i == 0:
+            res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
+
+    calls = counting_linprog(monkeypatch, zero_marginals)
+    est, prob = solve_sample(m1, s, 0.25)
+    m = prob.cons_t.shape[0]
+    assert calls == [(m, s.n), (s.n, m)]
+    assert est.dual_value >= est.value > 0.0
+    assert est.rel_gap() <= 1e-6
+    assert est.value == pytest.approx(ref.value, rel=1e-6)
+
+
+def test_store_serves_certified_pair_and_rejects_planted_wrong_one(m1, monkeypatch):
+    s = random_cloud_sample(np.random.default_rng(33), 1, 50)
+    cons = constraint_points(s, m1, 3)
+    prob = CapacityProblem(wc.GaussianKernel(m1, 0.25), s, *cons)
+    store = {}
+    fresh = solve_capacity(prob, store)
+    assert not fresh.reused and len(store) == 1
+    (key, (nu, y)), = store.items()
+
+    calls = counting_linprog(monkeypatch)
+    hit = solve_capacity(prob, store)
+    assert calls == [] and hit.reused
+    assert hit.value == fresh.value and hit.dual_value == fresh.dual_value
+
+    store[key] = (np.ones_like(nu), np.ones_like(y))
+    redo = solve_capacity(prob, store)
+    assert len(calls) == 1 and not redo.reused
+    assert redo.value == fresh.value and redo.rel_gap() <= 1e-6
+    assert np.array_equal(store[key][0], nu)

@@ -11,6 +11,8 @@ from wienercap.metric import ball_volume, stp
 from wienercap.wiener import (SeriesTable, WienerError, divergence_verdict,
                               nested_partial_value, term_tail_fit)
 
+from conftest import counting_linprog
+
 
 def synthetic_table(terms, variant="sufficient", lam=0.25, a=0.5, b=1.0):
     terms = np.asarray(terms, float)
@@ -150,6 +152,29 @@ def test_nested_dominates_band_rows(m1, bounds1):
             nk = nested.capacities.get((k, h))
             if bk is not None and nk is not None:
                 assert nk.value >= bk.value * (1 - 1e-6) - 1e-12
+
+
+def test_nested_table_reuses_certified_solves(m1, monkeypatch):
+    """Nested halfspace rings at different levels give the same normalized
+    LP up to rounding, so the table fills more entries than it solves, and
+    each entry served from the store equals a fresh solve."""
+    calls = counting_linprog(monkeypatch)
+    dom = wc.halfspace_time(m1, t0=0.0, t_top=1.0)
+    lam = 0.25
+    tab = wc.series_table(dom, lam, 0.25, 0.5, "nested", K_max=5, H_max=40,
+                          resolution=3)
+    assert not tab.failed
+    assert tab.reused and set(tab.reused) <= set(tab.capacities)
+    assert len(calls) < len(tab.capacities)
+    assert len(calls) == len(tab.capacities) - len(tab.reused)
+    kern = wc.GaussianKernel(m1, 0.25)
+    for k, h in tab.reused:
+        est = tab.capacities[(k, h)]
+        assert est.reused and est.rel_gap() <= 1e-6
+        prob = wc.build_problem(dom, RingTarget(RingSpec(lam, k, h, "nested")),
+                                kern, 3)
+        fresh = wc.solve_capacity(prob)
+        assert est.value == pytest.approx(fresh.value, rel=1e-6)
 
 
 def test_nested_partial_value_floors(m1):
