@@ -18,12 +18,24 @@ lambda^40 are ~1e-25 in absolute size and would otherwise drown in the
 solver's absolute tolerances.
 
 HiGHS runs without presolve, which on these dense LPs costs more than it
-saves (about 4x in total on the ring LPs of a nested series).  The LP's columns
-are equilibrated: the LP is solved in x = s * mu with s the column maxima
-of the normalized matrix, because HiGHS drops matrix entries below 1e-9,
-and with large mu those dropped entries would let K mu overshoot 1 by
-more than the gap gate allows.  Certification uses the scaled matrix, so
-only one m x n copy is held.
+saves.  The LP's columns are equilibrated: with s the column maxima of
+the normalized matrix, A = Kn / s has unit column maxima and the packing
+point is x = s * mu, because HiGHS drops matrix entries below 1e-9, and
+with large mu those dropped entries would let K mu overshoot 1 by more
+than the gap gate allows.  Certification uses the scaled matrix, so only
+one m x n copy is held.
+
+HiGHS is handed the covering side, min 1.y s.t. A_W^T y >= 1/s, and the
+packing point is read off its row marginals.  The covering LP has one row
+per atom, so its basis is n-dimensional where the packing LP's is m ~ 4500
+on a fine grid; and few grid rows bind (93 of 4496 on a 400-atom cloud),
+so it runs on a working set W of them: each atom's argmax row (where its
+column of A is 1), grown by the rows of the full grid that the packing
+point overshoots most, until none outside W does.  Both points are certified
+on the full grid: y is zero outside W, so it is feasible for the full
+covering LP, and x is rescaled by its overshoot over all m rows.  If a
+restricted solve fails or its marginals are degenerate, one packing LP on
+the full grid is solved instead.
 
 A caller may pass a store (series_table keeps one per call) in which
 certified (mu, y) pairs are filed under a hash of the normalized matrix
@@ -45,6 +57,8 @@ from .domain import DomainSpec, SetSample, sample_set_and_measure
 from .metric import MetricSpace, ball_coord_halfwidths
 
 MAX_CONSTRAINT_GRID = 4096
+WORKING_SET_MIN_BATCH = 16     # rows added per pricing round: max(n // 4, 16)
+PRICING_TOLERANCE = 1e-9       # overshoot of A x <= 1 that sends a row into W
 
 
 class CapacityInputError(ValueError):
@@ -79,6 +93,8 @@ class CapacityEstimate:
     n_atoms: int = 0
     n_constraints: int = 0
     reused: bool = False           # served from a series table's store
+    lp_rows: int = 0               # grid rows in the LP that was solved
+    lp_rounds: int = 0             # covering rounds; 0 for a store hit
 
     def rel_gap(self) -> float:
         return self.gap / max(self.value, 1e-300)
@@ -140,26 +156,49 @@ def _store_key(Kn: np.ndarray) -> tuple:
 
 
 def _solve_lp(A: np.ndarray, s: np.ndarray):
-    """Fresh primal/dual pair (nu, y) for Kn = A diag(s), and the covering
-    solve's failure message ("" when none).
+    """Fresh primal/dual pair (nu, y) for Kn = A diag(s), the number of
+    grid rows in the LP that produced it, and the covering rounds solved.
 
-    The packing LP is solved in x = s * nu, whose matrix A has unit column
-    maxima; its constraint marginals are a dual-optimal y for Kn.  If they
-    are degenerate an explicit covering LP is solved instead."""
-    m = A.shape[0]
+    The covering LP  min 1.y  s.t.  A_W^T y >= 1/s, y >= 0  is solved on a
+    working set W of grid rows; its row marginals are the packing point
+    x = s * nu of the same rows.  Rows of the full grid that x overshoots
+    join W, the most violated first and at most max(n // 4,
+    WORKING_SET_MIN_BATCH) a round, until none outside W exceeds
+    1 + PRICING_TOLERANCE.  y is zero outside W, so it stays feasible for
+    the full covering LP.  If a restricted solve fails or its marginals
+    are degenerate (worth less than half the covering value), one
+    full-grid packing LP is solved instead and its marginals give y."""
+    m, n = A.shape
+    W = np.unique(A.argmax(axis=0))
+    batch = max(n // 4, WORKING_SET_MIN_BATCH)
+    rounds = 0
+    while True:
+        rounds += 1
+        res = linprog(c=np.ones(W.size), A_ub=-A[W].T, b_ub=-1.0 / s,
+                      bounds=(0.0, None), method="highs",
+                      options={"presolve": False})
+        if not res.success:
+            break
+        x = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
+        yW = np.maximum(res.x, 0.0)
+        if not x.any() or float((x / s).sum()) < 0.5 * float(yW.sum()):
+            break
+        excess = A @ x
+        excess[W] = 0.0
+        violated = np.flatnonzero(excess > 1.0 + PRICING_TOLERANCE)
+        if violated.size == 0:
+            y = np.zeros(m)
+            y[W] = yW
+            return x / s, y, W.size, rounds
+        worst = violated[np.argsort(excess[violated])[::-1][:batch]]
+        W = np.union1d(W, worst)
     res_p = linprog(c=-1.0 / s, A_ub=A, b_ub=np.ones(m), bounds=(0.0, None),
                     method="highs", options={"presolve": False})
     if not res_p.success:
         raise CapacityConvergenceError(f"packing LP failed: {res_p.message}")
     nu = np.maximum(res_p.x, 0.0) / s
     y = np.maximum(-np.asarray(res_p.ineqlin.marginals), 0.0)
-    if y.any() and float((s * (A.T @ y)).min()) >= 0.5:
-        return nu, y, ""
-    res_d = linprog(c=np.ones(m), A_ub=-A.T, b_ub=-1.0 / s, bounds=(0.0, None),
-                    method="highs", options={"presolve": False})
-    if not res_d.success:
-        return nu, np.zeros(m), f"covering LP failed: {res_d.message}"
-    return nu, np.maximum(res_d.x, 0.0), ""
+    return nu, y, m, rounds
 
 
 def _certify(p: CapacityProblem, A: np.ndarray, s: np.ndarray, kappa: float,
@@ -211,10 +250,9 @@ def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEst
         if _within_gap(est, p.tolerance):
             est.reused = True
             return est
-    nu, y, covering_error = _solve_lp(A, s)
+    nu, y, rows, rounds = _solve_lp(A, s)
     est = _certify(p, A, s, kappa, nu, y)
-    if covering_error:
-        raise CapacityConvergenceError(covering_error, estimate=est)
+    est.lp_rows, est.lp_rounds = rows, rounds
     if not _within_gap(est, p.tolerance):
         raise CapacityConvergenceError(
             f"duality gap {est.gap:.3e} exceeds tolerance "

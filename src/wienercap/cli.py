@@ -193,7 +193,8 @@ def cmd_capacity(cfg, bundle, quiet):
                      _equilibrium_rows(est, prob))
     if not quiet:
         print(f"capacity value={est.value:.6e} dual={est.dual_value:.6e} "
-              f"gap={est.gap:.2e} atoms={est.n_atoms}")
+              f"gap={est.gap:.2e} atoms={est.n_atoms} "
+              f"rows={est.lp_rows}/{est.n_constraints} rounds={est.lp_rounds}")
     return EXIT_OK
 
 
@@ -283,6 +284,20 @@ def _classification_payload(cls, dom):
     return payload
 
 
+def _provenance_estimate(tab, prob):
+    """The ring (2, 1) capacity under G_a: the sufficient series' entry when
+    that series ran (it solved this very problem), else a solve of prob;
+    None when the solve failed."""
+    if tab is not None and (2, 1) in tab.failed:
+        return None
+    if tab is not None and (2, 1) in tab.capacities:
+        return tab.capacities[(2, 1)]
+    try:
+        return solve_capacity(prob)
+    except (CapacityInputError, CapacityConvergenceError):
+        return None
+
+
 def cmd_classify(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
@@ -290,16 +305,14 @@ def cmd_classify(cfg, bundle, quiet):
     cls = run_classify(cfg, dom, bounds)
     bundle.write_json("classification.json", _classification_payload(cls, dom))
     # attach one representative equilibrium measure for provenance
-    kern = GaussianKernel(metric, exponents(cfg, bounds)[0])
-    try:
-        prob = build_problem(
-            dom, RingTarget(RingSpec(cfg["wiener.lambda"], 2, 1)), kern,
-            cfg["capacity.resolution"], cfg["capacity.tolerance"])
-        est = solve_capacity(prob)
+    prob = build_problem(
+        dom, RingTarget(RingSpec(cfg["wiener.lambda"], 2, 1)),
+        GaussianKernel(metric, exponents(cfg, bounds)[0]),
+        cfg["capacity.resolution"], cfg["capacity.tolerance"])
+    est = _provenance_estimate(cls.sufficient_table, prob)
+    if est is not None:
         bundle.write_csv("equilibrium_measure.csv", _eq_header(dom.N),
                          _equilibrium_rows(est, prob))
-    except (CapacityInputError, CapacityConvergenceError):
-        pass
     if not quiet:
         print(f"classify verdict={cls.verdict} basis={cls.basis}")
     if cls.verdict == "REGULAR":

@@ -23,7 +23,7 @@ import numpy as np
 from .domain import DomainSpec, _spatial_grid, contains_many
 from .kernel import GaussBounds
 from .metric import ball_coord_halfwidths, ball_volume, dist
-from .wiener import SeriesReport, divergence_verdict, series_table
+from .wiener import SeriesReport, SeriesTable, divergence_verdict, series_table
 
 
 class RegularityError(ValueError):
@@ -83,6 +83,7 @@ class Classification:
     necessary: SeriesReport | None
     structural_constant: float
     notes: list = field(default_factory=list)
+    sufficient_table: SeriesTable | None = None   # set when that series ran
 
 
 def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
@@ -114,17 +115,19 @@ def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
                               structural_constant(bounds), notes)
     kw = dict(K_max=K_max, H_max=H_max, resolution=resolution,
               tolerance=tolerance)
-    suff = divergence_verdict(
-        series_table(dom, lam, a, b, "sufficient", **kw))
+    suff_tab = series_table(dom, lam, a, b, "sufficient", **kw)
+    suff = divergence_verdict(suff_tab)
     if suff.verdict == "DIVERGENT" and not suff.table_partial:
         return Classification("REGULAR", "sufficient-series", cone_rep, suff,
-                              None, structural_constant(bounds), notes)
+                              None, structural_constant(bounds), notes,
+                              suff_tab)
     nec = divergence_verdict(
         series_table(dom, lam, a, b, "necessary", **kw))
     if nec.verdict == "CONVERGENT" and not nec.table_partial:
         return Classification("IRREGULAR", "necessary-series", cone_rep, suff,
-                              nec, structural_constant(bounds), notes)
+                              nec, structural_constant(bounds), notes,
+                              suff_tab)
     if suff.table_partial or nec.table_partial:
         notes.append("capacity table PARTIAL: verdict withheld")
     return Classification("INCONCLUSIVE", "none", cone_rep, suff, nec,
-                          structural_constant(bounds), notes)
+                          structural_constant(bounds), notes, suff_tab)

@@ -66,6 +66,21 @@ def counting_linprog(monkeypatch, tamper=None):
     return calls
 
 
+def counting_solves(monkeypatch):
+    """Replace capacity._solve_lp by a wrapper recording the matrix shape
+    of each fresh LP solve; a solve may make several linprog calls, and a
+    store hit makes none."""
+    calls = []
+    real = capacity._solve_lp
+
+    def wrapper(A, s):
+        calls.append(A.shape)
+        return real(A, s)
+
+    monkeypatch.setattr(capacity, "_solve_lp", wrapper)
+    return calls
+
+
 def flat_rect_sample(widths, tau, res):
     """Uniform grid sample of the closed box prod [0, w_i] x {tau}."""
     axes = [np.linspace(0.0, w, 2 ** res + 1) for w in widths]

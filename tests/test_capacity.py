@@ -30,8 +30,8 @@ from wienercap.capacity import (CapacityInputError, CapacityProblem,
 from wienercap.domain import RingSpec, RingTarget, SetSample
 from wienercap.metric import ball_coord_halfwidths
 
-from conftest import (counting_linprog, flat_rect_sample, parabolic_ball_sample,
-                      random_cloud_sample)
+from conftest import (counting_linprog, counting_solves, flat_rect_sample,
+                      parabolic_ball_sample, random_cloud_sample)
 
 ORACLE_N20 = 0.6254538889215207
 ORACLE_N40 = 0.5948086943201603
@@ -269,9 +269,10 @@ def test_gap_gate_met_on_cloud_with_tiny_kernel_entries():
     assert float(pot.max()) <= 1.0 + 1e-9
 
 
-def test_covering_fallback_yields_certified_bracket(m1, monkeypatch):
-    """Degenerate packing marginals send the dual to the explicit covering
-    LP, which must still produce a certified bracket."""
+def test_packing_fallback_yields_certified_bracket(m1, monkeypatch):
+    """Degenerate marginals of the restricted covering LP send the solve to
+    one explicit full-grid packing LP, which must still produce a
+    certified bracket."""
     s = random_cloud_sample(np.random.default_rng(32), 1, 50)
     ref, _ = solve_sample(m1, s, 0.25)
 
@@ -282,10 +283,39 @@ def test_covering_fallback_yields_certified_bracket(m1, monkeypatch):
     calls = counting_linprog(monkeypatch, zero_marginals)
     est, prob = solve_sample(m1, s, 0.25)
     m = prob.cons_t.shape[0]
-    assert calls == [(m, s.n), (s.n, m)]
+    assert len(calls) == 2 and calls[0][0] == s.n and calls[0][1] < m
+    assert calls[1] == (m, s.n)
+    assert est.lp_rows == m
     assert est.dual_value >= est.value > 0.0
     assert est.rel_gap() <= 1e-6
     assert est.value == pytest.approx(ref.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("N, resolution", [(1, 5), (2, 3), ("heis", 3)],
+                         ids=["euclidean1", "euclidean2", "heisenberg"])
+def test_column_generation_matches_full_grid_lp(N, resolution):
+    """The covering LP on a generated working set of rows certifies the
+    same capacity as the packing LP on the full grid, and its packing
+    point is feasible on every grid point."""
+    m = wc.heisenberg_koranyi() if N == "heis" else wc.euclidean(N)
+    rng = np.random.default_rng(40 + m.N)
+    n = 120
+    X = rng.uniform(-1.0, 1.0, size=(n, m.N)) * ball_coord_halfwidths(m, 0.5)
+    T = rng.uniform(-0.25, 0.0, size=n)
+    s = SetSample(X, T, np.full(n, 1.0 / n), 1.0, 0.0, resolution)
+    est, prob = solve_sample(m, s, 0.25)
+    rows = prob.cons_t.shape[0]
+    assert rows >= 4000
+    assert 0.0 <= est.rel_gap() <= 1e-6
+    pot = potential_many(est, prob, prob.cons_x, prob.cons_t)
+    assert float(pot.max()) <= 1.0 + 1e-9
+    K = prob.kernel.matrix(prob.cons_x, prob.cons_t, s.xs, s.ts)
+    kappa = float(K.max())
+    res = linprog(c=-np.ones(n), A_ub=K / kappa, b_ub=np.ones(rows),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    assert est.value == pytest.approx(-res.fun / kappa, rel=1e-6)
+    assert est.lp_rows < rows / 2 and est.lp_rounds >= 1
 
 
 def test_store_serves_certified_pair_and_rejects_planted_wrong_one(m1, monkeypatch):
@@ -297,9 +327,9 @@ def test_store_serves_certified_pair_and_rejects_planted_wrong_one(m1, monkeypat
     assert not fresh.reused and len(store) == 1
     (key, (nu, y)), = store.items()
 
-    calls = counting_linprog(monkeypatch)
+    calls = counting_solves(monkeypatch)
     hit = solve_capacity(prob, store)
-    assert calls == [] and hit.reused
+    assert calls == [] and hit.reused and hit.lp_rounds == 0
     assert hit.value == fresh.value and hit.dual_value == fresh.dual_value
 
     store[key] = (np.ones_like(nu), np.ones_like(y))

@@ -172,6 +172,42 @@ def test_classify_irregular_exits_one(tmp_path):
     assert payload["verdict"] == "IRREGULAR"
 
 
+def test_classify_takes_equilibrium_measure_from_the_series(tmp_path,
+                                                             monkeypatch):
+    """cylinder-top runs both series; its provenance measure is the
+    sufficient series' ring (2, 1) entry, not a 65th solve."""
+    from wienercap import wiener
+    real = wiener.solve_capacity
+    solved = []
+
+    def counting(prob, store=None):
+        solved.append(prob.support.n)
+        return real(prob, store)
+
+    monkeypatch.setattr(wiener, "solve_capacity", counting)
+    monkeypatch.setattr(cli, "solve_capacity", counting)
+    cfg = _write(tmp_path, "c.cfg", FAST_CLASSIFY.format(name="cylinder-top"))
+    out = tmp_path / "out"
+    code = main(["classify", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_IRREGULAR
+    assert len(solved) == 64
+    rows = (out / "equilibrium_measure.csv").read_text().splitlines()
+    assert rows[0] == "x1,t,mass" and len(rows) > 1
+
+
+def test_capacity_summary_reports_working_set(tmp_path, capsys):
+    cfg = _write(tmp_path, "cap.cfg", FAST_CAPACITY)
+    code = main(["capacity", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    record = json.loads((tmp_path / "o" / "capacity.json").read_text())
+    match = re.search(r" rows=(\d+)/(\d+) rounds=(\d+)$", line)
+    assert match is not None, line
+    rows, grid, rounds = map(int, match.groups())
+    assert grid == record["n_constraints"] and 0 < rows < grid
+    assert rounds >= 1
+
+
 def test_unknown_config_key_exits_64(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg", "bogus.key = 1\n")
     code = main(["capacity", "--config", cfg, "--quiet"])

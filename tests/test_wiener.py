@@ -11,7 +11,7 @@ from wienercap.metric import ball_volume, stp
 from wienercap.wiener import (SeriesTable, WienerError, divergence_verdict,
                               nested_partial_value, term_tail_fit)
 
-from conftest import counting_linprog
+from conftest import counting_solves
 
 
 def synthetic_table(terms, variant="sufficient", lam=0.25, a=0.5, b=1.0):
@@ -158,7 +158,7 @@ def test_nested_table_reuses_certified_solves(m1, monkeypatch):
     """Nested halfspace rings at different levels give the same normalized
     LP up to rounding, so the table fills more entries than it solves, and
     each entry served from the store equals a fresh solve."""
-    calls = counting_linprog(monkeypatch)
+    calls = counting_solves(monkeypatch)
     dom = wc.halfspace_time(m1, t0=0.0, t_top=1.0)
     lam = 0.25
     tab = wc.series_table(dom, lam, 0.25, 0.5, "nested", K_max=5, H_max=40,
