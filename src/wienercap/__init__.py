@@ -27,7 +27,8 @@ from .metric import (MetricError, MetricSpace, SpaceTimePoint, ball_volume,
                      unit_ball_volume_euclidean)
 from .pde import (HolderFit, PDEError, SolutionEstimate, WalkConfig,
                   boundary_holder, boundary_phi_cutoff, boundary_phi_distance,
-                  classification_probe, interior_axis_probes, pwb_solve)
+                  classification_probe, interior_axis_probes, pwb_solve,
+                  pwb_solve_many)
 from .regularity import (Classification, ConeReport, RegularityError,
                          classify, cone_check)
 from .wiener import (BoundCheckReport, ComparabilityReport, IntegralReport,

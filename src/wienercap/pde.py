@@ -10,6 +10,14 @@ Perron-Wiener solution with boundary data phi.  Exit detection bisects
 the last step segment to a time tolerance of step / 64.  Euclidean
 domains only: the walk has no intrinsic meaning for the other metrics.
 
+pwb_solve_many walks several points of one domain as one batch, and
+pwb_solve is its one-point case.  Only walkers still inside Omega are
+stepped, so an iteration costs what is left of the walk, and the batch
+runs as many iterations as its slowest point, not their sum.  Each point
+keeps its own random stream: it draws a full (walkers, N) block from its
+own generator on every step on which it still has an active walker, so
+its estimate does not depend on the other points of the batch.
+
 The boundary-behavior probe fits |u(z) - phi(z0)| against dhat(z, z0)
 along an interior approach path; at regular points the Hoelder exponent
 of the fit is positive, at irregular points the gap fails to decay
@@ -94,46 +102,81 @@ def pwb_solve(dom: DomainSpec, phi, z: SpaceTimePoint,
     Walkers that exhaust cfg.max_time are excluded from the average; if
     more than 1% time out the estimate is flagged unreliable.
     """
+    return pwb_solve_many(dom, phi, [z], [cfg])[0]
+
+
+def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
+    """pwb_solve at every point zs[j] with config cfgs[j], walked as one batch.
+
+    Only walkers still inside Omega are stepped; a global walker id
+    j * walkers + i maps each exit back to walker i of point j.  Point j
+    draws from its own default_rng(cfgs[j].seed), a full (walkers, N)
+    block on every step on which it has an active walker, so each
+    estimate equals a walk of its point alone bit for bit.  The configs
+    must agree on everything but the seed.
+    """
     if dom.metric.kind != "euclidean":
         raise PDEError("the random-walk solver is Euclidean-only")
-    if not contains(dom, z):
-        raise PDEError("evaluation point must lie inside Omega")
-    w, N = cfg.walkers, dom.N
-    h = cfg.step
-    sigma = math.sqrt(2.0 * h / cfg.beta)
-    rng = np.random.default_rng(cfg.seed)
-    X = np.tile(z.x, (w, 1))
-    T = np.full(w, z.t)
-    active = np.ones(w, dtype=bool)
-    exit_x = np.zeros((w, N))
-    exit_t = np.zeros(w)
-    max_steps = int(math.ceil(cfg.max_time / h))
-    for _ in range(max_steps):
-        if not active.any():
+    zs, cfgs = list(zs), list(cfgs)
+    if len(zs) != len(cfgs):
+        raise PDEError("need one walk config per evaluation point")
+    if not zs:
+        return []
+    c0 = cfgs[0]
+    shared = (c0.beta, c0.step, c0.walkers, c0.max_time)
+    if any((c.beta, c.step, c.walkers, c.max_time) != shared for c in cfgs):
+        raise PDEError("walk configs must agree on beta, step, walkers "
+                       "and max_time")
+    for z in zs:
+        if not contains(dom, z):
+            raise PDEError("evaluation point must lie inside Omega")
+    P, w, N, h = len(zs), c0.walkers, dom.N, c0.step
+    sigma = math.sqrt(2.0 * h / c0.beta)
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    xi = np.empty((P * w, N))
+    gid = np.arange(P * w)                 # global ids of the active walkers
+    X = np.repeat(np.stack([z.x for z in zs]), w, axis=0)
+    T = np.repeat(np.array([z.t for z in zs], dtype=float), w)
+    left = np.full(P, w)                   # active walkers per point
+    exit_x = np.zeros((P * w, N))
+    exit_t = np.zeros(P * w)
+    exited = np.zeros(P * w, dtype=bool)
+    for _ in range(int(math.ceil(c0.max_time / h))):
+        if gid.size == 0:
             break
-        xi = rng.standard_normal((w, N))
-        Xn = X + sigma * xi
+        for j in np.flatnonzero(left):
+            rngs[j].standard_normal(out=xi[j * w:(j + 1) * w])
+        Xn = X + sigma * xi[gid]
         Tn = T - h
-        idx = np.flatnonzero(active)
-        inside = contains_many(dom, Xn[idx], Tn[idx])
-        hit = idx[~inside]
-        if hit.size:
+        inside = contains_many(dom, Xn, Tn)
+        if not inside.all():
+            out = ~inside
+            hit, X0, X1, T0 = gid[out], X[out], Xn[out], T[out]
             lo = np.zeros(hit.size)
             hi = np.ones(hit.size)
             for _ in range(6):  # to time tolerance h / 64
                 mid = 0.5 * (lo + hi)
-                Xm = X[hit] + mid[:, None] * (Xn[hit] - X[hit])
-                Tm = T[hit] - mid * h
+                Xm = X0 + mid[:, None] * (X1 - X0)
+                Tm = T0 - mid * h
                 ins = contains_many(dom, Xm, Tm)
                 lo = np.where(ins, mid, lo)
                 hi = np.where(ins, hi, mid)
-            exit_x[hit] = X[hit] + hi[:, None] * (Xn[hit] - X[hit])
-            exit_t[hit] = T[hit] - hi * h
-            active[hit] = False
-        keep = idx[inside]
-        X[keep] = Xn[keep]
-        T[keep] = Tn[keep]
-    exited = ~active
+            exit_x[hit] = X0 + hi[:, None] * (X1 - X0)
+            exit_t[hit] = T0 - hi * h
+            exited[hit] = True
+            left -= np.bincount(hit // w, minlength=P)
+            Xn, Tn, gid = Xn[inside], Tn[inside], gid[inside]
+        X, T = Xn, Tn
+    return [_estimate(dom, phi, z, cfg, exit_x[j * w:(j + 1) * w],
+                      exit_t[j * w:(j + 1) * w], exited[j * w:(j + 1) * w])
+            for j, (z, cfg) in enumerate(zip(zs, cfgs))]
+
+
+def _estimate(dom: DomainSpec, phi, z: SpaceTimePoint, cfg: WalkConfig,
+              exit_x: np.ndarray, exit_t: np.ndarray,
+              exited: np.ndarray) -> SolutionEstimate:
+    """Average phi over the exits of one point's walkers, in walker order."""
+    w = cfg.walkers
     n_exited = int(exited.sum())
     n_timed_out = w - n_exited
     if n_exited == 0:
@@ -232,11 +275,10 @@ def boundary_holder(dom: DomainSpec, phi, probes, cfg: WalkConfig,
     if phi0 is None:
         phi0 = float(np.asarray(phi(dom.z0.x[None, :],
                                     np.array([dom.z0.t])))[0])
+    subs = [WalkConfig(cfg.beta, cfg.step, cfg.walkers, cfg.seed + 7919 * j,
+                       cfg.max_time) for j in range(len(probes))]
     rows = []
-    for j, pz in enumerate(probes):
-        sub = WalkConfig(cfg.beta, cfg.step, cfg.walkers,
-                         cfg.seed + 7919 * j, cfg.max_time)
-        sol = pwb_solve(dom, phi, pz, sub)
+    for pz, sol in zip(probes, pwb_solve_many(dom, phi, probes, subs)):
         gap = abs(sol.value - phi0)
         rows.append(ProbeResult(parabolic_dist(dom.metric, dom.z0, pz),
                                 sol.value, gap, sol.std_error,

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import wienercap as wc
+from wienercap import pde
+from wienercap.domain import contains, contains_many
 from wienercap.metric import stp
-from wienercap.pde import PDEError, WalkConfig
+from wienercap.pde import (EXIT_KINDS, PDEError, SolutionEstimate, WalkConfig,
+                           classify_exit)
 
 
 def gaussian_data(X, T):
@@ -193,3 +196,161 @@ def test_boundary_phi_cutoff_shape(m1):
     X = np.array([[0.0], [0.05], [0.5]])
     T = np.array([dom.z0.t, dom.z0.t, dom.z0.t])
     assert phi(X, T).tolist() == [0.0, 0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# the batched walker against a plain per-point walk
+
+def reference_pwb_solve(dom, phi, z, cfg):
+    """One point walked alone, every walker stepped on every iteration."""
+    if dom.metric.kind != "euclidean":
+        raise PDEError("the random-walk solver is Euclidean-only")
+    if not contains(dom, z):
+        raise PDEError("evaluation point must lie inside Omega")
+    w, N = cfg.walkers, dom.N
+    h = cfg.step
+    sigma = math.sqrt(2.0 * h / cfg.beta)
+    rng = np.random.default_rng(cfg.seed)
+    X = np.tile(z.x, (w, 1))
+    T = np.full(w, z.t)
+    active = np.ones(w, dtype=bool)
+    exit_x = np.zeros((w, N))
+    exit_t = np.zeros(w)
+    max_steps = int(math.ceil(cfg.max_time / h))
+    for _ in range(max_steps):
+        if not active.any():
+            break
+        xi = rng.standard_normal((w, N))
+        Xn = X + sigma * xi
+        Tn = T - h
+        idx = np.flatnonzero(active)
+        inside = contains_many(dom, Xn[idx], Tn[idx])
+        hit = idx[~inside]
+        if hit.size:
+            lo = np.zeros(hit.size)
+            hi = np.ones(hit.size)
+            for _ in range(6):
+                mid = 0.5 * (lo + hi)
+                Xm = X[hit] + mid[:, None] * (Xn[hit] - X[hit])
+                Tm = T[hit] - mid * h
+                ins = contains_many(dom, Xm, Tm)
+                lo = np.where(ins, mid, lo)
+                hi = np.where(ins, hi, mid)
+            exit_x[hit] = X[hit] + hi[:, None] * (Xn[hit] - X[hit])
+            exit_t[hit] = T[hit] - hi * h
+            active[hit] = False
+        keep = idx[inside]
+        X[keep] = Xn[keep]
+        T[keep] = Tn[keep]
+    exited = ~active
+    n_exited = int(exited.sum())
+    n_timed_out = w - n_exited
+    if n_exited == 0:
+        raise PDEError("no walker exited within the time budget")
+    vals = np.asarray(phi(exit_x[exited], exit_t[exited]), dtype=float)
+    value = float(vals.mean())
+    std_error = float(vals.std(ddof=1) / math.sqrt(n_exited)) if n_exited > 1 else math.inf
+    kinds = classify_exit(dom, exit_x[exited], exit_t[exited])
+    fracs = {name: float(np.mean(kinds == code))
+             for code, name in enumerate(EXIT_KINDS)}
+    mean_exit = float(np.mean(z.t - exit_t[exited]))
+    return SolutionEstimate(value, std_error, n_exited, n_timed_out, fracs,
+                            mean_exit, n_timed_out <= 0.01 * w, cfg)
+
+
+def _square_mask_domain(path, metric):
+    grid = np.zeros((32, 32), dtype=bool)
+    grid[4:28, 4:28] = True
+    wc.write_mask(path, grid, [-1.0, -1.0], [0.0625, 0.0625])
+    return wc.mask_domain(path, metric, stp([-0.75], 0.0))
+
+
+def _walk_cases(tmp_path):
+    """(name, domain, data, points, walk config) per case."""
+    m1, m2 = wc.euclidean(1), wc.euclidean(2)
+    half = wc.benchmark("halfspace", m1)
+    side = wc.spatial_halfspace(m2)
+    cone = wc.benchmark("cone", m1)
+    top = wc.benchmark("cylinder-top", m1)
+    mask = _square_mask_domain(tmp_path / "square.mask", m1)
+    thin = wc.cylinder(m1, radius=0.3, t1=-4.0, t2=0.0)
+    return [
+        # exit times 0.2 and 0.01: a 20x spread between the two points
+        ("halfspace", half, wc.boundary_phi_distance(half),
+         [stp([0.0], 0.2), stp([0.0], 0.01), stp([0.1], 0.05)],
+         WalkConfig(1.0, 1e-3, 300, 21, 4.0)),
+        ("spatial-halfspace", side, wc.boundary_phi_distance(side),
+         wc.interior_axis_probes(side, [0.3, 0.1, 0.03]),
+         WalkConfig(2.0, 1e-3, 300, 22, 4.0)),
+        ("cone", cone, wc.boundary_phi_distance(cone),
+         wc.interior_axis_probes(cone, [0.12, 0.04, 0.01]),
+         WalkConfig(1.0, 1e-3, 300, 23, 4.0)),
+        ("cylinder-top", top, wc.boundary_phi_cutoff(top),
+         wc.interior_axis_probes(top, [0.12, 0.04, 0.01]),
+         WalkConfig(1.0, 1e-3, 300, 24, 4.0)),
+        ("mask", mask, gaussian_data,
+         [stp([0.0], 0.0), stp([0.3], -0.2), stp([-0.2], 0.4)],
+         WalkConfig(1.0, 1e-3, 300, 25, 4.0)),
+        # a budget shorter than many lateral exits: walkers time out
+        ("timed-out", thin, gaussian_data,
+         [stp([0.0], -0.5), stp([0.2], -1.0)],
+         WalkConfig(1.0, 1e-3, 300, 26, 0.03)),
+    ]
+
+
+def _same_estimate(a, b):
+    return (a.value == b.value and a.std_error == b.std_error
+            and a.n_exited == b.n_exited and a.n_timed_out == b.n_timed_out
+            and a.exit_fractions == b.exit_fractions
+            and a.mean_exit_time == b.mean_exit_time
+            and a.reliable == b.reliable and a.config == b.config)
+
+
+def test_batched_walk_is_bit_identical_to_per_point_walks(tmp_path):
+    for name, dom, phi, zs, cfg in _walk_cases(tmp_path):
+        cfgs = [WalkConfig(cfg.beta, cfg.step, cfg.walkers,
+                           cfg.seed + 7919 * j, cfg.max_time)
+                for j in range(len(zs))]
+        got = wc.pwb_solve_many(dom, phi, zs, cfgs)
+        want = [reference_pwb_solve(dom, phi, z, c) for z, c in zip(zs, cfgs)]
+        assert all(_same_estimate(g, r) for g, r in zip(got, want)), name
+        one = wc.pwb_solve(dom, phi, zs[0], cfgs[0])
+        assert _same_estimate(one, want[0]), name
+        if name == "halfspace":
+            times = [e.mean_exit_time for e in got]
+            assert max(times) >= 10.0 * min(times)
+        if name == "timed-out":
+            assert all(0 < e.n_timed_out < cfg.walkers for e in got)
+            assert not any(e.reliable for e in got)
+
+
+@pytest.mark.parametrize("field", ["beta", "step", "walkers", "max_time"])
+def test_batched_walk_rejects_disagreeing_configs(m1, field):
+    dom = wc.benchmark("halfspace", m1)
+    base = WalkConfig(1.0, 1e-3, 50, 0, 1.0)
+    other = WalkConfig(**{**base.__dict__, "seed": 1,
+                          field: 2 * getattr(base, field)})
+    with pytest.raises(PDEError):
+        wc.pwb_solve_many(dom, gaussian_data, [stp([0.0], 0.1)] * 2,
+                          [base, other])
+
+
+def test_classification_probe_walks_in_one_batch(m1, monkeypatch):
+    def per_point(*args, **kwargs):
+        raise AssertionError("per-point walk called")
+
+    monkeypatch.setattr(pde, "pwb_solve", per_point)
+    calls = []
+    batched = pde.pwb_solve_many
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "pwb_solve_many", counting)
+    offsets = [0.12 * 0.55 ** j for j in range(8)]
+    fit, contra = wc.classification_probe(
+        wc.benchmark("halfspace", m1), "REGULAR", offsets,
+        WalkConfig(1.0, 1e-3, 200, 3, 4.0))
+    assert calls == [8]
+    assert len(fit.probes) == 8 and not contra
