@@ -21,7 +21,11 @@ its estimate does not depend on the other points of the batch.
 The boundary-behavior probe fits |u(z) - phi(z0)| against dhat(z, z0)
 along an interior approach path; at regular points the Hoelder exponent
 of the fit is positive, at irregular points the gap fails to decay
-(status NO-DECAY).
+(status NO-DECAY).  The status compares the closest probe's gap with half
+the largest gap, and decides only when the difference clears
+DECAY_MARGIN_SE combined standard errors one way or the other; a margin
+inside that band is INSUFFICIENT, as is a path with fewer than 3 probes
+whose walks are reliable and whose gaps exceed 3 standard errors.
 """
 
 from __future__ import annotations
@@ -264,14 +268,40 @@ class HolderFit:
     closest_gap_sigma: float = math.nan
 
 
+# combined standard errors by which the closest probe's gap must clear half
+# the largest gap (NO-DECAY) or fall short of it (DECAY-FIT)
+DECAY_MARGIN_SE = 3.0
+
+
+def decay_status(usable: list[ProbeResult]) -> tuple[str, float]:
+    """NO-DECAY, DECAY-FIT or INSUFFICIENT from the usable probes, with the
+    closest probe's gap in its own standard errors.
+
+    The margin m = closest gap - 0.5 * largest gap has standard error
+    hypot(se_closest, 0.5 * se_largest).  NO-DECAY needs a closest gap of
+    at least 5 standard errors and m >= DECAY_MARGIN_SE * se; DECAY-FIT
+    needs m <= -DECAY_MARGIN_SE * se; a margin in between decides
+    nothing."""
+    closest = min(usable, key=lambda r: r.dhat)
+    widest = max(usable, key=lambda r: r.gap)
+    sig = closest.gap / closest.std_error if closest.std_error > 0 else math.inf
+    margin = closest.gap - 0.5 * widest.gap
+    se = math.hypot(closest.std_error, 0.5 * widest.std_error)
+    if sig >= 5.0 and margin >= DECAY_MARGIN_SE * se:
+        return "NO-DECAY", sig
+    if margin <= -DECAY_MARGIN_SE * se:
+        return "DECAY-FIT", sig
+    return "INSUFFICIENT", sig
+
+
 def boundary_holder(dom: DomainSpec, phi, probes, cfg: WalkConfig,
                     phi0: float | None = None) -> HolderFit:
     """Fit |u(z) - phi(z0)| ~ c dhat^alpha0 along an approach path.
 
-    Probes with gap below 3 standard errors are dropped from the fit.  If
-    the closest usable probe keeps a gap of at least 5 standard errors and
-    at least half the largest usable gap, the point is reported NO-DECAY
-    instead (irregular signature)."""
+    Probes whose walk is unreliable (more than 1% of walkers timed out) or
+    whose gap is below 3 standard errors are dropped from the fit.  With
+    at least 3 usable probes decay_status decides between NO-DECAY
+    (irregular signature), a DECAY-FIT and INSUFFICIENT."""
     if phi0 is None:
         phi0 = float(np.asarray(phi(dom.z0.x[None, :],
                                     np.array([dom.z0.t])))[0])
@@ -282,16 +312,16 @@ def boundary_holder(dom: DomainSpec, phi, probes, cfg: WalkConfig,
         gap = abs(sol.value - phi0)
         rows.append(ProbeResult(parabolic_dist(dom.metric, dom.z0, pz),
                                 sol.value, gap, sol.std_error,
-                                gap > 3.0 * sol.std_error))
+                                sol.reliable and gap > 3.0 * sol.std_error))
     usable = [r for r in rows if r.usable]
     if len(usable) < 3:
         return HolderFit("INSUFFICIENT", math.nan, math.nan, math.nan,
                          phi0, rows)
-    closest = min(usable, key=lambda r: r.dhat)
-    max_gap = max(r.gap for r in usable)
-    sig = closest.gap / closest.std_error if closest.std_error > 0 else math.inf
-    if sig >= 5.0 and closest.gap >= 0.5 * max_gap:
-        return HolderFit("NO-DECAY", 0.0, math.nan, math.nan, phi0, rows, sig)
+    status, sig = decay_status(usable)
+    if status == "NO-DECAY":
+        return HolderFit(status, 0.0, math.nan, math.nan, phi0, rows, sig)
+    if status == "INSUFFICIENT":
+        return HolderFit(status, math.nan, math.nan, math.nan, phi0, rows, sig)
     xs = np.log([r.dhat for r in usable])
     ys = np.log([r.gap for r in usable])
     A = np.vstack([xs, np.ones_like(xs)]).T

@@ -354,3 +354,55 @@ def test_classification_probe_walks_in_one_batch(m1, monkeypatch):
         WalkConfig(1.0, 1e-3, 200, 3, 4.0))
     assert calls == [8]
     assert len(fit.probes) == 8 and not contra
+
+
+# ---------------------------------------------------------------------------
+# the decay decision rule
+
+def _row(dhat, gap, se):
+    return pde.ProbeResult(dhat, gap, gap, se, True)
+
+
+@pytest.mark.parametrize("closest, status", [
+    # cusp-power at seed 2: 0.2467 against 0.5 * 0.4913 = 0.2457, inside
+    # the margin, which the rule without one called NO-DECAY
+    ((0.2467, 0.00587), "INSUFFICIENT"),
+    ((0.30, 0.00587), "NO-DECAY"),
+    ((0.20, 0.00587), "DECAY-FIT"),
+    # 5 standard errors of its own gap are needed for NO-DECAY as well
+    ((0.30, 0.07), "INSUFFICIENT"),
+])
+def test_decay_status_needs_a_margin(closest, status):
+    rows = [_row(0.35, 0.4913, 0.00825), _row(0.19, 0.3732, 0.00746),
+            _row(0.043, *closest)]
+    assert pde.decay_status(rows)[0] == status
+
+
+def test_decay_status_boundaries():
+    # the margin against half the largest gap, 0.2, in units of
+    # se = hypot(0.01, 0.5 * 0.01), on either side of 3
+    se = math.hypot(0.01, 0.005)
+    rows = [_row(1.0, 0.4, 0.01), _row(0.1, 0.2 - 3.1 * se, 0.01)]
+    assert pde.decay_status(rows)[0] == "DECAY-FIT"
+    rows = [_row(1.0, 0.4, 0.01), _row(0.1, 0.2 - 2.9 * se, 0.01)]
+    assert pde.decay_status(rows)[0] == "INSUFFICIENT"
+    rows = [_row(1.0, 0.4, 0.01), _row(0.1, 0.2 + 3.1 * se, 0.01)]
+    status, sig = pde.decay_status(rows)
+    assert status == "NO-DECAY" and sig == pytest.approx((0.2 + 3.1 * se) / 0.01)
+
+
+def test_unreliable_probes_are_not_fitted(m1):
+    """Walks where more than 1% of walkers time out do not enter the fit,
+    however large their gap."""
+    dom = wc.cylinder(m1, radius=0.3, t1=-4.0, t2=0.0)
+    phi = wc.boundary_phi_distance(dom)
+    probes = wc.interior_axis_probes(dom, [0.2, 0.1, 0.05, 0.02])
+    cfg = WalkConfig(1.0, 1e-3, 400, 27, 0.03)
+    subs = [WalkConfig(1.0, 1e-3, 400, 27 + 7919 * j, 0.03)
+            for j in range(len(probes))]
+    sols = wc.pwb_solve_many(dom, phi, probes, subs)
+    assert all(not s.reliable and s.n_exited > 0 for s in sols)
+    assert all(s.value > 3.0 * s.std_error for s in sols)
+    fit = wc.boundary_holder(dom, phi, probes, cfg)
+    assert not any(p.usable for p in fit.probes)
+    assert fit.status == "INSUFFICIENT"
