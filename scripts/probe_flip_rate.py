@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Status counts of benchmark-suite's Monte Carlo probe over walk seeds.
+
+Classifies the six registry domains once (the verdict does not depend on
+the seed), then runs the suite's probe (pde.classification_probe with the
+suite's offsets and walk settings) at every seed of a range.  Prints, per
+domain, how often each probe status came up, the smallest decay margin in
+its own standard errors (how near the rule came to another status), and
+at which seeds the probe contradicted the verdict.  Exits 1 if it
+contradicted a pinned verdict.
+
+Usage:
+    python3 scripts/probe_flip_rate.py [--seeds 1 24] [--walkers 2000]
+        [--k-max 16] [--resolution 3]
+"""
+
+import argparse
+import math
+
+from wienercap.cli import (SUITE_PROBE_OFFSETS, build_bounds, run_classify,
+                           walk_config)
+from wienercap.config import RunConfig
+from wienercap.domain import BENCHMARK_STATUS, benchmark, benchmark_names
+from wienercap.pde import classification_probe, decay_margin
+
+STATUSES = ("DECAY-FIT", "NO-DECAY", "INSUFFICIENT")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs=2, default=[1, 24],
+                    metavar=("FIRST", "LAST"), help="inclusive seed range")
+    ap.add_argument("--walkers", type=int, default=2000)
+    ap.add_argument("--k-max", type=int, default=16)
+    ap.add_argument("--resolution", type=int, default=3)
+    args = ap.parse_args()
+
+    cfg = (RunConfig().with_override("wiener.K-max", args.k_max)
+           .with_override("capacity.resolution", args.resolution)
+           .with_override("pde.walkers", args.walkers))
+    seeds = range(args.seeds[0], args.seeds[1] + 1)
+    print(f"seeds {seeds.start}..{seeds.stop - 1}, {args.walkers} walkers")
+    print(f"{'domain':<18} {'verdict':<12}"
+          + "".join(f" {s:>12}" for s in STATUSES)
+          + f" {'min |m|/se':>11}  contradicted at")
+    pinned_contradicted = False
+    for name in benchmark_names():
+        dom = benchmark(name)
+        verdict = run_classify(cfg, dom, build_bounds(cfg, dom.metric)).verdict
+        counts = dict.fromkeys(STATUSES, 0)
+        contradicted, closest_call = [], math.inf
+        for seed in seeds:
+            fit, contra = classification_probe(
+                dom, verdict, SUITE_PROBE_OFFSETS,
+                walk_config(cfg.with_override("seed", seed)))
+            counts[fit.status] += 1
+            usable = [p for p in fit.probes if p.usable]
+            if len(usable) >= 3:
+                margin, se = decay_margin(usable)
+                if se > 0:
+                    closest_call = min(closest_call, abs(margin) / se)
+            if contra:
+                contradicted.append(seed)
+        if contradicted and BENCHMARK_STATUS[name] is not None:
+            pinned_contradicted = True
+        print(f"{name:<18} {verdict:<12}"
+              + "".join(f" {counts[s]:>12}" for s in STATUSES)
+              + f" {closest_call:>11.1f}  {contradicted or '-'}")
+    return 1 if pinned_contradicted else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -47,6 +47,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_FAILURE = 3
 EXIT_CONFIG = 64
 
+# benchmark-suite's Monte Carlo probe offsets from z0
+SUITE_PROBE_OFFSETS = [0.12 * 0.55 ** j for j in range(8)]
+
 
 # ---------------------------------------------------------------------------
 # builders
@@ -121,6 +124,11 @@ def run_classify(cfg: RunConfig, dom: DomainSpec, bounds: GaussBounds):
                     cone_theta_min=cfg["cone.theta-min"],
                     cone_resolution=cfg["cone.resolution"],
                     tolerance=cfg["capacity.tolerance"])
+
+
+def walk_config(cfg: RunConfig) -> WalkConfig:
+    return WalkConfig(cfg["pde.beta"], cfg["pde.step"], cfg["pde.walkers"],
+                      cfg["seed"], cfg["pde.max-time"])
 
 
 def _domain_summary(dom: DomainSpec) -> dict:
@@ -327,8 +335,7 @@ def cmd_pde_verify(cfg, bundle, quiet):
     if metric.kind != "euclidean":
         raise ConfigError("pde-verify requires a Euclidean metric")
     beta = cfg["pde.beta"]
-    walk = WalkConfig(beta, cfg["pde.step"], cfg["pde.walkers"], cfg["seed"],
-                      cfg["pde.max-time"])
+    walk = walk_config(cfg)
     dom = halfspace_time(metric)
     z = stp(np.full(metric.N, 0.3), 0.25)
     checks = {}
@@ -400,13 +407,10 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
         # behavior that would falsify the verdict
         pde_status, pde_contradicts = None, None
         if metric.kind == "euclidean":
-            offsets = [0.12 * 0.55 ** j for j in range(8)]
             try:
-                walk = WalkConfig(cfg["pde.beta"], cfg["pde.step"],
-                                  cfg["pde.walkers"], cfg["seed"],
-                                  cfg["pde.max-time"])
+                walk = walk_config(cfg)
                 fit, pde_contradicts = classification_probe(
-                    dom, cls.verdict, offsets, walk)
+                    dom, cls.verdict, SUITE_PROBE_OFFSETS, walk)
                 pde_status = fit.status
                 bundle.write_json(f"{name}_pde_probe.json", asdict(fit))
             except PDEError as exc:

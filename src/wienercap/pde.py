@@ -273,20 +273,26 @@ class HolderFit:
 DECAY_MARGIN_SE = 3.0
 
 
+def decay_margin(usable: list[ProbeResult]) -> tuple[float, float]:
+    """The closest probe's gap minus half the largest gap, and its standard
+    error hypot(se_closest, 0.5 * se_largest)."""
+    closest = min(usable, key=lambda r: r.dhat)
+    widest = max(usable, key=lambda r: r.gap)
+    return (closest.gap - 0.5 * widest.gap,
+            math.hypot(closest.std_error, 0.5 * widest.std_error))
+
+
 def decay_status(usable: list[ProbeResult]) -> tuple[str, float]:
     """NO-DECAY, DECAY-FIT or INSUFFICIENT from the usable probes, with the
     closest probe's gap in its own standard errors.
 
-    The margin m = closest gap - 0.5 * largest gap has standard error
-    hypot(se_closest, 0.5 * se_largest).  NO-DECAY needs a closest gap of
-    at least 5 standard errors and m >= DECAY_MARGIN_SE * se; DECAY-FIT
-    needs m <= -DECAY_MARGIN_SE * se; a margin in between decides
-    nothing."""
+    NO-DECAY needs a closest gap of at least 5 standard errors and a
+    decay_margin of at least DECAY_MARGIN_SE of its standard errors;
+    DECAY-FIT needs the margin at or below -DECAY_MARGIN_SE of them; a
+    margin in between decides nothing."""
     closest = min(usable, key=lambda r: r.dhat)
-    widest = max(usable, key=lambda r: r.gap)
     sig = closest.gap / closest.std_error if closest.std_error > 0 else math.inf
-    margin = closest.gap - 0.5 * widest.gap
-    se = math.hypot(closest.std_error, 0.5 * widest.std_error)
+    margin, se = decay_margin(usable)
     if sig >= 5.0 and margin >= DECAY_MARGIN_SE * se:
         return "NO-DECAY", sig
     if margin <= -DECAY_MARGIN_SE * se:

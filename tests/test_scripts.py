@@ -13,6 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ["beta_sweep.py", "--c", "1", "--betas", "1", "--k-max", "6",
      "--force-series"],
     ["capacity_refinement_study.py", "--res-min", "3", "--res-max", "3"],
+    ["probe_flip_rate.py", "--seeds", "1", "2", "--walkers", "100"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ)
