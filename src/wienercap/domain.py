@@ -327,7 +327,7 @@ def validate_boundary_point(dom: DomainSpec, scales=(0.5, 0.1, 0.02),
         raise DomainError("z0 lies inside Omega")
     rng = np.random.default_rng(seed)
     for r in scales:
-        half = ball_coord_halfwidths(dom.metric, r)
+        half = ball_coord_halfwidths(dom.metric, r, dom.z0.x)
         X = dom.z0.x + rng.uniform(-1, 1, size=(n, dom.N)) * half
         T = dom.z0.t + rng.uniform(-1, 1, size=n) * r * r
         T = np.clip(T, dom.strip[0], dom.strip[1])
@@ -483,6 +483,11 @@ def _axis_centers(center: float, halfwidth: float, cells: int) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
+def _cell_volume(halfwidths: np.ndarray, cells_x: int) -> float:
+    return float(np.prod([2.0 * halfwidths[i] / cells_x
+                          for i in range(halfwidths.shape[0])]))
+
+
 def _grid_points(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int,
                  t_lo: float, t_hi: float, cells_t: int):
     axes = [_axis_centers(x0[i], halfwidths[i], cells_x)
@@ -492,19 +497,31 @@ def _grid_points(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int,
     flat = [m.reshape(-1) for m in mesh]
     X = np.stack(flat[:-1], axis=-1)
     T = flat[-1]
-    cellvol = float(np.prod([2.0 * halfwidths[i] / cells_x
-                             for i in range(x0.shape[0])])) * (t_hi - t_lo) / cells_t
+    cellvol = _cell_volume(halfwidths, cells_x) * (t_hi - t_lo) / cells_t
     return X, T, cellvol
 
 
+def _spatial_grids(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
+    """Midpoint grids of cells_x cells per axis over the boxes x0 +- each
+    row of halfwidths (k, N): points (k, cells_x^N, N) in meshgrid "ij"
+    order, with the axis values of _axis_centers."""
+    k, N = halfwidths.shape
+    edges = np.linspace(x0 - halfwidths, x0 + halfwidths, cells_x + 1,
+                        axis=-1)
+    centers = 0.5 * (edges[..., :-1] + edges[..., 1:])      # (k, N, cells)
+    full = (k,) + (cells_x,) * N
+    cols = []
+    for i in range(N):
+        shape = [k] + [1] * N
+        shape[1 + i] = cells_x
+        cols.append(np.broadcast_to(centers[:, i].reshape(shape), full)
+                    .reshape(k, -1))
+    return np.stack(cols, axis=-1)
+
+
 def _spatial_grid(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
-    axes = [_axis_centers(x0[i], halfwidths[i], cells_x)
-            for i in range(x0.shape[0])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    cellvol = float(np.prod([2.0 * halfwidths[i] / cells_x
-                             for i in range(x0.shape[0])]))
-    return X, cellvol
+    return (_spatial_grids(x0, halfwidths[None, :], cells_x)[0],
+            _cell_volume(halfwidths, cells_x))
 
 
 def _ring_eval(dom: DomainSpec, rt: RingTarget, cells_x: int, cells_t: int):
@@ -515,40 +532,86 @@ def _ring_eval(dom: DomainSpec, rt: RingTarget, cells_x: int, cells_t: int):
     r_band = math.sqrt(h * (lam ** k) * L)
     r_cap = math.sqrt(lam)
     R = min(r_band, r_cap)
-    half = ball_coord_halfwidths(dom.metric, R)
+    half = ball_coord_halfwidths(dom.metric, R, dom.z0.x)
     X, T, cellvol = _grid_points(dom.z0.x, half, cells_x,
                                  t0 - lam ** k, t0 - lam ** (k + 1), cells_t)
     keep = ring_mask(dom, rs, X, T)
     return X[keep], T[keep], np.full(int(keep.sum()), cellvol), float(keep.sum() * cellvol)
 
 
-def _section_eval(dom: DomainSpec, st: SectionTarget, cells_x: int):
-    t0 = dom.z0.t
-    eta = t0 - st.tau
-    if st.rho <= 1.0:
+# grid points per vectorized pass of _section_chunks: the 31 rho sections
+# of one Heisenberg time node at resolution 5 hold 1.1 M grid points, and a
+# pass keeps several arrays of that many entries alive at once
+MAX_SECTION_GRID = 2 ** 16
+
+
+def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
+                    cells_x: int):
+    """Sample the sections SectionTarget(lam, rho, tau) for every rho of
+    rhos on their fine grids, a chunk of at most MAX_SECTION_GRID grid
+    points (and at least one section) at a time.
+
+    Yields (index, X, keep, cellvol): the indices into rhos of the
+    nonempty-radius sections of the chunk, their grid points (k, M, N),
+    the target membership of each point (k, M) and the cell volumes (k,).
+    Sections with eta = t0 - tau outside (0, lam) or a zero radius are
+    empty and never yielded.
+    """
+    rhos = [float(rho) for rho in rhos]
+    if any(rho <= 1.0 for rho in rhos):
         raise DomainError("section needs rho > 1")
-    if eta <= 0 or eta > st.lam:
-        return (np.zeros((0, dom.N)), np.zeros(0), np.zeros(0), 0.0)
-    r_gauss = math.sqrt(eta * math.log(st.rho))
-    r_cap = (st.lam ** 2 - eta ** 2) ** 0.25 if eta < st.lam else 0.0
-    R = min(r_gauss, r_cap) if r_cap > 0 else 0.0
-    if R <= 0:
-        return (np.zeros((0, dom.N)), np.zeros(0), np.zeros(0), 0.0)
-    half = ball_coord_halfwidths(dom.metric, R)
-    X, cellvol = _spatial_grid(dom.z0.x, half, cells_x)
-    T = np.full(X.shape[0], st.tau)
-    keep = ~contains_many(dom, X, T)
-    d = dist(dom.metric, X, dom.z0.x[None, :])
-    keep &= d * d <= eta * math.log(st.rho)
-    keep &= d ** 4 + eta ** 2 <= st.lam ** 2
-    return X[keep], T[keep], np.full(int(keep.sum()), cellvol), float(keep.sum() * cellvol)
+    x0 = dom.z0.x
+    eta = dom.z0.t - tau
+    if eta <= 0 or eta >= lam:
+        return
+    r_cap = (lam ** 2 - eta ** 2) ** 0.25
+    logs = np.array([math.log(rho) for rho in rhos])
+    radii = [min(math.sqrt(eta * lg), r_cap) for lg in logs.tolist()]
+    index = np.array([i for i, R in enumerate(radii) if R > 0], dtype=int)
+    per_chunk = max(1, MAX_SECTION_GRID // cells_x ** dom.N)
+    for lo in range(0, index.size, per_chunk):
+        idx = index[lo:lo + per_chunk]
+        half = np.stack([ball_coord_halfwidths(dom.metric, radii[i], x0)
+                         for i in idx])
+        X = _spatial_grids(x0, half, cells_x)
+        k, M = X.shape[:2]
+        Xf = X.reshape(k * M, dom.N)
+        keep = ~contains_many(dom, Xf, np.full(k * M, tau))
+        d = dist(dom.metric, Xf, x0[None, :])
+        keep &= d * d <= np.repeat(eta * logs[idx], M)
+        keep &= d ** 4 + eta ** 2 <= lam ** 2
+        cellvol = np.array([_cell_volume(hw, cells_x) for hw in half])
+        yield idx, X, keep.reshape(k, M), cellvol
+
+
+def section_measures(dom: DomainSpec, lam: float, rhos, tau: float,
+                     resolution: int) -> np.ndarray:
+    """measure_estimate of sample_set_and_measure(dom, SectionTarget(lam,
+    rho, tau), resolution) for every rho of rhos, bit for bit, from one
+    vectorized pass over the fine grids and without the coarse pass."""
+    if resolution < 1:
+        raise DomainError("resolution must be >= 1")
+    out = np.zeros(len(rhos))
+    for idx, _, keep, cellvol in _section_chunks(dom, lam, rhos, tau,
+                                                 2 ** resolution + 1):
+        out[idx] = keep.sum(axis=1) * cellvol
+    return out
+
+
+def _section_eval(dom: DomainSpec, st: SectionTarget, cells_x: int):
+    for _, X, keep, cellvol in _section_chunks(dom, st.lam, [st.rho],
+                                               st.tau, cells_x):
+        n = int(keep[0].sum())
+        return (X[0][keep[0]], np.full(n, st.tau), np.full(n, cellvol[0]),
+                float(n * cellvol[0]))
+    return (np.zeros((0, dom.N)), np.zeros(0), np.zeros(0), 0.0)
 
 
 def _ballcomp_eval(dom: DomainSpec, bt: BallComplementTarget, cells_x: int,
                    cells_t: int):
     t0 = dom.z0.t
     r = bt.lam ** (bt.l / 2.0)
-    half = ball_coord_halfwidths(dom.metric, r)
+    half = ball_coord_halfwidths(dom.metric, r, dom.z0.x)
     X, T, cellvol = _grid_points(dom.z0.x, half, cells_x, t0 - r * r, t0, cells_t)
     keep = ~contains_many(dom, X, T)
     dhat = parabolic_dist_many(dom.metric, X, T, dom.z0)

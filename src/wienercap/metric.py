@@ -193,17 +193,23 @@ def koranyi_ball_constant() -> float:
     return val
 
 
-def ball_coord_halfwidths(m: MetricSpace, r: float) -> np.ndarray:
-    """Per-axis halfwidths of the coordinate bounding box of B_d(x, r).
+def ball_coord_halfwidths(m: MetricSpace, r: float,
+                          center=None) -> np.ndarray:
+    """Per-axis halfwidths of the coordinate bounding box of B_d(x, r),
+    centred at x.
 
-    For the Koranyi gauge the box of the UNtranslated ball is
-    [-r, r]^2 x [-r^2/4, r^2/4]; translation by x adds a twist of at most
-    (|x1| + |x2|) r / 2 in the vertical coordinate, which this box leaves
-    out.
+    For the Koranyi gauge the box of the ball around the origin is
+    [-r, r]^2 x [-r^2/4, r^2/4]; translation by x = center adds a twist of
+    at most (|x1| + |x2|) r / 2 in the vertical coordinate.  Without a
+    centre the box is the origin's, which covers a ball around x only
+    when x lies on the vertical axis.
     """
     r = float(r)
     if m.kind == "heisenberg-koranyi":
-        return np.array([r, r, 0.25 * r * r])
+        vert = 0.25 * r * r
+        if center is not None:
+            vert += 0.5 * (abs(float(center[0])) + abs(float(center[1]))) * r
+        return np.array([r, r, vert])
     return np.full(m.N, r)
 
 

@@ -16,7 +16,10 @@ stepped, so an iteration costs what is left of the walk, and the batch
 runs as many iterations as its slowest point, not their sum.  Each point
 keeps its own random stream: it draws a full (walkers, N) block from its
 own generator on every step on which it still has an active walker, so
-its estimate does not depend on the other points of the batch.
+its estimate does not depend on the other points of the batch.  The walk
+keeps the last step segment of every exit and bisects all of them in one
+pass after the last step: the bisections are independent of each other,
+so six membership calls serve the whole batch.
 
 The boundary-behavior probe fits |u(z) - phi(z0)| against dhat(z, z0)
 along an interior approach path; at regular points the Hoelder exponent
@@ -116,8 +119,9 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
     j * walkers + i maps each exit back to walker i of point j.  Point j
     draws from its own default_rng(cfgs[j].seed), a full (walkers, N)
     block on every step on which it has an active walker, so each
-    estimate equals a walk of its point alone bit for bit.  The configs
-    must agree on everything but the seed.
+    estimate equals a walk of its point alone bit for bit.  Exit segments
+    are bisected together after the walk.  The configs must agree on
+    everything but the seed.
     """
     if dom.metric.kind != "euclidean":
         raise PDEError("the random-walk solver is Euclidean-only")
@@ -142,9 +146,7 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
     X = np.repeat(np.stack([z.x for z in zs]), w, axis=0)
     T = np.repeat(np.array([z.t for z in zs], dtype=float), w)
     left = np.full(P, w)                   # active walkers per point
-    exit_x = np.zeros((P * w, N))
-    exit_t = np.zeros(P * w)
-    exited = np.zeros(P * w, dtype=bool)
+    segs = []                              # (gid, X0, X1, T0) of each exit
     for _ in range(int(math.ceil(c0.max_time / h))):
         if gid.size == 0:
             break
@@ -155,22 +157,27 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
         inside = contains_many(dom, Xn, Tn)
         if not inside.all():
             out = ~inside
-            hit, X0, X1, T0 = gid[out], X[out], Xn[out], T[out]
-            lo = np.zeros(hit.size)
-            hi = np.ones(hit.size)
-            for _ in range(6):  # to time tolerance h / 64
-                mid = 0.5 * (lo + hi)
-                Xm = X0 + mid[:, None] * (X1 - X0)
-                Tm = T0 - mid * h
-                ins = contains_many(dom, Xm, Tm)
-                lo = np.where(ins, mid, lo)
-                hi = np.where(ins, hi, mid)
-            exit_x[hit] = X0 + hi[:, None] * (X1 - X0)
-            exit_t[hit] = T0 - hi * h
-            exited[hit] = True
-            left -= np.bincount(hit // w, minlength=P)
+            segs.append((gid[out], X[out], Xn[out], T[out]))
+            left -= np.bincount(gid[out] // w, minlength=P)
             Xn, Tn, gid = Xn[inside], Tn[inside], gid[inside]
         X, T = Xn, Tn
+    exit_x = np.zeros((P * w, N))
+    exit_t = np.zeros(P * w)
+    exited = np.zeros(P * w, dtype=bool)
+    if segs:
+        hit, X0, X1, T0 = (np.concatenate(a) for a in zip(*segs))
+        lo = np.zeros(hit.size)
+        hi = np.ones(hit.size)
+        for _ in range(6):  # to time tolerance h / 64
+            mid = 0.5 * (lo + hi)
+            Xm = X0 + mid[:, None] * (X1 - X0)
+            Tm = T0 - mid * h
+            ins = contains_many(dom, Xm, Tm)
+            lo = np.where(ins, mid, lo)
+            hi = np.where(ins, hi, mid)
+        exit_x[hit] = X0 + hi[:, None] * (X1 - X0)
+        exit_t[hit] = T0 - hi * h
+        exited[hit] = True
     return [_estimate(dom, phi, z, cfg, exit_x[j * w:(j + 1) * w],
                       exit_t[j * w:(j + 1) * w], exited[j * w:(j + 1) * w])
             for j, (z, cfg) in enumerate(zip(zs, cfgs))]

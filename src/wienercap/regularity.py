@@ -60,8 +60,8 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
             skipped.append(r)
             continue
         R = M0 * r
-        X, cellvol = _spatial_grid(x0, ball_coord_halfwidths(dom.metric, R),
-                                   cells)
+        half = ball_coord_halfwidths(dom.metric, R, x0)
+        X, cellvol = _spatial_grid(x0, half, cells)
         in_ball = dist(dom.metric, X, x0[None, :]) <= R
         outside = ~contains_many(dom, X, np.full(X.shape[0], t_slice))
         excluded = float(np.sum(in_ball & outside)) * cellvol

@@ -10,6 +10,8 @@ import filecmp
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -223,6 +225,23 @@ def test_removed_volume_mode_key_exits_64_at_parse_time(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "unknown key 'metric.volume-mode'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes about 0.3 s to import, which every CLI call would
+    pay; only bound_check uses it, and imports it itself."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wienercap, wienercap.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_config_exits_64(capsys):

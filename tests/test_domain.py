@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wienercap as wc
+from wienercap import domain
 from wienercap.domain import (BallComplementTarget, RingSpec, RingTarget,
                               SectionTarget, _erode, contains_many,
                               max_nonempty_band, ring_mask,
-                              sample_set_and_measure)
-from wienercap.metric import parabolic_dist_many, stp
+                              sample_set_and_measure, section_measures)
+from wienercap.metric import (ball_coord_halfwidths, dist,
+                              parabolic_dist_many, stp)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +185,106 @@ def test_section_measure_closed_form(m1):
         want = 2.0 * min(math.sqrt(eta * math.log(rho)),
                          (lam ** 2 - eta ** 2) ** 0.25)
         assert s.measure_estimate == pytest.approx(want, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# all rho sections of one time node in one pass
+
+def reference_section_measure(dom, lam, rho, tau, resolution):
+    """One section sampled alone on its own meshgrid: the per-target
+    arithmetic that section_measures must reproduce bit for bit."""
+    eta = dom.z0.t - tau
+    if eta <= 0 or eta > lam:
+        return 0.0
+    r_cap = (lam ** 2 - eta ** 2) ** 0.25 if eta < lam else 0.0
+    R = min(math.sqrt(eta * math.log(rho)), r_cap) if r_cap > 0 else 0.0
+    if R <= 0:
+        return 0.0
+    x0 = dom.z0.x
+    half = ball_coord_halfwidths(dom.metric, R, x0)
+    cells = 2 ** resolution + 1
+    axes = []
+    for i in range(dom.N):
+        edges = np.linspace(x0[i] - half[i], x0[i] + half[i], cells + 1)
+        axes.append(0.5 * (edges[:-1] + edges[1:]))
+    X = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")],
+                 axis=-1)
+    cellvol = float(np.prod([2.0 * half[i] / cells for i in range(dom.N)]))
+    keep = ~contains_many(dom, X, np.full(X.shape[0], tau))
+    d = dist(dom.metric, X, x0[None, :])
+    keep &= d * d <= eta * math.log(rho)
+    keep &= d ** 4 + eta ** 2 <= lam ** 2
+    return float(keep.sum() * cellvol)
+
+
+def _section_cases():
+    """(domain, resolution, rho nodes) per case: the rho nodes of
+    integral_test's inner grid (n_u = 32, U_max = 40), every 4th on the
+    Heisenberg group."""
+    u = 40.0 * (np.arange(1, 32) / 31.0) ** 2
+    rhos = [math.exp(v) for v in u]
+    m1, m2, heis = wc.euclidean(1), wc.euclidean(2), wc.heisenberg_koranyi()
+    names = wc.benchmark_names()
+    return ([(wc.benchmark(n, m1), 8, rhos) for n in names]
+            + [(wc.benchmark(n, m2), 5, rhos) for n in names]
+            + [(wc.benchmark(n, heis), 5, rhos[::4])
+               for n in ("halfspace", "cone")])
+
+
+# eta = t0 - tau: three inside (0, lam), eta <= 0, eta = lam (zero radius:
+# the cap (lam^2 - eta^2)^(1/4) vanishes), just below lam, and eta > lam
+SECTION_ETAS = (0.002, 0.03, 0.2, -0.01, 0.0, 0.25,
+                math.nextafter(0.25, 0.0), 0.3)
+
+
+def test_batched_sections_match_per_target_samples(monkeypatch):
+    lam = 0.25
+    for dom, res, rhos in _section_cases():
+        cells = (2 ** res + 1) ** dom.N
+        for eta in SECTION_ETAS:
+            tau = dom.z0.t - eta
+            want = [sample_set_and_measure(
+                dom, SectionTarget(lam, rho, tau), res).measure_estimate
+                for rho in rhos]
+            ref = [reference_section_measure(dom, lam, rho, tau, res)
+                   for rho in rhos]
+            assert want == ref, (dom.family, dom.N, eta)
+            got = section_measures(dom, lam, rhos, tau, res).tolist()
+            assert got == want, (dom.family, dom.N, eta)
+            # three sections per pass: the batch spans 11 or 3 chunks
+            with monkeypatch.context() as mp:
+                mp.setattr(domain, "MAX_SECTION_GRID", 3 * cells)
+                got = section_measures(dom, lam, rhos, tau, res).tolist()
+            assert got == want, (dom.family, dom.N, eta, "chunked")
+            if eta in SECTION_ETAS[:3]:
+                assert any(m > 0 for m in got), (dom.family, dom.N, eta)
+            elif not 0 < eta < lam:
+                assert not any(got)
+
+
+def test_section_sampler_keeps_its_checks(m1):
+    dom = wc.benchmark("halfspace", m1)
+    with pytest.raises(wc.DomainError):
+        section_measures(dom, 0.25, [2.0, 1.0], -0.1, 4)
+    with pytest.raises(wc.DomainError):
+        sample_set_and_measure(dom, SectionTarget(0.25, 1.0, -0.1), 4)
+    with pytest.raises(wc.DomainError):
+        section_measures(dom, 0.25, [2.0], -0.1, 0)
+    assert section_measures(dom, 0.25, [], -0.1, 4).shape == (0,)
+
+
+def test_section_sample_is_centred_on_an_off_axis_koranyi_z0(heis):
+    """Below the time halfspace a section is a whole Koranyi ball of radius
+    sqrt(eta log rho).  Around a z0 off the vertical axis the sampler's box
+    must hold the ball's twist, or the measure falls short."""
+    x0 = np.array([0.6, 0.0, 0.0])
+    dom = wc.DomainSpec("halfspace-time", heis, {"t0": 0.0}, x0 - 2.0,
+                        x0 + 2.0, -1.0, 1.0, stp(x0, 0.0))
+    lam, rho, eta = 0.25, math.e, 0.04
+    s = sample_set_and_measure(dom, SectionTarget(lam, rho, -eta), 6)
+    R = math.sqrt(eta * math.log(rho))
+    assert s.measure_estimate == pytest.approx(
+        wc.koranyi_ball_constant() * R ** 4, rel=0.03)
 
 
 def test_ball_complement_carries_flat_top_slice(m1):

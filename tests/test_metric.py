@@ -207,6 +207,21 @@ def test_ball_coord_halfwidths_cover_ball(heis):
     assert np.all(np.abs(inside) <= hw + 1e-12)
 
 
+def test_ball_coord_halfwidths_cover_off_axis_ball(heis):
+    """Every point of B((0.15, 0, 0), 1/16) lies in the box around its
+    centre: the vertical halfwidth carries the twist (|x1| + |x2|) r / 2.
+    The origin's box holds only 29% of these points."""
+    rng = np.random.default_rng(11)
+    x, r = np.array([0.15, 0.0, 0.0]), 1.0 / 16.0
+    hw = ball_coord_halfwidths(heis, r, x)
+    pts = x + rng.uniform(-1.0, 1.0, size=(200000, 3)) * [2 * r, 2 * r, 0.02]
+    inside = pts[wc.dist(heis, x, pts) <= r]
+    assert inside.shape[0] > 1000
+    assert np.all(np.abs(inside - x) <= hw + 1e-12)
+    assert np.allclose(ball_coord_halfwidths(heis, r, np.zeros(3)),
+                       ball_coord_halfwidths(heis, r), rtol=0, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # table metric
 

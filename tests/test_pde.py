@@ -356,6 +356,28 @@ def test_classification_probe_walks_in_one_batch(m1, monkeypatch):
     assert len(fit.probes) == 8 and not contra
 
 
+def test_exit_bisection_runs_once_per_batch(m1, monkeypatch):
+    """Walkers started 0.0105 and 0.0205 above the floor of the time
+    halfspace all exit on steps 11 and 21: 21 stepping calls of
+    contains_many, then 6 for the bisection of every exit together, not 6
+    more for each step that had an exit."""
+    calls = []
+    real = pde.contains_many
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "contains_many", counting)
+    zs = [stp([0.0], 0.0105), stp([0.0], 0.0205)]
+    cfgs = [WalkConfig(1.0, 1e-3, 200, seed, 4.0) for seed in (1, 2)]
+    ests = wc.pwb_solve_many(wc.benchmark("halfspace", m1), gaussian_data,
+                             zs, cfgs)
+    assert all(e.n_exited == 200 and e.exit_fractions["bottom"] == 1.0
+               for e in ests)
+    assert len(calls) == 21 + 6
+
+
 # ---------------------------------------------------------------------------
 # the decay decision rule
 

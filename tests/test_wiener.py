@@ -1,12 +1,15 @@
 """Series tables, verdicts, integral criterion, Wiener function, bound check."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import wienercap as wc
-from wienercap.domain import RingSpec, RingTarget
+from wienercap import wiener
+from wienercap.domain import (RingSpec, RingTarget, SectionTarget,
+                              sample_set_and_measure)
 from wienercap.metric import ball_volume, stp
 from wienercap.wiener import (SeriesTable, WienerError, divergence_verdict,
                               nested_partial_value, term_tail_fit)
@@ -205,6 +208,44 @@ def test_integral_cylinder_not_divergent(m1):
     dom = wc.benchmark("cylinder-top", m1)
     rep = wc.integral_test(dom, 0.25, 0.5, probes=[0.2, 0.1, 0.05, 0.02])
     assert not rep.divergent
+
+
+def reference_integral_inner(dom, lam, b, u_grid, v_grid, resolution):
+    """The inner integral with one sample_set_and_measure call per
+    (time node, rho node)."""
+    t0 = dom.z0.t
+    inner = np.zeros(v_grid.size)
+    for iv, v in enumerate(v_grid):
+        eta = math.exp(v)
+        volB = ball_volume(dom.metric, dom.z0.x, math.sqrt(eta))
+        vals = np.zeros(u_grid.size)
+        for iu, u in enumerate(u_grid):
+            if u == 0.0:
+                continue
+            samp = sample_set_and_measure(
+                dom, SectionTarget(lam, math.exp(u), t0 - eta), resolution)
+            vals[iu] = samp.measure_estimate / volB * math.exp(-b * u)
+        inner[iv] = float(np.trapezoid(vals, u_grid))
+    return inner
+
+
+@pytest.mark.parametrize("name, metric, kwargs", [
+    ("halfspace", wc.euclidean(1), {}),
+    ("cone", wc.euclidean(1), {}),
+    ("cylinder-top", wc.euclidean(1), {}),
+    ("cone", wc.euclidean(2), {}),
+    ("halfspace", wc.heisenberg_koranyi(), {"resolution": 3, "n_u": 16}),
+])
+def test_integral_matches_per_target_sections(monkeypatch, name, metric,
+                                              kwargs):
+    dom = wc.benchmark(name, metric)
+    probes = (0.45, 0.35, 0.25, 0.18, 0.12, 0.08, 0.055, 0.04, 0.028, 0.02)
+    got = wc.integral_test(dom, 0.25, 0.5, probes, **kwargs)
+    monkeypatch.setattr(wiener, "_integral_inner", reference_integral_inner)
+    want = wc.integral_test(dom, 0.25, 0.5, probes, **kwargs)
+    for f in fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert max(got.M_values) > 0
 
 
 def test_integral_rejects_nonpositive_exponent(m1):
