@@ -26,10 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (MetricSpace, SpaceTimePoint, ball_volume_many, dist,
-                     unit_ball_volume_euclidean)
+from .metric import (MetricError, MetricSpace, SpaceTimePoint,
+                     _closed_form_volume, _heis_group_diff, ball_volume_many,
+                     dist, unit_ball_volume_euclidean)
 
 _TINY = 1e-300  # flush-to-zero threshold for kernel values
+_LOG_TINY = math.log(_TINY)
 
 
 class KernelError(ValueError):
@@ -66,11 +68,51 @@ def euclidean_bounds(N: int, beta: float = 1.0) -> GaussBounds:
     return GaussBounds(Lambda=lam, a0=beta / 4.0, b0=beta / 4.0, c_d=2.0 ** N)
 
 
-def _finish(logvals: np.ndarray, mask_pos: np.ndarray) -> np.ndarray:
-    out = np.zeros(logvals.shape)
-    good = mask_pos & (logvals > math.log(_TINY))
-    out[good] = np.exp(logvals[good])
-    return out
+def _exp_where(logk: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """exp(logk) in place, exactly 0 where `zero` holds or logk is at or
+    below log(1e-300); `zero` is overwritten too."""
+    zero |= logk <= _LOG_TINY
+    np.copyto(logk, -np.inf, where=zero)
+    return np.exp(logk, out=logk)
+
+
+def _as_points(Zx, Zt, Wx, Wt):
+    """Float arrays: points as (m, N) and (n, N), times as (m,) and (n,)."""
+    return (np.atleast_2d(np.asarray(Zx, dtype=float)),
+            np.atleast_1d(np.asarray(Zt, dtype=float)),
+            np.atleast_2d(np.asarray(Wx, dtype=float)),
+            np.atleast_1d(np.asarray(Wt, dtype=float)))
+
+
+def _time_gaps(Zt: np.ndarray, Wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t_i - s_j as an (m, n) array with 1.0 where t <= s, and that mask."""
+    dt = np.subtract.outer(Zt, Wt)
+    late = dt <= 0
+    np.copyto(dt, 1.0, where=late)
+    return dt, late
+
+
+def _sq_dist_euclidean(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """|X[i] - Y[j]|^2 as an (m, n) array, one coordinate at a time."""
+    d2 = np.subtract.outer(X[:, 0], Y[:, 0])
+    np.square(d2, out=d2)
+    for k in range(1, X.shape[1]):
+        diff = np.subtract.outer(X[:, k], Y[:, k])
+        d2 += np.square(diff, out=diff)
+    return d2
+
+
+def _sq_dist_koranyi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """d(X[i], Y[j])^2 = sqrt((u1^2 + u2^2)^2 + 16 u3^2) as an (m, n) array,
+    with u = X[i]^{-1} o Y[j]."""
+    u1, u2, u3 = _heis_group_diff(X.T[:, :, None], Y.T[:, None, :])
+    h = np.square(u1, out=u1)
+    h += np.square(u2, out=u2)
+    np.square(h, out=h)
+    np.square(u3, out=u3)
+    u3 *= 16.0
+    h += u3
+    return np.sqrt(h, out=h)
 
 
 @dataclass(frozen=True)
@@ -92,18 +134,37 @@ class GaussianKernel:
 
     def matrix(self, Zx: np.ndarray, Zt: np.ndarray, Wx: np.ndarray,
                Wt: np.ndarray) -> np.ndarray:
-        """K[i, j] = G_a(z_i, w_j) for evaluation points z and sources w."""
-        Zx = np.atleast_2d(np.asarray(Zx, dtype=float))
-        Wx = np.atleast_2d(np.asarray(Wx, dtype=float))
-        Zt = np.atleast_1d(np.asarray(Zt, dtype=float))
-        Wt = np.atleast_1d(np.asarray(Wt, dtype=float))
-        dt = Zt[:, None] - Wt[None, :]
-        pos = dt > 0
-        dtp = np.where(pos, dt, 1.0)
-        d2 = dist(self.metric, Zx[:, None, :], Wx[None, :, :]) ** 2
-        vol = ball_volume_many(self.metric, Zx, np.sqrt(dtp))
-        logk = math.log(self.scale) - np.log(np.maximum(vol, _TINY)) - self.a * d2 / dtp
-        return _finish(logk, pos)
+        """K[i, j] = G_a(z_i, w_j) for evaluation points z and sources w.
+
+        For the closed-form metrics the exponent is built in one (m, n)
+        buffer: d^2 accumulated coordinate by coordinate (no sqrt), minus
+        log |B(sqrt(dt))| = log c + (Q/2) log dt, then masked and
+        exponentiated in place.  Table metrics go through `dist` and a
+        Monte Carlo volume per entry."""
+        Zx, Zt, Wx, Wt = _as_points(Zx, Zt, Wx, Wt)
+        m = self.metric
+        if Zx.shape[1] != m.N or Wx.shape[1] != m.N:
+            raise MetricError(f"points must have {m.N} spatial coordinates")
+        dt, late = _time_gaps(Zt, Wt)
+        c = _closed_form_volume(m, 1.0)
+        if c is None:
+            d2 = dist(m, Zx[:, None, :], Wx[None, :, :]) ** 2
+            vol = ball_volume_many(m, Zx, np.sqrt(dt))
+            logk = (math.log(self.scale) - np.log(np.maximum(vol, _TINY))
+                    - self.a * d2 / dt)
+            return _exp_where(logk, late)
+        if m.kind == "heisenberg-koranyi":
+            logk = _sq_dist_koranyi(Zx, Wx)
+        else:
+            logk = _sq_dist_euclidean(Zx, Wx)
+        logk *= -self.a
+        logk /= dt
+        logvol = np.log(dt, out=dt)
+        logvol *= 0.5 * m.Q
+        logvol += math.log(c)
+        logk -= np.maximum(logvol, _LOG_TINY, out=logvol)
+        logk += math.log(self.scale)
+        return _exp_where(logk, late)
 
     def eval(self, z: SpaceTimePoint, w: SpaceTimePoint) -> float:
         return float(self.matrix(z.x[None, :], np.array([z.t]),
@@ -127,17 +188,13 @@ class HeatKernel:
         return unit_ball_volume_euclidean(self.N) / (4.0 * math.pi / self.beta) ** (self.N / 2.0)
 
     def matrix(self, Zx, Zt, Wx, Wt) -> np.ndarray:
-        Zx = np.atleast_2d(np.asarray(Zx, dtype=float))
-        Wx = np.atleast_2d(np.asarray(Wx, dtype=float))
-        Zt = np.atleast_1d(np.asarray(Zt, dtype=float))
-        Wt = np.atleast_1d(np.asarray(Wt, dtype=float))
-        dt = Zt[:, None] - Wt[None, :]
-        pos = dt > 0
-        dtp = np.where(pos, dt, 1.0)
-        d2 = np.sum((Zx[:, None, :] - Wx[None, :, :]) ** 2, axis=-1)
-        logk = (-0.5 * self.N * np.log(4.0 * math.pi * dtp / self.beta)
-                - self.beta * d2 / (4.0 * dtp))
-        return _finish(logk, pos)
+        Zx, Zt, Wx, Wt = _as_points(Zx, Zt, Wx, Wt)
+        dt, late = _time_gaps(Zt, Wt)
+        logk = _sq_dist_euclidean(Zx, Wx)
+        logk *= -0.25 * self.beta
+        logk /= dt
+        logk -= 0.5 * self.N * np.log(4.0 * math.pi / self.beta * dt)
+        return _exp_where(logk, late)
 
     def eval(self, z: SpaceTimePoint, w: SpaceTimePoint) -> float:
         return float(self.matrix(z.x[None, :], np.array([z.t]),

@@ -119,17 +119,22 @@ def table_metric(axis, values, Q: float, c_d: float, mc_samples: int = 20000,
 # ---------------------------------------------------------------------------
 # distances
 
-def _heis_group_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coordinates of x^{-1} o y for the polarized group law
-    (a o b)_3 = a3 + b3 + (a1 b2 - a2 b1) / 2."""
-    u = y - x
-    u[..., 2] -= 0.5 * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
-    return u
+def _heis_group_diff(x, y):
+    """Components (u1, u2, u3) of x^{-1} o y for the polarized group law
+    (a o b)_3 = a3 + b3 + (a1 b2 - a2 b1) / 2.
+
+    x and y are triples of coordinate arrays that broadcast together; the
+    components come back as three fresh arrays of the broadcast shape, so
+    outer-shaped coordinates (m, 1) and (1, n) give (m, n) components and
+    no (m, n, 3) array is formed."""
+    x1, x2, x3 = x
+    y1, y2, y3 = y
+    return y1 - x1, y2 - x2, (y3 - x3) - 0.5 * (x1 * y2 - x2 * y1)
 
 
-def _koranyi_gauge(u: np.ndarray) -> np.ndarray:
-    horiz = u[..., 0] ** 2 + u[..., 1] ** 2
-    return (horiz ** 2 + 16.0 * u[..., 2] ** 2) ** 0.25
+def _koranyi_gauge(u1, u2, u3) -> np.ndarray:
+    horiz = u1 ** 2 + u2 ** 2
+    return (horiz ** 2 + 16.0 * u3 ** 2) ** 0.25
 
 
 def _table_lookup(m: MetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -159,7 +164,8 @@ def dist(m: MetricSpace, x, y) -> np.ndarray | float:
     if m.kind == "euclidean":
         out = np.sqrt(np.sum((x - y) ** 2, axis=-1))
     elif m.kind == "heisenberg-koranyi":
-        out = _koranyi_gauge(_heis_group_diff(x.copy(), y))
+        out = _koranyi_gauge(*_heis_group_diff(np.moveaxis(x, -1, 0),
+                                               np.moveaxis(y, -1, 0)))
     else:
         out = _table_lookup(m, x, y)
     return float(out) if out.ndim == 0 else out

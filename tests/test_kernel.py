@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import wienercap as wc
 from wienercap.kernel import GaussianKernel, HeatKernel
-from wienercap.metric import ball_volume, stp
+from wienercap.metric import ball_volume, ball_volume_many, stp
 
 from conftest import sinh_table_metric
 
@@ -118,6 +118,118 @@ def test_matrix_matches_pointwise_eval(m2):
                 rel=1e-12, abs=1e-300)
 
 
+LOG_TINY = math.log(1e-300)
+
+
+def reference_matrix(kern, Zx, Zt, Wx, Wt):
+    """G_a from its definition, one entry at a time: the distance, squared,
+    the ball volume at the row's point, one exp at the end, and the
+    flush of values at or below 1e-300."""
+    K = np.zeros((len(Zt), len(Wt)))
+    for i, j in np.ndindex(K.shape):
+        dt = Zt[i] - Wt[j]
+        if dt <= 0:
+            continue
+        d = wc.dist(kern.metric, Zx[i], Wx[j])
+        logk = (math.log(kern.scale) - kern.a * d * d / dt
+                - math.log(ball_volume(kern.metric, Zx[i], math.sqrt(dt))))
+        K[i, j] = math.exp(logk) if logk > LOG_TINY else 0.0
+    return K
+
+
+def threshold_pairs(kern, rng, deltas):
+    """Row and column points whose log kernel value is LOG_TINY + delta:
+    the source sits at horizontal distance d from the row's point, with d
+    solved from the definition."""
+    m = kern.metric
+    Zx, Zt, Wx, Wt = [], [], [], []
+    for delta in deltas:
+        x = rng.uniform(-0.5, 0.5, size=m.N)
+        dt = rng.uniform(0.01, 0.1)
+        logvol = math.log(ball_volume(m, x, math.sqrt(dt)))
+        d = math.sqrt((math.log(kern.scale) - logvol - LOG_TINY - delta)
+                      * dt / kern.a)
+        if m.kind == "heisenberg-koranyi":
+            # x o (d, 0, 0) by the polarized law: gauge distance d from x
+            y = x + np.array([d, 0.0, -0.5 * x[1] * d])
+        else:
+            y = x + d * np.eye(m.N)[0]
+        Zx.append(x)
+        Zt.append(dt)
+        Wx.append(y)
+        Wt.append(0.0)
+    return np.array(Zx), np.array(Zt), np.array(Wx), np.array(Wt)
+
+
+def written_out_table_matrix(kern, Zx, Zt, Wx, Wt):
+    """The table-metric path written out: dist over the broadcast pairs,
+    ball_volume_many, a boolean-indexed exp."""
+    dt = Zt[:, None] - Wt[None, :]
+    pos = dt > 0
+    dtp = np.where(pos, dt, 1.0)
+    d2 = wc.dist(kern.metric, Zx[:, None, :], Wx[None, :, :]) ** 2
+    vol = ball_volume_many(kern.metric, Zx, np.sqrt(dtp))
+    logk = (math.log(kern.scale) - np.log(np.maximum(vol, 1e-300))
+            - kern.a * d2 / dtp)
+    out = np.zeros(logk.shape)
+    good = pos & (logk > LOG_TINY)
+    out[good] = np.exp(logk[good])
+    return out
+
+
+@pytest.mark.parametrize("metric, a, scale", [
+    (wc.euclidean(1), 0.25, 1.0),
+    (wc.euclidean(2), 0.3, 1.0),
+    (wc.euclidean(3), 0.5, 1.0),
+    (wc.heisenberg_koranyi(), 0.25, 1.0),
+    (wc.euclidean(2), 0.3, 3.7),
+    (wc.heisenberg_koranyi(), 0.4, 0.02),
+])
+def test_fused_matrix_matches_definition(metric, a, scale):
+    """The fused closed-form build agrees with the definition to 1e-12
+    relative with the same zeros: off-axis Koranyi points (vertical twist
+    and the 16 u3^2 term in play), pairs with t < s and t == s (one of
+    them with x == y, where 0/0 would leak through without the mask), and
+    pairs 1e-6 and 1e-9 either side of the 1e-300 flush threshold."""
+    kern = GaussianKernel(metric, a, scale)
+    rng = np.random.default_rng(11)
+    Zx = rng.uniform(-0.6, 0.6, size=(30, metric.N))
+    Wx = rng.uniform(-0.6, 0.6, size=(20, metric.N))
+    Zt = rng.uniform(-0.2, 0.3, size=30)
+    Wt = rng.uniform(-0.25, 0.05, size=20)
+    Zt[:4] = Wt[:4]                              # t == s
+    Zx[0] = Wx[0]                                # and z == w
+    tx, tt, sx, ts = threshold_pairs(kern, rng, (-1e-6, -1e-9, 1e-9, 1e-6))
+    Zx, Zt = np.vstack([Zx, tx]), np.concatenate([Zt, tt])
+    Wx, Wt = np.vstack([Wx, sx]), np.concatenate([Wt, ts])
+    K = kern.matrix(Zx, Zt, Wx, Wt)
+    R = reference_matrix(kern, Zx, Zt, Wx, Wt)
+    assert np.array_equal(K == 0, R == 0)
+    nz = R != 0
+    assert np.all(np.abs(K[nz] - R[nz]) <= 1e-12 * R[nz])
+    # the diagonal of the threshold block straddles 1e-300
+    diag = np.diag(K[-4:, -4:])
+    assert list(diag > 0) == [False, False, True, True]
+    assert np.all(diag[2:] < 1.01e-300)
+    assert (Zt[:, None] < Wt[None, :]).any()
+    assert (Zt[:, None] == Wt[None, :]).any()
+    if metric.kind == "heisenberg-koranyi":
+        assert np.abs(Zx[:, :2]).min() > 0 and np.abs(Wx[:, :2]).min() > 0
+
+
+def test_table_matrix_keeps_the_dist_and_volume_path():
+    kern = GaussianKernel(sinh_table_metric(mc_samples=2000), 0.3, 1.5)
+    rng = np.random.default_rng(12)
+    Zx = rng.uniform(-1.5, 1.5, size=(7, 1))
+    Wx = rng.uniform(-1.5, 1.5, size=(5, 1))
+    Zt = rng.uniform(-0.2, 0.4, size=7)
+    Wt = rng.uniform(-0.2, 0.1, size=5)
+    Zt[0] = Wt[0]
+    K = kern.matrix(Zx, Zt, Wx, Wt)
+    assert (K == written_out_table_matrix(kern, Zx, Zt, Wx, Wt)).all()
+    assert (K == 0).any() and (K > 0).any()
+
+
 def test_table_matrix_uses_each_rows_own_ball_volume():
     # d(x, y) = |sinh x - sinh y|: ball volumes shrink as |x| grows, so a
     # matrix that reused one centre's volume for every row would differ
@@ -149,6 +261,17 @@ def test_matrix_scale_factor(m1):
     Wt = np.array([0.0])
     assert np.allclose(k2.matrix(Zx, Zt, Wx, Wt),
                        3.5 * k1.matrix(Zx, Zt, Wx, Wt))
+
+
+def test_matrix_rejects_points_of_the_wrong_dimension(m2, heis):
+    for metric, N in ((m2, 3), (heis, 2)):
+        kern = GaussianKernel(metric, 0.25)
+        with pytest.raises(wc.MetricError):
+            kern.matrix(np.zeros((2, N)), np.ones(2), np.zeros((3, metric.N)),
+                        np.zeros(3))
+        with pytest.raises(wc.MetricError):
+            kern.matrix(np.zeros((2, metric.N)), np.ones(2), np.zeros((3, N)),
+                        np.zeros(3))
 
 
 def test_kernel_rejects_bad_exponent(m1):

@@ -52,6 +52,28 @@ def test_koranyi_gauge_pinned_values(heis):
         pytest.approx(1.0, rel=1e-14)
 
 
+def written_out_koranyi_dist(x, y):
+    """|x^{-1} o y| with the group law applied to the (..., 3) arrays."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    u = y - x
+    u[..., 2] -= 0.5 * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
+    return ((u[..., 0] ** 2 + u[..., 1] ** 2) ** 2 + 16.0 * u[..., 2] ** 2) ** 0.25
+
+
+def test_koranyi_dist_is_bit_identical_to_written_out_gauge(heis):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    Y = rng.normal(size=(25, 3))
+    for x, y in ((X[:, None, :], Y[None, :, :]), (X, Y[0]), (Y[1], X)):
+        got = wc.dist(heis, x, y)
+        assert got.shape == np.broadcast_shapes(x.shape, y.shape)[:-1]
+        assert (got == written_out_koranyi_dist(x, y)).all()
+    assert wc.dist(heis, X[0], Y[0]) == float(written_out_koranyi_dist(X[0], Y[0]))
+    x0 = X.copy()
+    wc.dist(heis, X, Y[0])
+    assert (X == x0).all()
+
+
 # Coordinates on the dyadic grid 2^-20 Z within [-3, 3]: the products and
 # sums in the group law then stay exact in float64. With arbitrary floats
 # the translate g*b is rounded, and the gauge's square root turns a 1e-17

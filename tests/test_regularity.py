@@ -109,3 +109,14 @@ def test_classify_never_contradicts_itself(bounds1):
             both = (cls.sufficient.verdict == "DIVERGENT"
                     and cls.necessary.verdict == "CONVERGENT")
             assert not both, name
+
+
+def test_classify_heisenberg_cylinder_top_is_irregular(heis):
+    """The Koranyi kernel through a whole series: the centre of a
+    cylinder's top cap is irregular on the Heisenberg group too."""
+    bounds = wc.GaussBounds(Lambda=1.0, a0=0.25, b0=0.25, c_d=heis.c_d)
+    cls = wc.classify(wc.benchmark("cylinder-top", heis), bounds, K_max=8,
+                      H_max=16, resolution=2)
+    assert cls.verdict == "IRREGULAR"
+    assert cls.basis == "necessary-series"
+    assert cls.necessary.verdict == "CONVERGENT"
