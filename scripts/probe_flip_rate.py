@@ -5,9 +5,9 @@ Classifies the six registry domains once (the verdict does not depend on
 the seed), then runs the suite's probe (pde.classification_probe with the
 suite's offsets and walk settings) at every seed of a range.  Prints, per
 domain, how often each probe status came up, the smallest decay margin in
-its own standard errors (how near the rule came to another status), and
-at which seeds the probe contradicted the verdict.  Exits 1 if it
-contradicted a pinned verdict.
+its own standard errors (how near the rule came to another status), the
+median wall time of one probe, and at which seeds the probe contradicted
+the verdict.  Exits 1 if it contradicted a pinned verdict.
 
 Usage:
     python3 scripts/probe_flip_rate.py [--seeds 1 24] [--walkers 2000]
@@ -16,6 +16,8 @@ Usage:
 
 import argparse
 import math
+import statistics
+import time
 
 from wienercap.cli import (SUITE_PROBE_OFFSETS, build_bounds, run_classify,
                            walk_config)
@@ -42,17 +44,19 @@ def main() -> int:
     print(f"seeds {seeds.start}..{seeds.stop - 1}, {args.walkers} walkers")
     print(f"{'domain':<18} {'verdict':<12}"
           + "".join(f" {s:>12}" for s in STATUSES)
-          + f" {'min |m|/se':>11}  contradicted at")
+          + f" {'min |m|/se':>11} {'median s':>9}  contradicted at")
     pinned_contradicted = False
     for name in benchmark_names():
         dom = benchmark(name)
         verdict = run_classify(cfg, dom, build_bounds(cfg, dom.metric)).verdict
         counts = dict.fromkeys(STATUSES, 0)
-        contradicted, closest_call = [], math.inf
+        contradicted, closest_call, walls = [], math.inf, []
         for seed in seeds:
+            start = time.perf_counter()
             fit, contra = classification_probe(
                 dom, verdict, SUITE_PROBE_OFFSETS,
                 walk_config(cfg.with_override("seed", seed)))
+            walls.append(time.perf_counter() - start)
             counts[fit.status] += 1
             usable = [p for p in fit.probes if p.usable]
             if len(usable) >= 3:
@@ -65,7 +69,8 @@ def main() -> int:
             pinned_contradicted = True
         print(f"{name:<18} {verdict:<12}"
               + "".join(f" {counts[s]:>12}" for s in STATUSES)
-              + f" {closest_call:>11.1f}  {contradicted or '-'}")
+              + f" {closest_call:>11.1f} {statistics.median(walls):>9.3f}"
+              + f"  {contradicted or '-'}")
     return 1 if pinned_contradicted else 0
 
 

@@ -32,7 +32,8 @@ from .config import (ConfigError, RunConfig, describe_schema, load_config)
 from .domain import (BallComplementTarget, DomainError, DomainSpec, RingSpec,
                      RingTarget, SectionTarget, BENCHMARK_STATUS, benchmark,
                      benchmark_names, cone as cone_domain, cusp, cylinder,
-                     halfspace_time, mask_domain, punctured, spatial_halfspace)
+                     halfspace_time, mask_domain, measure_standard_error,
+                     punctured, spatial_halfspace)
 from .kernel import GaussBounds, GaussianKernel, euclidean_bounds
 from .metric import MetricSpace, euclidean, heisenberg_koranyi, stp
 from .pde import PDEError, WalkConfig, classification_probe, pwb_solve
@@ -189,7 +190,8 @@ def cmd_capacity(cfg, bundle, quiet):
         "n_constraints": est.n_constraints,
         "resolution": est.resolution,
         "measure_estimate": prob.support.measure_estimate,
-        "measure_standard_error": prob.support.standard_error,
+        "measure_standard_error": measure_standard_error(
+            dom, target, prob.support.resolution),
         "refinement": [{"resolution": s.resolution, "value": s.estimate.value,
                         "dual_value": s.estimate.dual_value,
                         "gap": s.estimate.gap,

@@ -458,7 +458,9 @@ class SetSample:
     """Grid sample of a target set: atoms, quadrature weights, measure.
 
     points all lie inside the target; measure_estimate is the sum of the
-    weights; standard_error is the finer-vs-coarser grid discrepancy.
+    weights.  standard_error is nan from sample_set_and_measure, which
+    samples the fine grid only; measure_standard_error gives the grid
+    discrepancy.
     """
 
     xs: np.ndarray          # (n, N)
@@ -632,29 +634,37 @@ def _ballcomp_eval(dom: DomainSpec, bt: BallComplementTarget, cells_x: int,
     return X_all, T_all, w_all, meas
 
 
+def _sample(dom: DomainSpec, target, resolution: int):
+    """(X, T, weights, measure) of target on the resolution grid."""
+    if resolution < 1:
+        raise DomainError("resolution must be >= 1")
+    cx = 2 ** resolution + 1
+    ct = 2 ** resolution
+    if isinstance(target, RingTarget):
+        return _ring_eval(dom, target, cx, ct)
+    if isinstance(target, SectionTarget):
+        return _section_eval(dom, target, cx)
+    if isinstance(target, BallComplementTarget):
+        return _ballcomp_eval(dom, target, cx, ct)
+    raise DomainError(f"unknown target {target!r}")
+
+
 def sample_set_and_measure(dom: DomainSpec, target,
                            resolution: int) -> SetSample:
     """Deterministic midpoint-grid sample of a target set.
 
     resolution r uses 2^r + 1 spatial cells per axis (odd, so the axis
-    through x0 is sampled) and 2^r time cells; the standard error is the
-    discrepancy against the next-coarser grid.
+    through x0 is sampled) and 2^r time cells.  Only that grid is
+    sampled, so standard_error is nan; see measure_standard_error.
     """
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
+    X, T, w, meas = _sample(dom, target, resolution)
+    return SetSample(X, T, w, meas, math.nan, resolution)
 
-    def run(res):
-        cx = 2 ** res + 1
-        ct = 2 ** res
-        if isinstance(target, RingTarget):
-            return _ring_eval(dom, target, cx, ct)
-        if isinstance(target, SectionTarget):
-            return _section_eval(dom, target, cx)
-        if isinstance(target, BallComplementTarget):
-            return _ballcomp_eval(dom, target, cx, ct)
-        raise DomainError(f"unknown target {target!r}")
 
-    X, T, w, meas = run(resolution)
-    _, _, _, meas_coarse = run(resolution - 1) if resolution > 1 else (0, 0, 0, 0.0)
-    se = abs(meas - meas_coarse)
-    return SetSample(X, T, w, meas, se, resolution)
+def measure_standard_error(dom: DomainSpec, target, resolution: int) -> float:
+    """|fine - coarse|: the discrepancy of the target's measure on the
+    resolution grid against the next-coarser grid, whose measure counts
+    as 0 at resolution 1."""
+    fine = _sample(dom, target, resolution)[3]
+    coarse = _sample(dom, target, resolution - 1)[3] if resolution > 1 else 0.0
+    return abs(fine - coarse)

@@ -14,9 +14,10 @@ pwb_solve_many walks several points of one domain as one batch, and
 pwb_solve is its one-point case.  Only walkers still inside Omega are
 stepped, so an iteration costs what is left of the walk, and the batch
 runs as many iterations as its slowest point, not their sum.  Each point
-keeps its own random stream: it draws a full (walkers, N) block from its
-own generator on every step on which it still has an active walker, so
-its estimate does not depend on the other points of the batch.  The walk
+keeps its own random stream: on every step it draws one normal vector
+from its own generator for each of its walkers still active, in walker
+order, so its estimate does not depend on the other points of the batch
+and no normal is drawn for a walker that has exited.  The walk
 keeps the last step segment of every exit and bisects all of them in one
 pass after the last step: the bisections are independent of each other,
 so six membership calls serve the whole batch.
@@ -116,12 +117,13 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
     """pwb_solve at every point zs[j] with config cfgs[j], walked as one batch.
 
     Only walkers still inside Omega are stepped; a global walker id
-    j * walkers + i maps each exit back to walker i of point j.  Point j
-    draws from its own default_rng(cfgs[j].seed), a full (walkers, N)
-    block on every step on which it has an active walker, so each
-    estimate equals a walk of its point alone bit for bit.  Exit segments
-    are bisected together after the walk.  The configs must agree on
-    everything but the seed.
+    j * walkers + i maps each exit back to walker i of point j.  The
+    active walkers stay sorted by global id, so those of point j form one
+    run of rows, and point j fills exactly those rows from its own
+    default_rng(cfgs[j].seed) on every step: one normal vector per active
+    walker, in walker order.  Each estimate so equals a walk of its point
+    alone bit for bit.  Exit segments are bisected together after the
+    walk.  The configs must agree on everything but the seed.
     """
     if dom.metric.kind != "euclidean":
         raise PDEError("the random-walk solver is Euclidean-only")
@@ -150,9 +152,11 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
     for _ in range(int(math.ceil(c0.max_time / h))):
         if gid.size == 0:
             break
-        for j in np.flatnonzero(left):
-            rngs[j].standard_normal(out=xi[j * w:(j + 1) * w])
-        Xn = X + sigma * xi[gid]
+        row = 0
+        for rng, n in zip(rngs, left.tolist()):
+            rng.standard_normal(out=xi[row:row + n])
+            row += n
+        Xn = X + sigma * xi[:row]
         Tn = T - h
         inside = contains_many(dom, Xn, Tn)
         if not inside.all():

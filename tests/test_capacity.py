@@ -211,6 +211,23 @@ def test_refinement_ladder(m1):
     assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-12
 
 
+def test_build_problem_samples_a_ring_once(m1, monkeypatch):
+    """The support is sampled on its own grid only: no coarser pass."""
+    calls = []
+    real = wc.domain._ring_eval
+
+    def counting(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(wc.domain, "_ring_eval", counting)
+    prob = build_problem(wc.benchmark("halfspace", m1),
+                         RingTarget(RingSpec(0.25, 1, 1)),
+                         wc.GaussianKernel(m1, 0.5), 3)
+    assert calls == [(9, 8)]
+    assert prob.support.n > 0 and math.isnan(prob.support.standard_error)
+
+
 def test_constraint_grid_covers_forward_time(m1):
     rng = np.random.default_rng(27)
     s = random_cloud_sample(rng, 1, 30)

@@ -11,8 +11,9 @@ import wienercap as wc
 from wienercap import domain
 from wienercap.domain import (BallComplementTarget, RingSpec, RingTarget,
                               SectionTarget, _erode, contains_many,
-                              max_nonempty_band, ring_mask,
-                              sample_set_and_measure, section_measures)
+                              max_nonempty_band, measure_standard_error,
+                              ring_mask, sample_set_and_measure,
+                              section_measures)
 from wienercap.metric import (ball_coord_halfwidths, dist,
                               parabolic_dist_many, stp)
 
@@ -303,8 +304,7 @@ def test_ball_complement_carries_flat_top_slice(m1):
 def test_sample_error_estimate_shrinks(m1):
     dom = wc.benchmark("halfspace", m1)
     rs = RingTarget(RingSpec(0.25, 1, 1))
-    errs = [sample_set_and_measure(dom, rs, res).standard_error
-            for res in (3, 5)]
+    errs = [measure_standard_error(dom, rs, res) for res in (3, 5)]
     assert errs[1] <= errs[0] + 1e-12
 
 

@@ -202,7 +202,8 @@ def test_boundary_phi_cutoff_shape(m1):
 # the batched walker against a plain per-point walk
 
 def reference_pwb_solve(dom, phi, z, cfg):
-    """One point walked alone, every walker stepped on every iteration."""
+    """One point walked alone, every walker stepped on every iteration;
+    each step draws one normal vector per active walker, in walker order."""
     if dom.metric.kind != "euclidean":
         raise PDEError("the random-walk solver is Euclidean-only")
     if not contains(dom, z):
@@ -220,10 +221,10 @@ def reference_pwb_solve(dom, phi, z, cfg):
     for _ in range(max_steps):
         if not active.any():
             break
-        xi = rng.standard_normal((w, N))
-        Xn = X + sigma * xi
-        Tn = T - h
         idx = np.flatnonzero(active)
+        Xn = X.copy()
+        Xn[idx] += sigma * rng.standard_normal((idx.size, N))
+        Tn = T - h
         inside = contains_many(dom, Xn[idx], Tn[idx])
         hit = idx[~inside]
         if hit.size:
@@ -376,6 +377,74 @@ def test_exit_bisection_runs_once_per_batch(m1, monkeypatch):
     assert all(e.n_exited == 200 and e.exit_fractions["bottom"] == 1.0
                for e in ests)
     assert len(calls) == 21 + 6
+
+
+class _CountingRng:
+    """A default_rng whose standard_normal counts the normals it draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.drawn = 0
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        got = self._rng.standard_normal(*args, out=out, **kwargs)
+        self.drawn += got.size
+        return got
+
+
+def _counted_walk(monkeypatch, dom, zs, cfgs):
+    """pwb_solve_many with counting stubs: the normals each point's
+    generator drew, and the rows of every contains_many call."""
+    rngs, rows = [], []
+    real, real_rng = pde.contains_many, np.random.default_rng
+
+    def make_rng(seed):
+        rngs.append(_CountingRng(real_rng(seed)))
+        return rngs[-1]
+
+    def counting(dom, X, T):
+        rows.append(len(T))
+        return real(dom, X, T)
+
+    monkeypatch.setattr(pde.np.random, "default_rng", make_rng)
+    monkeypatch.setattr(pde, "contains_many", counting)
+    ests = wc.pwb_solve_many(dom, gaussian_data, zs, cfgs)
+    monkeypatch.undo()
+    return ests, [r.drawn for r in rngs], rows
+
+
+def test_each_point_draws_one_normal_per_walker_step(m1, monkeypatch):
+    """A point's generator draws N normals per step of each of its active
+    walkers, alone or in a batch, and nothing for walkers that exited.
+    Walked alone, its walker-steps are the rows of the stepping
+    contains_many calls (all but the 6 bisection calls)."""
+    dom = wc.cylinder(m1, radius=0.3, t1=-4.0, t2=0.0)
+    zs = [stp([0.0], -0.5), stp([0.2], -1.0)]
+    cfgs = [WalkConfig(1.0, 1e-3, 300, 30 + 7919 * j, 4.0) for j in (0, 1)]
+    alone = []
+    for z, c in zip(zs, cfgs):
+        (est,), (drawn,), rows = _counted_walk(monkeypatch, dom, [z], [c])
+        assert est.n_exited == c.walkers and rows[-6:] == [c.walkers] * 6
+        walker_steps = sum(rows[:-6])
+        # exits are spread over many steps, so a full block per step
+        # would draw several times more
+        assert 3 * walker_steps < c.walkers * (len(rows) - 6)
+        assert drawn == dom.N * walker_steps
+        alone.append(drawn)
+    _, drawn, rows = _counted_walk(monkeypatch, dom, zs, cfgs)
+    assert drawn == alone
+    assert sum(drawn) == dom.N * sum(rows[:-6])
+
+
+def test_estimate_does_not_depend_on_its_batch(m1):
+    dom = wc.benchmark("cone", m1)
+    phi = wc.boundary_phi_distance(dom)
+    z0, z1, z2 = wc.interior_axis_probes(dom, [0.04, 0.12, 0.01])
+    cfgs = [WalkConfig(1.0, 1e-3, 300, 31 + 7919 * j, 4.0) for j in (0, 1)]
+    a = wc.pwb_solve_many(dom, phi, [z0, z1], cfgs)
+    b = wc.pwb_solve_many(dom, phi, [z0, z2], cfgs)
+    assert _same_estimate(a[0], b[0])
+    assert a[1].mean_exit_time != b[1].mean_exit_time
 
 
 # ---------------------------------------------------------------------------
