@@ -395,27 +395,33 @@ class RingSpec:
             raise DomainError("variant must be 'band' or 'nested'")
 
 
-def ring_mask(dom: DomainSpec, rs: RingSpec, X, T) -> np.ndarray:
-    """Vectorized ring-set membership."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    _require_in_strip(dom, T)
-    lam, k, h = rs.lam, rs.k, rs.h
-    t0 = dom.z0.t
-    eta = t0 - T
-    L = math.log(1.0 / lam)
+def _ring_keep(dom: DomainSpec, lam: float, k: int, X: np.ndarray,
+               T: np.ndarray, upper, lower) -> np.ndarray:
+    """The level-k ring conditions at (X[i], T[i]) with the annulus bounds
+    upper = h log(1/lam) and lower = (h - 1) log(1/lam), each a scalar or
+    one value per point; lower None drops the lower bound (nested)."""
+    eta = dom.z0.t - T
     ok = ~contains_many(dom, X, T)
     ok &= (eta >= lam ** (k + 1)) & (eta <= lam ** k)
     d = dist(dom.metric, X, dom.z0.x[None, :])
     # denormal eta can overflow the quotient; inf is the correct outcome
     with np.errstate(over="ignore", divide="ignore"):
         ratio = np.where(eta > 0, d * d / np.where(eta > 0, eta, 1.0), np.inf)
-    ok &= ratio <= h * L
-    if rs.variant == "band":
-        ok &= ratio >= (h - 1) * L
+    ok &= ratio <= upper
+    if lower is not None:
+        ok &= ratio >= lower
     dhat = (d ** 4 + eta ** 2) ** 0.25
     ok &= dhat <= math.sqrt(lam)
     return ok
+
+
+def ring_mask(dom: DomainSpec, rs: RingSpec, X, T) -> np.ndarray:
+    """Vectorized ring-set membership."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    T = np.atleast_1d(np.asarray(T, dtype=float))
+    L = math.log(1.0 / rs.lam)
+    lower = (rs.h - 1) * L if rs.variant == "band" else None
+    return _ring_keep(dom, rs.lam, rs.k, X, T, rs.h * L, lower)
 
 
 def max_nonempty_band(lam: float, k: int) -> int:
@@ -485,9 +491,14 @@ def _axis_centers(center: float, halfwidth: float, cells: int) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
+def _cell_volumes(halfwidths: np.ndarray, cells_x: int) -> np.ndarray:
+    """Spatial cell volume of the grid of cells_x cells per axis over the
+    box of halfwidths (N,), or over each row of halfwidths (k, N)."""
+    return np.prod(2.0 * halfwidths / cells_x, axis=-1)
+
+
 def _cell_volume(halfwidths: np.ndarray, cells_x: int) -> float:
-    return float(np.prod([2.0 * halfwidths[i] / cells_x
-                          for i in range(halfwidths.shape[0])]))
+    return float(_cell_volumes(halfwidths, cells_x))
 
 
 def _grid_points(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int,
@@ -526,31 +537,78 @@ def _spatial_grid(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
             _cell_volume(halfwidths, cells_x))
 
 
+# grid points per vectorized pass of _ring_bands and _section_chunks: the
+# 31 rho sections of one Heisenberg time node at resolution 5 hold 1.1 M
+# grid points, and a pass keeps several arrays of that many entries alive
+# at once
+MAX_SAMPLE_GRID = 2 ** 16
+
+
+def _ring_bands(dom: DomainSpec, lam: float, k: int, hs, variant: str,
+                cells_x: int, cells_t: int):
+    """Sample the rings RingSpec(lam, k, h, variant) for every h of hs, in
+    order, on grids of cells_x cells per spatial axis and cells_t time
+    cells, yielding (X, T, weights, measure) per ring.
+
+    The rings of level k share one time axis.  A pass tiles the spatial
+    grids of as many rings as fit in MAX_SAMPLE_GRID grid points (at least
+    one) against it and tests the ring conditions once, with the annulus
+    bounds repeated per ring.
+    """
+    x0 = dom.z0.x
+    L = math.log(1.0 / lam)
+    r_cap = math.sqrt(lam)
+    t_lo, t_hi = dom.z0.t - lam ** k, dom.z0.t - lam ** (k + 1)
+    t_ax = _axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
+    hs = list(hs)
+    M = cells_x ** dom.N * cells_t
+    per_pass = max(1, MAX_SAMPLE_GRID // M)
+    for lo in range(0, len(hs), per_pass):
+        band = hs[lo:lo + per_pass]
+        half = np.stack([ball_coord_halfwidths(
+            dom.metric, min(math.sqrt(h * (lam ** k) * L), r_cap), x0)
+            for h in band])
+        nb = len(band)
+        X = np.repeat(_spatial_grids(x0, half, cells_x), cells_t, axis=1)
+        T = np.tile(t_ax, M // cells_t)
+        upper = np.repeat([h * L for h in band], M)
+        lower = (np.repeat([(h - 1) * L for h in band], M)
+                 if variant == "band" else None)
+        keep = _ring_keep(dom, lam, k, X.reshape(nb * M, dom.N),
+                          np.tile(T, nb), upper, lower).reshape(nb, M)
+        counts = keep.sum(axis=1)
+        cellvols = _cell_volumes(half, cells_x) * (t_hi - t_lo) / cells_t
+        for i in range(nb):
+            yield (X[i][keep[i]], T[keep[i]],
+                   np.full(counts[i], cellvols[i]),
+                   float(counts[i] * cellvols[i]))
+
+
 def _ring_eval(dom: DomainSpec, rt: RingTarget, cells_x: int, cells_t: int):
     rs = rt.ring
-    lam, k, h = rs.lam, rs.k, rs.h
-    t0 = dom.z0.t
-    L = math.log(1.0 / lam)
-    r_band = math.sqrt(h * (lam ** k) * L)
-    r_cap = math.sqrt(lam)
-    R = min(r_band, r_cap)
-    half = ball_coord_halfwidths(dom.metric, R, dom.z0.x)
-    X, T, cellvol = _grid_points(dom.z0.x, half, cells_x,
-                                 t0 - lam ** k, t0 - lam ** (k + 1), cells_t)
-    keep = ring_mask(dom, rs, X, T)
-    return X[keep], T[keep], np.full(int(keep.sum()), cellvol), float(keep.sum() * cellvol)
+    return next(_ring_bands(dom, rs.lam, rs.k, [rs.h], rs.variant,
+                            cells_x, cells_t))
 
 
-# grid points per vectorized pass of _section_chunks: the 31 rho sections
-# of one Heisenberg time node at resolution 5 hold 1.1 M grid points, and a
-# pass keeps several arrays of that many entries alive at once
-MAX_SECTION_GRID = 2 ** 16
+def ring_samples(dom: DomainSpec, lam: float, k: int, hs, variant: str,
+                 resolution: int):
+    """Yield sample_set_and_measure(dom, RingTarget(RingSpec(lam, k, h,
+    variant)), resolution) for every h of hs, in order, bit for bit.  The
+    bands are sampled in vectorized passes over the level's grids, one
+    pass at a time as the samples are taken."""
+    if resolution < 1:
+        raise DomainError("resolution must be >= 1")
+    hs = [RingSpec(lam, k, h, variant).h for h in hs]
+    return (SetSample(X, T, w, meas, math.nan, resolution)
+            for X, T, w, meas in _ring_bands(dom, lam, k, hs, variant,
+                                             2 ** resolution + 1,
+                                             2 ** resolution))
 
 
 def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
                     cells_x: int):
     """Sample the sections SectionTarget(lam, rho, tau) for every rho of
-    rhos on their fine grids, a chunk of at most MAX_SECTION_GRID grid
+    rhos on their fine grids, a chunk of at most MAX_SAMPLE_GRID grid
     points (and at least one section) at a time.
 
     Yields (index, X, keep, cellvol): the indices into rhos of the
@@ -570,7 +628,7 @@ def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
     logs = np.array([math.log(rho) for rho in rhos])
     radii = [min(math.sqrt(eta * lg), r_cap) for lg in logs.tolist()]
     index = np.array([i for i, R in enumerate(radii) if R > 0], dtype=int)
-    per_chunk = max(1, MAX_SECTION_GRID // cells_x ** dom.N)
+    per_chunk = max(1, MAX_SAMPLE_GRID // cells_x ** dom.N)
     for lo in range(0, index.size, per_chunk):
         idx = index[lo:lo + per_chunk]
         half = np.stack([ball_coord_halfwidths(dom.metric, radii[i], x0)
@@ -582,7 +640,7 @@ def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
         d = dist(dom.metric, Xf, x0[None, :])
         keep &= d * d <= np.repeat(eta * logs[idx], M)
         keep &= d ** 4 + eta ** 2 <= lam ** 2
-        cellvol = np.array([_cell_volume(hw, cells_x) for hw in half])
+        cellvol = _cell_volumes(half, cells_x)
         yield idx, X, keep.reshape(k, M), cellvol
 
 

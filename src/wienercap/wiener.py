@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .capacity import (CapacityConvergenceError, build_problem,
-                       potential_many, solve_capacity)
-from .domain import (BallComplementTarget, DomainSpec, RingSpec, RingTarget,
-                     max_nonempty_band, section_measures)
+from .capacity import (CapacityConvergenceError, CapacityProblem,
+                       build_problem, constraint_points, potential_many,
+                       solve_capacity)
+from .domain import (BallComplementTarget, DomainSpec, max_nonempty_band,
+                     ring_samples, section_measures)
 from .kernel import GaussianKernel
 from .metric import SpaceTimePoint, ball_volume, parabolic_dist, stp
 
@@ -98,9 +99,11 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     Within each time level k the band loop stops once the fitted tail
     bound (capacity ratios grow at most like h^(Q/2), weights decay like
     lam^(w h)) falls below stop_rel of the running sum; the unexplored
-    tail is accumulated into truncation_bound.  Terms whose ring sample is
-    empty are exactly zero and cost no solve.  Failed solves are recorded
-    and flag the table PARTIAL.
+    tail is accumulated into truncation_bound.  The bands 1..min(h_cap,
+    H_max) of a level are sampled together, in vectorized passes
+    (ring_samples), as the loop reaches them; a ring whose sample is empty
+    has an exactly zero term and gets neither a constraint grid nor a
+    solve.  Failed solves are recorded and flag the table PARTIAL.
 
     Rings at different levels often give the same normalized LP (the
     kernel is covariant under parabolic dilation), so the solves of one
@@ -124,6 +127,8 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     for k in range(1, K_max + 1):
         vol = ball_volume(dom.metric, dom.z0.x, lam ** (k / 2.0))
         h_cap = max_nonempty_band(lam, k)
+        samples = ring_samples(dom, lam, k, range(1, min(h_cap, H_max) + 1),
+                               ring_variant, resolution)
         stable_ratio = None  # nested variant: capacity freezes past h_cap
         for h in range(1, H_max + 1):
             weight = lam ** (w * h)
@@ -132,15 +137,17 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
             if h > h_cap and stable_ratio is not None:
                 ratio = stable_ratio
             else:
-                rs = RingSpec(lam, k, h, ring_variant)
+                support = next(samples)
                 try:
-                    prob = build_problem(dom, RingTarget(rs), kern,
-                                         resolution, tolerance)
-                    if prob.support.is_empty():
+                    if support.is_empty():
                         if ring_variant == "band":
                             continue
                         ratio = 0.0
                     else:
+                        prob = CapacityProblem(
+                            kern, support,
+                            *constraint_points(support, dom.metric,
+                                               resolution), tolerance)
                         est = solve_capacity(prob, store)
                         tab.capacities[(k, h)] = est
                         if est.reused:

@@ -12,7 +12,7 @@ from wienercap import domain
 from wienercap.domain import (BallComplementTarget, RingSpec, RingTarget,
                               SectionTarget, _erode, contains_many,
                               max_nonempty_band, measure_standard_error,
-                              ring_mask, sample_set_and_measure,
+                              ring_mask, ring_samples, sample_set_and_measure,
                               section_measures)
 from wienercap.metric import (ball_coord_halfwidths, dist,
                               parabolic_dist_many, stp)
@@ -189,6 +189,98 @@ def test_section_measure_closed_form(m1):
 
 
 # ---------------------------------------------------------------------------
+# all bands of one ring level in one pass
+
+def reference_ring_sample(dom, rs, resolution):
+    """One ring sampled alone on its own space-time meshgrid: the per-ring
+    arithmetic that ring_samples must reproduce bit for bit."""
+    lam, k, h = rs.lam, rs.k, rs.h
+    x0, t0 = dom.z0.x, dom.z0.t
+    R = min(math.sqrt(h * (lam ** k) * math.log(1.0 / lam)), math.sqrt(lam))
+    half = ball_coord_halfwidths(dom.metric, R, x0)
+    cx, ct = 2 ** resolution + 1, 2 ** resolution
+    t_lo, t_hi = t0 - lam ** k, t0 - lam ** (k + 1)
+    axes = []
+    for c, hw, n in [(x0[i], half[i], cx) for i in range(dom.N)] + [
+            (0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), ct)]:
+        edges = np.linspace(c - hw, c + hw, n + 1)
+        axes.append(0.5 * (edges[:-1] + edges[1:]))
+    mesh = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
+    X, T = np.stack(mesh[:-1], axis=-1), mesh[-1]
+    cellvol = float(np.prod([2.0 * half[i] / cx for i in range(dom.N)])) \
+        * (t_hi - t_lo) / ct
+    keep = ring_mask(dom, rs, X, T)
+    return X[keep], T[keep], float(keep.sum() * cellvol)
+
+
+def _ring_cases():
+    """(domain, resolutions) per case: the registry domains on R, R^2 and
+    the Heisenberg group, and a lateral (off-axis) Heisenberg cylinder."""
+    m1, m2, heis = wc.euclidean(1), wc.euclidean(2), wc.heisenberg_koranyi()
+    return ([wc.benchmark(n, m) for m in (m1, m2, heis)
+             for n in wc.benchmark_names()]
+            + [wc.cylinder(heis, z0="lateral")])
+
+
+RING_LEVELS = (1, 2, 3, 5, 8)
+
+
+def test_batched_rings_match_per_ring_samples(monkeypatch):
+    """Every band h = 1..min(h_cap + 1, 12) of each level, band and nested,
+    at resolutions 2 and 3, equals the per-ring sample exactly; also when
+    a pass holds only three bands, so a level spans several passes."""
+    lam = 0.25
+    nonempty = 0
+    for dom in _ring_cases():
+        for variant in ("band", "nested"):
+            for k in RING_LEVELS:
+                hs = range(1, min(max_nonempty_band(lam, k) + 1, 12) + 1)
+                for res in (2, 3):
+                    want = [sample_set_and_measure(
+                        dom, RingTarget(RingSpec(lam, k, h, variant)), res)
+                        for h in hs]
+                    got = list(ring_samples(dom, lam, k, hs, variant, res))
+                    with monkeypatch.context() as mp:
+                        mp.setattr(domain, "MAX_SAMPLE_GRID",
+                                   3 * (2 ** res + 1) ** dom.N * 2 ** res)
+                        chunked = list(ring_samples(dom, lam, k, hs,
+                                                    variant, res))
+                    case = (dom.family, dom.metric.kind, dom.N, variant, k,
+                            res)
+                    assert len(got) == len(chunked) == len(hs), case
+                    for h, w, g, c in zip(hs, want, got, chunked):
+                        for s in (g, c):
+                            assert np.array_equal(s.xs, w.xs), (case, h)
+                            assert np.array_equal(s.ts, w.ts), (case, h)
+                            assert np.array_equal(s.weights, w.weights), \
+                                (case, h)
+                            assert s.measure_estimate == w.measure_estimate
+                            assert s.resolution == res
+                            assert math.isnan(s.standard_error)
+                        nonempty += w.n > 0
+                        if res == 2:
+                            xs, ts, meas = reference_ring_sample(
+                                dom, RingSpec(lam, k, h, variant), res)
+                            assert np.array_equal(w.xs, xs), (case, h)
+                            assert np.array_equal(w.ts, ts), (case, h)
+                            assert w.measure_estimate == meas, (case, h)
+    assert nonempty > 1000
+
+
+def test_ring_sampler_keeps_its_checks(m1):
+    dom = wc.benchmark("halfspace", m1)
+    with pytest.raises(wc.DomainError):
+        ring_samples(dom, 0.25, 1, [1], "band", 0)
+    with pytest.raises(wc.DomainError):
+        ring_samples(dom, 0.25, 1, [0, 1], "band", 3)
+    with pytest.raises(wc.DomainError):
+        ring_samples(dom, 1.5, 1, [1], "band", 3)
+    with pytest.raises(wc.DomainError):
+        ring_samples(dom, 0.25, 1, [1], "annulus", 3)
+    assert list(ring_samples(dom, 0.25, 1, [], "band", 3)) == []
+
+
+# ---------------------------------------------------------------------------
 # all rho sections of one time node in one pass
 
 def reference_section_measure(dom, lam, rho, tau, resolution):
@@ -254,7 +346,7 @@ def test_batched_sections_match_per_target_samples(monkeypatch):
             assert got == want, (dom.family, dom.N, eta)
             # three sections per pass: the batch spans 11 or 3 chunks
             with monkeypatch.context() as mp:
-                mp.setattr(domain, "MAX_SECTION_GRID", 3 * cells)
+                mp.setattr(domain, "MAX_SAMPLE_GRID", 3 * cells)
                 got = section_measures(dom, lam, rhos, tau, res).tolist()
             assert got == want, (dom.family, dom.N, eta, "chunked")
             if eta in SECTION_ETAS[:3]:

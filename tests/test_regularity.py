@@ -120,3 +120,15 @@ def test_classify_heisenberg_cylinder_top_is_irregular(heis):
     assert cls.verdict == "IRREGULAR"
     assert cls.basis == "necessary-series"
     assert cls.necessary.verdict == "CONVERGENT"
+
+
+@pytest.mark.parametrize("name", ["halfspace", "spatial-halfspace", "cone"])
+def test_classify_heisenberg_regular_by_cone(heis, name):
+    """Halfspaces and the exterior cone satisfy the cone condition in the
+    Koranyi gauge too, so the classifier stops at the cone check."""
+    bounds = wc.GaussBounds(Lambda=1.0, a0=0.25, b0=0.25, c_d=heis.c_d)
+    cls = wc.classify(wc.benchmark(name, heis), bounds, K_max=8, H_max=16,
+                      resolution=2)
+    assert cls.verdict == "REGULAR"
+    assert cls.basis == "cone"
+    assert cls.cone.satisfied

@@ -180,6 +180,32 @@ def test_nested_table_reuses_certified_solves(m1, monkeypatch):
         assert est.value == pytest.approx(fresh.value, rel=1e-6)
 
 
+@pytest.mark.parametrize("variant", ["sufficient", "necessary"])
+def test_series_samples_each_level_in_one_pass(m1, monkeypatch, variant):
+    """Bands of a level are sampled in at most one vectorized pass, and
+    only nonempty rings get a constraint grid."""
+    grids, passes = [], []
+    real_grid, real_keep = wiener.constraint_points, wc.domain._ring_keep
+
+    def counting_grid(*args):
+        grids.append(args[0].n)
+        return real_grid(*args)
+
+    def counting_keep(dom, lam, k, *args):
+        passes.append(k)
+        return real_keep(dom, lam, k, *args)
+
+    monkeypatch.setattr(wiener, "constraint_points", counting_grid)
+    monkeypatch.setattr(wc.domain, "_ring_keep", counting_keep)
+    tab = wc.series_table(wc.benchmark("cylinder-top", m1), 0.25, 1.0, 2.0,
+                          variant, K_max=16, resolution=3)
+    assert tab.capacities and not tab.failed
+    assert len(grids) == len(tab.capacities)
+    assert all(n > 0 for n in grids)
+    assert sorted(passes) == sorted(set(passes))
+    assert set(passes) <= set(range(1, 17))
+
+
 def test_nested_partial_value_floors(m1):
     tab = synthetic_table(np.ones((10, 1)), variant="nested")
     assert nested_partial_value(tab, 3.7) == pytest.approx(3.0)
