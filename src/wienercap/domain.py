@@ -540,7 +540,7 @@ def _spatial_grid(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
 # grid points per vectorized pass of _ring_bands and _section_chunks: the
 # 31 rho sections of one Heisenberg time node at resolution 5 hold 1.1 M
 # grid points, and a pass keeps several arrays of that many entries alive
-# at once
+# at once; the 40 bands of a ring level on R at resolution 3 hold 2880
 MAX_SAMPLE_GRID = 2 ** 16
 
 
@@ -560,7 +560,6 @@ def _ring_bands(dom: DomainSpec, lam: float, k: int, hs, variant: str,
     r_cap = math.sqrt(lam)
     t_lo, t_hi = dom.z0.t - lam ** k, dom.z0.t - lam ** (k + 1)
     t_ax = _axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
-    hs = list(hs)
     M = cells_x ** dom.N * cells_t
     per_pass = max(1, MAX_SAMPLE_GRID // M)
     for lo in range(0, len(hs), per_pass):
