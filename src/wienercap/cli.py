@@ -208,7 +208,7 @@ def cmd_capacity(cfg, bundle, quiet):
     return EXIT_OK
 
 
-def _write_series(bundle, dom, tab, rep, prefix=""):
+def _write_series(bundle, dom, tab, rep):
     from .metric import ball_volume
     rows = []
     w = tab.weight_exponent
@@ -222,15 +222,15 @@ def _write_series(bundle, dom, tab, rep, prefix=""):
             if term == 0.0 and est is None and (k, h) not in tab.failed:
                 continue
             rows.append([k, h, cap, vol, tab.lam ** (w * h), term])
-    bundle.write_csv(f"{prefix}series_table.csv",
+    bundle.write_csv("series_table.csv",
                      ["k", "h", "capacity", "ball_volume", "weight", "term"],
                      rows)
     S = tab.partial_sums()
-    bundle.write_csv(f"{prefix}series_partial_sums.csv", ["K", "S"],
+    bundle.write_csv("series_partial_sums.csv", ["K", "S"],
                      [[k + 1, S[k]] for k in range(len(S))])
     payload = asdict(rep)
     payload["truncation_bound"] = tab.truncation_bound
-    bundle.write_json(f"{prefix}series_report.json", payload)
+    bundle.write_json("series_report.json", payload)
 
 
 def cmd_series(cfg, bundle, quiet):
@@ -402,6 +402,8 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
         # CONVERGENT sufficient series
         probes = [0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035]
         irep = integral_test(dom, cfg["wiener.lambda"], b, probes,
+                             n_u=cfg["integral.n-u"],
+                             U_max=cfg["integral.U-max"] or None,
                              resolution=cfg["integral.resolution"] or None)
         consistent = not (irep.divergent and suff_verdict == "CONVERGENT")
         bundle.write_json(f"{name}_integral.json", asdict(irep))

@@ -31,7 +31,7 @@ _TYPES = {
 # key -> (type name, default value, help)
 SCHEMA = {
     "seed": ("int", 0, "master seed; --seed overrides"),
-    "metric.kind": ("str", "euclidean", "euclidean | heisenberg-koranyi | table"),
+    "metric.kind": ("str", "euclidean", "euclidean | heisenberg-koranyi"),
     "metric.N": ("int", 1, "spatial dimension (euclidean only; Heisenberg is 3)"),
     "domain.benchmark": ("str", "", "registry name; empty = use domain.family"),
     "domain.family": ("str", "halfspace-time", "family when no benchmark given"),

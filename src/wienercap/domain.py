@@ -216,8 +216,7 @@ def _mask_lookup(dom: DomainSpec, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     return ok & vals
 
 
-def mask_domain(path, metric: MetricSpace, z0: SpaceTimePoint,
-                strip=(-8.0, 8.0)) -> DomainSpec:
+def mask_domain(path, metric: MetricSpace, z0: SpaceTimePoint) -> DomainSpec:
     grid, origin, spacing = read_mask(path)
     if grid.ndim != metric.N + 1:
         raise DomainError("mask rank must be N+1")
@@ -227,7 +226,7 @@ def mask_domain(path, metric: MetricSpace, z0: SpaceTimePoint,
     return DomainSpec("mask", metric,
                       {"origin": origin, "spacing": spacing, "path": str(path)},
                       origin[:-1], hi[:-1], float(origin[-1]), float(hi[-1]),
-                      z0, strip, mask_grid=eroded)
+                      z0, mask_grid=eroded)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +319,14 @@ def punctured(metric: MetricSpace, radius: float = 0.5, tau: float = 0.0,
                       lo, hi, tl, th, stp(center, tau))
 
 
-def validate_boundary_point(dom: DomainSpec, scales=(0.5, 0.1, 0.02),
-                            n: int = 4096, seed: int = 0) -> None:
-    """Check z0 is not in Omega but every sampled neighborhood meets it."""
+def validate_boundary_point(dom: DomainSpec) -> None:
+    """Check z0 is not in Omega but every sampled neighborhood meets it:
+    n = 4096 uniform points in the box of each scale r."""
     if contains(dom, dom.z0):
         raise DomainError("z0 lies inside Omega")
-    rng = np.random.default_rng(seed)
-    for r in scales:
+    rng = np.random.default_rng(0)
+    n = 4096
+    for r in (0.5, 0.1, 0.02):
         half = ball_coord_halfwidths(dom.metric, r, dom.z0.x)
         X = dom.z0.x + rng.uniform(-1, 1, size=(n, dom.N)) * half
         T = dom.z0.t + rng.uniform(-1, 1, size=n) * r * r
@@ -492,26 +492,9 @@ def _axis_centers(center: float, halfwidth: float, cells: int) -> np.ndarray:
 
 
 def _cell_volumes(halfwidths: np.ndarray, cells_x: int) -> np.ndarray:
-    """Spatial cell volume of the grid of cells_x cells per axis over the
-    box of halfwidths (N,), or over each row of halfwidths (k, N)."""
+    """Spatial cell volumes (k,) of the grids of cells_x cells per axis
+    over the boxes of the rows of halfwidths (k, N)."""
     return np.prod(2.0 * halfwidths / cells_x, axis=-1)
-
-
-def _cell_volume(halfwidths: np.ndarray, cells_x: int) -> float:
-    return float(_cell_volumes(halfwidths, cells_x))
-
-
-def _grid_points(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int,
-                 t_lo: float, t_hi: float, cells_t: int):
-    axes = [_axis_centers(x0[i], halfwidths[i], cells_x)
-            for i in range(x0.shape[0])]
-    t_ax = _axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
-    mesh = np.meshgrid(*axes, t_ax, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    X = np.stack(flat[:-1], axis=-1)
-    T = flat[-1]
-    cellvol = _cell_volume(halfwidths, cells_x) * (t_hi - t_lo) / cells_t
-    return X, T, cellvol
 
 
 def _spatial_grids(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
@@ -532,16 +515,26 @@ def _spatial_grids(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
     return np.stack(cols, axis=-1)
 
 
-def _spatial_grid(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
-    return (_spatial_grids(x0, halfwidths[None, :], cells_x)[0],
-            _cell_volume(halfwidths, cells_x))
-
-
-# grid points per vectorized pass of _ring_bands and _section_chunks: the
-# 31 rho sections of one Heisenberg time node at resolution 5 hold 1.1 M
-# grid points, and a pass keeps several arrays of that many entries alive
-# at once; the 40 bands of a ring level on R at resolution 3 hold 2880
+# grid points per vectorized pass of _ball_grids: the 31 rho sections of
+# one Heisenberg time node at resolution 5 hold 1.1 M grid points, and a
+# pass keeps several arrays of that many entries alive at once; the 40
+# bands of a ring level on R at resolution 3 hold 2880
 MAX_SAMPLE_GRID = 2 ** 16
+
+
+def _ball_grids(dom: DomainSpec, radii, cells_x: int, cells_t: int = 1):
+    """Spatial grids of cells_x cells per axis over the coordinate boxes of
+    the d-balls B(x0, R), R in radii, in passes of as many balls as fit in
+    MAX_SAMPLE_GRID grid points (at least one) once tiled against cells_t
+    time cells.  Yields, per pass, the index into radii of its first ball,
+    the grid points (k, cells_x^N, N) and the cell volumes (k,)."""
+    x0 = dom.z0.x
+    per_pass = max(1, MAX_SAMPLE_GRID // (cells_x ** dom.N * cells_t))
+    for lo in range(0, len(radii), per_pass):
+        half = np.stack([ball_coord_halfwidths(dom.metric, R, x0)
+                         for R in radii[lo:lo + per_pass]])
+        yield lo, _spatial_grids(x0, half, cells_x), _cell_volumes(half,
+                                                                   cells_x)
 
 
 def _ring_bands(dom: DomainSpec, lam: float, k: int, hs, variant: str,
@@ -550,43 +543,31 @@ def _ring_bands(dom: DomainSpec, lam: float, k: int, hs, variant: str,
     order, on grids of cells_x cells per spatial axis and cells_t time
     cells, yielding (X, T, weights, measure) per ring.
 
-    The rings of level k share one time axis.  A pass tiles the spatial
-    grids of as many rings as fit in MAX_SAMPLE_GRID grid points (at least
-    one) against it and tests the ring conditions once, with the annulus
-    bounds repeated per ring.
+    The rings of level k share one time axis.  A pass of _ball_grids tiles
+    the spatial grids of its rings against it and tests the ring
+    conditions once, with the annulus bounds repeated per ring.
     """
-    x0 = dom.z0.x
     L = math.log(1.0 / lam)
     r_cap = math.sqrt(lam)
     t_lo, t_hi = dom.z0.t - lam ** k, dom.z0.t - lam ** (k + 1)
     t_ax = _axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
-    M = cells_x ** dom.N * cells_t
-    per_pass = max(1, MAX_SAMPLE_GRID // M)
-    for lo in range(0, len(hs), per_pass):
-        band = hs[lo:lo + per_pass]
-        half = np.stack([ball_coord_halfwidths(
-            dom.metric, min(math.sqrt(h * (lam ** k) * L), r_cap), x0)
-            for h in band])
-        nb = len(band)
-        X = np.repeat(_spatial_grids(x0, half, cells_x), cells_t, axis=1)
-        T = np.tile(t_ax, M // cells_t)
+    radii = [min(math.sqrt(h * (lam ** k) * L), r_cap) for h in hs]
+    for lo, S, cellvols in _ball_grids(dom, radii, cells_x, cells_t):
+        band = hs[lo:lo + len(S)]
+        nb, M = len(band), S.shape[1] * cells_t
+        X = np.repeat(S, cells_t, axis=1)
+        T = np.tile(t_ax, S.shape[1])
         upper = np.repeat([h * L for h in band], M)
         lower = (np.repeat([(h - 1) * L for h in band], M)
                  if variant == "band" else None)
         keep = _ring_keep(dom, lam, k, X.reshape(nb * M, dom.N),
                           np.tile(T, nb), upper, lower).reshape(nb, M)
         counts = keep.sum(axis=1)
-        cellvols = _cell_volumes(half, cells_x) * (t_hi - t_lo) / cells_t
+        cellvols = cellvols * (t_hi - t_lo) / cells_t
         for i in range(nb):
             yield (X[i][keep[i]], T[keep[i]],
                    np.full(counts[i], cellvols[i]),
                    float(counts[i] * cellvols[i]))
-
-
-def _ring_eval(dom: DomainSpec, rt: RingTarget, cells_x: int, cells_t: int):
-    rs = rt.ring
-    return next(_ring_bands(dom, rs.lam, rs.k, [rs.h], rs.variant,
-                            cells_x, cells_t))
 
 
 def ring_samples(dom: DomainSpec, lam: float, k: int, hs, variant: str,
@@ -607,11 +588,10 @@ def ring_samples(dom: DomainSpec, lam: float, k: int, hs, variant: str,
 def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
                     cells_x: int):
     """Sample the sections SectionTarget(lam, rho, tau) for every rho of
-    rhos on their fine grids, a chunk of at most MAX_SAMPLE_GRID grid
-    points (and at least one section) at a time.
+    rhos on their fine grids, one pass of _ball_grids at a time.
 
     Yields (index, X, keep, cellvol): the indices into rhos of the
-    nonempty-radius sections of the chunk, their grid points (k, M, N),
+    nonempty-radius sections of the pass, their grid points (k, M, N),
     the target membership of each point (k, M) and the cell volumes (k,).
     Sections with eta = t0 - tau outside (0, lam) or a zero radius are
     empty and never yielded.
@@ -627,19 +607,15 @@ def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
     logs = np.array([math.log(rho) for rho in rhos])
     radii = [min(math.sqrt(eta * lg), r_cap) for lg in logs.tolist()]
     index = np.array([i for i, R in enumerate(radii) if R > 0], dtype=int)
-    per_chunk = max(1, MAX_SAMPLE_GRID // cells_x ** dom.N)
-    for lo in range(0, index.size, per_chunk):
-        idx = index[lo:lo + per_chunk]
-        half = np.stack([ball_coord_halfwidths(dom.metric, radii[i], x0)
-                         for i in idx])
-        X = _spatial_grids(x0, half, cells_x)
+    for lo, X, cellvol in _ball_grids(dom, [radii[i] for i in index],
+                                      cells_x):
         k, M = X.shape[:2]
+        idx = index[lo:lo + k]
         Xf = X.reshape(k * M, dom.N)
         keep = ~contains_many(dom, Xf, np.full(k * M, tau))
         d = dist(dom.metric, Xf, x0[None, :])
         keep &= d * d <= np.repeat(eta * logs[idx], M)
         keep &= d ** 4 + eta ** 2 <= lam ** 2
-        cellvol = _cell_volumes(half, cells_x)
         yield idx, X, keep.reshape(k, M), cellvol
 
 
@@ -657,38 +633,47 @@ def section_measures(dom: DomainSpec, lam: float, rhos, tau: float,
     return out
 
 
-def _section_eval(dom: DomainSpec, st: SectionTarget, cells_x: int):
-    for _, X, keep, cellvol in _section_chunks(dom, st.lam, [st.rho],
-                                               st.tau, cells_x):
-        n = int(keep[0].sum())
-        return (X[0][keep[0]], np.full(n, st.tau), np.full(n, cellvol[0]),
-                float(n * cellvol[0]))
-    return (np.zeros((0, dom.N)), np.zeros(0), np.zeros(0), 0.0)
+def excluded_slice_measures(dom: DomainSpec, radii, times,
+                            resolution: int) -> np.ndarray:
+    """|{x in closed B(x0, R) : (x, t) not in Omega}| for every pair (R, t)
+    of radii and times, counted on the midpoint grid of 2^resolution + 1
+    cells per axis over the ball's coordinate box.  The balls are measured
+    together, in passes of _ball_grids with the radius and the slice time
+    repeated per grid row."""
+    x0 = dom.z0.x
+    out = np.zeros(len(radii))
+    for lo, X, cellvol in _ball_grids(dom, radii, 2 ** resolution + 1):
+        k, M = X.shape[:2]
+        Xf = X.reshape(k * M, dom.N)
+        keep = dist(dom.metric, Xf, x0[None, :]) <= np.repeat(
+            radii[lo:lo + k], M)
+        keep &= ~contains_many(dom, Xf, np.repeat(times[lo:lo + k], M))
+        out[lo:lo + k] = keep.reshape(k, M).sum(axis=1) * cellvol
+    return out
 
 
 def _ballcomp_eval(dom: DomainSpec, bt: BallComplementTarget, cells_x: int,
                    cells_t: int):
     t0 = dom.z0.t
     r = bt.lam ** (bt.l / 2.0)
-    half = ball_coord_halfwidths(dom.metric, r, dom.z0.x)
-    X, T, cellvol = _grid_points(dom.z0.x, half, cells_x, t0 - r * r, t0, cells_t)
+    t_lo, t_hi = t0 - r * r, t0
+    t_ax = _axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
+    _, (S,), (cellvol,) = next(_ball_grids(dom, [r], cells_x, cells_t))
+    X = np.repeat(S, cells_t, axis=0)
+    T = np.tile(t_ax, S.shape[0])
+    cellvol = cellvol * (t_hi - t_lo) / cells_t
     keep = ~contains_many(dom, X, T)
-    dhat = parabolic_dist_many(dom.metric, X, T, dom.z0)
-    keep &= dhat <= r
-    Xb, Tb = X[keep], T[keep]
-    wb = np.full(Xb.shape[0], cellvol)
-    meas = float(Xb.shape[0] * cellvol)
+    keep &= parabolic_dist_many(dom.metric, X, T, dom.z0) <= r
+    n = int(keep.sum())
     # flat top slice at t = t0 (capacity-bearing for flat obstacles); zero
     # quadrature weight so the measure stays a bulk estimate
-    Xs, _ = _spatial_grid(dom.z0.x, half, cells_x)
-    Ts = np.full(Xs.shape[0], t0)
-    keep_s = ~contains_many(dom, Xs, Ts)
-    keep_s &= dist(dom.metric, Xs, dom.z0.x[None, :]) <= r
-    Xs, Ts = Xs[keep_s], Ts[keep_s]
-    X_all = np.concatenate([Xb, Xs], axis=0)
-    T_all = np.concatenate([Tb, Ts])
-    w_all = np.concatenate([wb, np.zeros(Xs.shape[0])])
-    return X_all, T_all, w_all, meas
+    Ts = np.full(S.shape[0], t0)
+    top = ~contains_many(dom, S, Ts)
+    top &= dist(dom.metric, S, dom.z0.x[None, :]) <= r
+    return (np.concatenate([X[keep], S[top]]),
+            np.concatenate([T[keep], Ts[top]]),
+            np.concatenate([np.full(n, cellvol), np.zeros(int(top.sum()))]),
+            float(n * cellvol))
 
 
 def _sample(dom: DomainSpec, target, resolution: int):
@@ -698,9 +683,16 @@ def _sample(dom: DomainSpec, target, resolution: int):
     cx = 2 ** resolution + 1
     ct = 2 ** resolution
     if isinstance(target, RingTarget):
-        return _ring_eval(dom, target, cx, ct)
+        rs = target.ring
+        return next(_ring_bands(dom, rs.lam, rs.k, [rs.h], rs.variant,
+                                cx, ct))
     if isinstance(target, SectionTarget):
-        return _section_eval(dom, target, cx)
+        for _, X, keep, cellvol in _section_chunks(
+                dom, target.lam, [target.rho], target.tau, cx):
+            n = int(keep[0].sum())
+            return (X[0][keep[0]], np.full(n, target.tau),
+                    np.full(n, cellvol[0]), float(n * cellvol[0]))
+        return (np.zeros((0, dom.N)), np.zeros(0), np.zeros(0), 0.0)
     if isinstance(target, BallComplementTarget):
         return _ballcomp_eval(dom, target, cx, ct)
     raise DomainError(f"unknown target {target!r}")

@@ -41,6 +41,7 @@ import numpy as np
 
 from .domain import DomainSpec, contains, contains_many
 from .metric import SpaceTimePoint, parabolic_dist, parabolic_dist_many, stp
+from .wiener import _line_fit
 
 
 class PDEError(ValueError):
@@ -339,31 +340,25 @@ def boundary_holder(dom: DomainSpec, phi, probes, cfg: WalkConfig,
         return HolderFit(status, 0.0, math.nan, math.nan, phi0, rows, sig)
     if status == "INSUFFICIENT":
         return HolderFit(status, math.nan, math.nan, math.nan, phi0, rows, sig)
-    xs = np.log([r.dhat for r in usable])
-    ys = np.log([r.gap for r in usable])
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return HolderFit("DECAY-FIT", float(coef[0]), float(math.exp(coef[1])),
-                     r2, phi0, rows, sig)
+    alpha0, log_c, r2 = _line_fit(np.log([r.dhat for r in usable]),
+                                  np.log([r.gap for r in usable]))
+    return HolderFit("DECAY-FIT", alpha0, math.exp(log_c), r2, phi0, rows,
+                     sig)
 
 
 def classification_probe(dom: DomainSpec, verdict: str, offsets,
-                         cfg: WalkConfig,
-                         r0: float = 0.1) -> tuple[HolderFit, bool]:
+                         cfg: WalkConfig) -> tuple[HolderFit, bool]:
     """Probe the solution for the signature that would falsify a verdict.
 
     REGULAR points are probed with distance data, which must decay
     (NO-DECAY contradicts); IRREGULAR points with cutoff data vanishing
-    near z0, which must stay pinned away from 0 (DECAY-FIT contradicts).
+    near z0 (boundary_phi_cutoff's default r0), which must stay pinned
+    away from 0 (DECAY-FIT contradicts).
     Other verdicts are probed with distance data and never contradicted."""
     probes = interior_axis_probes(dom, offsets)
     if verdict == "IRREGULAR":
-        fit = boundary_holder(dom, boundary_phi_cutoff(dom, r0), probes,
-                              cfg, phi0=0.0)
+        fit = boundary_holder(dom, boundary_phi_cutoff(dom), probes, cfg,
+                              phi0=0.0)
         return fit, fit.status == "DECAY-FIT"
     fit = boundary_holder(dom, boundary_phi_distance(dom), probes, cfg)
     return fit, verdict == "REGULAR" and fit.status == "NO-DECAY"

@@ -6,7 +6,9 @@ theta-fraction of the ball B_d(x0, M0 r) outside Omega:
 
     |{x in closed B(x0, M0 r) : (x, t0 - r^2) not in Omega}| >= theta |B(x0, M0 r)|.
 
-It is checked on a dyadic ladder of radii by midpoint-grid counting.  The
+It is checked on a dyadic ladder of radii by midpoint-grid counting, with
+the slice balls of the ladder measured together
+(domain.excluded_slice_measures).  The
 classifier then works down a decision list: cone condition satisfied =>
 REGULAR; sufficient series divergent => REGULAR; necessary series
 convergent => IRREGULAR; otherwise INCONCLUSIVE.  PARTIAL capacity tables
@@ -18,11 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .domain import DomainSpec, _spatial_grid, contains_many
+from .domain import DomainSpec, excluded_slice_measures
 from .kernel import GaussBounds
-from .metric import ball_coord_halfwidths, ball_volume, dist
+from .metric import ball_volume
 from .wiener import SeriesReport, SeriesTable, divergence_verdict, series_table
 
 
@@ -51,23 +51,15 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
     if M0 <= 0 or r0 <= 0 or not (0 < theta_min < 1):
         raise RegularityError("need M0 > 0, r0 > 0, theta_min in (0, 1)")
     x0, t0 = dom.z0.x, dom.z0.t
-    radii, thetas, skipped = [], [], []
-    cells = 2 ** resolution + 1
+    radii, skipped = [], []
     for j in range(r_levels):
         r = r0 * 2.0 ** (-j)
-        t_slice = t0 - r * r
-        if t_slice <= dom.strip[0]:
-            skipped.append(r)
-            continue
-        R = M0 * r
-        half = ball_coord_halfwidths(dom.metric, R, x0)
-        X, cellvol = _spatial_grid(x0, half, cells)
-        in_ball = dist(dom.metric, X, x0[None, :]) <= R
-        outside = ~contains_many(dom, X, np.full(X.shape[0], t_slice))
-        excluded = float(np.sum(in_ball & outside)) * cellvol
-        vol = ball_volume(dom.metric, x0, R)
-        radii.append(r)
-        thetas.append(excluded / vol)
+        (skipped if t0 - r * r <= dom.strip[0] else radii).append(r)
+    balls = [M0 * r for r in radii]
+    excluded = excluded_slice_measures(dom, balls, [t0 - r * r for r in radii],
+                                       resolution)
+    thetas = [e / ball_volume(dom.metric, x0, R)
+              for e, R in zip(excluded.tolist(), balls)]
     theta = min(thetas) if thetas else math.inf
     satisfied = bool(thetas) and all(th >= theta_min for th in thetas)
     return ConeReport(M0, r0, theta_min, radii, thetas, skipped, theta,

@@ -74,7 +74,7 @@ class ReportBundle:
         self.files.append(name)
         return path
 
-    def finalize(self, extra: dict | None = None) -> str:
+    def finalize(self) -> str:
         import scipy
 
         from . import __version__
@@ -88,8 +88,6 @@ class ReportBundle:
             "scipy_version": scipy.__version__,
             "files": sorted(self.files + ["config.txt"]),
         }
-        if extra:
-            manifest.update(_plain(extra))
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -39,6 +39,10 @@ from .metric import SpaceTimePoint, ball_volume, parabolic_dist, stp
 
 VARIANTS = ("sufficient", "necessary", "nested")
 
+# series_table ends a level's band loop once the fitted tail bound falls
+# below this fraction of the running sum
+SERIES_STOP_REL = 1e-9
+
 
 class WienerError(ValueError):
     pass
@@ -93,12 +97,12 @@ def _row_tail(C_fit: float, Q: float, w: float, lam: float, h_from: int) -> floa
 def series_table(dom: DomainSpec, lam: float, a: float, b: float,
                  variant: str = "sufficient", K_max: int = 40,
                  H_max: int = 40, resolution: int = 4,
-                 tolerance: float = 1e-6, stop_rel: float = 1e-9) -> SeriesTable:
+                 tolerance: float = 1e-6) -> SeriesTable:
     """Assemble the weighted ring-capacity table.
 
     Within each time level k the band loop stops once the fitted tail
     bound (capacity ratios grow at most like h^(Q/2), weights decay like
-    lam^(w h)) falls below stop_rel of the running sum; the unexplored
+    lam^(w h)) falls below SERIES_STOP_REL of the running sum; the unexplored
     tail is accumulated into truncation_bound.  The bands 1..min(h_cap,
     H_max) of a level are sampled together, in vectorized passes
     (ring_samples), as the loop reaches them; a ring whose sample is empty
@@ -167,7 +171,7 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
             if ratio > 0:
                 C_fit = max(C_fit, ratio / h ** (Q / 2.0))
             tail = _row_tail(C_fit, Q, w, lam, h + 1)
-            if tail < stop_rel * max(running, 1e-30) and h >= 2:
+            if tail < SERIES_STOP_REL * max(running, 1e-30) and h >= 2:
                 tab.truncation_bound += tail
                 break
         else:
@@ -197,16 +201,23 @@ class SeriesReport:
     b: float
 
 
-def _geometric_fit(ks: np.ndarray, inc: np.ndarray):
-    """Least squares on log increments; returns (q, r2)."""
-    y = np.log(inc)
-    A = np.vstack([ks, np.ones_like(ks)]).T
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept; returns (slope,
+    intercept, r2), with r2 = 1 when y is constant."""
+    A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     pred = A @ coef
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(math.exp(coef[0])), r2
+    return float(coef[0]), float(coef[1]), r2
+
+
+# divergence_verdict's decision thresholds, reported with every verdict
+DIVERGENCE_THRESHOLDS = dict(inc_floor_frac=0.1, growth_min=1.5, q_max=0.9,
+                             r2_min=0.95, tail_frac=0.05)
+# term_tail_fit's fallback tail: this trailing fraction of the nonzero terms
+TERM_TAIL_FRAC = 0.5
 
 
 @dataclass
@@ -219,12 +230,12 @@ class TermTailFit:
     n_tail: int
 
 
-def term_tail_fit(tab: SeriesTable, tail_frac: float = 0.5) -> TermTailFit:
+def term_tail_fit(tab: SeriesTable) -> TermTailFit:
     """Fit log(term) ~ index over the tail of the nonzero term sequence.
 
     The tail is the h-run of the deepest time level with at least three
     nonzero terms (the trailing stretch of the series in (k, h) order);
-    when no level has such a run the trailing tail_frac of the flattened
+    when no level has such a run the trailing TERM_TAIL_FRAC of the flattened
     nonzero terms is used instead.  A series whose rows are geometric runs
     in h shows up as ratio < 1 with high r2 even when the row sums decay
     faster than geometrically in k."""
@@ -241,16 +252,13 @@ def term_tail_fit(tab: SeriesTable, tail_frac: float = 0.5) -> TermTailFit:
             tail = run
             break
     if tail is None:
-        start = min(n - 3, int(math.floor(n * (1.0 - tail_frac))))
+        start = min(n - 3, int(math.floor(n * (1.0 - TERM_TAIL_FRAC))))
         tail = nonzero[start:]
-    idx = np.arange(tail.size, dtype=float)
-    q, r2 = _geometric_fit(idx, tail)
-    return TermTailFit(q, r2, n, tail.size)
+    slope, _, r2 = _line_fit(np.arange(tail.size, dtype=float), np.log(tail))
+    return TermTailFit(math.exp(slope), r2, n, tail.size)
 
 
-def divergence_verdict(tab: SeriesTable, inc_floor_frac: float = 0.1,
-                       growth_min: float = 1.5, q_max: float = 0.9,
-                       r2_min: float = 0.95, tail_frac: float = 0.05) -> SeriesReport:
+def divergence_verdict(tab: SeriesTable) -> SeriesReport:
     """Classify the truncated series as DIVERGENT / CONVERGENT / INCONCLUSIVE.
 
     DIVERGENT: the median increment over the last half of the levels stays
@@ -258,7 +266,8 @@ def divergence_verdict(tab: SeriesTable, inc_floor_frac: float = 0.1,
     least growth_min over S(K_max/2).  CONVERGENT: the tail is exactly
     zero, or the last-half increments fit a geometric decay with ratio
     <= q_max, fit r2 >= r2_min and a geometric tail bound below tail_frac
-    of the total.  Everything else is INCONCLUSIVE.
+    of the total.  Everything else is INCONCLUSIVE.  The thresholds are the
+    entries of DIVERGENCE_THRESHOLDS.
     """
     S = tab.partial_sums()
     K = tab.K_max
@@ -268,8 +277,7 @@ def divergence_verdict(tab: SeriesTable, inc_floor_frac: float = 0.1,
     total = float(S[-1])
     S_half = float(S[half - 1]) if half >= 1 else 0.0
     ratio = math.inf if S_half == 0 else total / S_half
-    thresholds = dict(inc_floor_frac=inc_floor_frac, growth_min=growth_min,
-                      q_max=q_max, r2_min=r2_min, tail_frac=tail_frac)
+    th = DIVERGENCE_THRESHOLDS
 
     verdict = "INCONCLUSIVE"
     q, r2, tail = math.nan, math.nan, math.nan
@@ -277,20 +285,23 @@ def divergence_verdict(tab: SeriesTable, inc_floor_frac: float = 0.1,
     if total == 0.0 or zero_tail:
         verdict, q, r2, tail = "CONVERGENT", 0.0, 1.0, 0.0
     else:
-        divergent = (float(np.median(last)) >= inc_floor_frac * float(inc.max())
-                     and (ratio >= growth_min))
+        divergent = (float(np.median(last))
+                     >= th["inc_floor_frac"] * float(inc.max())
+                     and (ratio >= th["growth_min"]))
         if divergent:
             verdict = "DIVERGENT"
         else:
             pos = last > 0
             ks = np.arange(half + 1, K + 1, dtype=float)
             if pos.sum() >= 3:
-                q, r2 = _geometric_fit(ks[pos], last[pos])
+                slope, _, r2 = _line_fit(ks[pos], np.log(last[pos]))
+                q = math.exp(slope)
                 if q < 1.0:
                     tail = float(last[pos][-1]) * q / (1.0 - q)
-                    if q <= q_max and r2 >= r2_min and tail < tail_frac * total:
+                    if (q <= th["q_max"] and r2 >= th["r2_min"]
+                            and tail < th["tail_frac"] * total):
                         verdict = "CONVERGENT"
-    return SeriesReport(verdict, S, inc, ratio, q, r2, tail, thresholds,
+    return SeriesReport(verdict, S, inc, ratio, q, r2, tail, dict(th),
                         tab.partial, tab.truncation_bound, tab.variant,
                         tab.lam, tab.a, tab.b)
 
@@ -348,6 +359,11 @@ def lambda_comparability(dom: DomainSpec, a: float, b: float, lam: float,
 # ---------------------------------------------------------------------------
 # integral criterion
 
+# integral_test calls M divergent when its growth fit reaches this slope
+# along log(1/dhat^2) at this r2
+INTEGRAL_SLOPE_MIN = 0.05
+INTEGRAL_R2_MIN = 0.9
+
 @dataclass
 class IntegralReport:
     lam: float
@@ -366,8 +382,7 @@ class IntegralReport:
 
 def integral_test(dom: DomainSpec, lam: float, b: float, probes,
                   n_u: int = 32, U_max: float | None = None,
-                  n_v: int | None = None, resolution: int | None = None,
-                  slope_min: float = 0.05, r2_min: float = 0.9) -> IntegralReport:
+                  resolution: int | None = None) -> IntegralReport:
     """Measure-based criterion
 
         M(z) = int_{dhat^2}^{lam} int_1^inf m(rho, t0 - eta) / |B(x0, sqrt(eta))|
@@ -380,7 +395,8 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     use for one.  Probes may be SpaceTimePoints or plain dhat values.  M
     is computed from one shared cumulative grid, so it is exactly
     nonincreasing in dhat; `divergent` reports whether M grows along
-    log(1/dhat^2) with slope >= slope_min at fit quality r2_min.
+    log(1/dhat^2) with slope >= INTEGRAL_SLOPE_MIN at fit quality
+    INTEGRAL_R2_MIN.
     """
     if b <= 0:
         raise WienerError("b must be positive")
@@ -399,8 +415,7 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     Q, c_d = dom.metric.Q, dom.metric.c_d
     v_lo = math.log(min(dh * dh for dh in dhats))
     v_hi = math.log(lam)
-    if n_v is None:
-        n_v = max(33, int(8 * (v_hi - v_lo)) | 1)
+    n_v = max(33, int(8 * (v_hi - v_lo)) | 1)
     # quadratic grading resolves the u^(N/2) kink of the integrand at rho=1
     u_grid = U_max * (np.arange(n_u) / (n_u - 1)) ** 2
     v_grid = np.linspace(v_lo, v_hi, n_v)
@@ -420,18 +435,13 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         sel = np.ones_like(sel, dtype=bool)
     slope, r2 = 0.0, 0.0
     if sel.sum() >= 3:
-        A = np.vstack([xs[sel], np.ones(int(sel.sum()))]).T
-        coef, *_ = np.linalg.lstsq(A, ys[sel], rcond=None)
-        pred = A @ coef
-        ss_res = float(np.sum((ys[sel] - pred) ** 2))
-        ss_tot = float(np.sum((ys[sel] - ys[sel].mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        slope = float(coef[0])
+        slope, _, r2 = _line_fit(xs[sel], ys[sel])
     tail_env, _ = integrate.quad(
         lambda u: (1.0 + c_d * u ** (Q / 2.0)) * math.exp(-b * u),
         U_max, U_max + 400.0 / b)
     return IntegralReport(lam, b, dhats, M_vals, slope, r2,
-                          bool(slope >= slope_min and r2 >= r2_min),
+                          bool(slope >= INTEGRAL_SLOPE_MIN
+                               and r2 >= INTEGRAL_R2_MIN),
                           tail_env * (v_hi - v_lo), U_max, n_u, n_v, resolution)
 
 

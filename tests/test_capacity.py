@@ -214,17 +214,17 @@ def test_refinement_ladder(m1):
 def test_build_problem_samples_a_ring_once(m1, monkeypatch):
     """The support is sampled on its own grid only: no coarser pass."""
     calls = []
-    real = wc.domain._ring_eval
+    real = wc.domain._ring_bands
 
     def counting(*args):
-        calls.append(args[2:])
+        calls.append((list(args[3]),) + args[5:])
         return real(*args)
 
-    monkeypatch.setattr(wc.domain, "_ring_eval", counting)
+    monkeypatch.setattr(wc.domain, "_ring_bands", counting)
     prob = build_problem(wc.benchmark("halfspace", m1),
                          RingTarget(RingSpec(0.25, 1, 1)),
                          wc.GaussianKernel(m1, 0.5), 3)
-    assert calls == [(9, 8)]
+    assert calls == [([1], 9, 8)]
     assert prob.support.n > 0 and math.isnan(prob.support.standard_error)
 
 

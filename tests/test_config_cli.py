@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+import wienercap as wc
 from wienercap import cli
 from wienercap.cli import (
     EXIT_CONFIG,
@@ -377,6 +378,29 @@ def test_benchmark_suite_fails_on_pinned_pde_contradiction(tmp_path,
     rows = {r["benchmark"]: r for r in summary["results"]}
     assert rows["halfspace"]["match"] is True
     assert rows["halfspace"]["pde_contradicts"] is True
+
+
+def test_benchmark_suite_passes_integral_quadrature_keys(tmp_path,
+                                                         monkeypatch):
+    def probe(dom, verdict, offsets, walk):
+        return HolderFit("INSUFFICIENT", 0.0, 0.0, 0.0, 0.0), False
+
+    monkeypatch.setattr(cli, "classification_probe", probe)
+    cfg = _write(tmp_path, "suite.cfg",
+                 FAST_SUITE + "integral.n-u = 16\nintegral.U-max = 48\n")
+    out = tmp_path / "out"
+    main(["benchmark-suite", "--config", cfg, "--out", str(out), "--quiet"])
+    for name in wc.benchmark_names():
+        rep = json.loads((out / f"{name}_integral.json").read_text())
+        assert (rep["n_u"], rep["U_max"]) == (16, 48.0), name
+
+
+def test_table_metric_kind_exits_64(tmp_path, capsys):
+    cfg = _write(tmp_path, "t.cfg", "metric.kind = table\n")
+    code = main(["cone", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "constructed programmatically" in capsys.readouterr().err
 
 
 def test_series_table_csv_layout(tmp_path):

@@ -409,6 +409,109 @@ def test_odd_spatial_grid_catches_axis_spike(m1):
 
 
 # ---------------------------------------------------------------------------
+# parabolic-ball complements and cone slices against their own meshgrids
+
+def _midpoint_mesh(axes):
+    """Flattened "ij" meshgrid of the cell midpoints of each (center,
+    halfwidth, cells) axis, one column per axis."""
+    mids = []
+    for c, hw, n in axes:
+        edges = np.linspace(c - hw, c + hw, n + 1)
+        mids.append(0.5 * (edges[:-1] + edges[1:]))
+    return np.stack([m.reshape(-1) for m in np.meshgrid(*mids,
+                                                         indexing="ij")],
+                    axis=-1)
+
+
+def reference_ball_complement_sample(dom, l, lam, resolution):
+    """The complement in the parabolic ball of radius lam^(l/2), t <= t0,
+    sampled alone on its space-time meshgrid, then the flat top slice at
+    t0 at zero weight: (xs, ts, weights, measure), bit for bit."""
+    x0, t0 = dom.z0.x, dom.z0.t
+    r = lam ** (l / 2.0)
+    half = ball_coord_halfwidths(dom.metric, r, x0)
+    cx, ct = 2 ** resolution + 1, 2 ** resolution
+    t_lo, t_hi = t0 - r * r, t0
+    space = [(x0[i], half[i], cx) for i in range(dom.N)]
+    P = _midpoint_mesh(space + [(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo),
+                                 ct)])
+    X, T = P[:, :-1], P[:, -1]
+    cellvol = float(np.prod([2.0 * half[i] / cx for i in range(dom.N)])) \
+        * (t_hi - t_lo) / ct
+    keep = ~contains_many(dom, X, T)
+    keep &= parabolic_dist_many(dom.metric, X, T, dom.z0) <= r
+    S = _midpoint_mesh(space)
+    top = ~contains_many(dom, S, np.full(S.shape[0], t0))
+    top &= dist(dom.metric, S, x0[None, :]) <= r
+    n, n_top = int(keep.sum()), int(top.sum())
+    return (np.concatenate([X[keep], S[top]]),
+            np.concatenate([T[keep], np.full(n_top, t0)]),
+            np.concatenate([np.full(n, cellvol), np.zeros(n_top)]),
+            float(n * cellvol))
+
+
+def test_ball_complement_samples_match_their_meshgrids():
+    lam = 0.25
+    nonempty = 0
+    for dom in _ring_cases():
+        for l in (1, 2, 3, 5):
+            for res in (2, 3, 4):
+                case = (dom.family, dom.metric.kind, dom.N, l, res)
+                s = sample_set_and_measure(dom, BallComplementTarget(l, lam),
+                                           res)
+                xs, ts, w, meas = reference_ball_complement_sample(
+                    dom, l, lam, res)
+                assert np.array_equal(s.xs, xs), case
+                assert np.array_equal(s.ts, ts), case
+                assert np.array_equal(s.weights, w), case
+                assert s.measure_estimate == meas, case
+                nonempty += meas > 0
+    assert nonempty > 100
+
+
+def reference_cone_thetas(dom, M0, r0, levels, resolution):
+    """cone_check's tested radii and excluded densities, each slice ball
+    counted alone on its own meshgrid."""
+    x0, t0 = dom.z0.x, dom.z0.t
+    cells = 2 ** resolution + 1
+    radii, thetas = [], []
+    for j in range(levels):
+        r = r0 * 2.0 ** (-j)
+        if t0 - r * r <= dom.strip[0]:
+            continue
+        R = M0 * r
+        half = ball_coord_halfwidths(dom.metric, R, x0)
+        X = _midpoint_mesh([(x0[i], half[i], cells) for i in range(dom.N)])
+        cellvol = float(np.prod([2.0 * half[i] / cells
+                                 for i in range(dom.N)]))
+        keep = dist(dom.metric, X, x0[None, :]) <= R
+        keep &= ~contains_many(dom, X, np.full(X.shape[0], t0 - r * r))
+        radii.append(r)
+        thetas.append(float(keep.sum()) * cellvol
+                      / wc.ball_volume(dom.metric, x0, R))
+    return radii, thetas
+
+
+def test_cone_check_matches_per_slice_meshgrids():
+    """Default ladder at resolutions 5 and 7 (7 on R and R^2 only), and a
+    ladder whose two widest slices fall below the strip."""
+    for dom in _ring_cases():
+        runs = [(1.0, 0.25, 6, res) for res in (5, 7)
+                if res == 5 or dom.N < 3]
+        runs.append((2.0, 6.0, 5, 4))
+        for M0, r0, levels, res in runs:
+            case = (dom.family, dom.metric.kind, dom.N, M0, r0, res)
+            rep = wc.cone_check(dom, M0=M0, r0=r0, r_levels=levels,
+                                resolution=res)
+            radii, thetas = reference_cone_thetas(dom, M0, r0, levels, res)
+            assert rep.radii == radii, case
+            assert rep.theta_hats == thetas, case
+            assert len(rep.skipped) == levels - len(radii), case
+            if r0 > 1.0:
+                assert rep.skipped == [6.0, 3.0], case
+
+
+# ---------------------------------------------------------------------------
 # voxel masks
 
 def test_mask_round_trip(tmp_path):
