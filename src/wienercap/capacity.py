@@ -33,9 +33,15 @@ so it runs on a working set W of them: each atom's argmax row (where its
 column of A is 1), grown by the rows of the full grid that the packing
 point overshoots most, until none outside W does.  Both points are certified
 on the full grid: y is zero outside W, so it is feasible for the full
-covering LP, and x is rescaled by its overshoot over all m rows.  If a
-restricted solve fails or its marginals are degenerate, one packing LP on
-the full grid is solved instead.
+covering LP, and x is rescaled by its overshoot over all m rows.
+
+One HiGHS model, built through the binding scipy ships
+(scipy.optimize._highspy._core._Highs), serves every round of a solve: it
+holds the n atom rows, each round appends the rows joining W as columns,
+and the dual simplex restarts from the last basis instead of from
+scratch, with none of linprog's per-call input checks and copies.  If a
+round fails or its marginals are degenerate, one packing LP on the full
+grid is solved by scipy.optimize.linprog instead.
 
 A caller may pass a store (series_table keeps one per call) in which
 certified (mu, y) pairs are filed under a hash of the normalized matrix
@@ -52,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
+                                           kHighsInf)
 
 from .domain import DomainSpec, SetSample, sample_set_and_measure
 from .metric import MetricSpace, ball_coord_halfwidths
@@ -95,6 +103,7 @@ class CapacityEstimate:
     reused: bool = False           # served from a series table's store
     lp_rows: int = 0               # grid rows in the LP that was solved
     lp_rounds: int = 0             # covering rounds; 0 for a store hit
+    lp_iterations: int = 0         # simplex iterations; 0 for a store hit
 
     def rel_gap(self) -> float:
         return self.gap / max(self.value, 1e-300)
@@ -155,33 +164,67 @@ def _store_key(Kn: np.ndarray) -> tuple:
     return Kn.shape, digest.digest()
 
 
+def _covering_model(s: np.ndarray) -> _Highs:
+    """HiGHS model of the covering LP with its n atom rows, 1/s <= row,
+    and no columns yet; presolve and output off."""
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "off")
+    n = s.size
+    h.addRows(n, 1.0 / s, np.full(n, kHighsInf), 0, np.zeros(n, np.int32),
+              np.zeros(0, np.int32), np.zeros(0))
+    return h
+
+
+def _covering_solve(h: _Highs, rows: np.ndarray):
+    """Append `rows` (grid rows of A, one covering column each: cost 1,
+    bounds [0, inf)) to the covering model h and re-solve it from its last
+    basis.  Returns the packing point x (the row marginals), y over every
+    column added so far, and the simplex iterations of this run; x and y
+    are None unless HiGHS reports the model optimal."""
+    k = rows.shape[0]
+    nz = rows != 0.0
+    starts = np.zeros(k, np.int32)
+    np.cumsum(nz.sum(axis=1)[:-1], out=starts[1:])
+    index = np.nonzero(nz)[1].astype(np.int32)
+    h.addCols(k, np.ones(k), np.zeros(k), np.full(k, kHighsInf), index.size,
+              starts, index, rows[nz])
+    h.run()
+    iterations = h.getInfo().simplex_iteration_count
+    if h.getModelStatus() != HighsModelStatus.kOptimal:
+        return None, None, iterations
+    sol = h.getSolution()
+    return (np.maximum(np.asarray(sol.row_dual), 0.0),
+            np.maximum(np.asarray(sol.col_value), 0.0), iterations)
+
+
 def _solve_lp(A: np.ndarray, s: np.ndarray):
     """Fresh primal/dual pair (nu, y) for Kn = A diag(s), the number of
-    grid rows in the LP that produced it, and the covering rounds solved.
+    grid rows in the LP that produced it, the covering rounds solved and
+    the simplex iterations of every HiGHS solve made.
 
     The covering LP  min 1.y  s.t.  A_W^T y >= 1/s, y >= 0  is solved on a
     working set W of grid rows; its row marginals are the packing point
     x = s * nu of the same rows.  Rows of the full grid that x overshoots
     join W, the most violated first and at most max(n // 4,
     WORKING_SET_MIN_BATCH) a round, until none outside W exceeds
-    1 + PRICING_TOLERANCE.  y is zero outside W, so it stays feasible for
-    the full covering LP.  If a restricted solve fails or its marginals
-    are degenerate (worth less than half the covering value), one
-    full-grid packing LP is solved instead and its marginals give y."""
+    1 + PRICING_TOLERANCE.  One HiGHS model serves every round: the rows
+    joining W are appended as columns and the model is re-solved from the
+    last basis.  y is zero outside W, so it stays feasible for the full
+    covering LP.  If a restricted solve fails or its marginals are
+    degenerate (worth less than half the covering value), one full-grid
+    packing LP is solved by linprog instead and its marginals give y."""
     m, n = A.shape
-    W = np.unique(A.argmax(axis=0))
+    h = _covering_model(s)
+    W = new = np.unique(A.argmax(axis=0))
     batch = max(n // 4, WORKING_SET_MIN_BATCH)
-    rounds = 0
+    rounds = iterations = 0
     while True:
         rounds += 1
-        res = linprog(c=np.ones(W.size), A_ub=-A[W].T, b_ub=-1.0 / s,
-                      bounds=(0.0, None), method="highs",
-                      options={"presolve": False})
-        if not res.success:
-            break
-        x = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
-        yW = np.maximum(res.x, 0.0)
-        if not x.any() or float((x / s).sum()) < 0.5 * float(yW.sum()):
+        x, yW, its = _covering_solve(h, A[new])
+        iterations += its
+        if x is None or not x.any() or \
+                float((x / s).sum()) < 0.5 * float(yW.sum()):
             break
         excess = A @ x
         excess[W] = 0.0
@@ -189,16 +232,16 @@ def _solve_lp(A: np.ndarray, s: np.ndarray):
         if violated.size == 0:
             y = np.zeros(m)
             y[W] = yW
-            return x / s, y, W.size, rounds
-        worst = violated[np.argsort(excess[violated])[::-1][:batch]]
-        W = np.union1d(W, worst)
+            return x / s, y, W.size, rounds, iterations
+        new = violated[np.argsort(excess[violated])[::-1][:batch]]
+        W = np.concatenate([W, new])
     res_p = linprog(c=-1.0 / s, A_ub=A, b_ub=np.ones(m), bounds=(0.0, None),
                     method="highs", options={"presolve": False})
     if not res_p.success:
         raise CapacityConvergenceError(f"packing LP failed: {res_p.message}")
     nu = np.maximum(res_p.x, 0.0) / s
     y = np.maximum(-np.asarray(res_p.ineqlin.marginals), 0.0)
-    return nu, y, m, rounds
+    return nu, y, m, rounds, iterations + res_p.nit
 
 
 def _certify(p: CapacityProblem, A: np.ndarray, s: np.ndarray, kappa: float,
@@ -250,9 +293,9 @@ def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEst
         if _within_gap(est, p.tolerance):
             est.reused = True
             return est
-    nu, y, rows, rounds = _solve_lp(A, s)
+    nu, y, rows, rounds, iterations = _solve_lp(A, s)
     est = _certify(p, A, s, kappa, nu, y)
-    est.lp_rows, est.lp_rounds = rows, rounds
+    est.lp_rows, est.lp_rounds, est.lp_iterations = rows, rounds, iterations
     if not _within_gap(est, p.tolerance):
         raise CapacityConvergenceError(
             f"duality gap {est.gap:.3e} exceeds tolerance "

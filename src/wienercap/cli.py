@@ -204,7 +204,8 @@ def cmd_capacity(cfg, bundle, quiet):
     if not quiet:
         print(f"capacity value={est.value:.6e} dual={est.dual_value:.6e} "
               f"gap={est.gap:.2e} atoms={est.n_atoms} "
-              f"rows={est.lp_rows}/{est.n_constraints} rounds={est.lp_rounds}")
+              f"rows={est.lp_rows}/{est.n_constraints} rounds={est.lp_rounds} "
+              f"iterations={est.lp_iterations}")
     return EXIT_OK
 
 

@@ -50,6 +50,8 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
     r0, r0/2, ..., r0/2^(r_levels-1) and test min >= theta_min."""
     if M0 <= 0 or r0 <= 0 or not (0 < theta_min < 1):
         raise RegularityError("need M0 > 0, r0 > 0, theta_min in (0, 1)")
+    if resolution < 1:
+        raise RegularityError("resolution must be >= 1")
     x0, t0 = dom.z0.x, dom.z0.t
     radii, skipped = [], []
     for j in range(r_levels):

@@ -21,8 +21,12 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+# the private HiGHS binding the capacity solve drives; a scipy that moves
+# it fails here, at collection
+from scipy.optimize._highspy._core import _Highs
 
 import wienercap as wc
+from wienercap import capacity
 from wienercap.capacity import (CapacityInputError, CapacityProblem,
                                 build_problem, constraint_points,
                                 potential_many,
@@ -293,19 +297,83 @@ def test_packing_fallback_yields_certified_bracket(m1, monkeypatch):
     s = random_cloud_sample(np.random.default_rng(32), 1, 50)
     ref, _ = solve_sample(m1, s, 0.25)
 
-    def zero_marginals(i, res):
-        if i == 0:
-            res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
+    rounds = []
+    real = capacity._covering_solve
 
-    calls = counting_linprog(monkeypatch, zero_marginals)
+    def zero_first_marginals(h, rows):
+        x, y, iterations = real(h, rows)
+        rounds.append(rows.shape)
+        if len(rounds) == 1:
+            x = np.zeros_like(x)
+        return x, y, iterations
+
+    monkeypatch.setattr(capacity, "_covering_solve", zero_first_marginals)
+    calls = counting_linprog(monkeypatch)
     est, prob = solve_sample(m1, s, 0.25)
     m = prob.cons_t.shape[0]
-    assert len(calls) == 2 and calls[0][0] == s.n and calls[0][1] < m
-    assert calls[1] == (m, s.n)
+    assert len(rounds) == 1 and rounds[0][1] == s.n and rounds[0][0] < m
+    assert calls == [(m, s.n)]
     assert est.lp_rows == m
     assert est.dual_value >= est.value > 0.0
     assert est.rel_gap() <= 1e-6
     assert est.value == pytest.approx(ref.value, rel=1e-6)
+
+
+def warm_and_cold(prob, monkeypatch):
+    """Solve prob through the warm-started covering model, recording the
+    column maxima s and the grid rows appended in each round, and solve
+    the covering LP of the final working set cold by linprog."""
+    seen, rows = {}, []
+    real_solve, real_covering = capacity._solve_lp, capacity._covering_solve
+
+    def solve(A, s):
+        seen["s"] = s.copy()
+        seen["out"] = real_solve(A, s)
+        return seen["out"]
+
+    def covering(h, new):
+        assert isinstance(h, _Highs)
+        rows.append(new.copy())
+        return real_covering(h, new)
+
+    monkeypatch.setattr(capacity, "_solve_lp", solve)
+    monkeypatch.setattr(capacity, "_covering_solve", covering)
+    est = solve_capacity(prob)
+    s = seen["s"]
+    AW = np.concatenate(rows)
+    cold = linprog(c=np.ones(AW.shape[0]), A_ub=-AW.T, b_ub=-1.0 / s,
+                   bounds=(0.0, None), method="highs",
+                   options={"presolve": False})
+    assert cold.success
+    return est, seen["out"], s, cold
+
+
+@pytest.mark.parametrize("case", ["heisenberg-cloud", "ring"])
+def test_warm_covering_model_matches_cold_linprog(case, m1, monkeypatch):
+    """The covering LP re-solved round by round from the last basis agrees
+    with the same LP solved cold: the covering value to 1e-9 relative and
+    the packing marginals to 1e-8."""
+    if case == "ring":
+        prob = build_problem(wc.benchmark("halfspace", m1),
+                             RingTarget(RingSpec(0.25, 1, 1)),
+                             wc.GaussianKernel(m1, 0.5), 3)
+    else:
+        m = wc.heisenberg_koranyi()
+        rng = np.random.default_rng(41)
+        n = 400
+        X = rng.uniform(-1.0, 1.0, size=(n, m.N)) * ball_coord_halfwidths(m, 0.5)
+        T = rng.uniform(-0.25, 0.0, size=n)
+        s = SetSample(X, T, np.full(n, 1.0 / n), 1.0, 0.0, 3)
+        cx, ct = constraint_points(s, m, 3)
+        prob = CapacityProblem(wc.GaussianKernel(m, 0.25), s, cx, ct)
+    est, (nu, y, rows, rounds, iterations), s, cold = warm_and_cold(
+        prob, monkeypatch)
+    # at least one round restarts from an earlier basis
+    assert rounds >= 2 and rows < prob.cons_t.shape[0] and iterations > 0
+    assert est.lp_iterations == iterations and est.lp_rounds == rounds
+    assert float(y.sum()) == pytest.approx(cold.fun, rel=1e-9)
+    np.testing.assert_allclose(s * nu, -cold.ineqlin.marginals, rtol=0.0,
+                               atol=1e-8)
 
 
 @pytest.mark.parametrize("N, resolution", [(1, 5), (2, 3), ("heis", 3)],

@@ -204,11 +204,13 @@ def test_capacity_summary_reports_working_set(tmp_path, capsys):
     assert code == EXIT_OK
     line = capsys.readouterr().out.strip().splitlines()[-1]
     record = json.loads((tmp_path / "o" / "capacity.json").read_text())
-    match = re.search(r" rows=(\d+)/(\d+) rounds=(\d+)$", line)
+    match = re.search(r" rows=(\d+)/(\d+) rounds=(\d+) iterations=(\d+)$",
+                      line)
     assert match is not None, line
-    rows, grid, rounds = map(int, match.groups())
+    rows, grid, rounds, iterations = map(int, match.groups())
     assert grid == record["n_constraints"] and 0 < rows < grid
-    assert rounds >= 1
+    assert rounds >= 1 and iterations >= 1
+    assert "iterations" not in json.dumps(record)
 
 
 def test_unknown_config_key_exits_64(tmp_path, capsys):
@@ -263,6 +265,23 @@ def test_analysis_failure_exits_3_and_writes_failure_json(tmp_path, capsys):
     # even failed runs leave a complete, hashable bundle
     assert (tmp_path / "out" / "manifest.json").exists()
     assert (tmp_path / "out" / "config.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["cone", "classify", "benchmark-suite"])
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_nonpositive_cone_resolution_exits_3(tmp_path, capsys, command,
+                                              resolution):
+    """A cone resolution below 1 is an input error: exit 3 with a
+    failure.json, never a TypeError that exits 1 (IRREGULAR's code)."""
+    cfg = _write(tmp_path, "cone.cfg", FAST_CLASSIFY.format(name="halfspace")
+                 + f"cone.resolution = {resolution}\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert "resolution must be >= 1" in capsys.readouterr().err
+    failure = json.loads((out / "failure.json").read_text())
+    assert "resolution must be >= 1" in failure["error"]
+    assert (out / "manifest.json").exists()
 
 
 def test_list_domains_needs_no_config(capsys):
