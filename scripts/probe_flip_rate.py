@@ -6,8 +6,10 @@ the seed), then runs the suite's probe (pde.classification_probe with the
 suite's offsets and walk settings) at every seed of a range.  Prints, per
 domain, how often each probe status came up, the smallest decay margin in
 its own standard errors (how near the rule came to another status), the
-median wall time of one probe, and at which seeds the probe contradicted
-the verdict.  Exits 1 if it contradicted a pinned verdict.
+median wall time of one probe, a sha256 digest of every probe's (value,
+std_error) over the seed range, and at which seeds the probe contradicted
+the verdict.  Two checkouts whose probes agree bit for bit print the same
+digests.  Exits 1 if it contradicted a pinned verdict.
 
 Usage:
     python3 scripts/probe_flip_rate.py [--seeds 1 24] [--walkers 2000]
@@ -15,6 +17,7 @@ Usage:
 """
 
 import argparse
+import hashlib
 import math
 import statistics
 import time
@@ -44,13 +47,15 @@ def main() -> int:
     print(f"seeds {seeds.start}..{seeds.stop - 1}, {args.walkers} walkers")
     print(f"{'domain':<18} {'verdict':<12}"
           + "".join(f" {s:>12}" for s in STATUSES)
-          + f" {'min |m|/se':>11} {'median s':>9}  contradicted at")
+          + f" {'min |m|/se':>11} {'median s':>9} {'digest':>12}"
+          + "  contradicted at")
     pinned_contradicted = False
     for name in benchmark_names():
         dom = benchmark(name)
         verdict = run_classify(cfg, dom, build_bounds(cfg, dom.metric)).verdict
         counts = dict.fromkeys(STATUSES, 0)
         contradicted, closest_call, walls = [], math.inf, []
+        digest = hashlib.sha256()
         for seed in seeds:
             start = time.perf_counter()
             fit, contra = classification_probe(
@@ -58,6 +63,9 @@ def main() -> int:
                 walk_config(cfg.with_override("seed", seed)))
             walls.append(time.perf_counter() - start)
             counts[fit.status] += 1
+            for p in fit.probes:
+                digest.update(f"{p.value.hex()} {p.std_error.hex()}\n"
+                              .encode())
             usable = [p for p in fit.probes if p.usable]
             if len(usable) >= 3:
                 margin, se = decay_margin(usable)
@@ -70,6 +78,7 @@ def main() -> int:
         print(f"{name:<18} {verdict:<12}"
               + "".join(f" {counts[s]:>12}" for s in STATUSES)
               + f" {closest_call:>11.1f} {statistics.median(walls):>9.3f}"
+              + f" {digest.hexdigest()[:12]:>12}"
               + f"  {contradicted or '-'}")
     return 1 if pinned_contradicted else 0
 

@@ -385,6 +385,7 @@ def cmd_pde_verify(cfg, bundle, quiet):
 
 
 def cmd_benchmark_suite(cfg, bundle, quiet):
+    walk = walk_config(cfg)     # rejects a walk that could not run
     metric = build_metric(cfg)
     bounds = build_bounds(cfg, metric)
     _, b = exponents(cfg, bounds)
@@ -413,7 +414,6 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
         pde_status, pde_contradicts = None, None
         if metric.kind == "euclidean":
             try:
-                walk = walk_config(cfg)
                 fit, pde_contradicts = classification_probe(
                     dom, cls.verdict, SUITE_PROBE_OFFSETS, walk)
                 pde_status = fit.status

@@ -71,15 +71,10 @@ class DomainSpec:
 
 
 def _require_in_strip(dom: DomainSpec, T: np.ndarray):
-    T = np.atleast_1d(T)
-    if np.any(T < dom.strip[0]) or np.any(T > dom.strip[1]):
+    # fmin and fmax skip NaN times, which fail the bbox test instead
+    if T.size and (np.fmin.reduce(T) < dom.strip[0]
+                   or np.fmax.reduce(T) > dom.strip[1]):
         raise DomainError("query point outside the strip of validity")
-
-
-def _in_bbox_open(dom: DomainSpec, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    ok = (T > dom.t_lo) & (T < dom.t_hi)
-    ok &= np.all(X > dom.x_lo, axis=-1) & np.all(X < dom.x_hi, axis=-1)
-    return ok
 
 
 def _cusp_profile(params: dict, s: np.ndarray) -> np.ndarray:
@@ -97,39 +92,83 @@ def _cusp_profile(params: dict, s: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown cusp profile {kind!r}")
 
 
+def _time_terms(dom: DomainSpec, T: np.ndarray):
+    """The time conditions of membership at times T: ok[i] holds when T[i]
+    passes all of them, and cut[i] is the distance from the family's
+    centre at or below which a point at time T[i] is excluded (-inf where
+    nothing is), or None where no time of T has such an exclusion."""
+    _require_in_strip(dom, T)
+    ok = (T > dom.t_lo) & (T < dom.t_hi)
+    p = dom.params
+    f = dom.family
+    cut = None
+    if f == "halfspace-time":
+        ok &= T > p["t0"]
+    elif f == "cylinder":
+        ok &= (T > p["t1"]) & (T < p["t2"])
+    elif f == "cone":
+        s = dom.z0.t - T
+        aper = p["M0"] * p["theta"] ** (1.0 / dom.metric.Q)
+        cut = np.where((s >= 0) & (s <= p["depth"]),
+                       aper * np.sqrt(np.maximum(s, 0.0)), -np.inf)
+    elif f == "cusp":
+        s = dom.z0.t - T
+        cut = np.where((s >= 0) & (s <= p["depth"]),
+                       _cusp_profile(p, np.maximum(s, 0.0)), -np.inf)
+    elif f == "punctured":
+        cut = np.where(T == p["tau"], p["radius"], -np.inf)
+    if cut is not None and np.fmax.reduce(cut, initial=-np.inf) == -np.inf:
+        cut = None    # no time excludes anything
+    return ok, cut
+
+
+def _spatial_test(dom: DomainSpec, X: np.ndarray, cut, T) -> np.ndarray:
+    """The spatial conditions of membership at the rows of X, given each
+    row's cut from _time_terms (and, for masks, its time T)."""
+    if X.shape[-1] != dom.N:
+        raise DomainError(f"points must have {dom.N} spatial coordinates")
+    inside = X[:, 0] > dom.x_lo[0]
+    inside &= X[:, 0] < dom.x_hi[0]
+    for i in range(1, dom.N):
+        inside &= X[:, i] > dom.x_lo[i]
+        inside &= X[:, i] < dom.x_hi[i]
+    p = dom.params
+    f = dom.family
+    if f == "spatial-halfspace":
+        inside &= X[:, 0] > p["wall"]
+    elif f == "cylinder":
+        inside &= dist(dom.metric, X, np.asarray(p["center"])[None, :]) \
+            < p["radius"]
+    elif f == "mask":
+        inside &= _mask_lookup(dom, X, T)
+    elif cut is not None:
+        center = dom.z0.x if f in ("cone", "cusp") else np.asarray(p["center"])
+        inside &= ~(dist(dom.metric, X, center[None, :]) <= cut)
+    return inside
+
+
 def contains_many(dom: DomainSpec, X, T) -> np.ndarray:
     """Vectorized membership in Omega for points (X[i], T[i])."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_1d(np.asarray(T, dtype=float))
-    _require_in_strip(dom, T)
-    inside = _in_bbox_open(dom, X, T)
-    p = dom.params
-    f = dom.family
-    if f == "halfspace-time":
-        inside &= T > p["t0"]
-    elif f == "spatial-halfspace":
-        inside &= X[..., 0] > p["wall"]
-    elif f == "cylinder":
-        d = dist(dom.metric, X, np.asarray(p["center"])[None, :])
-        inside &= (d < p["radius"]) & (T > p["t1"]) & (T < p["t2"])
-    elif f == "cone":
-        s = dom.z0.t - T
-        d = dist(dom.metric, X, dom.z0.x[None, :])
-        aper = p["M0"] * p["theta"] ** (1.0 / dom.metric.Q)
-        blocked = (s >= 0) & (s <= p["depth"]) & (d <= aper * np.sqrt(np.maximum(s, 0.0)))
-        inside &= ~blocked
-    elif f == "cusp":
-        s = dom.z0.t - T
-        d = dist(dom.metric, X, dom.z0.x[None, :])
-        prof = _cusp_profile(p, np.maximum(s, 0.0))
-        blocked = (s >= 0) & (s <= p["depth"]) & (d <= prof)
-        inside &= ~blocked
-    elif f == "punctured":
-        d = dist(dom.metric, X, np.asarray(p["center"])[None, :])
-        blocked = (T == p["tau"]) & (d <= p["radius"])
-        inside &= ~blocked
-    elif f == "mask":
-        inside &= _mask_lookup(dom, X, T)
+    ok, cut = _time_terms(dom, T)
+    inside = _spatial_test(dom, X, cut, T)
+    inside &= ok
+    return inside
+
+
+def contains_runs(dom: DomainSpec, X, times, counts) -> np.ndarray:
+    """contains_many(dom, X, np.repeat(times, counts)) bit for bit, with
+    the time conditions evaluated once per run of rows sharing a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    ok, cut = _time_terms(dom, times)
+    T = np.repeat(times, counts) if dom.family == "mask" else None
+    if cut is not None:
+        cut = np.repeat(cut, counts)
+    inside = _spatial_test(dom, X, cut, T)
+    if not ok.all():
+        inside &= np.repeat(ok, counts)
     return inside
 
 
@@ -612,7 +651,7 @@ def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
         k, M = X.shape[:2]
         idx = index[lo:lo + k]
         Xf = X.reshape(k * M, dom.N)
-        keep = ~contains_many(dom, Xf, np.full(k * M, tau))
+        keep = ~contains_runs(dom, Xf, tau, k * M)
         d = dist(dom.metric, Xf, x0[None, :])
         keep &= d * d <= np.repeat(eta * logs[idx], M)
         keep &= d ** 4 + eta ** 2 <= lam ** 2
@@ -647,7 +686,7 @@ def excluded_slice_measures(dom: DomainSpec, radii, times,
         Xf = X.reshape(k * M, dom.N)
         keep = dist(dom.metric, Xf, x0[None, :]) <= np.repeat(
             radii[lo:lo + k], M)
-        keep &= ~contains_many(dom, Xf, np.repeat(times[lo:lo + k], M))
+        keep &= ~contains_runs(dom, Xf, times[lo:lo + k], M)
         out[lo:lo + k] = keep.reshape(k, M).sum(axis=1) * cellvol
     return out
 
@@ -668,7 +707,7 @@ def _ballcomp_eval(dom: DomainSpec, bt: BallComplementTarget, cells_x: int,
     # flat top slice at t = t0 (capacity-bearing for flat obstacles); zero
     # quadrature weight so the measure stays a bulk estimate
     Ts = np.full(S.shape[0], t0)
-    top = ~contains_many(dom, S, Ts)
+    top = ~contains_runs(dom, S, t0, S.shape[0])
     top &= dist(dom.metric, S, dom.z0.x[None, :]) <= r
     return (np.concatenate([X[keep], S[top]]),
             np.concatenate([T[keep], Ts[top]]),

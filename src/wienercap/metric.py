@@ -160,14 +160,15 @@ def dist(m: MetricSpace, x, y) -> np.ndarray | float:
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != m.N or y.shape[-1] != m.N:
         raise MetricError(f"points must have {m.N} spatial coordinates")
-    x, y = np.broadcast_arrays(x, y)
     if m.kind == "euclidean":
         out = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-    elif m.kind == "heisenberg-koranyi":
-        out = _koranyi_gauge(*_heis_group_diff(np.moveaxis(x, -1, 0),
-                                               np.moveaxis(y, -1, 0)))
     else:
-        out = _table_lookup(m, x, y)
+        x, y = np.broadcast_arrays(x, y)
+        if m.kind == "heisenberg-koranyi":
+            out = _koranyi_gauge(*_heis_group_diff(np.moveaxis(x, -1, 0),
+                                                   np.moveaxis(y, -1, 0)))
+        else:
+            out = _table_lookup(m, x, y)
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,10 +17,15 @@ runs as many iterations as its slowest point, not their sum.  Each point
 keeps its own random stream: on every step it draws one normal vector
 from its own generator for each of its walkers still active, in walker
 order, so its estimate does not depend on the other points of the batch
-and no normal is drawn for a walker that has exited.  The walk
-keeps the last step segment of every exit and bisects all of them in one
-pass after the last step: the bisections are independent of each other,
-so six membership calls serve the whole batch.
+and no normal is drawn for a walker that has exited.  The normal draws
+bound the cost of a step: the rest is a few vector passes.  All active
+walkers of a point have taken the same number of steps and share one
+time, so the walk holds one time per point, and the time conditions of
+membership are evaluated once per point and step (domain.contains_runs),
+only the spatial ones once per walker.  The walk keeps the last step
+segment of every exit and bisects all of them in one pass after the last
+step: the bisections are independent of each other, so six membership
+calls serve the whole batch.
 
 The boundary-behavior probe fits |u(z) - phi(z0)| against dhat(z, z0)
 along an interior approach path; at regular points the Hoelder exponent
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainSpec, contains, contains_many
+from .domain import DomainSpec, contains, contains_many, contains_runs
 from .metric import SpaceTimePoint, parabolic_dist, parabolic_dist_many, stp
 from .wiener import _line_fit
 
@@ -57,8 +62,12 @@ class WalkConfig:
     max_time: float = 4.0      # elapsed backward-time budget per walker
 
     def __post_init__(self):
-        if self.beta <= 0 or self.step <= 0 or self.walkers < 1:
-            raise PDEError("beta, step must be positive; walkers >= 1")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.beta, self.step, self.max_time)):
+            raise PDEError("beta, step and max_time must be positive and "
+                           "finite")
+        if self.walkers < 1:
+            raise PDEError("walkers must be >= 1")
 
 
 EXIT_KINDS = ("bottom", "lateral", "cap")
@@ -122,9 +131,12 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
     active walkers stay sorted by global id, so those of point j form one
     run of rows, and point j fills exactly those rows from its own
     default_rng(cfgs[j].seed) on every step: one normal vector per active
-    walker, in walker order.  Each estimate so equals a walk of its point
-    alone bit for bit.  Exit segments are bisected together after the
-    walk.  The configs must agree on everything but the seed.
+    walker, in walker order.  The rows of a run share their point's time,
+    which steps down by the same repeated - step as a walker's would, and
+    the strip is checked only at the times of runs that still have rows.
+    Each estimate so equals a walk of its point alone bit for bit.  Exit
+    segments are bisected together after the walk.  The configs must
+    agree on everything but the seed.
     """
     if dom.metric.kind != "euclidean":
         raise PDEError("the random-walk solver is Euclidean-only")
@@ -144,28 +156,38 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
     P, w, N, h = len(zs), c0.walkers, dom.N, c0.step
     sigma = math.sqrt(2.0 * h / c0.beta)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    xi = np.empty((P * w, N))
-    gid = np.arange(P * w)                 # global ids of the active walkers
     X = np.repeat(np.stack([z.x for z in zs]), w, axis=0)
-    T = np.repeat(np.array([z.t for z in zs], dtype=float), w)
+    step = np.empty_like(X)                # next positions of the active rows
+    gid = np.arange(P * w)                 # global ids of the active walkers
+    t = np.array([z.t for z in zs], dtype=float)   # each point's walk time
     left = np.full(P, w)                   # active walkers per point
     segs = []                              # (gid, X0, X1, T0) of each exit
     for _ in range(int(math.ceil(c0.max_time / h))):
-        if gid.size == 0:
+        n = gid.size
+        if n == 0:
             break
         row = 0
-        for rng, n in zip(rngs, left.tolist()):
-            rng.standard_normal(out=xi[row:row + n])
-            row += n
-        Xn = X + sigma * xi[:row]
-        Tn = T - h
-        inside = contains_many(dom, Xn, Tn)
-        if not inside.all():
-            out = ~inside
-            segs.append((gid[out], X[out], Xn[out], T[out]))
-            left -= np.bincount(gid[out] // w, minlength=P)
-            Xn, Tn, gid = Xn[inside], Tn[inside], gid[inside]
-        X, T = Xn, Tn
+        for rng, k in zip(rngs, left.tolist()):
+            rng.standard_normal(out=step[row:row + k])
+            row += k
+        Xn = step[:n]
+        Xn *= sigma
+        Xn += X[:n]
+        tn = t - h
+        live = left > 0
+        inside = contains_runs(dom, Xn, tn[live], left[live])
+        if np.count_nonzero(inside) == n:
+            X, step = step, X
+        else:
+            out = np.flatnonzero(~inside)
+            hit = gid[out]
+            owner = hit // w
+            segs.append((hit, X[out], Xn[out], t[owner]))
+            left -= np.bincount(owner, minlength=P)
+            gid = gid[inside]
+            np.take(Xn, np.flatnonzero(inside), axis=0, out=X[:gid.size],
+                    mode="clip")
+        t = tn
     exit_x = np.zeros((P * w, N))
     exit_t = np.zeros(P * w)
     exited = np.zeros(P * w, dtype=bool)

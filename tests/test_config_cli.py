@@ -284,6 +284,24 @@ def test_nonpositive_cone_resolution_exits_3(tmp_path, capsys, command,
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("key", ["max-time", "step", "beta"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_invalid_walk_settings_fail_the_suite(tmp_path, capsys, key, value):
+    """A walk setting that is not positive and finite fails
+    benchmark-suite before any domain is classified: exit 3 with a
+    failure.json, not a run whose probes are all skipped."""
+    cfg = _write(tmp_path, "suite.cfg", FAST_SUITE + f"pde.{key} = {value}\n")
+    out = tmp_path / "out"
+    code = main(["benchmark-suite", "--config", cfg, "--out", str(out),
+                 "--quiet"])
+    assert code == EXIT_FAILURE
+    assert "must be positive and finite" in capsys.readouterr().err
+    failure = json.loads((out / "failure.json").read_text())
+    assert "must be positive and finite" in failure["error"]
+    assert (out / "manifest.json").exists()
+    assert not list(out.glob("*_classification.json"))
+
+
 def test_list_domains_needs_no_config(capsys):
     code = main(["list-domains"])
     assert code == EXIT_OK

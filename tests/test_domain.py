@@ -80,6 +80,147 @@ def test_punctured_single_slice(m1):
 
 
 # ---------------------------------------------------------------------------
+# membership against a frozen copy of its formulas
+
+def _frozen_dist(metric, x, y):
+    """The Euclidean norm and the Koranyi gauge of x^{-1} o y."""
+    x, y = np.broadcast_arrays(x, y)
+    if metric.kind == "euclidean":
+        return np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    x1, x2, x3 = np.moveaxis(x, -1, 0)
+    y1, y2, y3 = np.moveaxis(y, -1, 0)
+    u1, u2, u3 = y1 - x1, y2 - x2, (y3 - x3) - 0.5 * (x1 * y2 - x2 * y1)
+    return ((u1 ** 2 + u2 ** 2) ** 2 + 16.0 * u3 ** 2) ** 0.25
+
+
+def frozen_contains(dom, x, t):
+    """Membership of the one point (x, t), written out condition by
+    condition as a fixed copy of the formulas contains_many must keep."""
+    X = np.asarray(x, dtype=float)[None, :]
+    T = np.array([t], dtype=float)
+    if np.any(T < dom.strip[0]) or np.any(T > dom.strip[1]):
+        raise wc.DomainError("query point outside the strip of validity")
+    inside = (T > dom.t_lo) & (T < dom.t_hi)
+    inside &= np.all(X > dom.x_lo, axis=-1) & np.all(X < dom.x_hi, axis=-1)
+    p, f = dom.params, dom.family
+    if f == "halfspace-time":
+        inside &= T > p["t0"]
+    elif f == "spatial-halfspace":
+        inside &= X[..., 0] > p["wall"]
+    elif f == "cylinder":
+        d = _frozen_dist(dom.metric, X, np.asarray(p["center"])[None, :])
+        inside &= (d < p["radius"]) & (T > p["t1"]) & (T < p["t2"])
+    elif f in ("cone", "cusp"):
+        s = dom.z0.t - T
+        d = _frozen_dist(dom.metric, X, dom.z0.x[None, :])
+        if f == "cone":
+            aper = p["M0"] * p["theta"] ** (1.0 / dom.metric.Q)
+            edge = aper * np.sqrt(np.maximum(s, 0.0))
+        elif p["profile"] == "power":
+            edge = np.power(np.maximum(s, 0.0), p["p"])
+        else:
+            u = np.maximum(s, 0.0)
+            ok = (u > 1e-12) & (u < math.exp(-1.0))
+            ui = np.where(ok, u, 0.1)
+            edge = np.where(ok, np.sqrt(p["c"] * ui * np.log(np.log(1.0 / ui))),
+                            0.0)
+        inside &= ~((s >= 0) & (s <= p["depth"]) & (d <= edge))
+    elif f == "punctured":
+        d = _frozen_dist(dom.metric, X, np.asarray(p["center"])[None, :])
+        inside &= ~((T == p["tau"]) & (d <= p["radius"]))
+    elif f == "mask":
+        coords = np.concatenate([X, T[:, None]], axis=-1)
+        idx = np.floor((coords - p["origin"]) / p["spacing"]).astype(int)
+        shape = np.array(dom.mask_grid.shape)
+        ok = np.all((idx >= 0) & (idx < shape), axis=-1)
+        idx = np.clip(idx, 0, shape - 1)
+        inside &= ok & dom.mask_grid[tuple(idx[:, i]
+                                           for i in range(idx.shape[1]))]
+    return bool(inside[0])
+
+
+def _membership_domains(metric, tmp_path):
+    doms = [wc.halfspace_time(metric), wc.spatial_halfspace(metric),
+            wc.cylinder(metric, radius=0.4), wc.cone(metric),
+            wc.cusp(metric, profile="power", p=1.0),
+            wc.cusp(metric, profile="loglog", c=1.0),
+            wc.punctured(metric, radius=0.5)]
+    if metric.kind == "euclidean":
+        rng = np.random.default_rng(metric.N)
+        grid = rng.random((12,) * (metric.N + 1)) < 0.9
+        path = tmp_path / f"random{metric.N}.mask"
+        wc.write_mask(path, grid, [-1.0] * (metric.N + 1),
+                      [0.1875] * (metric.N + 1))
+        doms.append(wc.mask_domain(path, metric, stp([-1.0] * metric.N, 0.0)))
+    return doms
+
+
+def _edge_times(dom):
+    """The times at which a condition of membership changes."""
+    p = dom.params
+    ts = [dom.t_lo, dom.t_hi, dom.z0.t, dom.strip[0], dom.strip[1]]
+    ts += [p[k] for k in ("t0", "t1", "t2", "tau") if k in p]
+    if "depth" in p:
+        ts.append(dom.z0.t - p["depth"])
+    return ts
+
+
+def _edge_points(dom, t, rng, n):
+    """n random points near z0 and the rows on the edges of the bbox, the
+    wall, the radius and the exclusion at time t."""
+    x0, N, p = dom.z0.x, dom.N, dom.params
+    X = [x0 + rng.uniform(-0.6, 0.6, size=(n, N)),
+         rng.uniform(dom.x_lo - 0.2, dom.x_hi + 0.2, size=(n, N)),
+         np.stack([dom.x_lo, dom.x_hi, x0])]
+    for i in range(N):     # one face of the bbox at a time
+        for face in (dom.x_lo[i], dom.x_hi[i]):
+            X.append(x0.copy()[None, :])
+            X[-1][0, i] = face
+    e1 = np.eye(N)[0]
+    radii = [p[k] for k in ("wall", "radius") if k in p]
+    s = max(dom.z0.t - t, 0.0)
+    if dom.family == "cone":
+        radii.append(p["M0"] * p["theta"] ** (1.0 / dom.metric.Q)
+                     * math.sqrt(s))
+    if dom.family == "cusp" and p["profile"] == "power":
+        radii.append(s ** p["p"])
+    center = np.asarray(p.get("center", x0))
+    X.append(np.stack([center + r * e1 for r in radii] or [x0]))
+    return np.concatenate(X)
+
+
+@pytest.mark.parametrize("metric", [wc.euclidean(1), wc.euclidean(2),
+                                    wc.heisenberg_koranyi()],
+                         ids=["R1", "R2", "koranyi"])
+def test_membership_matches_frozen_formulas(metric, tmp_path):
+    """contains_many and contains_runs agree with frozen_contains bit for
+    bit, one point at a time: random points near z0 and over the bbox at
+    random times, and points on every spatial edge at every edge time."""
+    rng = np.random.default_rng(7)
+    for dom in _membership_domains(metric, tmp_path):
+        lo, hi = dom.strip
+        times = list(rng.uniform(max(dom.t_lo - 0.2, lo),
+                                 min(dom.t_hi + 0.2, hi), size=24))
+        times += list(dom.z0.t - rng.uniform(0.0, 0.3, size=24) ** 2)
+        times += _edge_times(dom)
+        blocks = [_edge_points(dom, t, rng, 6) for t in times]
+        counts = [len(B) for B in blocks]
+        X = np.concatenate(blocks)
+        T = np.repeat(times, counts)
+        want = [frozen_contains(dom, x, t) for x, t in zip(X, T)]
+        assert contains_many(dom, X, T).tolist() == want, dom.family
+        assert domain.contains_runs(dom, X, times, counts).tolist() == want, \
+            dom.family
+        for t in (lo - 1e-9, hi + 1e-9):
+            with pytest.raises(wc.DomainError):
+                frozen_contains(dom, dom.z0.x, t)
+            with pytest.raises(wc.DomainError):
+                contains_many(dom, X[:2], [t, t])
+            with pytest.raises(wc.DomainError):
+                domain.contains_runs(dom, X[:2], [dom.z0.t, t], [1, 1])
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 def test_registry_names_and_boundary_points():

@@ -120,6 +120,12 @@ def test_walk_config_validation():
         WalkConfig(beta=0.0)
     with pytest.raises(PDEError):
         WalkConfig(step=-1e-3)
+    for field in ("beta", "step", "max_time"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(PDEError, match="positive and finite"):
+                WalkConfig(**{field: bad})
+    with pytest.raises(PDEError):
+        WalkConfig(walkers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +281,11 @@ def _walk_cases(tmp_path):
     top = wc.benchmark("cylinder-top", m1)
     mask = _square_mask_domain(tmp_path / "square.mask", m1)
     thin = wc.cylinder(m1, radius=0.3, t1=-4.0, t2=0.0)
+    power = wc.benchmark("cusp-power", m1)
+    loglog = wc.benchmark("cusp-loglog", m1)
+    disk = wc.punctured(m1, radius=0.5, tau=0.0)
+    cone2 = wc.benchmark("cone", m2)
+    low = wc.halfspace_time(m1, t0=-7.0)
     return [
         # exit times 0.2 and 0.01: a 20x spread between the two points
         ("halfspace", half, wc.boundary_phi_distance(half),
@@ -296,6 +307,28 @@ def _walk_cases(tmp_path):
         ("timed-out", thin, gaussian_data,
          [stp([0.0], -0.5), stp([0.2], -1.0)],
          WalkConfig(1.0, 1e-3, 300, 26, 0.03)),
+        ("cusp-power", power, wc.boundary_phi_distance(power),
+         wc.interior_axis_probes(power, [0.12, 0.04, 0.01]),
+         WalkConfig(1.0, 1e-3, 300, 27, 4.0)),
+        ("cusp-loglog", loglog, wc.boundary_phi_cutoff(loglog),
+         wc.interior_axis_probes(loglog, [0.12, 0.04, 0.01]),
+         WalkConfig(1.0, 1e-3, 300, 28, 4.0)),
+        # a step of 2^-7 from times on its grid lands exactly on tau, where
+        # walkers within the radius exit onto the disk
+        ("punctured", disk, gaussian_data,
+         [stp([0.0], 0.125), stp([0.3], 0.0625), stp([0.1], 0.25)],
+         WalkConfig(1.0, 2.0 ** -7, 300, 29, 4.0)),
+        # runs of unequal length: the points lose their walkers at
+        # different rates
+        ("cone-R2", cone2, wc.boundary_phi_distance(cone2),
+         wc.interior_axis_probes(cone2, [0.12, 0.04, 0.01]),
+         WalkConfig(1.0, 1e-3, 300, 30, 4.0)),
+        # the first point's walkers all exit near -7 on step 10, the
+        # second's by step 1500, when the first point's time would be
+        # below the strip floor -8
+        ("far-apart", low, gaussian_data,
+         [stp([0.0], -6.99), stp([0.0], -5.5)],
+         WalkConfig(1.0, 1e-3, 300, 31, 4.0)),
     ]
 
 
@@ -323,6 +356,28 @@ def test_batched_walk_is_bit_identical_to_per_point_walks(tmp_path):
         if name == "timed-out":
             assert all(0 < e.n_timed_out < cfg.walkers for e in got)
             assert not any(e.reliable for e in got)
+        if name == "punctured":
+            assert all(e.exit_fractions["cap"] > 0 for e in got)
+        if name == "cone-R2":
+            assert len({e.mean_exit_time for e in got}) == len(got)
+        if name == "far-apart":
+            assert all(e.n_timed_out == 0 for e in got)
+            floor = dom.params["t0"]
+            assert zs[0].t - (zs[1].t - floor) < dom.strip[0]
+
+
+def test_walk_below_the_strip_raises_like_the_reference(m1):
+    """Walkers that step below a strip floor shared with the bbox raise
+    DomainError, batched as in the per-point walk."""
+    dom = wc.spatial_halfspace(m1, t0=-6.5)
+    assert dom.t_lo == dom.strip[0]
+    z = stp([0.5], -7.99)
+    cfg = WalkConfig(1.0, 1e-3, 50, 32, 4.0)
+    with pytest.raises(wc.DomainError):
+        reference_pwb_solve(dom, gaussian_data, z, cfg)
+    with pytest.raises(wc.DomainError):
+        wc.pwb_solve_many(dom, gaussian_data, [z, stp([0.5], -6.0)],
+                          [cfg, cfg])
 
 
 @pytest.mark.parametrize("field", ["beta", "step", "walkers", "max_time"])
@@ -360,23 +415,27 @@ def test_classification_probe_walks_in_one_batch(m1, monkeypatch):
 def test_exit_bisection_runs_once_per_batch(m1, monkeypatch):
     """Walkers started 0.0105 and 0.0205 above the floor of the time
     halfspace all exit on steps 11 and 21: 21 stepping calls of
-    contains_many, then 6 for the bisection of every exit together, not 6
-    more for each step that had an exit."""
-    calls = []
-    real = pde.contains_many
+    contains_runs, then 6 contains_many calls for the bisection of every
+    exit together, not 6 more for each step that had an exit."""
+    calls = {"contains_runs": 0, "contains_many": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(pde, name)
 
-    monkeypatch.setattr(pde, "contains_many", counting)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(pde, name, counting(name))
     zs = [stp([0.0], 0.0105), stp([0.0], 0.0205)]
     cfgs = [WalkConfig(1.0, 1e-3, 200, seed, 4.0) for seed in (1, 2)]
     ests = wc.pwb_solve_many(wc.benchmark("halfspace", m1), gaussian_data,
                              zs, cfgs)
     assert all(e.n_exited == 200 and e.exit_fractions["bottom"] == 1.0
                for e in ests)
-    assert len(calls) == 21 + 6
+    assert calls == {"contains_runs": 21, "contains_many": 6}
 
 
 class _CountingRng:
@@ -394,46 +453,53 @@ class _CountingRng:
 
 def _counted_walk(monkeypatch, dom, zs, cfgs):
     """pwb_solve_many with counting stubs: the normals each point's
-    generator drew, and the rows of every contains_many call."""
-    rngs, rows = [], []
-    real, real_rng = pde.contains_many, np.random.default_rng
+    generator drew, the rows of every stepping contains_runs call and the
+    rows of every bisection contains_many call."""
+    rngs, steps, bisections = [], [], []
+    real_runs, real_many = pde.contains_runs, pde.contains_many
+    real_rng = np.random.default_rng
 
     def make_rng(seed):
         rngs.append(_CountingRng(real_rng(seed)))
         return rngs[-1]
 
-    def counting(dom, X, T):
-        rows.append(len(T))
-        return real(dom, X, T)
+    def counting_runs(dom, X, times, counts):
+        steps.append(len(X))
+        return real_runs(dom, X, times, counts)
+
+    def counting_many(dom, X, T):
+        bisections.append(len(T))
+        return real_many(dom, X, T)
 
     monkeypatch.setattr(pde.np.random, "default_rng", make_rng)
-    monkeypatch.setattr(pde, "contains_many", counting)
+    monkeypatch.setattr(pde, "contains_runs", counting_runs)
+    monkeypatch.setattr(pde, "contains_many", counting_many)
     ests = wc.pwb_solve_many(dom, gaussian_data, zs, cfgs)
     monkeypatch.undo()
-    return ests, [r.drawn for r in rngs], rows
+    return ests, [r.drawn for r in rngs], steps, bisections
 
 
 def test_each_point_draws_one_normal_per_walker_step(m1, monkeypatch):
     """A point's generator draws N normals per step of each of its active
     walkers, alone or in a batch, and nothing for walkers that exited.
-    Walked alone, its walker-steps are the rows of the stepping
-    contains_many calls (all but the 6 bisection calls)."""
+    Its walker-steps are the rows of the stepping contains_runs calls."""
     dom = wc.cylinder(m1, radius=0.3, t1=-4.0, t2=0.0)
     zs = [stp([0.0], -0.5), stp([0.2], -1.0)]
     cfgs = [WalkConfig(1.0, 1e-3, 300, 30 + 7919 * j, 4.0) for j in (0, 1)]
     alone = []
     for z, c in zip(zs, cfgs):
-        (est,), (drawn,), rows = _counted_walk(monkeypatch, dom, [z], [c])
-        assert est.n_exited == c.walkers and rows[-6:] == [c.walkers] * 6
-        walker_steps = sum(rows[:-6])
+        (est,), (drawn,), steps, bisections = _counted_walk(
+            monkeypatch, dom, [z], [c])
+        assert est.n_exited == c.walkers and bisections == [c.walkers] * 6
+        walker_steps = sum(steps)
         # exits are spread over many steps, so a full block per step
         # would draw several times more
-        assert 3 * walker_steps < c.walkers * (len(rows) - 6)
+        assert 3 * walker_steps < c.walkers * len(steps)
         assert drawn == dom.N * walker_steps
         alone.append(drawn)
-    _, drawn, rows = _counted_walk(monkeypatch, dom, zs, cfgs)
+    _, drawn, steps, _ = _counted_walk(monkeypatch, dom, zs, cfgs)
     assert drawn == alone
-    assert sum(drawn) == dom.N * sum(rows[:-6])
+    assert sum(drawn) == dom.N * sum(steps)
 
 
 def test_estimate_does_not_depend_on_its_batch(m1):
