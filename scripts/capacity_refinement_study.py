@@ -53,7 +53,7 @@ def cap(metric, sample, a, res):
     cons = constraint_points(sample, metric, res)
     kern = wc.GaussianKernel(metric, a)
     return solve_capacity(
-        CapacityProblem(kern, sample, cons[0], cons[1], 1e-6)).value
+        CapacityProblem(kern, sample, cons[0], cons[1])).value
 
 
 def main() -> int:

@@ -18,8 +18,7 @@ from .domain import (BENCHMARK_STATUS, BallComplementTarget, DomainError,
                      sample_set_and_measure, spatial_halfspace,
                      validate_boundary_point, write_mask)
 from .kernel import (GaussBounds, GaussianKernel, HeatKernel, KernelError,
-                     euclidean_bounds, gaussian_eval, heat_eval,
-                     structural_constant)
+                     euclidean_bounds, structural_constant)
 from .metric import (MetricError, MetricSpace, SpaceTimePoint, ball_volume,
                      ball_volume_with_error, dist, euclidean,
                      heisenberg_koranyi, koranyi_ball_constant,

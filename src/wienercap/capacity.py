@@ -12,10 +12,12 @@ is solved together with its covering dual
 
 Both solutions are rescaled into exactly feasible points, so the reported
 (value, dual_value) pair is a certified bracket and gap >= 0 up to the
-rounding of two matrix-vector products.  The kernel matrix is normalized
-by its largest entry before the solve; capacities of sets at depth
-lambda^40 are ~1e-25 in absolute size and would otherwise drown in the
-solver's absolute tolerances.
+rounding of two matrix-vector products.  The gap gate is the fixed
+constant GAP_TOLERANCE = 1e-6: a bracket is accepted only if its gap is at
+most 1e-6 of its value.  The kernel matrix is normalized by its largest
+entry before the solve; capacities of sets at depth lambda^40 are ~1e-25
+in absolute size and would otherwise drown in the solver's absolute
+tolerances.
 
 HiGHS runs without presolve, which on these dense LPs costs more than it
 saves.  The LP's columns are equilibrated: with s the column maxima of
@@ -67,6 +69,7 @@ from .metric import MetricSpace, ball_coord_halfwidths
 MAX_CONSTRAINT_GRID = 4096
 WORKING_SET_MIN_BATCH = 16     # rows added per pricing round: max(n // 4, 16)
 PRICING_TOLERANCE = 1e-9       # overshoot of A x <= 1 that sends a row into W
+GAP_TOLERANCE = 1e-6           # relative duality gap a certified pair may have
 
 
 class CapacityInputError(ValueError):
@@ -74,7 +77,7 @@ class CapacityInputError(ValueError):
 
 
 class CapacityConvergenceError(RuntimeError):
-    """LP failed or the duality gap exceeded tolerance; carries the best
+    """LP failed or the duality gap exceeded GAP_TOLERANCE; carries the best
     primal/dual pair found (attribute `estimate`, may be None)."""
 
     def __init__(self, msg, estimate=None):
@@ -88,7 +91,6 @@ class CapacityProblem:
     support: SetSample
     cons_x: np.ndarray             # (m, N) potential evaluation points
     cons_t: np.ndarray             # (m,)
-    tolerance: float = 1e-6
 
 
 @dataclass
@@ -150,11 +152,11 @@ def constraint_points(support: SetSample, metric: MetricSpace,
     return cx, ct
 
 
-def build_problem(dom: DomainSpec, target, kernel, resolution: int,
-                  tolerance: float = 1e-6) -> CapacityProblem:
+def build_problem(dom: DomainSpec, target, kernel,
+                  resolution: int) -> CapacityProblem:
     support = sample_set_and_measure(dom, target, resolution)
     cx, ct = constraint_points(support, dom.metric, resolution)
-    return CapacityProblem(kernel, support, cx, ct, tolerance)
+    return CapacityProblem(kernel, support, cx, ct)
 
 
 def _store_key(Kn: np.ndarray) -> tuple:
@@ -260,9 +262,10 @@ def _certify(p: CapacityProblem, A: np.ndarray, s: np.ndarray, kappa: float,
                             n_atoms=A.shape[1], n_constraints=A.shape[0])
 
 
-def _within_gap(est: CapacityEstimate, tolerance: float) -> bool:
+def _within_gap(est: CapacityEstimate) -> bool:
     return math.isfinite(est.dual_value) and (
-        est.gap <= tolerance * max(est.value, 1e-300) + 1e-14 * est.dual_value)
+        est.gap <= GAP_TOLERANCE * max(est.value, 1e-300)
+        + 1e-14 * est.dual_value)
 
 
 def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEstimate:
@@ -290,16 +293,16 @@ def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEst
 
     if store is not None and key in store:
         est = _certify(p, A, s, kappa, *store[key])
-        if _within_gap(est, p.tolerance):
+        if _within_gap(est):
             est.reused = True
             return est
     nu, y, rows, rounds, iterations = _solve_lp(A, s)
     est = _certify(p, A, s, kappa, nu, y)
     est.lp_rows, est.lp_rounds, est.lp_iterations = rows, rounds, iterations
-    if not _within_gap(est, p.tolerance):
+    if not _within_gap(est):
         raise CapacityConvergenceError(
             f"duality gap {est.gap:.3e} exceeds tolerance "
-            f"({p.tolerance:.1e} relative)", estimate=est)
+            f"({GAP_TOLERANCE:.1e} relative)", estimate=est)
     if store is not None:
         store[key] = (nu, y)
     return est
@@ -323,12 +326,11 @@ class RefinementStep:
 
 
 def refine_capacity(dom: DomainSpec, target, kernel, levels: int = 3,
-                    base_resolution: int = 3,
-                    tolerance: float = 1e-6) -> list[RefinementStep]:
+                    base_resolution: int = 3) -> list[RefinementStep]:
     """Re-solve the capacity across a ladder of grid resolutions."""
     out = []
     for j in range(levels):
         res = base_resolution + j
-        prob = build_problem(dom, target, kernel, res, tolerance)
+        prob = build_problem(dom, target, kernel, res)
         out.append(RefinementStep(res, solve_capacity(prob), prob))
     return out

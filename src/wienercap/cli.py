@@ -101,8 +101,6 @@ def build_domain(cfg: RunConfig, metric: MetricSpace) -> DomainSpec:
 def build_bounds(cfg: RunConfig, metric: MetricSpace) -> GaussBounds:
     lam_c, a0, b0 = cfg["bounds.Lambda"], cfg["bounds.a0"], cfg["bounds.b0"]
     beta = cfg["pde.beta"]
-    if metric.kind == "euclidean" and lam_c == 0.0 and a0 == 0.0 and b0 == 0.0:
-        return euclidean_bounds(metric.N, beta)
     auto = euclidean_bounds(metric.N if metric.kind == "euclidean" else 1, beta)
     return GaussBounds(lam_c or auto.Lambda, a0 or beta / 4.0,
                        b0 or beta / 4.0, metric.c_d)
@@ -123,8 +121,7 @@ def run_classify(cfg: RunConfig, dom: DomainSpec, bounds: GaussBounds):
                     cone_M0=cfg["cone.M0"], cone_r0=cfg["cone.r0"],
                     cone_levels=cfg["cone.levels"],
                     cone_theta_min=cfg["cone.theta-min"],
-                    cone_resolution=cfg["cone.resolution"],
-                    tolerance=cfg["capacity.tolerance"])
+                    cone_resolution=cfg["cone.resolution"])
 
 
 def walk_config(cfg: RunConfig) -> WalkConfig:
@@ -161,7 +158,7 @@ def _eq_header(N):
 def cmd_capacity(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    kern = GaussianKernel(metric, cfg["capacity.exponent"])
+    kern = GaussianKernel(metric, exponents(cfg, build_bounds(cfg, metric))[0])
     tgt_kind = cfg["capacity.target"]
     lam = cfg["wiener.lambda"]
     if tgt_kind == "ring":
@@ -175,13 +172,12 @@ def cmd_capacity(cfg, bundle, quiet):
         raise ConfigError(f"unknown capacity.target {tgt_kind!r}")
     levels = max(1, cfg["capacity.refine-levels"])
     steps = refine_capacity(dom, target, kern, levels,
-                            cfg["capacity.resolution"],
-                            cfg["capacity.tolerance"])
+                            cfg["capacity.resolution"])
     est, prob = steps[-1].estimate, steps[-1].problem
     record = {
         "domain": _domain_summary(dom),
         "target": repr(target),
-        "kernel_exponent": cfg["capacity.exponent"],
+        "kernel_exponent": kern.a,
         "value": est.value,
         "dual_value": est.dual_value,
         "gap": est.gap,
@@ -241,7 +237,7 @@ def cmd_series(cfg, bundle, quiet):
     a, b = exponents(cfg, bounds)
     tab = series_table(dom, cfg["wiener.lambda"], a, b, cfg["wiener.variant"],
                        cfg["wiener.K-max"], cfg["wiener.H-max"],
-                       cfg["capacity.resolution"], cfg["capacity.tolerance"])
+                       cfg["capacity.resolution"])
     rep = divergence_verdict(tab)
     _write_series(bundle, dom, tab, rep)
     if not quiet:
@@ -319,7 +315,7 @@ def cmd_classify(cfg, bundle, quiet):
     prob = build_problem(
         dom, RingTarget(RingSpec(cfg["wiener.lambda"], 2, 1)),
         GaussianKernel(metric, exponents(cfg, bounds)[0]),
-        cfg["capacity.resolution"], cfg["capacity.tolerance"])
+        cfg["capacity.resolution"])
     est = _provenance_estimate(cls.sufficient_table, prob)
     if est is not None:
         bundle.write_csv("equilibrium_measure.csv", _eq_header(dom.N),

@@ -60,8 +60,6 @@ SCHEMA = {
     "wiener.K-max": ("int", 40, "time levels in the series"),
     "wiener.H-max": ("int", 40, "annulus bands per level"),
     "capacity.resolution": ("int", 4, "dyadic sampling resolution"),
-    "capacity.tolerance": ("float", 1e-6, "relative duality-gap tolerance"),
-    "capacity.exponent": ("float", 0.25, "Gaussian kernel exponent"),
     "capacity.target": ("str", "ring", "ring | section | ball-complement"),
     "capacity.k": ("int", 2, "ring time level"),
     "capacity.h": ("int", 1, "ring annulus band"),

@@ -16,7 +16,8 @@ solution is exact:
     Gamma(z, w) = (4 pi (t - s) / beta)^(-N/2) exp(-beta |x - y|^2 / (4 (t - s)))
 
 which equals G_{beta/4} times the constant omega_N / (4 pi / beta)^(N/2),
-so the bound holds with a0 = b0 = beta / 4.
+so the bound holds with a0 = b0 = beta / 4.  HeatKernel evaluates it as
+exactly that scaled GaussianKernel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .metric import (MetricError, MetricSpace, SpaceTimePoint,
                      _closed_form_volume, _heis_group_diff, ball_volume_many,
-                     dist, unit_ball_volume_euclidean)
+                     dist, euclidean, unit_ball_volume_euclidean)
 
 _TINY = 1e-300  # flush-to-zero threshold for kernel values
 _LOG_TINY = math.log(_TINY)
@@ -36,6 +37,10 @@ _LOG_TINY = math.log(_TINY)
 
 class KernelError(ValueError):
     pass
+
+
+def _positive_finite(*values: float) -> bool:
+    return all(math.isfinite(v) and v > 0 for v in values)
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,8 @@ class GaussBounds:
     c_d: float
 
     def __post_init__(self):
-        if min(self.Lambda, self.a0, self.b0, self.c_d) <= 0:
-            raise KernelError("GaussBounds entries must be positive")
+        if not _positive_finite(self.Lambda, self.a0, self.b0, self.c_d):
+            raise KernelError("GaussBounds entries must be positive and finite")
         if self.Lambda < 1:
             raise KernelError("Lambda must be >= 1")
 
@@ -63,7 +68,7 @@ def structural_constant(b: GaussBounds) -> float:
 
 def euclidean_bounds(N: int, beta: float = 1.0) -> GaussBounds:
     """Exact-fit bounds for (1/beta) Laplace - d/dt on R^N."""
-    ratio = unit_ball_volume_euclidean(N) / (4.0 * math.pi / beta) ** (N / 2.0)
+    ratio = HeatKernel(N, beta).gaussian_factor
     lam = max(ratio, 1.0 / ratio)
     return GaussBounds(Lambda=lam, a0=beta / 4.0, b0=beta / 4.0, c_d=2.0 ** N)
 
@@ -125,8 +130,8 @@ class GaussianKernel:
     scale: float = 1.0  # multiplicative prefactor (used for Gamma surrogates)
 
     def __post_init__(self):
-        if self.a <= 0 or self.scale <= 0:
-            raise KernelError("need a > 0 and scale > 0")
+        if not _positive_finite(self.a, self.scale):
+            raise KernelError("a and scale must be positive and finite")
 
     @property
     def N(self) -> int:
@@ -173,14 +178,16 @@ class GaussianKernel:
 
 @dataclass(frozen=True)
 class HeatKernel:
-    """Fundamental solution of (1/beta) Laplace - d/dt on R^N (Euclidean)."""
+    """Fundamental solution of (1/beta) Laplace - d/dt on R^N (Euclidean),
+    evaluated as gaussian_factor * G_{beta/4}."""
 
     N: int
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.N < 1 or self.beta <= 0:
-            raise KernelError("need N >= 1 and beta > 0")
+        if self.N < 1 or not _positive_finite(self.beta):
+            raise KernelError("need N >= 1, and beta must be positive and "
+                              f"finite; got N={self.N}, beta={self.beta}")
 
     @property
     def gaussian_factor(self) -> float:
@@ -188,23 +195,7 @@ class HeatKernel:
         return unit_ball_volume_euclidean(self.N) / (4.0 * math.pi / self.beta) ** (self.N / 2.0)
 
     def matrix(self, Zx, Zt, Wx, Wt) -> np.ndarray:
-        Zx, Zt, Wx, Wt = _as_points(Zx, Zt, Wx, Wt)
-        dt, late = _time_gaps(Zt, Wt)
-        logk = _sq_dist_euclidean(Zx, Wx)
-        logk *= -0.25 * self.beta
-        logk /= dt
-        logk -= 0.5 * self.N * np.log(4.0 * math.pi / self.beta * dt)
-        return _exp_where(logk, late)
+        return GaussianKernel(euclidean(self.N), self.beta / 4.0,
+                              self.gaussian_factor).matrix(Zx, Zt, Wx, Wt)
 
-    def eval(self, z: SpaceTimePoint, w: SpaceTimePoint) -> float:
-        return float(self.matrix(z.x[None, :], np.array([z.t]),
-                                 w.x[None, :], np.array([w.t]))[0, 0])
-
-
-def gaussian_eval(metric: MetricSpace, a: float, z: SpaceTimePoint,
-                  w: SpaceTimePoint) -> float:
-    return GaussianKernel(metric, a).eval(z, w)
-
-
-def heat_eval(N: int, beta: float, z: SpaceTimePoint, w: SpaceTimePoint) -> float:
-    return HeatKernel(N, beta).eval(z, w)
+    eval = GaussianKernel.eval

@@ -85,8 +85,7 @@ def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
              K_max: int = 40, H_max: int = 40, resolution: int = 4,
              cone_M0: float = 1.0, cone_r0: float = 0.25,
              cone_levels: int = 6, cone_theta_min: float = 0.01,
-             cone_resolution: int = 7,
-             tolerance: float = 1e-6) -> Classification:
+             cone_resolution: int = 7) -> Classification:
     """Three-step verdict for the marked boundary point of dom.
 
     Exponents default to a = a0 (capacities) and b = 2 b0 (weights), the
@@ -107,8 +106,7 @@ def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
     if cone_rep.satisfied:
         return Classification("REGULAR", "cone", cone_rep, None, None,
                               structural_constant(bounds), notes)
-    kw = dict(K_max=K_max, H_max=H_max, resolution=resolution,
-              tolerance=tolerance)
+    kw = dict(K_max=K_max, H_max=H_max, resolution=resolution)
     suff_tab = series_table(dom, lam, a, b, "sufficient", **kw)
     suff = divergence_verdict(suff_tab)
     if suff.verdict == "DIVERGENT" and not suff.table_partial:

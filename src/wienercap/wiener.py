@@ -96,8 +96,7 @@ def _row_tail(C_fit: float, Q: float, w: float, lam: float, h_from: int) -> floa
 
 def series_table(dom: DomainSpec, lam: float, a: float, b: float,
                  variant: str = "sufficient", K_max: int = 40,
-                 H_max: int = 40, resolution: int = 4,
-                 tolerance: float = 1e-6) -> SeriesTable:
+                 H_max: int = 40, resolution: int = 4) -> SeriesTable:
     """Assemble the weighted ring-capacity table.
 
     Within each time level k the band loop stops once the fitted tail
@@ -151,7 +150,7 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
                         prob = CapacityProblem(
                             kern, support,
                             *constraint_points(support, dom.metric,
-                                               resolution), tolerance)
+                                               resolution))
                         est = solve_capacity(prob, store)
                         tab.capacities[(k, h)] = est
                         if est.reused:
@@ -332,8 +331,8 @@ def nested_partial_value(tab: SeriesTable, s: float) -> float:
 
 
 def lambda_comparability(dom: DomainSpec, a: float, b: float, lam: float,
-                         mu: float, s_values, resolution: int = 3,
-                         tolerance: float = 1e-6) -> ComparabilityReport:
+                         mu: float, s_values,
+                         resolution: int = 3) -> ComparabilityReport:
     """Empirical constants C(s) = z(lam; s) / (z(mu; sigma s) + 1) with
     sigma = log lam / log mu; one nested table per scale, partial sums
     reused across all s."""
@@ -344,9 +343,9 @@ def lambda_comparability(dom: DomainSpec, a: float, b: float, lam: float,
     K_lam = max(1, int(math.floor(max(s_values))))
     K_mu = max(1, int(math.floor(sigma * max(s_values))))
     t_lam = series_table(dom, lam, a, b, "nested", K_lam,
-                         H_max=40, resolution=resolution, tolerance=tolerance)
+                         H_max=40, resolution=resolution)
     t_mu = series_table(dom, mu, a, b, "nested", K_mu,
-                        H_max=60, resolution=resolution, tolerance=tolerance)
+                        H_max=60, resolution=resolution)
     z1 = [nested_partial_value(t_lam, s) for s in s_values]
     z2 = [nested_partial_value(t_mu, sigma * s) for s in s_values]
     consts = [zz1 / (zz2 + 1.0) for zz1, zz2 in zip(z1, z2)]
@@ -392,7 +391,7 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     measure of the complement.  The sections of all rho nodes of one time
     node are measured in one vectorized pass over their fine grids
     (section_measures), with no coarse-grid error pass, since M has no
-    use for one.  Probes may be SpaceTimePoints or plain dhat values.  M
+    use for one.  Probes are dhat values, the parabolic distances to z0.  M
     is computed from one shared cumulative grid, so it is exactly
     nonincreasing in dhat; `divergent` reports whether M grows along
     log(1/dhat^2) with slope >= INTEGRAL_SLOPE_MIN at fit quality
@@ -400,12 +399,7 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     """
     if b <= 0:
         raise WienerError("b must be positive")
-    dhats = []
-    for pz in probes:
-        if isinstance(pz, SpaceTimePoint):
-            dhats.append(parabolic_dist(dom.metric, dom.z0, pz))
-        else:
-            dhats.append(float(pz))
+    dhats = [float(dh) for dh in probes]
     if any(dh <= 0 or dh * dh >= lam for dh in dhats):
         raise WienerError("probes must satisfy 0 < dhat^2 < lam")
     if resolution is None:
@@ -483,8 +477,8 @@ class WienerFunctionEstimate:
 
 
 def wiener_function(dom: DomainSpec, kernel, rho: float, L_max: int,
-                    probes, resolution: int = 4, lam: float = 0.25,
-                    tolerance: float = 1e-6) -> WienerFunctionEstimate:
+                    probes, resolution: int = 4,
+                    lam: float = 0.25) -> WienerFunctionEstimate:
     """W(z) = sum_{l=1..L_max} rho^l (1 - V_l(z)) with V_l the clamped
     potential of the discrete equilibrium measure of the parabolic-ball
     complement at scale lam^(l/2).  Empty complements give V_l = 0."""
@@ -498,7 +492,7 @@ def wiener_function(dom: DomainSpec, kernel, rho: float, L_max: int,
     partial = False
     for l in range(1, L_max + 1):
         prob = build_problem(dom, BallComplementTarget(l, lam), kernel,
-                             resolution, tolerance)
+                             resolution)
         if prob.support.is_empty():
             continue
         try:
@@ -566,8 +560,8 @@ def axis_probes(dom: DomainSpec, offsets) -> list[SpaceTimePoint]:
 
 
 def bound_check(dom: DomainSpec, kernel, lam: float, a: float, b: float,
-                rho: float, probes, L_max: int = 8, resolution: int = 4,
-                tolerance: float = 1e-6) -> BoundCheckReport:
+                rho: float, probes, L_max: int = 8,
+                resolution: int = 4) -> BoundCheckReport:
     """Empirical test of W_rho(z) <= C exp(-Z/C) along a probe sequence.
 
     Z is the nested-series partial sum through floor(log dhat^2 / log lam);
@@ -580,10 +574,10 @@ def bound_check(dom: DomainSpec, kernel, lam: float, a: float, b: float,
     s_vals = np.log(dhats ** 2) / math.log(lam)
     K_need = max(1, int(math.floor(float(s_vals.max()))))
     tab = series_table(dom, lam, a, b, "nested", K_max=K_need,
-                       H_max=40, resolution=resolution, tolerance=tolerance)
+                       H_max=40, resolution=resolution)
     Z = np.array([nested_partial_value(tab, s) for s in s_vals])
     west = wiener_function(dom, kernel, rho, L_max, probes,
-                           resolution=resolution, lam=lam, tolerance=tolerance)
+                           resolution=resolution, lam=lam)
     W = west.W
     mask = W > 0
     if mask.sum() >= 3 and np.ptp(Z[mask]) > 0:

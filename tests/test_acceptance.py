@@ -48,11 +48,11 @@ def passline(capfd):
     return emit
 
 
-def _solve(metric, sample, a, cons=None, tol=LP_TOL):
+def _solve(metric, sample, a, cons=None):
     if cons is None:
         cons = constraint_points(sample, metric, max(sample.resolution, 3))
     kern = wc.GaussianKernel(metric, a)
-    return solve_capacity(CapacityProblem(kern, sample, cons[0], cons[1], tol))
+    return solve_capacity(CapacityProblem(kern, sample, cons[0], cons[1]))
 
 
 # ---------------------------------------------------------------------------

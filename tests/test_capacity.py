@@ -59,12 +59,11 @@ def dense_oracle(n, c=0.5, a=0.25):
     return -res.fun
 
 
-def solve_sample(m, sample, a, constraints=None, tolerance=1e-6):
+def solve_sample(m, sample, a, constraints=None):
     if constraints is None:
         constraints = constraint_points(sample, m, max(sample.resolution, 3))
     kern = wc.GaussianKernel(m, a)
-    prob = CapacityProblem(kern, sample, constraints[0], constraints[1],
-                           tolerance)
+    prob = CapacityProblem(kern, sample, constraints[0], constraints[1])
     return solve_capacity(prob), prob
 
 
@@ -115,7 +114,7 @@ def test_invisible_atom_rejected(m1):
     s = SetSample(np.array([[0.0]]), np.array([5.0]), np.array([1.0]),
                   1.0, 0.0, 3)
     kern = wc.GaussianKernel(m1, 0.25)
-    prob = CapacityProblem(kern, s, np.array([[0.0]]), np.array([0.0]), 1e-6)
+    prob = CapacityProblem(kern, s, np.array([[0.0]]), np.array([0.0]))
     with pytest.raises(CapacityInputError):
         solve_capacity(prob)
 
@@ -422,3 +421,52 @@ def test_store_serves_certified_pair_and_rejects_planted_wrong_one(m1, monkeypat
     assert len(calls) == 1 and not redo.reused
     assert redo.value == fresh.value and redo.rel_gap() <= 1e-6
     assert np.array_equal(store[key][0], nu)
+
+
+# ---------------------------------------------------------------------------
+# the gap gate's failure path
+
+@pytest.fixture
+def halved_packing(monkeypatch):
+    """Plant a fault: every fresh LP solve returns half its packing point,
+    so the certified bracket has a relative gap near 1."""
+    real = capacity._solve_lp
+
+    def halved(A, s):
+        nu, *rest = real(A, s)
+        return (0.5 * nu, *rest)
+
+    monkeypatch.setattr(capacity, "_solve_lp", halved)
+
+
+def test_gap_gate_rejects_a_planted_wide_bracket(m1, halved_packing):
+    s = random_cloud_sample(np.random.default_rng(33), 1, 50)
+    prob = CapacityProblem(wc.GaussianKernel(m1, 0.25), s,
+                           *constraint_points(s, m1, 3))
+    store = {}
+    with pytest.raises(capacity.CapacityConvergenceError,
+                       match=r"exceeds tolerance \(1\.0e-06 relative\)") as exc:
+        solve_capacity(prob, store)
+    est = exc.value.estimate
+    assert est is not None and est.rel_gap() > capacity.GAP_TOLERANCE
+    assert store == {}
+
+
+def test_series_table_records_failed_rings_as_partial(m1, halved_packing):
+    tab = wc.series_table(wc.benchmark("halfspace", m1), 0.25, 0.25, 0.5,
+                          K_max=2, H_max=2, resolution=3)
+    assert tab.partial
+    assert (2, 1) in tab.failed
+    assert set(tab.failed) == set(tab.capacities)
+
+
+def test_classify_withholds_a_verdict_on_a_partial_table(m1, bounds1,
+                                                         halved_packing):
+    """cylinder-top does not pass the cone check, so both series run, and
+    their PARTIAL tables decide nothing."""
+    cls = wc.classify(wc.benchmark("cylinder-top", m1), bounds1, K_max=4,
+                      H_max=3, resolution=3)
+    assert not cls.cone.satisfied
+    assert cls.verdict == "INCONCLUSIVE" and cls.basis == "none"
+    assert cls.sufficient.table_partial and cls.necessary.table_partial
+    assert cls.notes == ["capacity table PARTIAL: verdict withheld"]

@@ -220,13 +220,17 @@ def test_unknown_config_key_exits_64(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_removed_volume_mode_key_exits_64_at_parse_time(tmp_path, capsys):
-    cfg = _write(tmp_path, "mc.cfg", "metric.kind = heisenberg-koranyi\n"
-                 "metric.volume-mode = monte-carlo\n")
+@pytest.mark.parametrize("key, value", [
+    pytest.param(k, v, id=k) for k, v in [("metric.volume-mode", "monte-carlo"),
+                                         ("capacity.tolerance", "1e-3"),
+                                         ("capacity.exponent", "0.25")]])
+def test_removed_key_exits_64_at_parse_time(tmp_path, capsys, key, value):
+    cfg = _write(tmp_path, "old.cfg",
+                 f"metric.kind = heisenberg-koranyi\n{key} = {value}\n")
     out = tmp_path / "out"
     code = main(["capacity", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_CONFIG
-    assert "unknown key 'metric.volume-mode'" in capsys.readouterr().err
+    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -302,6 +306,29 @@ def test_invalid_walk_settings_fail_the_suite(tmp_path, capsys, key, value):
     assert not list(out.glob("*_classification.json"))
 
 
+@pytest.mark.parametrize("command, text", [
+    ("classify", FAST_CLASSIFY.format(name="halfspace")),
+    ("series", FAST_SERIES),
+    ("capacity", FAST_CAPACITY)])
+@pytest.mark.parametrize("setting", ["pde.beta = 0", "pde.beta = -1",
+                                     "pde.beta = nan", "pde.beta = inf",
+                                     "bounds.a0 = nan"])
+def test_invalid_gaussian_bound_settings_exit_3(tmp_path, capsys, command,
+                                                text, setting):
+    """Every command that builds the Gaussian bounds rejects a beta or an
+    exponent that is not positive and finite: exit 3 with a failure.json,
+    never a ZeroDivisionError that exits 1 (IRREGULAR's code)."""
+    cfg = _write(tmp_path, "bad.cfg", text + setting + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert "must be positive and finite" in capsys.readouterr().err
+    failure = json.loads((out / "failure.json").read_text())
+    assert "must be positive and finite" in failure["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["config.txt", "failure.json"]
+
+
 def test_list_domains_needs_no_config(capsys):
     code = main(["list-domains"])
     assert code == EXIT_OK
@@ -350,6 +377,20 @@ def test_capacity_solves_once_per_refinement_level(tmp_path, monkeypatch,
     record = json.loads((out / "capacity.json").read_text())
     assert record["resolution"] == solved[-1]
     assert len(record["refinement"]) == levels
+
+
+@pytest.mark.parametrize("setting, exponent", [("", 0.25),
+                                               ("bounds.a0 = 0.2", 0.2),
+                                               ("wiener.a = 0.125", 0.125)])
+def test_capacity_kernel_exponent_follows_the_bounds(tmp_path, setting,
+                                                     exponent):
+    """capacity takes its kernel exponent by the rule series and classify
+    use: wiener.a, else a0."""
+    text = FAST_CAPACITY.replace("resolution = 3", "resolution = 2")
+    cfg = _write(tmp_path, "cap.cfg", text + setting + "\n")
+    out = _run_capacity(tmp_path, cfg, "run")
+    record = json.loads((out / "capacity.json").read_text())
+    assert record["kernel_exponent"] == exponent
 
 
 def test_manifest_fields_and_config_copy(tmp_path):
@@ -430,6 +471,29 @@ def test_benchmark_suite_passes_integral_quadrature_keys(tmp_path,
     for name in wc.benchmark_names():
         rep = json.loads((out / f"{name}_integral.json").read_text())
         assert (rep["n_u"], rep["U_max"]) == (16, 48.0), name
+
+
+def test_pde_verify_passes_its_four_checks(tmp_path):
+    cfg = _write(tmp_path, "pde.cfg", "seed = 11\n")
+    out = tmp_path / "out"
+    code = main(["pde-verify", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_OK
+    report = json.loads((out / "pde_verify.json").read_text())
+    assert report["all_pass"] is True
+    assert sorted(report["checks"]) == ["constant_data",
+                                        "gaussian_data_vs_closed_form",
+                                        "linear_data", "step_halving"]
+    assert all(c["pass"] for c in report["checks"].values())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "pde_verify.json" in manifest["files"]
+
+
+def test_pde_verify_on_koranyi_exits_64(tmp_path, capsys):
+    cfg = _write(tmp_path, "pde.cfg", "metric.kind = heisenberg-koranyi\n")
+    code = main(["pde-verify", "--config", cfg, "--out",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "requires a Euclidean metric" in capsys.readouterr().err
 
 
 def test_table_metric_kind_exits_64(tmp_path, capsys):

@@ -24,14 +24,14 @@ def test_gaussian_value_euclidean_n1(m1):
     # exp(-a d^2 / dt) / |B(x, sqrt(dt))| with |B| = 2 sqrt(dt)
     z = stp([1.0], 1.0)
     w = stp([0.0], 0.0)
-    got = wc.gaussian_eval(m1, 0.25, z, w)
+    got = GaussianKernel(m1, 0.25).eval(z, w)
     assert got == pytest.approx(math.exp(-0.25) / 2.0, rel=1e-13)
 
 
 def test_gaussian_value_euclidean_n2(m2):
     z = stp([1.0, 0.0], 0.0)
     w = stp([0.0, 0.0], -1.0)
-    got = wc.gaussian_eval(m2, 0.25, z, w)
+    got = GaussianKernel(m2, 0.25).eval(z, w)
     assert got == pytest.approx(math.exp(-0.25) / math.pi, rel=1e-13)
 
 
@@ -39,7 +39,7 @@ def test_gaussian_value_heisenberg(heis):
     z = stp([1.0, 0.0, 0.0], 1.0)
     w = stp([0.0, 0.0, 0.0], 0.0)
     # gauge distance 1, |B(x, 1)| = pi^2/8
-    got = wc.gaussian_eval(heis, 0.5, z, w)
+    got = GaussianKernel(heis, 0.5).eval(z, w)
     assert got == pytest.approx(math.exp(-0.5) / (math.pi ** 2 / 8),
                                 rel=1e-9)
 
@@ -47,15 +47,15 @@ def test_gaussian_value_heisenberg(heis):
 def test_kernel_vanishes_without_time_order(m1):
     z = stp([0.0], 0.0)
     w = stp([1.0], 0.0)
-    assert wc.gaussian_eval(m1, 0.25, z, w) == 0.0
-    assert wc.gaussian_eval(m1, 0.25, w, stp([0.0], 1.0)) == 0.0
+    assert GaussianKernel(m1, 0.25).eval(z, w) == 0.0
+    assert GaussianKernel(m1, 0.25).eval(w, stp([0.0], 1.0)) == 0.0
 
 
 def test_heat_kernel_closed_form():
     # (4 pi dt / beta)^(-N/2) exp(-beta d^2 / (4 dt))
-    got = wc.heat_eval(1, 2.0, stp([0.0], 1.0), stp([0.0], 0.0))
+    got = HeatKernel(1, 2.0).eval(stp([0.0], 1.0), stp([0.0], 0.0))
     assert got == pytest.approx((2 * math.pi) ** -0.5, rel=1e-13)
-    got = wc.heat_eval(1, 1.0, stp([0.5], 1.0), stp([0.0], 0.0))
+    got = HeatKernel(1, 1.0).eval(stp([0.5], 1.0), stp([0.0], 0.0))
     assert got == pytest.approx((4 * math.pi) ** -0.5 * math.exp(-0.0625),
                                 rel=1e-13)
 
@@ -85,7 +85,7 @@ def test_two_sided_bound_brackets_heat_kernel(m1, bounds1):
     for _ in range(50):
         z = stp(rng.normal(size=1), rng.uniform(0.1, 2.0))
         w = stp(rng.normal(size=1), rng.uniform(-2.0, 0.0))
-        gamma = wc.heat_eval(1, beta, z, w)
+        gamma = HeatKernel(1, beta).eval(z, w)
         assert gamma <= lam * ka.eval(z, w) * (1 + 1e-12)
         assert gamma >= kb.eval(z, w) / lam * (1 - 1e-12)
 
@@ -99,7 +99,7 @@ def test_kernel_antitone_in_exponent(m1, a1, a2):
         a1, a2 = a2, a1
     z = stp([0.7], 0.5)
     w = stp([0.0], 0.0)
-    assert wc.gaussian_eval(m1, a1, z, w) >= wc.gaussian_eval(m1, a2, z, w)
+    assert GaussianKernel(m1, a1).eval(z, w) >= GaussianKernel(m1, a2).eval(z, w)
 
 
 def test_matrix_matches_pointwise_eval(m2):
