@@ -328,6 +328,8 @@ class RefinementStep:
 def refine_capacity(dom: DomainSpec, target, kernel, levels: int = 3,
                     base_resolution: int = 3) -> list[RefinementStep]:
     """Re-solve the capacity across a ladder of grid resolutions."""
+    if levels < 1:
+        raise CapacityInputError("refinement levels must be >= 1")
     out = []
     for j in range(levels):
         res = base_resolution + j

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -30,12 +30,13 @@ from .capacity import (CapacityConvergenceError, CapacityInputError,
                        build_problem, refine_capacity, solve_capacity)
 from .config import (ConfigError, RunConfig, describe_schema, load_config)
 from .domain import (BallComplementTarget, DomainError, DomainSpec, RingSpec,
-                     RingTarget, SectionTarget, BENCHMARK_STATUS, benchmark,
-                     benchmark_names, cone as cone_domain, cusp, cylinder,
-                     halfspace_time, mask_domain, measure_standard_error,
-                     punctured, spatial_halfspace)
+                     RingTarget, SectionTarget, BENCHMARK_STATUS, FAMILIES,
+                     benchmark, benchmark_names, cone as cone_domain, cusp,
+                     cylinder, halfspace_time, mask_domain,
+                     measure_standard_error, punctured, spatial_halfspace)
 from .kernel import GaussBounds, GaussianKernel, euclidean_bounds
-from .metric import MetricSpace, euclidean, heisenberg_koranyi, stp
+from .metric import (MetricSpace, ball_volume, euclidean, heisenberg_koranyi,
+                     stp)
 from .pde import PDEError, WalkConfig, classification_probe, pwb_solve
 from .regularity import RegularityError, classify, cone_check
 from .report import ReportBundle
@@ -48,7 +49,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_FAILURE = 3
 EXIT_CONFIG = 64
 
-# benchmark-suite's Monte Carlo probe offsets from z0
+# benchmark-suite's integral probes (dhat) and Monte Carlo offsets from z0
+SUITE_INTEGRAL_PROBES = [0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035]
 SUITE_PROBE_OFFSETS = [0.12 * 0.55 ** j for j in range(8)]
 
 
@@ -100,28 +102,38 @@ def build_domain(cfg: RunConfig, metric: MetricSpace) -> DomainSpec:
 
 def build_bounds(cfg: RunConfig, metric: MetricSpace) -> GaussBounds:
     lam_c, a0, b0 = cfg["bounds.Lambda"], cfg["bounds.a0"], cfg["bounds.b0"]
-    beta = cfg["pde.beta"]
-    auto = euclidean_bounds(metric.N if metric.kind == "euclidean" else 1, beta)
-    return GaussBounds(lam_c or auto.Lambda, a0 or beta / 4.0,
-                       b0 or beta / 4.0, metric.c_d)
+    auto = euclidean_bounds(metric.N if metric.kind == "euclidean" else 1,
+                            cfg["pde.beta"])
+    return GaussBounds(lam_c or auto.Lambda, a0 or auto.a0, b0 or auto.b0,
+                       metric.c_d)
 
 
 def exponents(cfg: RunConfig, bounds: GaussBounds) -> tuple[float, float]:
-    a = cfg["wiener.a"] or bounds.a0
-    b = cfg["wiener.b"] or 2.0 * bounds.b0
-    return a, b
+    """(a, b) from wiener.a and wiener.b, where 0 means the bounds' default."""
+    return bounds.exponents(cfg["wiener.a"] or None, cfg["wiener.b"] or None)
+
+
+def cone_settings(cfg: RunConfig) -> tuple:
+    """The cone.* keys in cone_check's (and classify's) positional order."""
+    return (cfg["cone.M0"], cfg["cone.r0"], cfg["cone.levels"],
+            cfg["cone.theta-min"], cfg["cone.resolution"])
 
 
 def run_classify(cfg: RunConfig, dom: DomainSpec, bounds: GaussBounds):
     """The three-step classifier with every setting read from the config."""
-    a, b = exponents(cfg, bounds)
-    return classify(dom, bounds, cfg["wiener.lambda"], a, b,
-                    K_max=cfg["wiener.K-max"], H_max=cfg["wiener.H-max"],
-                    resolution=cfg["capacity.resolution"],
-                    cone_M0=cfg["cone.M0"], cone_r0=cfg["cone.r0"],
-                    cone_levels=cfg["cone.levels"],
-                    cone_theta_min=cfg["cone.theta-min"],
-                    cone_resolution=cfg["cone.resolution"])
+    return classify(dom, bounds, cfg["wiener.lambda"], *exponents(cfg, bounds),
+                    cfg["wiener.K-max"], cfg["wiener.H-max"],
+                    cfg["capacity.resolution"], *cone_settings(cfg))
+
+
+def run_integral(cfg: RunConfig, dom: DomainSpec, bounds: GaussBounds,
+                 probes):
+    """The integral criterion at the dhat probes, with wiener.lambda and the
+    integral.* quadrature keys (0 = automatic) read from the config."""
+    return integral_test(dom, cfg["wiener.lambda"], exponents(cfg, bounds)[1],
+                         probes, n_u=cfg["integral.n-u"],
+                         U_max=cfg["integral.U-max"] or None,
+                         resolution=cfg["integral.resolution"] or None)
 
 
 def walk_config(cfg: RunConfig) -> WalkConfig:
@@ -170,8 +182,7 @@ def cmd_capacity(cfg, bundle, quiet):
         target = BallComplementTarget(cfg["capacity.l"], lam)
     else:
         raise ConfigError(f"unknown capacity.target {tgt_kind!r}")
-    levels = max(1, cfg["capacity.refine-levels"])
-    steps = refine_capacity(dom, target, kern, levels,
+    steps = refine_capacity(dom, target, kern, cfg["capacity.refine-levels"],
                             cfg["capacity.resolution"])
     est, prob = steps[-1].estimate, steps[-1].problem
     record = {
@@ -206,7 +217,6 @@ def cmd_capacity(cfg, bundle, quiet):
 
 
 def _write_series(bundle, dom, tab, rep):
-    from .metric import ball_volume
     rows = []
     w = tab.weight_exponent
     for k in range(1, tab.K_max + 1):
@@ -250,13 +260,8 @@ def cmd_series(cfg, bundle, quiet):
 def cmd_integral(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    bounds = build_bounds(cfg, metric)
-    _, b = exponents(cfg, bounds)
-    rep = integral_test(dom, cfg["wiener.lambda"], b,
-                        list(cfg["integral.probes"]),
-                        n_u=cfg["integral.n-u"],
-                        U_max=cfg["integral.U-max"] or None,
-                        resolution=cfg["integral.resolution"] or None)
+    rep = run_integral(cfg, dom, build_bounds(cfg, metric),
+                       cfg["integral.probes"])
     bundle.write_json("integral_report.json", asdict(rep))
     bundle.write_csv("integral_curve.csv", ["log_inv_dhat2", "M"],
                      [[math.log(1.0 / dh ** 2), m]
@@ -269,8 +274,7 @@ def cmd_integral(cfg, bundle, quiet):
 def cmd_cone(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    rep = cone_check(dom, cfg["cone.M0"], cfg["cone.r0"], cfg["cone.levels"],
-                     cfg["cone.theta-min"], cfg["cone.resolution"])
+    rep = cone_check(dom, *cone_settings(cfg))
     bundle.write_json("cone_report.json", asdict(rep))
     if not quiet:
         print(f"cone satisfied={rep.satisfied} theta={rep.theta:.4f}")
@@ -362,8 +366,7 @@ def cmd_pde_verify(cfg, bundle, quiet):
         "pass": bool(abs(sol_g.value - target) <= 4.0 * sol_g.std_error + 2e-3),
     }
 
-    half = WalkConfig(beta, walk.step / 2.0, walk.walkers, walk.seed + 1,
-                      walk.max_time)
+    half = replace(walk, step=walk.step / 2.0, seed=walk.seed + 1)
     sol_h = pwb_solve(dom, phi_g, z, half)
     tol_h = 4.0 * math.hypot(sol_g.std_error, sol_h.std_error) + 2e-3
     checks["step_halving"] = {
@@ -384,7 +387,6 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
     walk = walk_config(cfg)     # rejects a walk that could not run
     metric = build_metric(cfg)
     bounds = build_bounds(cfg, metric)
-    _, b = exponents(cfg, bounds)
     summary = []
     all_ok = True
     for name in benchmark_names():
@@ -398,11 +400,7 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
             suff_verdict = None
         # integral-consistency: integral divergence must not meet a
         # CONVERGENT sufficient series
-        probes = [0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035]
-        irep = integral_test(dom, cfg["wiener.lambda"], b, probes,
-                             n_u=cfg["integral.n-u"],
-                             U_max=cfg["integral.U-max"] or None,
-                             resolution=cfg["integral.resolution"] or None)
+        irep = run_integral(cfg, dom, bounds, SUITE_INTEGRAL_PROBES)
         consistent = not (irep.divergent and suff_verdict == "CONVERGENT")
         bundle.write_json(f"{name}_integral.json", asdict(irep))
         # PDE cross-check on Euclidean metrics: probe for the solution
@@ -445,8 +443,7 @@ def cmd_list_domains(cfg, bundle, quiet):
     for name in benchmark_names():
         status = BENCHMARK_STATUS[name] or "unpinned"
         print(f"  {name:<20} known status: {status}")
-    print("\ndomain families: halfspace-time, spatial-halfspace, cylinder,"
-          " cone, cusp, punctured, mask")
+    print(f"\ndomain families: {', '.join(FAMILIES)}")
     print("\nconfig keys:\n")
     print(describe_schema())
     return EXIT_OK

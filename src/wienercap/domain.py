@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import (MetricSpace, SpaceTimePoint, ball_coord_halfwidths,
-                     dist, parabolic_dist_many, stp)
+                     dist, euclidean, parabolic_dist_many, stp)
 
 
 class DomainError(ValueError):
@@ -33,6 +33,9 @@ class DomainError(ValueError):
 
 FAMILIES = ("halfspace-time", "spatial-halfspace", "cylinder", "cone",
             "cusp", "punctured", "mask")
+
+# the time strip (T1, T2) of validity that every domain sits in
+STRIP = (-8.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,6 @@ class DomainSpec:
     t_lo: float
     t_hi: float
     z0: SpaceTimePoint
-    strip: tuple[float, float] = (-8.0, 8.0)
     mask_grid: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -60,9 +62,9 @@ class DomainSpec:
             raise DomainError(f"unknown family {self.family!r}")
         object.__setattr__(self, "x_lo", np.asarray(self.x_lo, dtype=float))
         object.__setattr__(self, "x_hi", np.asarray(self.x_hi, dtype=float))
-        if not (self.strip[0] <= self.t_lo < self.t_hi <= self.strip[1]):
+        if not (STRIP[0] <= self.t_lo < self.t_hi <= STRIP[1]):
             raise DomainError("bbox time range must sit inside the strip")
-        if not (self.strip[0] <= self.z0.t <= self.strip[1]):
+        if not (STRIP[0] <= self.z0.t <= STRIP[1]):
             raise DomainError("z0 outside the strip")
 
     @property
@@ -72,8 +74,8 @@ class DomainSpec:
 
 def _require_in_strip(dom: DomainSpec, T: np.ndarray):
     # fmin and fmax skip NaN times, which fail the bbox test instead
-    if T.size and (np.fmin.reduce(T) < dom.strip[0]
-                   or np.fmax.reduce(T) > dom.strip[1]):
+    if T.size and (np.fmin.reduce(T) < STRIP[0]
+                   or np.fmax.reduce(T) > STRIP[1]):
         raise DomainError("query point outside the strip of validity")
 
 
@@ -147,28 +149,29 @@ def _spatial_test(dom: DomainSpec, X: np.ndarray, cut, T) -> np.ndarray:
     return inside
 
 
+def _per_row(a: np.ndarray, counts) -> np.ndarray:
+    """a[j] repeated counts[j] times; a itself when every count is 1."""
+    return a if np.ndim(counts) == 0 and counts == 1 else np.repeat(a, counts)
+
+
 def contains_many(dom: DomainSpec, X, T) -> np.ndarray:
     """Vectorized membership in Omega for points (X[i], T[i])."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    ok, cut = _time_terms(dom, T)
-    inside = _spatial_test(dom, X, cut, T)
-    inside &= ok
-    return inside
+    return contains_runs(dom, X, T, 1)
 
 
 def contains_runs(dom: DomainSpec, X, times, counts) -> np.ndarray:
-    """contains_many(dom, X, np.repeat(times, counts)) bit for bit, with
-    the time conditions evaluated once per run of rows sharing a time."""
+    """Vectorized membership in Omega for rows of X in runs that share a
+    time: counts[j] rows at times[j], in order (a scalar count applies to
+    every run); the time conditions are evaluated once per run."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     ok, cut = _time_terms(dom, times)
-    T = np.repeat(times, counts) if dom.family == "mask" else None
+    T = _per_row(times, counts) if dom.family == "mask" else None
     if cut is not None:
-        cut = np.repeat(cut, counts)
+        cut = _per_row(cut, counts)
     inside = _spatial_test(dom, X, cut, T)
     if not ok.all():
-        inside &= np.repeat(ok, counts)
+        inside &= _per_row(ok, counts)
     return inside
 
 
@@ -369,7 +372,7 @@ def validate_boundary_point(dom: DomainSpec) -> None:
         half = ball_coord_halfwidths(dom.metric, r, dom.z0.x)
         X = dom.z0.x + rng.uniform(-1, 1, size=(n, dom.N)) * half
         T = dom.z0.t + rng.uniform(-1, 1, size=n) * r * r
-        T = np.clip(T, dom.strip[0], dom.strip[1])
+        T = np.clip(T, *STRIP)
         if not contains_many(dom, X, T).any():
             raise DomainError(f"no Omega points found near z0 at scale {r}")
 
@@ -404,7 +407,6 @@ def benchmark(name: str, metric: MetricSpace | None = None) -> DomainSpec:
         raise DomainError(f"unknown benchmark {name!r}; "
                           f"known: {', '.join(_REGISTRY_BUILDERS)}")
     if metric is None:
-        from .metric import euclidean
         metric = euclidean(1)
     return _REGISTRY_BUILDERS[name](metric)
 

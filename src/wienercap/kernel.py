@@ -59,6 +59,12 @@ class GaussBounds:
         if self.Lambda < 1:
             raise KernelError("Lambda must be >= 1")
 
+    def exponents(self, a: float | None,
+                  b: float | None) -> tuple[float, float]:
+        """Exponents (a, b), with a = a0 and b = 2 b0 where not given."""
+        return (self.a0 if a is None else a,
+                2.0 * self.b0 if b is None else b)
+
 
 def structural_constant(b: GaussBounds) -> float:
     """Single number |H| = Lambda + 1/a0 + b0 + c_d that every stability

@@ -10,22 +10,23 @@ Perron-Wiener solution with boundary data phi.  Exit detection bisects
 the last step segment to a time tolerance of step / 64.  Euclidean
 domains only: the walk has no intrinsic meaning for the other metrics.
 
-pwb_solve_many walks several points of one domain as one batch, and
-pwb_solve is its one-point case.  Only walkers still inside Omega are
-stepped, so an iteration costs what is left of the walk, and the batch
-runs as many iterations as its slowest point, not their sum.  Each point
-keeps its own random stream: on every step it draws one normal vector
-from its own generator for each of its walkers still active, in walker
-order, so its estimate does not depend on the other points of the batch
-and no normal is drawn for a walker that has exited.  The normal draws
-bound the cost of a step: the rest is a few vector passes.  All active
-walkers of a point have taken the same number of steps and share one
-time, so the walk holds one time per point, and the time conditions of
-membership are evaluated once per point and step (domain.contains_runs),
-only the spatial ones once per walker.  The walk keeps the last step
-segment of every exit and bisects all of them in one pass after the last
-step: the bisections are independent of each other, so six membership
-calls serve the whole batch.
+pwb_solve_many walks several points of one domain as one batch under one
+walk config, with one seed per point, and pwb_solve is its one-point
+case.  Only walkers still inside Omega are stepped, so an iteration costs
+what is left of the walk, and the batch runs as many iterations as its
+slowest point, not their sum.  Each point keeps its own random stream: on
+every step it draws one normal vector from its own generator for each of
+its walkers still active, in walker order, so its estimate does not
+depend on the other points of the batch and no normal is drawn for a
+walker that has exited.  The normal draws bound the cost of a step: the
+rest is a few vector passes.  All active walkers of a point have taken
+the same number of steps and share one time, so the walk holds one time
+per point, and the time conditions of membership are evaluated once per
+point and step (domain.contains_runs), only the spatial ones once per
+walker.  The walk keeps the last step segment of every exit and bisects
+all of them in one pass after the last step: the bisections are
+independent of each other, so six membership calls serve the whole
+batch.
 
 The boundary-behavior probe fits |u(z) - phi(z0)| against dhat(z, z0)
 along an interior approach path; at regular points the Hoelder exponent
@@ -40,12 +41,13 @@ whose walks are reliable and whose gaps exceed 3 standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .domain import DomainSpec, contains, contains_many, contains_runs
-from .metric import SpaceTimePoint, parabolic_dist, parabolic_dist_many, stp
+from .metric import (SpaceTimePoint, dist, parabolic_dist,
+                     parabolic_dist_many, stp)
 from .wiener import _line_fit
 
 
@@ -92,7 +94,6 @@ def classify_exit(dom: DomainSpec, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     if dom.family == "spatial-halfspace":
         lateral |= X[..., 0] <= dom.params["wall"]
     elif dom.family == "cylinder":
-        from .metric import dist
         lateral |= dist(dom.metric, X, np.asarray(dom.params["center"])[None, :]) \
             >= dom.params["radius"]
     out[lateral] = 1
@@ -120,49 +121,45 @@ def pwb_solve(dom: DomainSpec, phi, z: SpaceTimePoint,
     Walkers that exhaust cfg.max_time are excluded from the average; if
     more than 1% time out the estimate is flagged unreliable.
     """
-    return pwb_solve_many(dom, phi, [z], [cfg])[0]
+    return pwb_solve_many(dom, phi, [z], cfg, [cfg.seed])[0]
 
 
-def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
-    """pwb_solve at every point zs[j] with config cfgs[j], walked as one batch.
+def pwb_solve_many(dom: DomainSpec, phi, zs, cfg: WalkConfig,
+                   seeds) -> list[SolutionEstimate]:
+    """pwb_solve at each point zs[j] with seed seeds[j], as one batch.
 
     Only walkers still inside Omega are stepped; a global walker id
     j * walkers + i maps each exit back to walker i of point j.  The
     active walkers stay sorted by global id, so those of point j form one
     run of rows, and point j fills exactly those rows from its own
-    default_rng(cfgs[j].seed) on every step: one normal vector per active
+    default_rng(seeds[j]) on every step: one normal vector per active
     walker, in walker order.  The rows of a run share their point's time,
     which steps down by the same repeated - step as a walker's would, and
     the strip is checked only at the times of runs that still have rows.
-    Each estimate so equals a walk of its point alone bit for bit.  Exit
-    segments are bisected together after the walk.  The configs must
-    agree on everything but the seed.
+    Each estimate so equals a walk of its point alone bit for bit, and
+    carries cfg with its point's seed.  Exit segments are bisected
+    together after the walk.
     """
     if dom.metric.kind != "euclidean":
         raise PDEError("the random-walk solver is Euclidean-only")
-    zs, cfgs = list(zs), list(cfgs)
-    if len(zs) != len(cfgs):
-        raise PDEError("need one walk config per evaluation point")
+    zs, seeds = list(zs), list(seeds)
+    if len(zs) != len(seeds):
+        raise PDEError("need one seed per evaluation point")
     if not zs:
         return []
-    c0 = cfgs[0]
-    shared = (c0.beta, c0.step, c0.walkers, c0.max_time)
-    if any((c.beta, c.step, c.walkers, c.max_time) != shared for c in cfgs):
-        raise PDEError("walk configs must agree on beta, step, walkers "
-                       "and max_time")
     for z in zs:
         if not contains(dom, z):
             raise PDEError("evaluation point must lie inside Omega")
-    P, w, N, h = len(zs), c0.walkers, dom.N, c0.step
-    sigma = math.sqrt(2.0 * h / c0.beta)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    P, w, N, h = len(zs), cfg.walkers, dom.N, cfg.step
+    sigma = math.sqrt(2.0 * h / cfg.beta)
+    rngs = [np.random.default_rng(s) for s in seeds]
     X = np.repeat(np.stack([z.x for z in zs]), w, axis=0)
     step = np.empty_like(X)                # next positions of the active rows
     gid = np.arange(P * w)                 # global ids of the active walkers
     t = np.array([z.t for z in zs], dtype=float)   # each point's walk time
     left = np.full(P, w)                   # active walkers per point
     segs = []                              # (gid, X0, X1, T0) of each exit
-    for _ in range(int(math.ceil(c0.max_time / h))):
+    for _ in range(int(math.ceil(cfg.max_time / h))):
         n = gid.size
         if n == 0:
             break
@@ -205,9 +202,10 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfgs) -> list[SolutionEstimate]:
         exit_x[hit] = X0 + hi[:, None] * (X1 - X0)
         exit_t[hit] = T0 - hi * h
         exited[hit] = True
-    return [_estimate(dom, phi, z, cfg, exit_x[j * w:(j + 1) * w],
-                      exit_t[j * w:(j + 1) * w], exited[j * w:(j + 1) * w])
-            for j, (z, cfg) in enumerate(zip(zs, cfgs))]
+    return [_estimate(dom, phi, z, replace(cfg, seed=s),
+                      exit_x[j * w:(j + 1) * w], exit_t[j * w:(j + 1) * w],
+                      exited[j * w:(j + 1) * w])
+            for j, (z, s) in enumerate(zip(zs, seeds))]
 
 
 def _estimate(dom: DomainSpec, phi, z: SpaceTimePoint, cfg: WalkConfig,
@@ -345,10 +343,9 @@ def boundary_holder(dom: DomainSpec, phi, probes, cfg: WalkConfig,
     if phi0 is None:
         phi0 = float(np.asarray(phi(dom.z0.x[None, :],
                                     np.array([dom.z0.t])))[0])
-    subs = [WalkConfig(cfg.beta, cfg.step, cfg.walkers, cfg.seed + 7919 * j,
-                       cfg.max_time) for j in range(len(probes))]
+    seeds = [cfg.seed + 7919 * j for j in range(len(probes))]
     rows = []
-    for pz, sol in zip(probes, pwb_solve_many(dom, phi, probes, subs)):
+    for pz, sol in zip(probes, pwb_solve_many(dom, phi, probes, cfg, seeds)):
         gap = abs(sol.value - phi0)
         rows.append(ProbeResult(parabolic_dist(dom.metric, dom.z0, pz),
                                 sol.value, gap, sol.std_error,

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .domain import DomainSpec, excluded_slice_measures
-from .kernel import GaussBounds
+from .domain import STRIP, DomainSpec, excluded_slice_measures
+from .kernel import GaussBounds, structural_constant
 from .metric import ball_volume
 from .wiener import SeriesReport, SeriesTable, divergence_verdict, series_table
 
@@ -52,11 +52,13 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
         raise RegularityError("need M0 > 0, r0 > 0, theta_min in (0, 1)")
     if resolution < 1:
         raise RegularityError("resolution must be >= 1")
+    if r_levels < 1:
+        raise RegularityError("r_levels must be >= 1")
     x0, t0 = dom.z0.x, dom.z0.t
     radii, skipped = [], []
     for j in range(r_levels):
         r = r0 * 2.0 ** (-j)
-        (skipped if t0 - r * r <= dom.strip[0] else radii).append(r)
+        (skipped if t0 - r * r <= STRIP[0] else radii).append(r)
     balls = [M0 * r for r in radii]
     excluded = excluded_slice_measures(dom, balls, [t0 - r * r for r in radii],
                                        resolution)
@@ -88,14 +90,11 @@ def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
              cone_resolution: int = 7) -> Classification:
     """Three-step verdict for the marked boundary point of dom.
 
-    Exponents default to a = a0 (capacities) and b = 2 b0 (weights), the
-    admissible corner of the two-sided bound; explicit values are checked
-    against a <= a0 < b and b >= b0 before the series are trusted.
+    Exponents default to a = a0 and b = 2 b0 (GaussBounds.exponents), the
+    admissible corner of the two-sided bound; either way they are checked
+    against a <= a0 and b > b0 before the series are trusted.
     """
-    from .kernel import structural_constant
-
-    a = bounds.a0 if a is None else a
-    b = 2.0 * bounds.b0 if b is None else b
+    a, b = bounds.exponents(a, b)
     if not (a <= bounds.a0):
         raise RegularityError(f"capacity exponent a={a} must be <= a0={bounds.a0}")
     if not (b > bounds.b0):

@@ -14,7 +14,9 @@ import os
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .config import config_hash
 
 
@@ -75,9 +77,6 @@ class ReportBundle:
         return path
 
     def finalize(self) -> str:
-        import scipy
-
-        from . import __version__
         manifest = {
             "command": self.command,
             "config_sha256": config_hash(self.config_text),

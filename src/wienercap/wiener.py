@@ -118,12 +118,14 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
         raise WienerError("lam must lie in (0, 1)")
     if a <= 0 or b <= 0:
         raise WienerError("exponents must be positive")
-    kern = GaussianKernel(dom.metric, b if variant == "necessary" else a)
-    w = a if variant == "necessary" else b
-    ring_variant = "nested" if variant == "nested" else "band"
-    Q = dom.metric.Q
+    if K_max < 1 or H_max < 1:
+        raise WienerError("K_max and H_max must be >= 1")
     tab = SeriesTable(variant, lam, a, b, K_max, H_max, resolution,
                       np.zeros((K_max, H_max)))
+    kern = GaussianKernel(dom.metric, tab.kernel_exponent)
+    w = tab.weight_exponent
+    ring_variant = "nested" if variant == "nested" else "band"
+    Q = dom.metric.Q
     store = {}
     running = 0.0
     C_fit = 0.0
@@ -399,6 +401,8 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     """
     if b <= 0:
         raise WienerError("b must be positive")
+    if n_u < 2:
+        raise WienerError("n_u must be >= 2")
     dhats = [float(dh) for dh in probes]
     if any(dh <= 0 or dh * dh >= lam for dh in dhats):
         raise WienerError("probes must satisfy 0 < dhat^2 < lam")

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wienercap as wc
@@ -33,6 +34,7 @@ from wienercap.config import (
     load_config,
     parse_config,
 )
+from wienercap.metric import stp
 from wienercap.pde import HolderFit
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,113 @@ def test_invalid_gaussian_bound_settings_exit_3(tmp_path, capsys, command,
     assert "must be positive and finite" in failure["error"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+_SERIES_EMPTY = "K_max and H_max must be >= 1"
+
+
+@pytest.mark.parametrize("command, name, setting, message", [
+    ("series", "halfspace", "wiener.K-max = 0", _SERIES_EMPTY),
+    ("series", "halfspace", "wiener.H-max = 0", _SERIES_EMPTY),
+    ("classify", "cylinder-top", "wiener.K-max = 0", _SERIES_EMPTY),
+    ("classify", "cylinder-top", "wiener.H-max = 0", _SERIES_EMPTY),
+    ("cone", "halfspace", "cone.levels = 0", "r_levels must be >= 1"),
+    ("classify", "halfspace", "wiener.H-max = 0\ncone.levels = 0",
+     "r_levels must be >= 1"),
+    ("integral", "halfspace", "integral.n-u = 0", "n_u must be >= 2"),
+    ("integral", "halfspace", "integral.n-u = 1", "n_u must be >= 2"),
+    ("capacity", "halfspace", "capacity.refine-levels = 0",
+     "refinement levels must be >= 1"),
+    ("capacity", "halfspace", "capacity.refine-levels = -1",
+     "refinement levels must be >= 1"),
+])
+def test_settings_that_empty_a_criterion_exit_3(tmp_path, capsys, command,
+                                                name, setting, message):
+    """A setting that leaves a criterion nothing to compute (no series
+    level or band, no cone radius, fewer than two quadrature nodes, no
+    refinement level) is an input error: exit 3 with a failure.json, not
+    an IndexError that exits 1 (IRREGULAR's code) or an empty verdict."""
+    cfg = _write(tmp_path, "bad.cfg",
+                 FAST_CLASSIFY.format(name=name) + setting + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert message in capsys.readouterr().err
+    failure = json.loads((out / "failure.json").read_text())
+    assert message in failure["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+def _family_cases(tmp_path):
+    """(config text, the domain its constructor builds) per family, each
+    with values other than the schema defaults."""
+    m = wc.euclidean(1)
+    mask_path = tmp_path / "half.mask"
+    t = (np.arange(32) + 0.5) / 16.0 - 1.0
+    wc.write_mask(mask_path, np.broadcast_to(t > 0.0, (32, 32)),
+                  [-1.0, -1.0], [0.0625, 0.0625])
+    halfwidth = "domain.halfwidth = 1.5\n"
+    cusp = "domain.family = cusp\ndomain.depth = 0.2\ndomain.t0 = 0.1\n"
+    cylinder = ("domain.family = cylinder\ndomain.radius = 0.3\n"
+                "domain.t1 = -0.8\ndomain.t2 = 0.1\n")
+    return [
+        ("domain.family = halfspace-time\ndomain.t0 = 0.5\n" + halfwidth,
+         wc.halfspace_time(m, 0.5, 1.5)),
+        ("domain.family = spatial-halfspace\ndomain.wall = 0.2\n"
+         "domain.t0 = 0.1\n" + halfwidth,
+         wc.spatial_halfspace(m, 0.2, 0.1, 1.5)),
+        (cylinder, wc.cylinder(m, 0.3, -0.8, 0.1)),
+        (cylinder + "domain.z0-position = lateral\n",
+         wc.cylinder(m, 0.3, -0.8, 0.1, z0="lateral")),
+        ("domain.family = cone\ndomain.M0 = 1.2\ndomain.theta = 0.4\n"
+         "domain.depth = 0.3\ndomain.t0 = 0.1\n" + halfwidth,
+         wc.cone(m, 1.2, 0.4, 0.3, 0.1, 1.5)),
+        (cusp + "domain.profile = power\ndomain.p = 0.8\n" + halfwidth,
+         wc.cusp(m, "power", 0.8, 1.0, 0.2, 0.1, 1.5)),
+        (cusp + "domain.profile = loglog\ndomain.c = 0.5\n" + halfwidth,
+         wc.cusp(m, "loglog", 1.0, 0.5, 0.2, 0.1, 1.5)),
+        ("domain.family = punctured\ndomain.radius = 0.3\n"
+         "domain.tau = 0.2\n" + halfwidth,
+         wc.punctured(m, 0.3, 0.2, halfwidth=1.5)),
+        (f"domain.family = mask\ndomain.mask-path = {mask_path}\n",
+         wc.mask_domain(mask_path, m, stp(np.zeros(1), 0.0))),
+    ]
+
+
+def _assert_same_domain(got, want):
+    assert (got.family, got.metric) == (want.family, want.metric)
+    assert got.params.keys() == want.params.keys()
+    for key, value in want.params.items():
+        assert np.array_equal(got.params[key], value), key
+    assert np.array_equal(got.x_lo, want.x_lo)
+    assert np.array_equal(got.x_hi, want.x_hi)
+    assert (got.t_lo, got.t_hi) == (want.t_lo, want.t_hi)
+    assert np.array_equal(got.z0.x, want.z0.x) and got.z0.t == want.z0.t
+    assert np.array_equal(got.mask_grid, want.mask_grid)
+
+
+def test_every_domain_family_builds_from_the_config(tmp_path):
+    """Each domain.family with its parameter keys builds the domain its
+    constructor builds from the same values, and `cone` runs on it."""
+    for i, (text, want) in enumerate(_family_cases(tmp_path)):
+        text += "cone.resolution = 4\n"
+        cfg = parse_config(text)
+        _assert_same_domain(cli.build_domain(cfg, cli.build_metric(cfg)), want)
+        path = _write(tmp_path, f"family{i}.cfg", text)
+        code = main(["cone", "--config", path, "--out",
+                     str(tmp_path / f"out{i}"), "--quiet"])
+        assert code == EXIT_OK, text
+
+
+@pytest.mark.parametrize("text", ["domain.family = mask\n",
+                                  "domain.family = torus\n"])
+def test_unbuildable_domain_family_exits_64(tmp_path, capsys, text):
+    cfg = _write(tmp_path, "bad.cfg", text)
+    code = main(["cone", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_list_domains_needs_no_config(capsys):

@@ -1,4 +1,4 @@
-"""Every defaulted parameter of the library is set by some call.
+"""Every defaulted parameter and dataclass field of the library is set.
 
 A default that no caller in the repository overrides is a knob nobody
 turns: it widens the API without a use.  The walk below reads the AST of
@@ -6,6 +6,12 @@ turns: it widens the API without a use.  The walk below reads the AST of
 (`from .domain import cone as cone_domain` makes `cone_domain(...)` a call
 of `cone`), and counts a parameter as set when a call passes it by
 keyword or by position, or passes `*args` / `**kwargs` that may carry it.
+A defaulted dataclass field counts as set the same way through calls of
+its class, and also when a `replace(...)` call passes it by keyword or
+some code assigns it (`obj.name = ...`, `obj.name += ...`, or
+`setattr` / `object.__setattr__` with its name).  Fields declared with
+`field(default_factory=...)` are containers filled after construction
+and are not checked.
 """
 
 import ast
@@ -123,3 +129,90 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         "defaulted parameters that no call in src/, scripts/, tests/ or "
         f"perfbench/ sets: {sorted(unset)}; drop the parameter or add "
         "the caller that needs it")
+
+
+def _is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _factory_default(value):
+    return (isinstance(value, ast.Call)
+            and any(k.arg == "default_factory" for k in value.keywords))
+
+
+def dataclass_defaults():
+    """{(class name, field): positional index} of the defaulted fields of
+    the package's dataclasses, factory-made containers left out."""
+    found = {}
+    for tree in _sources(os.path.join("src", "wienercap")):
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name)]
+            for index, f in enumerate(fields):
+                if f.value is not None and not _factory_default(f.value):
+                    found[(node.name, f.target.id)] = index
+    return found
+
+
+def assigned_attributes():
+    """Names of the attributes some code in the walked trees assigns."""
+    out = set()
+    for top in WALKED:
+        for tree in _sources(top):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call) and ast.unparse(node.func)
+                      in ("setattr", "object.__setattr__")
+                      and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    out.add(node.args[1].value)
+                    continue
+                else:
+                    continue
+                for t in targets:
+                    for sub in ast.walk(t):
+                        if isinstance(sub, ast.Attribute):
+                            out.add(sub.attr)
+    return out
+
+
+def unset_fields():
+    defaults = dataclass_defaults()
+    assigned = assigned_attributes()
+    unset = {key for key in defaults if key[1] not in assigned}
+    for name, n_args, keywords in calls():
+        for (cls, fld), index in defaults.items():
+            if name == "replace":
+                if keywords is None or fld in keywords:
+                    unset.discard((cls, fld))
+            elif name == cls and (n_args is None or keywords is None
+                                  or fld in keywords or index < n_args):
+                unset.discard((cls, fld))
+    return unset
+
+
+def test_field_walk_sees_constructors_assignments_and_replace():
+    """WalkConfig.step is set by position and by replace(...), and
+    SeriesTable.partial by assignment; SeriesTable.capacities is a
+    factory-made container and is not checked."""
+    defaults = dataclass_defaults()
+    assert ("WalkConfig", "step") in defaults
+    assert ("SeriesTable", "partial") in defaults
+    assert ("SeriesTable", "capacities") not in defaults
+    assert "partial" in assigned_attributes()
+    assert not {("WalkConfig", "step"), ("SeriesTable", "partial")} \
+        & unset_fields()
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    unset = unset_fields()
+    assert not unset, (
+        "defaulted dataclass fields that no constructor call, replace(...) "
+        f"or assignment in src/, scripts/, tests/ or perfbench/ sets: "
+        f"{sorted(unset)}; make the value a constant or add the code that "
+        "needs another")

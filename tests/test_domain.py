@@ -98,7 +98,7 @@ def frozen_contains(dom, x, t):
     condition as a fixed copy of the formulas contains_many must keep."""
     X = np.asarray(x, dtype=float)[None, :]
     T = np.array([t], dtype=float)
-    if np.any(T < dom.strip[0]) or np.any(T > dom.strip[1]):
+    if np.any(T < domain.STRIP[0]) or np.any(T > domain.STRIP[1]):
         raise wc.DomainError("query point outside the strip of validity")
     inside = (T > dom.t_lo) & (T < dom.t_hi)
     inside &= np.all(X > dom.x_lo, axis=-1) & np.all(X < dom.x_hi, axis=-1)
@@ -158,7 +158,7 @@ def _membership_domains(metric, tmp_path):
 def _edge_times(dom):
     """The times at which a condition of membership changes."""
     p = dom.params
-    ts = [dom.t_lo, dom.t_hi, dom.z0.t, dom.strip[0], dom.strip[1]]
+    ts = [dom.t_lo, dom.t_hi, dom.z0.t, *domain.STRIP]
     ts += [p[k] for k in ("t0", "t1", "t2", "tau") if k in p]
     if "depth" in p:
         ts.append(dom.z0.t - p["depth"])
@@ -198,7 +198,7 @@ def test_membership_matches_frozen_formulas(metric, tmp_path):
     random times, and points on every spatial edge at every edge time."""
     rng = np.random.default_rng(7)
     for dom in _membership_domains(metric, tmp_path):
-        lo, hi = dom.strip
+        lo, hi = domain.STRIP
         times = list(rng.uniform(max(dom.t_lo - 0.2, lo),
                                  min(dom.t_hi + 0.2, hi), size=24))
         times += list(dom.z0.t - rng.uniform(0.0, 0.3, size=24) ** 2)
@@ -618,7 +618,7 @@ def reference_cone_thetas(dom, M0, r0, levels, resolution):
     radii, thetas = [], []
     for j in range(levels):
         r = r0 * 2.0 ** (-j)
-        if t0 - r * r <= dom.strip[0]:
+        if t0 - r * r <= domain.STRIP[0]:
             continue
         R = M0 * r
         half = ball_coord_halfwidths(dom.metric, R, x0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate
 
 import wienercap as wc
 from wienercap.metric import (ball_coord_halfwidths, ball_volume,
@@ -173,9 +174,12 @@ def test_euclidean_ball_volume_scales(m2):
 
 
 def test_koranyi_ball_constant_closed_form():
-    # integral of pi*sqrt(1-16 v^2) over [-1/4, 1/4] equals pi^2/8
-    assert koranyi_ball_constant() == pytest.approx(math.pi ** 2 / 8,
-                                                    rel=1e-9)
+    # the closed form pi^2/8 is the integral of the slice areas
+    # pi*sqrt(1-16 v^2) over [-1/4, 1/4]
+    slices, _ = integrate.quad(lambda v: math.pi * math.sqrt(1 - 16 * v * v),
+                               -0.25, 0.25, epsabs=1e-14, epsrel=1e-13)
+    assert koranyi_ball_constant() == math.pi ** 2 / 8
+    assert slices == pytest.approx(koranyi_ball_constant(), rel=1e-12)
 
 
 def test_heisenberg_ball_volume_homogeneous(heis):

@@ -1,13 +1,14 @@
 """Monte Carlo Perron-Wiener solver: exactness, bias, and decay signatures."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wienercap as wc
 from wienercap import pde
-from wienercap.domain import contains, contains_many
+from wienercap.domain import STRIP, contains, contains_many
 from wienercap.metric import stp
 from wienercap.pde import (EXIT_KINDS, PDEError, SolutionEstimate, WalkConfig,
                            classify_exit)
@@ -342,13 +343,12 @@ def _same_estimate(a, b):
 
 def test_batched_walk_is_bit_identical_to_per_point_walks(tmp_path):
     for name, dom, phi, zs, cfg in _walk_cases(tmp_path):
-        cfgs = [WalkConfig(cfg.beta, cfg.step, cfg.walkers,
-                           cfg.seed + 7919 * j, cfg.max_time)
-                for j in range(len(zs))]
-        got = wc.pwb_solve_many(dom, phi, zs, cfgs)
-        want = [reference_pwb_solve(dom, phi, z, c) for z, c in zip(zs, cfgs)]
+        seeds = [cfg.seed + 7919 * j for j in range(len(zs))]
+        got = wc.pwb_solve_many(dom, phi, zs, cfg, seeds)
+        want = [reference_pwb_solve(dom, phi, z, replace(cfg, seed=s))
+                for z, s in zip(zs, seeds)]
         assert all(_same_estimate(g, r) for g, r in zip(got, want)), name
-        one = wc.pwb_solve(dom, phi, zs[0], cfgs[0])
+        one = wc.pwb_solve(dom, phi, zs[0], cfg)
         assert _same_estimate(one, want[0]), name
         if name == "halfspace":
             times = [e.mean_exit_time for e in got]
@@ -363,32 +363,21 @@ def test_batched_walk_is_bit_identical_to_per_point_walks(tmp_path):
         if name == "far-apart":
             assert all(e.n_timed_out == 0 for e in got)
             floor = dom.params["t0"]
-            assert zs[0].t - (zs[1].t - floor) < dom.strip[0]
+            assert zs[0].t - (zs[1].t - floor) < STRIP[0]
 
 
 def test_walk_below_the_strip_raises_like_the_reference(m1):
     """Walkers that step below a strip floor shared with the bbox raise
     DomainError, batched as in the per-point walk."""
     dom = wc.spatial_halfspace(m1, t0=-6.5)
-    assert dom.t_lo == dom.strip[0]
+    assert dom.t_lo == STRIP[0]
     z = stp([0.5], -7.99)
     cfg = WalkConfig(1.0, 1e-3, 50, 32, 4.0)
     with pytest.raises(wc.DomainError):
         reference_pwb_solve(dom, gaussian_data, z, cfg)
     with pytest.raises(wc.DomainError):
         wc.pwb_solve_many(dom, gaussian_data, [z, stp([0.5], -6.0)],
-                          [cfg, cfg])
-
-
-@pytest.mark.parametrize("field", ["beta", "step", "walkers", "max_time"])
-def test_batched_walk_rejects_disagreeing_configs(m1, field):
-    dom = wc.benchmark("halfspace", m1)
-    base = WalkConfig(1.0, 1e-3, 50, 0, 1.0)
-    other = WalkConfig(**{**base.__dict__, "seed": 1,
-                          field: 2 * getattr(base, field)})
-    with pytest.raises(PDEError):
-        wc.pwb_solve_many(dom, gaussian_data, [stp([0.0], 0.1)] * 2,
-                          [base, other])
+                          cfg, [32, 32])
 
 
 def test_classification_probe_walks_in_one_batch(m1, monkeypatch):
@@ -430,9 +419,8 @@ def test_exit_bisection_runs_once_per_batch(m1, monkeypatch):
     for name in calls:
         monkeypatch.setattr(pde, name, counting(name))
     zs = [stp([0.0], 0.0105), stp([0.0], 0.0205)]
-    cfgs = [WalkConfig(1.0, 1e-3, 200, seed, 4.0) for seed in (1, 2)]
     ests = wc.pwb_solve_many(wc.benchmark("halfspace", m1), gaussian_data,
-                             zs, cfgs)
+                             zs, WalkConfig(1.0, 1e-3, 200, 1, 4.0), [1, 2])
     assert all(e.n_exited == 200 and e.exit_fractions["bottom"] == 1.0
                for e in ests)
     assert calls == {"contains_runs": 21, "contains_many": 6}
@@ -451,7 +439,7 @@ class _CountingRng:
         return got
 
 
-def _counted_walk(monkeypatch, dom, zs, cfgs):
+def _counted_walk(monkeypatch, dom, zs, cfg, seeds):
     """pwb_solve_many with counting stubs: the normals each point's
     generator drew, the rows of every stepping contains_runs call and the
     rows of every bisection contains_many call."""
@@ -474,7 +462,7 @@ def _counted_walk(monkeypatch, dom, zs, cfgs):
     monkeypatch.setattr(pde.np.random, "default_rng", make_rng)
     monkeypatch.setattr(pde, "contains_runs", counting_runs)
     monkeypatch.setattr(pde, "contains_many", counting_many)
-    ests = wc.pwb_solve_many(dom, gaussian_data, zs, cfgs)
+    ests = wc.pwb_solve_many(dom, gaussian_data, zs, cfg, seeds)
     monkeypatch.undo()
     return ests, [r.drawn for r in rngs], steps, bisections
 
@@ -485,19 +473,20 @@ def test_each_point_draws_one_normal_per_walker_step(m1, monkeypatch):
     Its walker-steps are the rows of the stepping contains_runs calls."""
     dom = wc.cylinder(m1, radius=0.3, t1=-4.0, t2=0.0)
     zs = [stp([0.0], -0.5), stp([0.2], -1.0)]
-    cfgs = [WalkConfig(1.0, 1e-3, 300, 30 + 7919 * j, 4.0) for j in (0, 1)]
+    cfg = WalkConfig(1.0, 1e-3, 300, 30, 4.0)
+    seeds = [30 + 7919 * j for j in (0, 1)]
     alone = []
-    for z, c in zip(zs, cfgs):
+    for z, s in zip(zs, seeds):
         (est,), (drawn,), steps, bisections = _counted_walk(
-            monkeypatch, dom, [z], [c])
-        assert est.n_exited == c.walkers and bisections == [c.walkers] * 6
+            monkeypatch, dom, [z], cfg, [s])
+        assert est.n_exited == cfg.walkers and bisections == [cfg.walkers] * 6
         walker_steps = sum(steps)
         # exits are spread over many steps, so a full block per step
         # would draw several times more
-        assert 3 * walker_steps < c.walkers * len(steps)
+        assert 3 * walker_steps < cfg.walkers * len(steps)
         assert drawn == dom.N * walker_steps
         alone.append(drawn)
-    _, drawn, steps, _ = _counted_walk(monkeypatch, dom, zs, cfgs)
+    _, drawn, steps, _ = _counted_walk(monkeypatch, dom, zs, cfg, seeds)
     assert drawn == alone
     assert sum(drawn) == dom.N * sum(steps)
 
@@ -506,9 +495,9 @@ def test_estimate_does_not_depend_on_its_batch(m1):
     dom = wc.benchmark("cone", m1)
     phi = wc.boundary_phi_distance(dom)
     z0, z1, z2 = wc.interior_axis_probes(dom, [0.04, 0.12, 0.01])
-    cfgs = [WalkConfig(1.0, 1e-3, 300, 31 + 7919 * j, 4.0) for j in (0, 1)]
-    a = wc.pwb_solve_many(dom, phi, [z0, z1], cfgs)
-    b = wc.pwb_solve_many(dom, phi, [z0, z2], cfgs)
+    cfg, seeds = WalkConfig(1.0, 1e-3, 300, 31, 4.0), [31, 31 + 7919]
+    a = wc.pwb_solve_many(dom, phi, [z0, z1], cfg, seeds)
+    b = wc.pwb_solve_many(dom, phi, [z0, z2], cfg, seeds)
     assert _same_estimate(a[0], b[0])
     assert a[1].mean_exit_time != b[1].mean_exit_time
 
@@ -555,9 +544,8 @@ def test_unreliable_probes_are_not_fitted(m1):
     phi = wc.boundary_phi_distance(dom)
     probes = wc.interior_axis_probes(dom, [0.2, 0.1, 0.05, 0.02])
     cfg = WalkConfig(1.0, 1e-3, 400, 27, 0.03)
-    subs = [WalkConfig(1.0, 1e-3, 400, 27 + 7919 * j, 0.03)
-            for j in range(len(probes))]
-    sols = wc.pwb_solve_many(dom, phi, probes, subs)
+    sols = wc.pwb_solve_many(dom, phi, probes, cfg,
+                             [27 + 7919 * j for j in range(len(probes))])
     assert all(not s.reliable and s.n_exited > 0 for s in sols)
     assert all(s.value > 3.0 * s.std_error for s in sols)
     fit = wc.boundary_holder(dom, phi, probes, cfg)
