@@ -45,16 +45,15 @@ scratch, with none of linprog's per-call input checks and copies.  If a
 round fails or its marginals are degenerate, one packing LP on the full
 grid is solved by scipy.optimize.linprog instead.
 
-A caller may pass a store (series_table keeps one per call) in which
-certified (mu, y) pairs are filed under a hash of the normalized matrix
-rounded to 1e-12.  A stored pair is rescaled and gap-gated on the new
-problem's own matrix, exactly like a fresh solve, and used only if it
-passes; otherwise the LP is solved afresh.
+solve_capacity solves every problem it is given; it keeps no memo.
+series_table builds each ring's problem in the frame of z0 at the ring's
+own scale r (wiener.ring_frame), memoizes the estimate on the exact bytes
+of the framed atoms, and multiplies it by r^Q, the dilation law of the
+homogeneous kernels.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -102,10 +101,10 @@ class CapacityEstimate:
     resolution: int
     n_atoms: int = 0
     n_constraints: int = 0
-    reused: bool = False           # served from a series table's store
+    reused: bool = False           # a series table's memo hit, rescaled
     lp_rows: int = 0               # grid rows in the LP that was solved
-    lp_rounds: int = 0             # covering rounds; 0 for a store hit
-    lp_iterations: int = 0         # simplex iterations; 0 for a store hit
+    lp_rounds: int = 0             # covering rounds; 0 for a memo hit
+    lp_iterations: int = 0         # simplex iterations; 0 for a memo hit
 
     def rel_gap(self) -> float:
         return self.gap / max(self.value, 1e-300)
@@ -157,13 +156,6 @@ def build_problem(dom: DomainSpec, target, kernel,
     support = sample_set_and_measure(dom, target, resolution)
     cx, ct = constraint_points(support, dom.metric, resolution)
     return CapacityProblem(kernel, support, cx, ct)
-
-
-def _store_key(Kn: np.ndarray) -> tuple:
-    """Data key of a normalized LP matrix: its shape and a hash of its
-    entries rounded to 1e-12 (they lie in [0, 1])."""
-    digest = hashlib.blake2b(np.round(Kn, 12).tobytes(), digest_size=16)
-    return Kn.shape, digest.digest()
 
 
 def _covering_model(s: np.ndarray) -> _Highs:
@@ -268,13 +260,14 @@ def _within_gap(est: CapacityEstimate) -> bool:
         + 1e-14 * est.dual_value)
 
 
-def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEstimate:
+def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
     """Solve the packing LP and its covering dual; certify both.
 
-    `store`, if given, maps the data key of a normalized matrix to the
-    (nu, y) pair of a certified solve.  A stored pair is certified on this
-    problem's own matrix and returned (with `reused` set) if it meets the
-    gap gate; otherwise the LP is solved afresh and its pair stored."""
+    Every call builds the kernel matrix and solves the LP afresh; a series
+    table calls it once per framed ring problem (atoms in the frame of z0
+    at the ring's scale r) whose exact bytes its memo has not met, and
+    rescales the result by r^Q.  A bracket wider than the gap gate raises
+    CapacityConvergenceError, which carries that bracket's estimate."""
     n = p.support.n
     if n == 0:
         return CapacityEstimate(0.0, np.zeros(0), 0.0, 0.0,
@@ -287,15 +280,8 @@ def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEst
             "the packing program would be unbounded")
     kappa = float(col_max.max())
     A /= kappa                       # Kn, entries in [0, 1]
-    key = _store_key(A) if store is not None else None
     s = col_max / kappa              # column maxima of Kn
     A /= s                           # Kn = A diag(s), unit column maxima
-
-    if store is not None and key in store:
-        est = _certify(p, A, s, kappa, *store[key])
-        if _within_gap(est):
-            est.reused = True
-            return est
     nu, y, rows, rounds, iterations = _solve_lp(A, s)
     est = _certify(p, A, s, kappa, nu, y)
     est.lp_rows, est.lp_rounds, est.lp_iterations = rows, rounds, iterations
@@ -303,8 +289,6 @@ def solve_capacity(p: CapacityProblem, store: dict | None = None) -> CapacityEst
         raise CapacityConvergenceError(
             f"duality gap {est.gap:.3e} exceeds tolerance "
             f"({GAP_TOLERANCE:.1e} relative)", estimate=est)
-    if store is not None:
-        store[key] = (nu, y)
     return est
 
 

@@ -48,8 +48,9 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
                resolution: int = 7) -> ConeReport:
     """Estimate the excluded-density profile theta_hat(r) on radii
     r0, r0/2, ..., r0/2^(r_levels-1) and test min >= theta_min."""
-    if M0 <= 0 or r0 <= 0 or not (0 < theta_min < 1):
-        raise RegularityError("need M0 > 0, r0 > 0, theta_min in (0, 1)")
+    if not (0 < M0 < math.inf and 0 < r0 < math.inf and 0 < theta_min < 1):
+        raise RegularityError("need finite M0 > 0 and r0 > 0, "
+                              "theta_min in (0, 1)")
     if resolution < 1:
         raise RegularityError("resolution must be >= 1")
     if r_levels < 1:

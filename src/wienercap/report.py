@@ -4,7 +4,10 @@ A bundle is a directory holding manifest.json (command, config hash, seed,
 package and dependency versions, file list), a byte-exact copy of the
 config (config.txt), and the per-command reports.  JSON is written with
 sorted keys; floats go through repr, so identical runs produce identical
-bytes and every value round-trips.
+bytes and every value round-trips.  A bundle written into a directory
+that holds an earlier one first deletes the files that bundle's manifest
+lists, and the manifest, so no report of the earlier run is left behind;
+files no bundle wrote stay.
 """
 
 from __future__ import annotations
@@ -47,6 +50,24 @@ def csv_cell(v) -> str:
     return str(v)
 
 
+def _remove_earlier_bundle(out_dir: str) -> None:
+    """Delete the files named by out_dir's manifest.json, then the manifest;
+    a missing or unreadable manifest leaves the directory as it is."""
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            names = json.load(fh)["files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in names if isinstance(names, list) else []:
+        # plain names only: a manifest cannot reach outside out_dir
+        if isinstance(name, str) and name == os.path.basename(name):
+            file = os.path.join(out_dir, name)
+            if os.path.isfile(file):
+                os.remove(file)
+    os.remove(path)
+
+
 class ReportBundle:
     def __init__(self, out_dir, command: str, config_text: str, seed: int):
         self.out_dir = str(out_dir)
@@ -55,6 +76,7 @@ class ReportBundle:
         self.seed = seed
         self.files = []
         os.makedirs(self.out_dir, exist_ok=True)
+        _remove_earlier_bundle(self.out_dir)
         with open(os.path.join(self.out_dir, "config.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(config_text)

@@ -24,18 +24,19 @@ section measures of the complement and is divergent for cone-like sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
 
-from .capacity import (CapacityConvergenceError, CapacityProblem,
-                       build_problem, constraint_points, potential_many,
-                       solve_capacity)
-from .domain import (BallComplementTarget, DomainSpec, max_nonempty_band,
-                     ring_samples, section_measures)
+from .capacity import (CapacityConvergenceError, CapacityEstimate,
+                       CapacityProblem, build_problem, constraint_points,
+                       potential_many, solve_capacity)
+from .domain import (BallComplementTarget, DomainSpec, SetSample,
+                     max_nonempty_band, ring_samples, section_measures)
 from .kernel import GaussianKernel
-from .metric import SpaceTimePoint, ball_volume, parabolic_dist, stp
+from .metric import (SpaceTimePoint, _heis_group_diff, ball_volume,
+                     parabolic_dist, stp)
 
 VARIANTS = ("sufficient", "necessary", "nested")
 
@@ -62,7 +63,7 @@ class SeriesTable:
     terms: np.ndarray                       # (K_max, H_max) weighted terms
     capacities: dict = field(default_factory=dict)   # (k, h) -> CapacityEstimate
     failed: list = field(default_factory=list)       # (k, h) of failed solves
-    reused: list = field(default_factory=list)       # (k, h) served from the store
+    reused: list = field(default_factory=list)       # (k, h) served from the memo
     truncation_bound: float = 0.0
     partial: bool = False
 
@@ -79,19 +80,99 @@ class SeriesTable:
         return np.cumsum(self.terms.sum(axis=1))
 
 
+# _row_tail sums this many terms per vectorized chunk, at most ROW_TAIL_CAP
+ROW_TAIL_CHUNK = 64
+ROW_TAIL_CAP = 10000
+
+
 def _row_tail(C_fit: float, Q: float, w: float, lam: float, h_from: int) -> float:
-    """sum_{h >= h_from} C_fit h^(Q/2) lam^(w h), summed to convergence."""
+    """sum_{h >= h_from} C_fit h^(Q/2) lam^(w h), summed to convergence:
+    term by term in order (a sequential cumsum per chunk of terms), up to
+    and including the first term below 1e-18 of the running sum, and at
+    most ROW_TAIL_CAP terms."""
     if C_fit == 0.0:
         return 0.0
-    total, h = 0.0, h_from
+    total = 0.0
     r = lam ** w
-    while h < h_from + 10000:
-        t = C_fit * h ** (Q / 2.0) * r ** h
-        total += t
-        if t < 1e-18 * max(total, 1e-30):
-            break
-        h += 1
+    for h in range(h_from, h_from + ROW_TAIL_CAP, ROW_TAIL_CHUNK):
+        hs = np.arange(h, min(h + ROW_TAIL_CHUNK, h_from + ROW_TAIL_CAP),
+                       dtype=float)
+        terms = C_fit * hs ** (Q / 2.0) * r ** hs
+        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        stop = np.flatnonzero(terms < 1e-18 * np.maximum(sums, 1e-30))
+        if stop.size:
+            return float(sums[stop[0]])
+        total = float(sums[-1])
     return total
+
+
+def ring_frame(dom: DomainSpec, lam: float, k: int,
+               support: SetSample) -> tuple[np.ndarray, np.ndarray, float]:
+    """The atoms of a level-k ring sample in the frame of z0 at the ring's
+    own scale r = lam^(k/2), snapped to 12 decimals: (X, T, r).
+
+    Euclidean: x -> (x - x0) / r.  Koranyi: x -> delta_{1/r}(x0^-1 o x),
+    i.e. (u1 / r, u2 / r, u3 / r^2).  Time: t -> (t - t_last) / r^2, with
+    t_last the sample's latest time: it moves with the ring under a
+    dilation about z0, and a ring that is a time translate of another
+    (a cylinder wall's rings) gets the same frame.  Both kernels are
+    homogeneous, G_a(delta_r z, delta_r w) = r^-Q G_a(z, w), and depend
+    on time differences only, so the ring's capacity is r^Q times that of
+    the framed sample.  Table metrics are not homogeneous and keep the
+    identity frame (r = 1, no shift).  Adding 0.0 turns the -0.0 of
+    rounding into 0.0."""
+    m, z0 = dom.metric, dom.z0
+    if m.kind == "table":
+        X, T, r = support.xs, support.ts, 1.0
+    else:
+        r = lam ** (k / 2.0)
+        if m.kind == "heisenberg-koranyi":
+            u1, u2, u3 = _heis_group_diff(z0.x, support.xs.T)
+            X = np.stack([u1 / r, u2 / r, u3 / r ** 2], axis=-1)
+        else:
+            X = (support.xs - z0.x) / r
+        T = (support.ts - support.ts.max()) / r ** 2
+    return np.round(X, 12) + 0.0, np.round(T, 12) + 0.0, r
+
+
+def _dilated(est: CapacityEstimate | None, rQ: float,
+             **changes) -> CapacityEstimate | None:
+    """est with its bracket and measure multiplied by rQ = r^Q, and any
+    other fields set from `changes`."""
+    if est is None:
+        return None
+    return replace(est, value=est.value * rQ, dual_value=est.dual_value * rQ,
+                   gap=est.gap * rQ, mu=est.mu * rQ, **changes)
+
+
+def _ring_capacity(dom: DomainSpec, kern, lam: float, k: int,
+                   support: SetSample, resolution: int,
+                   memo: dict) -> CapacityEstimate:
+    """Capacity of a nonempty level-k ring sample: solved in its frame
+    (ring_frame) and rescaled by r^Q, or taken from memo, which maps the
+    exact bytes of a framed sample to its certified estimate.
+
+    A memo key is the framed problem itself (the constraint grid is a
+    function of the sample), so a hit is the bracket a fresh solve would
+    give, bit for bit; it is marked reused, with no LP work.  A failed
+    solve raises CapacityConvergenceError with its estimate rescaled, and
+    is not memoized."""
+    X, T, r = ring_frame(dom, lam, k, support)
+    rQ = r ** dom.metric.Q
+    key = (X.shape, X.tobytes() + T.tobytes())
+    if key in memo:
+        return _dilated(memo[key], rQ, reused=True, lp_rows=0, lp_rounds=0,
+                        lp_iterations=0)
+    framed = replace(support, xs=X, ts=T)      # the LP reads the atoms only
+    prob = CapacityProblem(kern, framed,
+                           *constraint_points(framed, dom.metric, resolution))
+    try:
+        est = solve_capacity(prob)
+    except CapacityConvergenceError as exc:
+        raise CapacityConvergenceError(
+            str(exc), _dilated(exc.estimate, rQ)) from exc
+    memo[key] = est
+    return _dilated(est, rQ)
 
 
 def series_table(dom: DomainSpec, lam: float, a: float, b: float,
@@ -108,16 +189,18 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     has an exactly zero term and gets neither a constraint grid nor a
     solve.  Failed solves are recorded and flag the table PARTIAL.
 
-    Rings at different levels often give the same normalized LP (the
-    kernel is covariant under parabolic dilation), so the solves of one
-    call share a store of certified solutions (see solve_capacity).
+    Each ring is solved in the frame of z0 at its own scale r = lam^(k/2)
+    (ring_frame) and its estimate multiplied by r^Q.  Rings at different
+    levels are often exact dilates of each other, so one call keeps a
+    memo keyed on the exact bytes of each framed sample; a hit is
+    recorded in `reused` (see _ring_capacity).
     """
     if variant not in VARIANTS:
         raise WienerError(f"variant must be one of {VARIANTS}")
     if not (0.0 < lam < 1.0):
         raise WienerError("lam must lie in (0, 1)")
-    if a <= 0 or b <= 0:
-        raise WienerError("exponents must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise WienerError("exponents must be positive and finite")
     if K_max < 1 or H_max < 1:
         raise WienerError("K_max and H_max must be >= 1")
     tab = SeriesTable(variant, lam, a, b, K_max, H_max, resolution,
@@ -126,7 +209,7 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     w = tab.weight_exponent
     ring_variant = "nested" if variant == "nested" else "band"
     Q = dom.metric.Q
-    store = {}
+    memo = {}
     running = 0.0
     C_fit = 0.0
     for k in range(1, K_max + 1):
@@ -149,11 +232,8 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
                             continue
                         ratio = 0.0
                     else:
-                        prob = CapacityProblem(
-                            kern, support,
-                            *constraint_points(support, dom.metric,
-                                               resolution))
-                        est = solve_capacity(prob, store)
+                        est = _ring_capacity(dom, kern, lam, k, support,
+                                             resolution, memo)
                         tab.capacities[(k, h)] = est
                         if est.reused:
                             tab.reused.append((k, h))
@@ -399,8 +479,8 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     log(1/dhat^2) with slope >= INTEGRAL_SLOPE_MIN at fit quality
     INTEGRAL_R2_MIN.
     """
-    if b <= 0:
-        raise WienerError("b must be positive")
+    if not 0 < b < math.inf:
+        raise WienerError("b must be positive and finite")
     if n_u < 2:
         raise WienerError("n_u must be >= 2")
     dhats = [float(dh) for dh in probes]
@@ -410,6 +490,8 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         resolution = 8 if dom.metric.N == 1 else 5
     if U_max is None:
         U_max = max(40.0, 16.0 / b)
+    elif not 0 < U_max < math.inf:
+        raise WienerError("U_max must be positive and finite")
     Q, c_d = dom.metric.Q, dom.metric.c_d
     v_lo = math.log(min(dh * dh for dh in dhats))
     v_hi = math.log(lam)

@@ -66,7 +66,7 @@ def counting_linprog(monkeypatch):
 def counting_solves(monkeypatch):
     """Replace capacity._solve_lp by a wrapper recording the matrix shape
     of each fresh LP solve; a solve may run several covering rounds, and a
-    store hit runs none."""
+    memo hit runs none."""
     calls = []
     real = capacity._solve_lp
 

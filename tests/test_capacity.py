@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import _Highs
 
 import wienercap as wc
-from wienercap import capacity
+from wienercap import capacity, wiener
 from wienercap.capacity import (CapacityInputError, CapacityProblem,
                                 build_problem, constraint_points,
                                 potential_many,
@@ -402,27 +402,6 @@ def test_column_generation_matches_full_grid_lp(N, resolution):
     assert est.lp_rows < rows / 2 and est.lp_rounds >= 1
 
 
-def test_store_serves_certified_pair_and_rejects_planted_wrong_one(m1, monkeypatch):
-    s = random_cloud_sample(np.random.default_rng(33), 1, 50)
-    cons = constraint_points(s, m1, 3)
-    prob = CapacityProblem(wc.GaussianKernel(m1, 0.25), s, *cons)
-    store = {}
-    fresh = solve_capacity(prob, store)
-    assert not fresh.reused and len(store) == 1
-    (key, (nu, y)), = store.items()
-
-    calls = counting_solves(monkeypatch)
-    hit = solve_capacity(prob, store)
-    assert calls == [] and hit.reused and hit.lp_rounds == 0
-    assert hit.value == fresh.value and hit.dual_value == fresh.dual_value
-
-    store[key] = (np.ones_like(nu), np.ones_like(y))
-    redo = solve_capacity(prob, store)
-    assert len(calls) == 1 and not redo.reused
-    assert redo.value == fresh.value and redo.rel_gap() <= 1e-6
-    assert np.array_equal(store[key][0], nu)
-
-
 # ---------------------------------------------------------------------------
 # the gap gate's failure path
 
@@ -443,13 +422,37 @@ def test_gap_gate_rejects_a_planted_wide_bracket(m1, halved_packing):
     s = random_cloud_sample(np.random.default_rng(33), 1, 50)
     prob = CapacityProblem(wc.GaussianKernel(m1, 0.25), s,
                            *constraint_points(s, m1, 3))
-    store = {}
     with pytest.raises(capacity.CapacityConvergenceError,
                        match=r"exceeds tolerance \(1\.0e-06 relative\)") as exc:
-        solve_capacity(prob, store)
+        solve_capacity(prob)
     est = exc.value.estimate
     assert est is not None and est.rel_gap() > capacity.GAP_TOLERANCE
-    assert store == {}
+
+
+def test_failed_ring_solves_are_not_memoized(m1, monkeypatch, halved_packing):
+    """A ring whose solve fails is not memoized: a later ring with the same
+    framed problem is solved again and fails again, and each failure
+    carries its estimate rescaled by r^Q to its own ring."""
+    calls = counting_solves(monkeypatch)
+    dom = wc.halfspace_time(m1, t0=0.0, t_top=1.0)
+    lam = 0.25
+    tab = wc.series_table(dom, lam, 0.25, 0.5, "nested", K_max=3, H_max=4,
+                          resolution=3)
+    assert tab.partial and tab.reused == []
+    assert set(tab.failed) == set(tab.capacities)
+    assert len(calls) == len(tab.failed)
+    framed = {}
+    for k, h in tab.failed:
+        support = wc.sample_set_and_measure(
+            dom, RingTarget(RingSpec(lam, k, h, "nested")), 3)
+        X, T, r = wiener.ring_frame(dom, lam, k, support)
+        framed.setdefault(X.tobytes() + T.tobytes(), []).append((k, h, r))
+    repeats = [rings for rings in framed.values() if len(rings) > 1]
+    assert repeats
+    for rings in repeats:
+        scaled = [tab.capacities[(k, h)].value / r ** m1.Q
+                  for k, h, r in rings]
+        assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-12)
 
 
 def test_series_table_records_failed_rings_as_partial(m1, halved_packing):

@@ -180,22 +180,37 @@ def test_classify_irregular_exits_one(tmp_path):
 def test_classify_takes_equilibrium_measure_from_the_series(tmp_path,
                                                              monkeypatch):
     """cylinder-top runs both series; its provenance measure is the
-    sufficient series' ring (2, 1) entry, not a 65th solve."""
-    from wienercap import wiener
-    real = wiener.solve_capacity
-    solved = []
+    sufficient series' ring (2, 1) entry, not one more solve: the run
+    solves, and builds a constraint grid for, exactly the table entries
+    its memos did not serve."""
+    from wienercap import regularity, wiener
+    real_solve, real_grid = wiener.solve_capacity, wiener.constraint_points
+    real_table = regularity.series_table
+    solved, grids, tables = [], [], []
 
-    def counting(prob, store=None):
+    def counting(prob):
         solved.append(prob.support.n)
-        return real(prob, store)
+        return real_solve(prob)
+
+    def counting_grid(*args):
+        grids.append(args[0].n)
+        return real_grid(*args)
+
+    def keeping(*args, **kwargs):
+        tables.append(real_table(*args, **kwargs))
+        return tables[-1]
 
     monkeypatch.setattr(wiener, "solve_capacity", counting)
+    monkeypatch.setattr(wiener, "constraint_points", counting_grid)
     monkeypatch.setattr(cli, "solve_capacity", counting)
+    monkeypatch.setattr(regularity, "series_table", keeping)
     cfg = _write(tmp_path, "c.cfg", FAST_CLASSIFY.format(name="cylinder-top"))
     out = tmp_path / "out"
     code = main(["classify", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_IRREGULAR
-    assert len(solved) == 64
+    assert len(tables) == 2
+    assert len(solved) == len(grids) == sum(
+        len(t.capacities) - len(t.reused) for t in tables)
     rows = (out / "equilibrium_measure.csv").read_text().splitlines()
     assert rows[0] == "x1,t,mass" and len(rows) > 1
 
@@ -329,6 +344,49 @@ def test_invalid_gaussian_bound_settings_exit_3(tmp_path, capsys, command,
     assert "must be positive and finite" in failure["error"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, setting, message", [
+    ("cone", "cone.M0", "need finite M0 > 0 and r0 > 0"),
+    ("cone", "cone.r0", "need finite M0 > 0 and r0 > 0"),
+    ("series", "wiener.b", "exponents must be positive and finite"),
+    ("integral", "integral.U-max", "U_max must be positive and finite")])
+def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
+                                   message, value):
+    """A nan or inf cone size, series weight exponent or quadrature cutoff
+    is an input error: exit 3 with a failure.json, never a result built
+    on nan or inf."""
+    cfg = _write(tmp_path, "bad.cfg", FAST_SERIES + f"{setting} = {value}\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert message in capsys.readouterr().err
+    failure = json.loads((out / "failure.json").read_text())
+    assert message in failure["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+def test_reused_out_keeps_no_file_of_the_earlier_bundle(tmp_path):
+    """A bundle written over an earlier one deletes the files that
+    bundle's manifest lists; a file no bundle wrote stays."""
+    out = tmp_path / "out"
+    bad = _write(tmp_path, "bad.cfg", FAST_SERIES + "integral.U-max = nan\n")
+    assert main(["integral", "--config", bad, "--out", str(out),
+                 "--quiet"]) == EXIT_FAILURE
+    assert (out / "failure.json").exists()
+    (out / "notes.txt").write_text("kept\n")
+    text = FAST_CAPACITY.replace("resolution = 3", "resolution = 2")
+    good = _write(tmp_path, "cap.cfg", text)
+    assert main(["capacity", "--config", good, "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["capacity.json", "config.txt",
+                                 "equilibrium_measure.csv"]
+    assert sorted(os.listdir(out)) == sorted(manifest["files"]
+                                             + ["manifest.json", "notes.txt"])
+    assert (out / "notes.txt").read_text() == "kept\n"
 
 
 _SERIES_EMPTY = "K_max and H_max must be >= 1"

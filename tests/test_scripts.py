@@ -1,5 +1,7 @@
 """Smoke runs of the scripts under scripts/ on small settings."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +27,47 @@ def test_script_runs(argv):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip()
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(wall, rate, correct=True):
+    return ("perfbench: a progress line\n" + json.dumps(
+        {"correct": correct, "attempted": 755, "failed": 0,
+         "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                     "capacities_per_s": {"value": rate, "unit": "1/s"}}})
+            + "\n")
+
+
+def test_bench_pairs_aggregates_result_lines():
+    """bench_pairs reads perfbench's last output line and reports, per
+    metric, both sides' medians and quartiles and the pairs the change
+    won in the metric's own direction; no process is started."""
+    bp = _bench_pairs()
+    walls = [(1.2, 0.5), (1.3, 0.6), (1.0, 1.1), (1.4, 0.4)]
+    pairs = [(bp.parse_result(_result_line(p, 500.0)),
+              bp.parse_result(_result_line(c, 1500.0 if c < p else 400.0)))
+             for p, c in walls]
+    better = bp.directions(bp.benchmark_spec(ROOT))
+    assert better["wall_s"] == "lower"
+    assert better["capacities_per_s"] == "higher"
+    rep = bp.aggregate(pairs, better)
+    assert rep["all_correct"] and len(rep["pairs"]) == 4
+    assert set(rep["metrics"]) == {"wall_s", "capacities_per_s"}
+    wall = rep["metrics"]["wall_s"]
+    assert wall["pairs_better"] == 3
+    assert wall["parent"]["median"] == pytest.approx(1.25)
+    assert wall["change"]["median"] == pytest.approx(0.55)
+    assert wall["parent"]["q1"] <= wall["parent"]["median"] \
+        <= wall["parent"]["q3"]
+    assert rep["metrics"]["capacities_per_s"]["pairs_better"] == 3
+    one = bp.aggregate(pairs[:1], better)["metrics"]["wall_s"]["parent"]
+    assert one == {"median": 1.2, "q1": 1.2, "q3": 1.2}
+    bad = [(pairs[0][0], bp.parse_result(_result_line(0.5, 1.0, False)))]
+    assert not bp.aggregate(bad, better)["all_correct"]

@@ -1,13 +1,14 @@
 """Series tables, verdicts, integral criterion, Wiener function, bound check."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import wienercap as wc
 from wienercap import wiener
+from wienercap.capacity import CapacityProblem, constraint_points
 from wienercap.domain import (RingSpec, RingTarget, SectionTarget,
                               sample_set_and_measure)
 from wienercap.metric import ball_volume, stp
@@ -157,33 +158,72 @@ def test_nested_dominates_band_rows(m1, bounds1):
                 assert nk.value >= bk.value * (1 - 1e-6) - 1e-12
 
 
-def test_nested_table_reuses_certified_solves(m1, monkeypatch):
-    """Nested halfspace rings at different levels give the same normalized
-    LP up to rounding, so the table fills more entries than it solves, and
-    each entry served from the store equals a fresh solve."""
+def framed_solve(dom, kern, lam, k, support, resolution):
+    """A fresh solve of a ring sample's problem in its frame (ring_frame),
+    and the frame's scale r."""
+    X, T, r = wiener.ring_frame(dom, lam, k, support)
+    framed = replace(support, xs=X, ts=T)
+    prob = CapacityProblem(kern, framed,
+                           *constraint_points(framed, dom.metric, resolution))
+    return wc.solve_capacity(prob), r
+
+
+def test_nested_table_reuses_certified_solves(m1, heis, monkeypatch):
+    """Nested halfspace rings at different levels are exact dilates of one
+    another, so each ring is solved in the frame of z0 at its own scale
+    r = lam^(k/2), and a table solves only the framed problems it has not
+    met.  Every entry is r^Q times a fresh solve of its framed problem (a
+    memo hit bit for bit), and within 1e-9 of a solve of the ring in
+    place, on the Euclidean line and on the Heisenberg group."""
     calls = counting_solves(monkeypatch)
-    dom = wc.halfspace_time(m1, t0=0.0, t_top=1.0)
     lam = 0.25
-    tab = wc.series_table(dom, lam, 0.25, 0.5, "nested", K_max=5, H_max=40,
-                          resolution=3)
-    assert not tab.failed
-    assert tab.reused and set(tab.reused) <= set(tab.capacities)
-    assert len(calls) < len(tab.capacities)
-    assert len(calls) == len(tab.capacities) - len(tab.reused)
-    kern = wc.GaussianKernel(m1, 0.25)
-    for k, h in tab.reused:
-        est = tab.capacities[(k, h)]
-        assert est.reused and est.rel_gap() <= 1e-6
-        prob = wc.build_problem(dom, RingTarget(RingSpec(lam, k, h, "nested")),
-                                kern, 3)
-        fresh = wc.solve_capacity(prob)
-        assert est.value == pytest.approx(fresh.value, rel=1e-6)
+    for m, K_max, H_max, res in [(m1, 5, 40, 3), (heis, 3, 4, 2)]:
+        dom = wc.halfspace_time(m, t0=0.0, t_top=1.0)
+        calls.clear()
+        tab = wc.series_table(dom, lam, 0.25, 0.5, "nested", K_max=K_max,
+                              H_max=H_max, resolution=res)
+        assert not tab.failed
+        assert tab.reused and set(tab.reused) <= set(tab.capacities)
+        assert len(calls) == len(tab.capacities) - len(tab.reused)
+        kern = wc.GaussianKernel(m, 0.25)
+        for (k, h), est in tab.capacities.items():
+            prob = wc.build_problem(
+                dom, RingTarget(RingSpec(lam, k, h, "nested")), kern, res)
+            fresh, r = framed_solve(dom, kern, lam, k, prob.support, res)
+            rQ = r ** m.Q
+            assert est.reused == ((k, h) in tab.reused)
+            assert (est.value, est.dual_value, est.gap) == (
+                fresh.value * rQ, fresh.dual_value * rQ, fresh.gap * rQ)
+            assert np.array_equal(est.mu, fresh.mu * rQ)
+            if est.reused:
+                assert est.lp_rounds == est.lp_iterations == est.lp_rows == 0
+            in_place = wc.solve_capacity(prob)
+            assert est.value == pytest.approx(in_place.value, rel=1e-9)
+
+
+def test_comparability_is_independent_of_a_dyadic_shift(monkeypatch):
+    """Translating z0 by t0 = j/64 moves every ring by a dyadic shift, so
+    the framed problems, the LPs solved and the constants are the same
+    for every j, bit for bit."""
+    calls = counting_solves(monkeypatch)
+    runs = []
+    for j in (-20, 0, 7):
+        t0 = j / 64.0
+        dom = wc.halfspace_time(wc.euclidean(1), t0=t0, t_top=t0 + 1.0)
+        calls.clear()
+        rep = wc.lambda_comparability(dom, 0.25, 0.5, 0.25, 0.5, (2, 3, 4, 5),
+                                      resolution=3)
+        runs.append((rep.constants, len(calls)))
+    assert runs[0][1] > 0
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("variant", ["sufficient", "necessary"])
 def test_series_samples_each_level_in_one_pass(m1, monkeypatch, variant):
     """Bands of a level are sampled in at most one vectorized pass, and
-    only nonempty rings get a constraint grid."""
+    only nonempty rings the memo has not met get a constraint grid and a
+    solve."""
+    solves = counting_solves(monkeypatch)
     grids, passes = [], []
     real_grid, real_keep = wiener.constraint_points, wc.domain._ring_keep
 
@@ -200,7 +240,7 @@ def test_series_samples_each_level_in_one_pass(m1, monkeypatch, variant):
     tab = wc.series_table(wc.benchmark("cylinder-top", m1), 0.25, 1.0, 2.0,
                           variant, K_max=16, resolution=3)
     assert tab.capacities and not tab.failed
-    assert len(grids) == len(tab.capacities)
+    assert len(solves) == len(grids) == len(tab.capacities) - len(tab.reused)
     assert all(n > 0 for n in grids)
     assert sorted(passes) == sorted(set(passes))
     assert set(passes) <= set(range(1, 17))
