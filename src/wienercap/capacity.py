@@ -46,16 +46,18 @@ round fails or its marginals are degenerate, one packing LP on the full
 grid is solved by scipy.optimize.linprog instead.
 
 solve_capacity solves every problem it is given; it keeps no memo.
-series_table builds each ring's problem in the frame of z0 at the ring's
-own scale r (wiener.ring_frame), memoizes the estimate on the exact bytes
-of the framed atoms, and multiplies it by r^Q, the dilation law of the
-homogeneous kernels.
+solve_framed, the one way the package solves a sampled set, builds the
+problem in the frame of z0 at the set's parabolic scale r, memoizes the
+estimate on the exact bytes of the framed atoms, and multiplies it by
+r^Q, the dilation law of the homogeneous kernels.  It serves
+series_table (r = lam^(k/2)), refine_capacity and the capacity command,
+wiener_function (r = lam^(l/2)) and classify's provenance measure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -63,7 +65,7 @@ from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
                                            kHighsInf)
 
 from .domain import DomainSpec, SetSample, sample_set_and_measure
-from .metric import MetricSpace, ball_coord_halfwidths
+from .metric import MetricSpace, _heis_group_diff, ball_coord_halfwidths
 
 MAX_CONSTRAINT_GRID = 4096
 WORKING_SET_MIN_BATCH = 16     # rows added per pricing round: max(n // 4, 16)
@@ -101,7 +103,7 @@ class CapacityEstimate:
     resolution: int
     n_atoms: int = 0
     n_constraints: int = 0
-    reused: bool = False           # a series table's memo hit, rescaled
+    reused: bool = False           # a memo hit of solve_framed, rescaled
     lp_rows: int = 0               # grid rows in the LP that was solved
     lp_rounds: int = 0             # covering rounds; 0 for a memo hit
     lp_iterations: int = 0         # simplex iterations; 0 for a memo hit
@@ -153,6 +155,8 @@ def constraint_points(support: SetSample, metric: MetricSpace,
 
 def build_problem(dom: DomainSpec, target, kernel,
                   resolution: int) -> CapacityProblem:
+    """The target's problem in place, unframed: the reference that tests
+    and the benchmark's independent re-solve compare solve_framed with."""
     support = sample_set_and_measure(dom, target, resolution)
     cx, ct = constraint_points(support, dom.metric, resolution)
     return CapacityProblem(kernel, support, cx, ct)
@@ -263,10 +267,9 @@ def _within_gap(est: CapacityEstimate) -> bool:
 def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
     """Solve the packing LP and its covering dual; certify both.
 
-    Every call builds the kernel matrix and solves the LP afresh; a series
-    table calls it once per framed ring problem (atoms in the frame of z0
-    at the ring's scale r) whose exact bytes its memo has not met, and
-    rescales the result by r^Q.  A bracket wider than the gap gate raises
+    Every call builds the kernel matrix and solves the LP afresh;
+    solve_framed calls it once per framed problem whose exact bytes its
+    memo has not met.  A bracket wider than the gap gate raises
     CapacityConvergenceError, which carries that bracket's estimate."""
     n = p.support.n
     if n == 0:
@@ -292,31 +295,94 @@ def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
     return est
 
 
-def potential_many(est: CapacityEstimate, p: CapacityProblem, X, T) -> np.ndarray:
-    """K*mu at arbitrary space-time points."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    if est.mu.size == 0:
-        return np.zeros(T.shape[0])
-    K = p.kernel.matrix(X, T, p.support.xs, p.support.ts)
-    return K @ est.mu
+def dilation_frame(dom: DomainSpec, support: SetSample,
+                   r: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The atoms of a sample in the frame of z0 at scale r, snapped to 12
+    decimals: (X, T, r).
+
+    Euclidean: x -> (x - x0) / r.  Koranyi: x -> delta_{1/r}(x0^-1 o x),
+    i.e. (u1 / r, u2 / r, u3 / r^2).  Time: t -> (t - t_last) / r^2, with
+    t_last the sample's latest time: it moves with the set under a
+    dilation about z0, and a set that is a time translate of another
+    (a cylinder wall's rings) gets the same frame.  Both kernels are
+    homogeneous, G_a(delta_r z, delta_r w) = r^-Q G_a(z, w), and depend
+    on time differences only, so the set's capacity is r^Q times that of
+    the framed sample.  Table metrics are not homogeneous and keep the
+    identity frame (r = 1, no shift).  Adding 0.0 turns the -0.0 of
+    rounding into 0.0."""
+    m, z0 = dom.metric, dom.z0
+    if m.kind == "table":
+        X, T, r = support.xs, support.ts, 1.0
+    else:
+        if m.kind == "heisenberg-koranyi":
+            u1, u2, u3 = _heis_group_diff(z0.x, support.xs.T)
+            X = np.stack([u1 / r, u2 / r, u3 / r ** 2], axis=-1)
+        else:
+            X = (support.xs - z0.x) / r
+        T = (support.ts - support.ts.max(initial=-np.inf)) / r ** 2
+    return np.round(X, 12) + 0.0, np.round(T, 12) + 0.0, r
+
+
+def _dilated(est: CapacityEstimate, rQ: float, **changes) -> CapacityEstimate:
+    """est with its bracket and measure multiplied by rQ = r^Q, and any
+    other fields set from `changes`."""
+    return replace(est, value=est.value * rQ, dual_value=est.dual_value * rQ,
+                   gap=est.gap * rQ, mu=est.mu * rQ, **changes)
+
+
+def solve_framed(dom: DomainSpec, kernel, support: SetSample, r: float,
+                 resolution: int, memo: dict) -> CapacityEstimate:
+    """Capacity of a sample of a set at parabolic scale r about z0: solved
+    in its frame (dilation_frame) on the constraint grid of that frame and
+    multiplied by r^Q, or taken from memo, which maps the exact bytes of a
+    framed sample to its certified estimate.
+
+    A memo key is the framed problem itself (the constraint grid is a
+    function of the sample), so a hit is the bracket a fresh solve would
+    give, bit for bit; it is marked reused, with no LP work.  A failed
+    solve raises CapacityConvergenceError with its estimate rescaled, and
+    is not memoized.  A memo serves one kernel and one resolution."""
+    X, T, r = dilation_frame(dom, support, r)
+    rQ = r ** dom.metric.Q
+    key = (X.shape, X.tobytes() + T.tobytes())
+    if key in memo:
+        return _dilated(memo[key], rQ, reused=True, lp_rows=0, lp_rounds=0,
+                        lp_iterations=0)
+    framed = replace(support, xs=X, ts=T)      # the LP reads the atoms only
+    prob = CapacityProblem(kernel, framed,
+                           *constraint_points(framed, dom.metric, resolution))
+    try:
+        est = solve_capacity(prob)
+    except CapacityConvergenceError as exc:
+        if exc.estimate is not None:
+            exc.estimate = _dilated(exc.estimate, rQ)
+        raise
+    memo[key] = est
+    return _dilated(est, rQ)
+
+
+def potential_many(est: CapacityEstimate, support: SetSample, kernel,
+                   X, T) -> np.ndarray:
+    """K*mu at arbitrary space-time points, mu on the atoms of support."""
+    return kernel.matrix(X, T, support.xs, support.ts) @ est.mu
 
 
 @dataclass
 class RefinementStep:
     resolution: int
     estimate: CapacityEstimate
-    problem: CapacityProblem
+    support: SetSample
 
 
-def refine_capacity(dom: DomainSpec, target, kernel, levels: int = 3,
+def refine_capacity(dom: DomainSpec, target, kernel, r: float, levels: int = 3,
                     base_resolution: int = 3) -> list[RefinementStep]:
-    """Re-solve the capacity across a ladder of grid resolutions."""
+    """Re-solve the capacity of a target at parabolic scale r
+    (solve_framed) across a ladder of grid resolutions."""
     if levels < 1:
         raise CapacityInputError("refinement levels must be >= 1")
     out = []
-    for j in range(levels):
-        res = base_resolution + j
-        prob = build_problem(dom, target, kernel, res)
-        out.append(RefinementStep(res, solve_capacity(prob), prob))
+    for res in range(base_resolution, base_resolution + levels):
+        support = sample_set_and_measure(dom, target, res)
+        out.append(RefinementStep(
+            res, solve_framed(dom, kernel, support, r, res, {}), support))
     return out

@@ -27,21 +27,20 @@ import numpy as np
 
 from . import __version__
 from .capacity import (CapacityConvergenceError, CapacityInputError,
-                       build_problem, refine_capacity, solve_capacity)
+                       refine_capacity, solve_framed)
 from .config import (ConfigError, RunConfig, describe_schema, load_config)
-from .domain import (BallComplementTarget, DomainError, DomainSpec, RingSpec,
-                     RingTarget, SectionTarget, BENCHMARK_STATUS, FAMILIES,
-                     benchmark, benchmark_names, cone as cone_domain, cusp,
-                     cylinder, halfspace_time, mask_domain,
-                     measure_standard_error, punctured, spatial_halfspace)
+from .domain import (BallComplementTarget, DomainSpec, RingSpec, RingTarget,
+                     SectionTarget, BENCHMARK_STATUS, FAMILIES, benchmark,
+                     benchmark_names, cone as cone_domain, cusp, cylinder,
+                     halfspace_time, mask_domain, measure_standard_error,
+                     punctured, sample_set_and_measure, spatial_halfspace)
 from .kernel import GaussBounds, GaussianKernel, euclidean_bounds
 from .metric import (MetricSpace, ball_volume, euclidean, heisenberg_koranyi,
                      stp)
 from .pde import PDEError, WalkConfig, classification_probe, pwb_solve
-from .regularity import RegularityError, classify, cone_check
+from .regularity import classify, cone_check
 from .report import ReportBundle
-from .wiener import (WienerError, divergence_verdict, integral_test,
-                     series_table)
+from .wiener import divergence_verdict, integral_test, series_table
 
 EXIT_OK = 0
 EXIT_IRREGULAR = 1
@@ -154,14 +153,12 @@ def _domain_summary(dom: DomainSpec) -> dict:
     }
 
 
-def _equilibrium_rows(est, prob):
-    xs, ts, mu = prob.support.xs, prob.support.ts, est.mu
-    for i in range(len(mu)):
-        yield list(xs[i]) + [ts[i], mu[i]]
-
-
-def _eq_header(N):
-    return [f"x{i+1}" for i in range(N)] + ["t", "mass"]
+def _write_equilibrium(bundle, est, support):
+    """equilibrium_measure.csv: one row (x1..xN, t, mass) per atom."""
+    header = [f"x{i+1}" for i in range(support.xs.shape[1])] + ["t", "mass"]
+    bundle.write_csv("equilibrium_measure.csv", header,
+                     (list(x) + [t, m]
+                      for x, t, m in zip(support.xs, support.ts, est.mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +173,19 @@ def cmd_capacity(cfg, bundle, quiet):
     if tgt_kind == "ring":
         target = RingTarget(RingSpec(lam, cfg["capacity.k"], cfg["capacity.h"],
                                      cfg["capacity.variant"]))
+        r = lam ** (cfg["capacity.k"] / 2.0)
     elif tgt_kind == "section":
         target = SectionTarget(lam, cfg["capacity.rho"], cfg["capacity.tau"])
+        r = math.sqrt(lam)
     elif tgt_kind == "ball-complement":
         target = BallComplementTarget(cfg["capacity.l"], lam)
+        r = lam ** (cfg["capacity.l"] / 2.0)
     else:
         raise ConfigError(f"unknown capacity.target {tgt_kind!r}")
-    steps = refine_capacity(dom, target, kern, cfg["capacity.refine-levels"],
+    steps = refine_capacity(dom, target, kern, r,
+                            cfg["capacity.refine-levels"],
                             cfg["capacity.resolution"])
-    est, prob = steps[-1].estimate, steps[-1].problem
+    est, support = steps[-1].estimate, steps[-1].support
     record = {
         "domain": _domain_summary(dom),
         "target": repr(target),
@@ -196,18 +197,17 @@ def cmd_capacity(cfg, bundle, quiet):
         "n_atoms": est.n_atoms,
         "n_constraints": est.n_constraints,
         "resolution": est.resolution,
-        "measure_estimate": prob.support.measure_estimate,
+        "measure_estimate": support.measure_estimate,
         "measure_standard_error": measure_standard_error(
-            dom, target, prob.support.resolution),
+            dom, target, support.resolution),
         "refinement": [{"resolution": s.resolution, "value": s.estimate.value,
                         "dual_value": s.estimate.dual_value,
                         "gap": s.estimate.gap,
-                        "measure": s.problem.support.measure_estimate}
+                        "measure": s.support.measure_estimate}
                        for s in steps],
     }
     bundle.write_json("capacity.json", record)
-    bundle.write_csv("equilibrium_measure.csv", _eq_header(dom.N),
-                     _equilibrium_rows(est, prob))
+    _write_equilibrium(bundle, est, support)
     if not quiet:
         print(f"capacity value={est.value:.6e} dual={est.dual_value:.6e} "
               f"gap={est.gap:.2e} atoms={est.n_atoms} "
@@ -295,35 +295,28 @@ def _classification_payload(cls, dom):
     return payload
 
 
-def _provenance_estimate(tab, prob):
-    """The ring (2, 1) capacity under G_a: the sufficient series' entry when
-    that series ran (it solved this very problem), else a solve of prob;
-    None when the solve failed."""
-    if tab is not None and (2, 1) in tab.failed:
-        return None
-    if tab is not None and (2, 1) in tab.capacities:
-        return tab.capacities[(2, 1)]
-    try:
-        return solve_capacity(prob)
-    except (CapacityInputError, CapacityConvergenceError):
-        return None
-
-
 def cmd_classify(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
     bounds = build_bounds(cfg, metric)
     cls = run_classify(cfg, dom, bounds)
     bundle.write_json("classification.json", _classification_payload(cls, dom))
-    # attach one representative equilibrium measure for provenance
-    prob = build_problem(
-        dom, RingTarget(RingSpec(cfg["wiener.lambda"], 2, 1)),
-        GaussianKernel(metric, exponents(cfg, bounds)[0]),
-        cfg["capacity.resolution"])
-    est = _provenance_estimate(cls.sufficient_table, prob)
+    # provenance: ring (2, 1)'s equilibrium measure under G_a at its scale
+    # lam, the sufficient series' entry when that series ran, else solved;
+    # none when its solve failed
+    lam, res = cfg["wiener.lambda"], cfg["capacity.resolution"]
+    support = sample_set_and_measure(dom, RingTarget(RingSpec(lam, 2, 1)), res)
+    tab = cls.sufficient_table
+    if tab is not None and (2, 1) in tab.capacities:
+        est = None if (2, 1) in tab.failed else tab.capacities[(2, 1)]
+    else:
+        kern = GaussianKernel(metric, exponents(cfg, bounds)[0])
+        try:
+            est = solve_framed(dom, kern, support, lam, res, {})
+        except (CapacityInputError, CapacityConvergenceError):
+            est = None
     if est is not None:
-        bundle.write_csv("equilibrium_measure.csv", _eq_header(dom.N),
-                         _equilibrium_rows(est, prob))
+        _write_equilibrium(bundle, est, support)
     if not quiet:
         print(f"classify verdict={cls.verdict} basis={cls.basis}")
     if cls.verdict == "REGULAR":
@@ -499,8 +492,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, RegularityError, WienerError, PDEError,
-            CapacityInputError, CapacityConvergenceError, ValueError) as exc:
+    # every analysis error but CapacityConvergenceError is a ValueError
+    except (ValueError, CapacityConvergenceError, MemoryError) as exc:
         print(f"analysis failure: {exc}", file=sys.stderr)
         bundle.write_json("failure.json", {"error": str(exc)})
         bundle.finalize()

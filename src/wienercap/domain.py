@@ -36,6 +36,8 @@ FAMILIES = ("halfspace-time", "spatial-halfspace", "cylinder", "cone",
 
 # the time strip (T1, T2) of validity that every domain sits in
 STRIP = (-8.0, 8.0)
+# family parameters that must be positive and finite
+POSITIVE_PARAMS = {"radius", "M0", "depth", "c", "p"}
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,14 @@ class DomainSpec:
             raise DomainError("bbox time range must sit inside the strip")
         if not (STRIP[0] <= self.z0.t <= STRIP[1]):
             raise DomainError("z0 outside the strip")
+        for key in sorted(POSITIVE_PARAMS & self.params.keys()):
+            if not 0.0 < self.params[key] < math.inf:
+                raise DomainError(f"{key} must be positive and finite")
+        if not 0.0 < self.params.get("theta", 1.0) <= 1.0:
+            raise DomainError("theta must lie in (0, 1]")
+        box = np.concatenate([self.x_lo, self.x_hi, self.z0.x])
+        if not (np.isfinite(box).all() and (self.x_lo < self.x_hi).all()):
+            raise DomainError("bbox and x0 must be finite, with x_lo < x_hi")
 
     @property
     def N(self) -> int:

@@ -17,6 +17,7 @@ estimate taken at each ball's own centre.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,8 @@ class MetricSpace:
 def euclidean(N: int) -> MetricSpace:
     if N < 1:
         raise MetricError("N must be >= 1")
+    if N >= sys.float_info.max_exp:
+        raise MetricError(f"N = {N} makes the doubling constant 2^N infinite")
     return MetricSpace("euclidean", N, float(N), 2.0 ** N)
 
 

@@ -56,6 +56,9 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
     if r_levels < 1:
         raise RegularityError("r_levels must be >= 1")
     x0, t0 = dom.z0.x, dom.z0.t
+    if ball_volume(dom.metric, x0, M0 * r0 * 2.0 ** (1 - r_levels)) <= 0.0:
+        raise RegularityError(f"r_levels = {r_levels} shrinks the smallest "
+                              "ball to zero volume")
     radii, skipped = [], []
     for j in range(r_levels):
         r = r0 * 2.0 ** (-j)

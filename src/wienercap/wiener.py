@@ -24,19 +24,16 @@ section measures of the complement and is divergent for cone-like sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
-from .capacity import (CapacityConvergenceError, CapacityEstimate,
-                       CapacityProblem, build_problem, constraint_points,
-                       potential_many, solve_capacity)
-from .domain import (BallComplementTarget, DomainSpec, SetSample,
-                     max_nonempty_band, ring_samples, section_measures)
+from .capacity import CapacityConvergenceError, potential_many, solve_framed
+from .domain import (BallComplementTarget, DomainSpec, max_nonempty_band,
+                     ring_samples, sample_set_and_measure, section_measures)
 from .kernel import GaussianKernel
-from .metric import (SpaceTimePoint, _heis_group_diff, ball_volume,
-                     parabolic_dist, stp)
+from .metric import SpaceTimePoint, ball_volume, parabolic_dist, stp
 
 VARIANTS = ("sufficient", "necessary", "nested")
 
@@ -106,75 +103,6 @@ def _row_tail(C_fit: float, Q: float, w: float, lam: float, h_from: int) -> floa
     return total
 
 
-def ring_frame(dom: DomainSpec, lam: float, k: int,
-               support: SetSample) -> tuple[np.ndarray, np.ndarray, float]:
-    """The atoms of a level-k ring sample in the frame of z0 at the ring's
-    own scale r = lam^(k/2), snapped to 12 decimals: (X, T, r).
-
-    Euclidean: x -> (x - x0) / r.  Koranyi: x -> delta_{1/r}(x0^-1 o x),
-    i.e. (u1 / r, u2 / r, u3 / r^2).  Time: t -> (t - t_last) / r^2, with
-    t_last the sample's latest time: it moves with the ring under a
-    dilation about z0, and a ring that is a time translate of another
-    (a cylinder wall's rings) gets the same frame.  Both kernels are
-    homogeneous, G_a(delta_r z, delta_r w) = r^-Q G_a(z, w), and depend
-    on time differences only, so the ring's capacity is r^Q times that of
-    the framed sample.  Table metrics are not homogeneous and keep the
-    identity frame (r = 1, no shift).  Adding 0.0 turns the -0.0 of
-    rounding into 0.0."""
-    m, z0 = dom.metric, dom.z0
-    if m.kind == "table":
-        X, T, r = support.xs, support.ts, 1.0
-    else:
-        r = lam ** (k / 2.0)
-        if m.kind == "heisenberg-koranyi":
-            u1, u2, u3 = _heis_group_diff(z0.x, support.xs.T)
-            X = np.stack([u1 / r, u2 / r, u3 / r ** 2], axis=-1)
-        else:
-            X = (support.xs - z0.x) / r
-        T = (support.ts - support.ts.max()) / r ** 2
-    return np.round(X, 12) + 0.0, np.round(T, 12) + 0.0, r
-
-
-def _dilated(est: CapacityEstimate | None, rQ: float,
-             **changes) -> CapacityEstimate | None:
-    """est with its bracket and measure multiplied by rQ = r^Q, and any
-    other fields set from `changes`."""
-    if est is None:
-        return None
-    return replace(est, value=est.value * rQ, dual_value=est.dual_value * rQ,
-                   gap=est.gap * rQ, mu=est.mu * rQ, **changes)
-
-
-def _ring_capacity(dom: DomainSpec, kern, lam: float, k: int,
-                   support: SetSample, resolution: int,
-                   memo: dict) -> CapacityEstimate:
-    """Capacity of a nonempty level-k ring sample: solved in its frame
-    (ring_frame) and rescaled by r^Q, or taken from memo, which maps the
-    exact bytes of a framed sample to its certified estimate.
-
-    A memo key is the framed problem itself (the constraint grid is a
-    function of the sample), so a hit is the bracket a fresh solve would
-    give, bit for bit; it is marked reused, with no LP work.  A failed
-    solve raises CapacityConvergenceError with its estimate rescaled, and
-    is not memoized."""
-    X, T, r = ring_frame(dom, lam, k, support)
-    rQ = r ** dom.metric.Q
-    key = (X.shape, X.tobytes() + T.tobytes())
-    if key in memo:
-        return _dilated(memo[key], rQ, reused=True, lp_rows=0, lp_rounds=0,
-                        lp_iterations=0)
-    framed = replace(support, xs=X, ts=T)      # the LP reads the atoms only
-    prob = CapacityProblem(kern, framed,
-                           *constraint_points(framed, dom.metric, resolution))
-    try:
-        est = solve_capacity(prob)
-    except CapacityConvergenceError as exc:
-        raise CapacityConvergenceError(
-            str(exc), _dilated(exc.estimate, rQ)) from exc
-    memo[key] = est
-    return _dilated(est, rQ)
-
-
 def series_table(dom: DomainSpec, lam: float, a: float, b: float,
                  variant: str = "sufficient", K_max: int = 40,
                  H_max: int = 40, resolution: int = 4) -> SeriesTable:
@@ -189,11 +117,11 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     has an exactly zero term and gets neither a constraint grid nor a
     solve.  Failed solves are recorded and flag the table PARTIAL.
 
-    Each ring is solved in the frame of z0 at its own scale r = lam^(k/2)
-    (ring_frame) and its estimate multiplied by r^Q.  Rings at different
-    levels are often exact dilates of each other, so one call keeps a
-    memo keyed on the exact bytes of each framed sample; a hit is
-    recorded in `reused` (see _ring_capacity).
+    Each ring is solved by capacity.solve_framed at its own scale
+    r = lam^(k/2): in the frame of z0 at that scale, with the estimate
+    multiplied by r^Q.  Rings at different levels are often exact dilates
+    of each other, so one call keeps one memo, keyed on the exact bytes of
+    each framed sample; a hit is recorded in `reused`.
     """
     if variant not in VARIANTS:
         raise WienerError(f"variant must be one of {VARIANTS}")
@@ -203,6 +131,11 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
         raise WienerError("exponents must be positive and finite")
     if K_max < 1 or H_max < 1:
         raise WienerError("K_max and H_max must be >= 1")
+    # max_nonempty_band divides by lam^(k+1) log(1/lam), k <= K_max
+    deepest = lam ** (K_max + 1) * math.log(1.0 / lam)
+    if deepest == 0.0 or math.isinf(lam / deepest):
+        raise WienerError(f"K_max = {K_max} takes the rings below float "
+                          "resolution")
     tab = SeriesTable(variant, lam, a, b, K_max, H_max, resolution,
                       np.zeros((K_max, H_max)))
     kern = GaussianKernel(dom.metric, tab.kernel_exponent)
@@ -213,7 +146,8 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     running = 0.0
     C_fit = 0.0
     for k in range(1, K_max + 1):
-        vol = ball_volume(dom.metric, dom.z0.x, lam ** (k / 2.0))
+        r = lam ** (k / 2.0)
+        vol = ball_volume(dom.metric, dom.z0.x, r)
         h_cap = max_nonempty_band(lam, k)
         samples = ring_samples(dom, lam, k, range(1, min(h_cap, H_max) + 1),
                                ring_variant, resolution)
@@ -232,8 +166,8 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
                             continue
                         ratio = 0.0
                     else:
-                        est = _ring_capacity(dom, kern, lam, k, support,
-                                             resolution, memo)
+                        est = solve_framed(dom, kern, support, r,
+                                           resolution, memo)
                         tab.capacities[(k, h)] = est
                         if est.reused:
                             tab.reused.append((k, h))
@@ -567,7 +501,8 @@ def wiener_function(dom: DomainSpec, kernel, rho: float, L_max: int,
                     lam: float = 0.25) -> WienerFunctionEstimate:
     """W(z) = sum_{l=1..L_max} rho^l (1 - V_l(z)) with V_l the clamped
     potential of the discrete equilibrium measure of the parabolic-ball
-    complement at scale lam^(l/2).  Empty complements give V_l = 0."""
+    complement at scale r = lam^(l/2), solved by capacity.solve_framed at
+    that scale with one memo per call.  Empty complements give V_l = 0."""
     if not (0.0 < rho < 1.0):
         raise WienerError("rho must lie in (0, 1)")
     P = len(probes)
@@ -576,20 +511,21 @@ def wiener_function(dom: DomainSpec, kernel, rho: float, L_max: int,
     V = np.zeros((L_max, P))
     level_estimates = {}
     partial = False
+    memo = {}
     for l in range(1, L_max + 1):
-        prob = build_problem(dom, BallComplementTarget(l, lam), kernel,
-                             resolution)
-        if prob.support.is_empty():
-            continue
+        support = sample_set_and_measure(dom, BallComplementTarget(l, lam),
+                                         resolution)
         try:
-            est = solve_capacity(prob)
+            est = solve_framed(dom, kernel, support, lam ** (l / 2.0),
+                               resolution, memo)
         except CapacityConvergenceError as exc:
             partial = True
             est = exc.estimate
             if est is None:
                 continue
         level_estimates[l] = est
-        V[l - 1] = np.clip(potential_many(est, prob, X, T), 0.0, 1.0)
+        V[l - 1] = np.clip(potential_many(est, support, kernel, X, T), 0.0,
+                           1.0)
     weights = rho ** np.arange(1, L_max + 1)
     W = weights @ (1.0 - V)
     truncation = rho ** (L_max + 1) / (1.0 - rho)

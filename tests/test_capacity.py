@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import _Highs
 
 import wienercap as wc
-from wienercap import capacity, wiener
+from wienercap import capacity
 from wienercap.capacity import (CapacityInputError, CapacityProblem,
                                 build_problem, constraint_points,
                                 potential_many,
@@ -86,7 +86,8 @@ def test_certificate_is_verifiable(m1):
     rng = np.random.default_rng(22)
     s = random_cloud_sample(rng, 1, 50)
     est, prob = solve_sample(m1, s, 0.25)
-    pot = potential_many(est, prob, prob.cons_x, prob.cons_t)
+    pot = potential_many(est, prob.support, prob.kernel, prob.cons_x,
+                         prob.cons_t)
     assert float(pot.max()) <= 1.0 + 1e-9
     assert np.all(est.mu >= -1e-12)
     assert est.value == pytest.approx(float(est.mu.sum()), rel=1e-12)
@@ -206,7 +207,7 @@ def test_refinement_ladder(m1):
     dom = wc.benchmark("halfspace", m1)
     kern = wc.GaussianKernel(m1, 0.5)
     steps = refine_capacity(dom, RingTarget(RingSpec(0.25, 1, 1)), kern,
-                            levels=3, base_resolution=2)
+                            0.25 ** 0.5, levels=3, base_resolution=2)
     assert [s.resolution for s in steps] == [2, 3, 4]
     vals = [s.estimate.value for s in steps]
     assert all(v > 0 for v in vals)
@@ -285,7 +286,8 @@ def test_gap_gate_met_on_cloud_with_tiny_kernel_entries():
     assert (m.kind, m.N, s.n) == ("euclidean", 2, 260)
     est, prob = solve_sample(m, s, 0.25)
     assert 0.0 <= est.rel_gap() <= 1e-6
-    pot = potential_many(est, prob, prob.cons_x, prob.cons_t)
+    pot = potential_many(est, prob.support, prob.kernel, prob.cons_x,
+                         prob.cons_t)
     assert float(pot.max()) <= 1.0 + 1e-9
 
 
@@ -391,7 +393,8 @@ def test_column_generation_matches_full_grid_lp(N, resolution):
     rows = prob.cons_t.shape[0]
     assert rows >= 4000
     assert 0.0 <= est.rel_gap() <= 1e-6
-    pot = potential_many(est, prob, prob.cons_x, prob.cons_t)
+    pot = potential_many(est, prob.support, prob.kernel, prob.cons_x,
+                         prob.cons_t)
     assert float(pot.max()) <= 1.0 + 1e-9
     K = prob.kernel.matrix(prob.cons_x, prob.cons_t, s.xs, s.ts)
     kappa = float(K.max())
@@ -445,7 +448,7 @@ def test_failed_ring_solves_are_not_memoized(m1, monkeypatch, halved_packing):
     for k, h in tab.failed:
         support = wc.sample_set_and_measure(
             dom, RingTarget(RingSpec(lam, k, h, "nested")), 3)
-        X, T, r = wiener.ring_frame(dom, lam, k, support)
+        X, T, r = capacity.dilation_frame(dom, support, lam ** (k / 2.0))
         framed.setdefault(X.tobytes() + T.tobytes(), []).append((k, h, r))
     repeats = [rings for rings in framed.values() if len(rings) > 1]
     assert repeats

@@ -183,8 +183,8 @@ def test_classify_takes_equilibrium_measure_from_the_series(tmp_path,
     sufficient series' ring (2, 1) entry, not one more solve: the run
     solves, and builds a constraint grid for, exactly the table entries
     its memos did not serve."""
-    from wienercap import regularity, wiener
-    real_solve, real_grid = wiener.solve_capacity, wiener.constraint_points
+    from wienercap import capacity, regularity
+    real_solve, real_grid = capacity.solve_capacity, capacity.constraint_points
     real_table = regularity.series_table
     solved, grids, tables = [], [], []
 
@@ -200,9 +200,8 @@ def test_classify_takes_equilibrium_measure_from_the_series(tmp_path,
         tables.append(real_table(*args, **kwargs))
         return tables[-1]
 
-    monkeypatch.setattr(wiener, "solve_capacity", counting)
-    monkeypatch.setattr(wiener, "constraint_points", counting_grid)
-    monkeypatch.setattr(cli, "solve_capacity", counting)
+    monkeypatch.setattr(capacity, "solve_capacity", counting)
+    monkeypatch.setattr(capacity, "constraint_points", counting_grid)
     monkeypatch.setattr(regularity, "series_table", keeping)
     cfg = _write(tmp_path, "c.cfg", FAST_CLASSIFY.format(name="cylinder-top"))
     out = tmp_path / "out"
@@ -366,6 +365,114 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
     assert message in failure["error"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("series", "wiener.K-max = 535", "takes the rings below float resolution"),
+    ("cone", "cone.levels = 1000000",
+     "shrinks the smallest ball to zero volume"),
+    ("cone", "metric.N = 2000", "makes the doubling constant 2^N infinite")])
+def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
+                                       message):
+    """A series depth, cone level count or dimension beyond what floats
+    hold is rejected before any work: exit 3 with a failure.json, never
+    an OverflowError or ZeroDivisionError that exits 1 (IRREGULAR's
+    code)."""
+    cfg = _write(tmp_path, "bad.cfg", FAST_SERIES + setting + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert message in capsys.readouterr().err
+    failure = json.loads((out / "failure.json").read_text())
+    assert message in failure["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    """A MemoryError that escapes a command (numpy's refusal of an array
+    too large to allocate) exits 3 with a failure.json, not 1."""
+    message = "Unable to allocate 4.14 PiB for an array"
+
+    def planted(cfg, bundle, quiet):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.COMMANDS, "capacity", planted)
+    cfg = _write(tmp_path, "cap.cfg", FAST_CAPACITY)
+    out = tmp_path / "out"
+    code = main(["capacity", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert message in capsys.readouterr().err
+    assert json.loads((out / "failure.json").read_text()) == {
+        "error": message}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+_GEOMETRY = [("halfspace-time", "halfwidth"),
+             ("spatial-halfspace", "halfwidth"), ("cylinder", "radius"),
+             ("cone", "halfwidth"), ("cone", "M0"), ("cone", "depth"),
+             ("cusp", "halfwidth"), ("cusp", "c"), ("cusp", "depth"),
+             ("cusp", "p"), ("punctured", "radius"),
+             ("punctured", "halfwidth")]
+
+
+@pytest.mark.parametrize("family, key, value",
+                         [(f, k, v) for f, k in _GEOMETRY
+                          for v in ("nan", "inf", "-1")]
+                         + [("cone", "theta", v)
+                            for v in ("nan", "inf", "-1", "0", "1.5")]
+                         + [("spatial-halfspace", "wall", v)
+                            for v in ("nan", "inf", "-inf")])
+def test_bad_domain_geometry_exits_3(tmp_path, capsys, family, key, value):
+    """A family constructor rejects a size that is not positive and
+    finite, a theta outside (0, 1] and a wall that is not finite: exit 3
+    with a failure.json, never a verdict on a domain of nan or negative
+    size."""
+    if key in ("halfwidth", "wall"):
+        message = "bbox and x0 must be finite"
+    elif key == "theta":
+        message = "theta must lie in (0, 1]"
+    elif key == "p" and value == "-1":
+        message = "power cusp needs p > 1/2"
+    else:
+        message = f"{key} must be positive and finite"
+    cfg = _write(tmp_path, "bad.cfg", f"domain.family = {family}\n"
+                 f"domain.{key} = {value}\n")
+    out = tmp_path / "out"
+    code = main(["cone", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert message in capsys.readouterr().err
+    assert message in json.loads((out / "failure.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("setting", [
+    "domain.benchmark = cylinder-top\ncapacity.resolution = 3",
+    "metric.kind = heisenberg-koranyi\ndomain.family = halfspace-time\n"
+    "capacity.resolution = 2",
+    "metric.kind = heisenberg-koranyi\ndomain.family = cylinder\n"
+    "domain.z0-position = lateral\ncapacity.resolution = 2"],
+    ids=["euclidean1", "koranyi-halfspace", "koranyi-lateral-cylinder"])
+def test_capacity_command_equals_the_series_entry(tmp_path, setting):
+    """capacity and series solve a ring by one path (solve_framed at the
+    ring's scale lam^(k/2)), so the capacity command's ring (k, h) is the
+    sufficient series' entry (k, h), bit for bit."""
+    cfg = _write(tmp_path, "s.cfg",
+                 setting + "\nwiener.K-max = 3\nwiener.H-max = 3\n")
+    assert main(["series", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--quiet"]) == EXIT_OK
+    rows = (tmp_path / "s" / "series_table.csv").read_text().splitlines()
+    entries = {(int(k), int(h)): float(cap)
+               for k, h, cap, *_ in (r.split(",") for r in rows[1:])}
+    for k, h in [(2, 1), (3, 2)]:
+        cfg = _write(tmp_path, "c.cfg", setting + "\ncapacity.target = ring\n"
+                     f"capacity.k = {k}\ncapacity.h = {h}\n"
+                     "capacity.refine-levels = 1\n")
+        out = tmp_path / f"c{k}{h}"
+        assert main(["capacity", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        record = json.loads((out / "capacity.json").read_text())
+        assert record["value"] == entries[(k, h)]
 
 
 def test_reused_out_keeps_no_file_of_the_earlier_bundle(tmp_path):

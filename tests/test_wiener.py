@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wienercap as wc
-from wienercap import wiener
+from wienercap import capacity, wiener
 from wienercap.capacity import CapacityProblem, constraint_points
 from wienercap.domain import (RingSpec, RingTarget, SectionTarget,
                               sample_set_and_measure)
@@ -158,10 +158,10 @@ def test_nested_dominates_band_rows(m1, bounds1):
                 assert nk.value >= bk.value * (1 - 1e-6) - 1e-12
 
 
-def framed_solve(dom, kern, lam, k, support, resolution):
-    """A fresh solve of a ring sample's problem in its frame (ring_frame),
-    and the frame's scale r."""
-    X, T, r = wiener.ring_frame(dom, lam, k, support)
+def framed_solve(dom, kern, r, support, resolution):
+    """A fresh solve of a sample's problem in its frame at scale r
+    (dilation_frame), and the frame's scale."""
+    X, T, r = capacity.dilation_frame(dom, support, r)
     framed = replace(support, xs=X, ts=T)
     prob = CapacityProblem(kern, framed,
                            *constraint_points(framed, dom.metric, resolution))
@@ -189,7 +189,8 @@ def test_nested_table_reuses_certified_solves(m1, heis, monkeypatch):
         for (k, h), est in tab.capacities.items():
             prob = wc.build_problem(
                 dom, RingTarget(RingSpec(lam, k, h, "nested")), kern, res)
-            fresh, r = framed_solve(dom, kern, lam, k, prob.support, res)
+            fresh, r = framed_solve(dom, kern, lam ** (k / 2.0),
+                                    prob.support, res)
             rQ = r ** m.Q
             assert est.reused == ((k, h) in tab.reused)
             assert (est.value, est.dual_value, est.gap) == (
@@ -225,7 +226,7 @@ def test_series_samples_each_level_in_one_pass(m1, monkeypatch, variant):
     solve."""
     solves = counting_solves(monkeypatch)
     grids, passes = [], []
-    real_grid, real_keep = wiener.constraint_points, wc.domain._ring_keep
+    real_grid, real_keep = capacity.constraint_points, wc.domain._ring_keep
 
     def counting_grid(*args):
         grids.append(args[0].n)
@@ -235,7 +236,7 @@ def test_series_samples_each_level_in_one_pass(m1, monkeypatch, variant):
         passes.append(k)
         return real_keep(dom, lam, k, *args)
 
-    monkeypatch.setattr(wiener, "constraint_points", counting_grid)
+    monkeypatch.setattr(capacity, "constraint_points", counting_grid)
     monkeypatch.setattr(wc.domain, "_ring_keep", counting_keep)
     tab = wc.series_table(wc.benchmark("cylinder-top", m1), 0.25, 1.0, 2.0,
                           variant, K_max=16, resolution=3)
@@ -335,6 +336,32 @@ def test_wiener_function_range_and_decay(m1, bounds1):
     assert np.all(np.diff(west.W) <= 1e-12)   # smaller dhat => smaller W
     assert np.all((west.V >= -1e-12) & (west.V <= 1 + 1e-9))
     assert west.truncation >= 0
+
+
+def test_wiener_function_solves_each_framed_complement_once(m1, bounds1,
+                                                           monkeypatch):
+    """The ball complements of the halfspace are dilates of one another
+    about z0, so wiener_function, which solves each in the frame of z0 at
+    its scale r = lam^(l/2) with one memo, solves fewer LPs than levels;
+    every level is r^Q times a fresh solve of its framed problem, bit for
+    bit."""
+    calls = counting_solves(monkeypatch)
+    dom = wc.benchmark("halfspace", m1)
+    kern = wc.GaussianKernel(m1, bounds1.a0)
+    lam, L_max, res = 0.25, 6, 3
+    west = wc.wiener_function(dom, kern, rho=0.05, L_max=L_max,
+                              probes=wc.axis_probes(dom, [0.2, 0.05]),
+                              resolution=res, lam=lam)
+    assert 0 < len(calls) < L_max
+    assert sorted(west.level_estimates) == list(range(1, L_max + 1))
+    for l, est in west.level_estimates.items():
+        support = wc.sample_set_and_measure(
+            dom, wc.BallComplementTarget(l, lam), res)
+        fresh, r = framed_solve(dom, kern, lam ** (l / 2.0), support, res)
+        rQ = r ** m1.Q
+        assert (est.value, est.dual_value, est.gap) == (
+            fresh.value * rQ, fresh.dual_value * rQ, fresh.gap * rQ)
+        assert np.array_equal(est.mu, fresh.mu * rQ)
 
 
 def test_wiener_function_rejects_bad_rho(m1, bounds1):
