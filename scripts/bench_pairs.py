@@ -6,7 +6,8 @@ The parent's committed files are exported (git archive) into a temporary
 directory.  For each workload, perfbench/run.py then runs --pairs times
 in each checkout, alternately, the first of each pair switching sides, so
 that a slow spell of the host does not land on one side only.  The JSON
-file written holds, per workload, every pair's end-to-end metrics, the
+file written holds, per workload, every pair's end-to-end metrics, each
+side's operations attempted and failed and its failed share, the
 medians and quartiles of both sides, and per metric the number of pairs
 in which the working tree did better.  The run length and the metrics'
 directions come from BENCHMARK.json.
@@ -45,10 +46,20 @@ def _spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
+def _operations(runs: list) -> dict:
+    """Operations attempted and failed over a side's runs, and the failed
+    share."""
+    attempted = sum(r["attempted"] for r in runs)
+    failed = sum(r["failed"] for r in runs)
+    return {"attempted": attempted, "failed": failed,
+            "failed_share": failed / attempted if attempted else 0.0}
+
+
 def aggregate(pairs: list, better: dict) -> dict:
-    """Summary of (parent, change) result pairs: per end-to-end metric the
-    median and quartiles of each side and the number of pairs in which the
-    change did better; `better` maps a metric to "lower" or "higher"."""
+    """Summary of (parent, change) result pairs: each side's operations
+    attempted and failed, and per end-to-end metric the median and
+    quartiles of each side and the number of pairs in which the change
+    did better; `better` maps a metric to "lower" or "higher"."""
     metrics = {}
     for name, direction in better.items():
         if not all(name in p["metrics"] and name in c["metrics"]
@@ -67,6 +78,8 @@ def aggregate(pairs: list, better: dict) -> dict:
     return {
         "pairs": [{"parent": p, "change": c} for p, c in pairs],
         "all_correct": all(p["correct"] and c["correct"] for p, c in pairs),
+        "operations": {"parent": _operations([p for p, _ in pairs]),
+                       "change": _operations([c for _, c in pairs])},
         "metrics": metrics,
     }
 

@@ -68,6 +68,7 @@ from .domain import DomainSpec, SetSample, sample_set_and_measure
 from .metric import MetricSpace, _heis_group_diff, ball_coord_halfwidths
 
 MAX_CONSTRAINT_GRID = 4096
+MAX_REFINE_CELLS = 2 ** 17     # sample grid cells of a ladder's finest level
 WORKING_SET_MIN_BATCH = 16     # rows added per pricing round: max(n // 4, 16)
 PRICING_TOLERANCE = 1e-9       # overshoot of A x <= 1 that sends a row into W
 GAP_TOLERANCE = 1e-6           # relative duality gap a certified pair may have
@@ -121,6 +122,11 @@ def constraint_points(support: SetSample, metric: MetricSpace,
     set, plus every support point shifted forward by one fine time step
     (the near-field constraints that actually bind).  Deterministic; the
     grid is thinned axis-by-axis if it would exceed MAX_CONSTRAINT_GRID.
+
+    Row layout, which GaussianKernel.matrix relies on to build the kernel
+    matrix from its space and time factors: first the grid, C spatial
+    cells by T time cells with time fastest (row c T + j is spatial cell
+    c at time cell j), then the n near-field rows in atom order.
     """
     if support.is_empty():
         return np.zeros((0, metric.N)), np.zeros(0)
@@ -214,7 +220,9 @@ def _solve_lp(A: np.ndarray, s: np.ndarray):
     packing LP is solved by linprog instead and its marginals give y."""
     m, n = A.shape
     h = _covering_model(s)
-    W = new = np.unique(A.argmax(axis=0))
+    # each column's first unit entry, its argmax row: a column-wise argmax
+    # of A itself is a strided reduction, several times slower
+    W = new = np.unique((A == 1.0).argmax(axis=0))
     batch = max(n // 4, WORKING_SET_MIN_BATCH)
     rounds = iterations = 0
     while True:
@@ -377,9 +385,21 @@ class RefinementStep:
 def refine_capacity(dom: DomainSpec, target, kernel, r: float, levels: int = 3,
                     base_resolution: int = 3) -> list[RefinementStep]:
     """Re-solve the capacity of a target at parabolic scale r
-    (solve_framed) across a ladder of grid resolutions."""
+    (solve_framed) across a ladder of grid resolutions.
+
+    Each level doubles the sample grid per axis, to (2^res + 1)^N 2^res
+    cells, each a possible atom.  A ladder whose finest level has more
+    than MAX_REFINE_CELLS = 2^17 cells is rejected before any level is
+    sampled.  Past that size (R at resolution 9, R^2 at 6, the Koranyi
+    group at 5) the ring samples measured hold at least 70000 atoms, so
+    the kernel matrix alone would take at least 40 GB."""
     if levels < 1:
         raise CapacityInputError("refinement levels must be >= 1")
+    finest = base_resolution + levels - 1
+    if (2 ** finest + 1) ** dom.metric.N * 2 ** finest > MAX_REFINE_CELLS:
+        raise CapacityInputError(
+            f"refinement to resolution {finest} samples more than "
+            f"MAX_REFINE_CELLS = 2^17 grid cells")
     out = []
     for res in range(base_resolution, base_resolution + levels):
         support = sample_set_and_measure(dom, target, res)

@@ -18,6 +18,17 @@ solution is exact:
 which equals G_{beta/4} times the constant omega_N / (4 pi / beta)^(N/2),
 so the bound holds with a0 = b0 = beta / 4.  HeatKernel evaluates it as
 exactly that scaled GaussianKernel.
+
+A kernel matrix is built from its factors.  -a d^2 depends on the space
+coordinates only, and t - s, the t <= s mask and log |B(sqrt(t - s))|
+on the times only.  capacity.constraint_points lays its rows out as a
+tensor grid of C spatial cells by T time cells, time fastest, followed by
+the near-field rows; GaussianKernel.matrix recognises that leading block
+from the rows themselves, computes -a d^2 on its C distinct spatial rows
+and the time factors on its T distinct times, and broadcasts them into
+the (C T, n) block.  The remaining rows are built row by row from the
+same formula, so every entry is the same floating-point expression,
+evaluated in the same order, whatever the layout.
 """
 
 from __future__ import annotations
@@ -79,12 +90,27 @@ def euclidean_bounds(N: int, beta: float = 1.0) -> GaussBounds:
     return GaussBounds(Lambda=lam, a0=beta / 4.0, b0=beta / 4.0, c_d=2.0 ** N)
 
 
-def _exp_where(logk: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """exp(logk) in place, exactly 0 where `zero` holds or logk is at or
-    below log(1e-300); `zero` is overwritten too."""
-    zero |= logk <= _LOG_TINY
+def _exp_where(logk: np.ndarray, late: np.ndarray) -> np.ndarray:
+    """exp(logk) in place, exactly 0 where `late` holds or logk is at or
+    below log(1e-300); `late` broadcasts to logk's shape."""
+    zero = logk <= _LOG_TINY
+    zero |= late
     np.copyto(logk, -np.inf, where=zero)
     return np.exp(logk, out=logk)
+
+
+def _gauss_into(out: np.ndarray, nad2: np.ndarray, dt: np.ndarray,
+                late: np.ndarray, logvol: np.ndarray,
+                log_scale: float) -> None:
+    """out = exp(nad2 / dt - logvol + log_scale), masked by _exp_where.
+
+    nad2 = -a d^2 is a space factor and (dt, late, logvol) are time
+    factors; each broadcasts to out's shape, (r, n) row by row or
+    (C, T, n) for a grid block."""
+    np.divide(nad2, dt, out=out)
+    out -= logvol
+    out += log_scale
+    _exp_where(out, late)
 
 
 def _as_points(Zx, Zt, Wx, Wt):
@@ -93,6 +119,22 @@ def _as_points(Zx, Zt, Wx, Wt):
             np.atleast_1d(np.asarray(Zt, dtype=float)),
             np.atleast_2d(np.asarray(Wx, dtype=float)),
             np.atleast_1d(np.asarray(Wt, dtype=float)))
+
+
+def _grid_block(Zx: np.ndarray, Zt: np.ndarray) -> tuple[int, int]:
+    """(C, T) of the leading grid block of m >= 1 rows: rows [0, C T) are
+    C runs of T rows, each run one spatial point, every run the same T
+    times as the first.  T >= 1 is the first run's length; the block ends
+    at the first run that breaks the pattern (C = 0 only if row 0 holds a
+    nan) and any rows may follow.  Linear in m."""
+    m = Zt.size
+    differs = np.flatnonzero((Zx[1:] != Zx[0]).any(axis=1))
+    T = int(differs[0]) + 1 if differs.size else m
+    P = m // T
+    xs = Zx[:P * T].reshape(P, T, -1)
+    ok = (Zt[:P * T].reshape(P, T) == Zt[:T]).all(axis=1)
+    ok &= (xs == xs[:, :1]).all(axis=(1, 2))
+    return (P if ok.all() else int(np.argmin(ok))), T
 
 
 def _time_gaps(Zt: np.ndarray, Wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,35 +189,50 @@ class GaussianKernel:
                Wt: np.ndarray) -> np.ndarray:
         """K[i, j] = G_a(z_i, w_j) for evaluation points z and sources w.
 
-        For the closed-form metrics the exponent is built in one (m, n)
-        buffer: d^2 accumulated coordinate by coordinate (no sqrt), minus
-        log |B(sqrt(dt))| = log c + (Q/2) log dt, then masked and
-        exponentiated in place.  Table metrics go through `dist` and a
+        For the closed-form metrics the rows split into a leading grid
+        block of C spatial points by T times, time fastest (_grid_block,
+        linear in m), and r = m - C T rows after it.  d^2 (accumulated
+        coordinate by coordinate, no sqrt) is computed once on the C + r
+        spatial rows that matter and scaled by -a; dt, its t <= s mask
+        and log |B(sqrt(dt))| = log c + (Q/2) log dt once on the T + r
+        times.  _gauss_into combines them, -a d^2 / dt - log |B| + log
+        scale, masked and exponentiated, by broadcasting (C, 1, n)
+        against (1, T, n) into the block and row by row for the rest.
+        Rows without the grid layout give a block of as little as one
+        row, and the same matrix.  Table metrics go through `dist` and a
         Monte Carlo volume per entry."""
         Zx, Zt, Wx, Wt = _as_points(Zx, Zt, Wx, Wt)
         m = self.metric
         if Zx.shape[1] != m.N or Wx.shape[1] != m.N:
             raise MetricError(f"points must have {m.N} spatial coordinates")
-        dt, late = _time_gaps(Zt, Wt)
         c = _closed_form_volume(m, 1.0)
         if c is None:
+            dt, late = _time_gaps(Zt, Wt)
             d2 = dist(m, Zx[:, None, :], Wx[None, :, :]) ** 2
             vol = ball_volume_many(m, Zx, np.sqrt(dt))
             logk = (math.log(self.scale) - np.log(np.maximum(vol, _TINY))
                     - self.a * d2 / dt)
             return _exp_where(logk, late)
-        if m.kind == "heisenberg-koranyi":
-            logk = _sq_dist_koranyi(Zx, Wx)
-        else:
-            logk = _sq_dist_euclidean(Zx, Wx)
-        logk *= -self.a
-        logk /= dt
-        logvol = np.log(dt, out=dt)
+        out = np.empty((Zt.size, Wt.size))
+        if Zt.size == 0:
+            return out
+        C, T = _grid_block(Zx, Zt)
+        k = C * T
+        sq_dist = (_sq_dist_koranyi if m.kind == "heisenberg-koranyi"
+                   else _sq_dist_euclidean)
+        nad2 = sq_dist(np.concatenate([Zx[:k:T], Zx[k:]]), Wx)
+        nad2 *= -self.a
+        dt, late = _time_gaps(np.concatenate([Zt[:T], Zt[k:]]), Wt)
+        logvol = np.log(dt)
         logvol *= 0.5 * m.Q
         logvol += math.log(c)
-        logk -= np.maximum(logvol, _LOG_TINY, out=logvol)
-        logk += math.log(self.scale)
-        return _exp_where(logk, late)
+        np.maximum(logvol, _LOG_TINY, out=logvol)
+        log_scale = math.log(self.scale)
+        _gauss_into(out[:k].reshape(C, T, Wt.size), nad2[:C, None],
+                    dt[None, :T], late[None, :T], logvol[None, :T], log_scale)
+        _gauss_into(out[k:], nad2[C:], dt[T:], late[T:], logvol[T:],
+                    log_scale)
+        return out
 
     def eval(self, z: SpaceTimePoint, w: SpaceTimePoint) -> float:
         return float(self.matrix(z.x[None, :], np.array([z.t]),

@@ -378,6 +378,9 @@ def lambda_comparability(dom: DomainSpec, a: float, b: float, lam: float,
 # along log(1/dhat^2) at this r2
 INTEGRAL_SLOPE_MIN = 0.05
 INTEGRAL_R2_MIN = 0.9
+# section grid points one integral_test may measure; at the 25-125 ns a
+# point measured on a 2-core x86_64 host, at most about two minutes
+INTEGRAL_MAX_POINTS = 2 ** 30
 
 @dataclass
 class IntegralReport:
@@ -430,6 +433,12 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     v_lo = math.log(min(dh * dh for dh in dhats))
     v_hi = math.log(lam)
     n_v = max(33, int(8 * (v_hi - v_lo)) | 1)
+    # n_v time nodes of n_u - 1 sections, each on (2^res + 1)^N grid points
+    points = n_v * (n_u - 1) * (2 ** resolution + 1) ** dom.metric.N
+    if points > INTEGRAL_MAX_POINTS:
+        raise WienerError(f"n_u = {n_u} at resolution {resolution} measures "
+                          "more than INTEGRAL_MAX_POINTS = 2^30 section grid "
+                          "points")
     # quadratic grading resolves the u^(N/2) kink of the integrand at rho=1
     u_grid = U_max * (np.arange(n_u) / (n_u - 1)) ** 2
     v_grid = np.linspace(v_lo, v_hi, n_v)

@@ -215,6 +215,23 @@ def test_refinement_ladder(m1):
     assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-12
 
 
+def test_refinement_past_the_cell_bound_samples_nothing(m1, monkeypatch):
+    """A ladder whose finest level has more than MAX_REFINE_CELLS sample
+    cells is rejected before any level is sampled; the finest level of
+    R at resolution 9 has 513 x 512 cells."""
+    def unsampled(*args):
+        raise AssertionError("a level was sampled")
+
+    monkeypatch.setattr(capacity, "sample_set_and_measure", unsampled)
+    dom = wc.benchmark("halfspace", m1)
+    kern = wc.GaussianKernel(m1, 0.5)
+    target = RingTarget(RingSpec(0.25, 1, 1))
+    assert 513 * 512 > capacity.MAX_REFINE_CELLS > 257 * 256
+    for levels, base in ((1, 9), (2, 8), (10 ** 6, 2)):
+        with pytest.raises(CapacityInputError, match="MAX_REFINE_CELLS"):
+            refine_capacity(dom, target, kern, 0.5, levels, base)
+
+
 def test_build_problem_samples_a_ring_once(m1, monkeypatch):
     """The support is sampled on its own grid only: no coarser pass."""
     calls = []
@@ -476,3 +493,31 @@ def test_classify_withholds_a_verdict_on_a_partial_table(m1, bounds1,
     assert cls.verdict == "INCONCLUSIVE" and cls.basis == "none"
     assert cls.sufficient.table_partial and cls.necessary.table_partial
     assert cls.notes == ["capacity table PARTIAL: verdict withheld"]
+
+
+@pytest.mark.parametrize("metric, n, repeat", [
+    (wc.euclidean(1), 370, 1), (wc.euclidean(2), 400, 1),
+    (wc.heisenberg_koranyi(), 340, 1), (wc.euclidean(2), 160, 2)])
+def test_working_set_seeds_are_the_first_column_maxima(monkeypatch, metric,
+                                                       n, repeat):
+    """_solve_lp seeds its working set with (A == 1.0).argmax(axis=0): the
+    normalized matrix has each column's maximum exactly 1.0 and no entry
+    above it, so these are the rows A.argmax(axis=0) picks, on lp-cloud
+    sized problems and where every maximum is tied (each constraint row
+    given twice)."""
+    seen = []
+    real = capacity._solve_lp
+    monkeypatch.setattr(capacity, "_solve_lp",
+                        lambda A, s: seen.append(A) or real(A, s))
+    s = random_cloud_sample(np.random.default_rng(n), metric.N, n)
+    cx, ct = constraint_points(s, metric, 3)
+    cx, ct = np.tile(cx, (repeat, 1)), np.tile(ct, repeat)
+    try:
+        solve_capacity(CapacityProblem(wc.GaussianKernel(metric, 0.25), s,
+                                       cx, ct))
+    except wc.CapacityConvergenceError:
+        pass                     # the seeds are taken before any LP round
+    (A,) = seen
+    assert (A.max(axis=0) == 1.0).all()
+    assert ((A == 1.0).sum(axis=0) >= repeat).all()
+    assert np.array_equal((A == 1.0).argmax(axis=0), A.argmax(axis=0))

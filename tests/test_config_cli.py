@@ -371,13 +371,20 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
     ("series", "wiener.K-max = 535", "takes the rings below float resolution"),
     ("cone", "cone.levels = 1000000",
      "shrinks the smallest ball to zero volume"),
-    ("cone", "metric.N = 2000", "makes the doubling constant 2^N infinite")])
+    ("cone", "metric.N = 2000", "makes the doubling constant 2^N infinite"),
+    ("capacity", "capacity.refine-levels = 1000000",
+     "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
+    ("capacity", "capacity.resolution = 1000000",
+     "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
+    ("integral", "integral.n-u = 1000000",
+     "more than INTEGRAL_MAX_POINTS = 2^30 section grid points")])
 def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
                                        message):
     """A series depth, cone level count or dimension beyond what floats
-    hold is rejected before any work: exit 3 with a failure.json, never
-    an OverflowError or ZeroDivisionError that exits 1 (IRREGULAR's
-    code)."""
+    hold, or a refinement ladder or integral quadrature past its work
+    bound, is rejected before any work: exit 3 with a failure.json, never
+    an OverflowError or ZeroDivisionError that exits 1 (IRREGULAR's code),
+    a 1.6 GB allocation or a run of many minutes."""
     cfg = _write(tmp_path, "bad.cfg", FAST_SERIES + setting + "\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])

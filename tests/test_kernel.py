@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wienercap as wc
+from wienercap import kernel
 from wienercap.kernel import GaussianKernel, HeatKernel
-from wienercap.metric import ball_volume, ball_volume_many, stp
+from wienercap.metric import (_closed_form_volume, _heis_group_diff,
+                              ball_volume, ball_volume_many, stp)
 
-from conftest import sinh_table_metric
+from conftest import random_cloud_sample, sinh_table_metric
 
 times = st.floats(-2.0, 2.0, allow_nan=False)
 coords = st.floats(-2.0, 2.0, allow_nan=False)
@@ -215,6 +217,114 @@ def test_fused_matrix_matches_definition(metric, a, scale):
     assert (Zt[:, None] == Wt[None, :]).any()
     if metric.kind == "heisenberg-koranyi":
         assert np.abs(Zx[:, :2]).min() > 0 and np.abs(Wx[:, :2]).min() > 0
+
+
+def dense_matrix(kern, Zx, Zt, Wx, Wt):
+    """The closed-form build with every factor as its own (m, n) array:
+    the row-by-row formula that the factor build must reproduce bit for
+    bit, the same operations in the same order for each entry."""
+    m = kern.metric
+    dt = np.subtract.outer(Zt, Wt)
+    late = dt <= 0
+    dt[late] = 1.0
+    if m.kind == "heisenberg-koranyi":
+        u1, u2, u3 = _heis_group_diff(Zx.T[:, :, None], Wx.T[:, None, :])
+        d2 = np.sqrt((u1 ** 2 + u2 ** 2) ** 2 + u3 ** 2 * 16.0)
+    else:
+        d2 = np.subtract.outer(Zx[:, 0], Wx[:, 0]) ** 2
+        for k in range(1, m.N):
+            d2 = d2 + np.subtract.outer(Zx[:, k], Wx[:, k]) ** 2
+    logvol = np.maximum(np.log(dt) * (0.5 * m.Q)
+                        + math.log(_closed_form_volume(m, 1.0)), LOG_TINY)
+    logk = d2 * -kern.a / dt - logvol + math.log(kern.scale)
+    return np.where(late | (logk <= LOG_TINY), 0.0, np.exp(logk))
+
+
+def grid_problem(metric, res, n=60, seed=5):
+    """A random cloud of n atoms and its constraint_points rows."""
+    s = random_cloud_sample(np.random.default_rng(seed), metric.N, n)
+    return (*wc.constraint_points(s, metric, res), s.xs, s.ts)
+
+
+@pytest.mark.parametrize("metric, res, C, T", [
+    (wc.euclidean(1), 2, 8, 8), (wc.euclidean(1), 3, 16, 16),
+    (wc.euclidean(2), 2, 64, 8), (wc.euclidean(2), 3, 256, 16),
+    (wc.heisenberg_koranyi(), 2, 512, 8),
+    (wc.heisenberg_koranyi(), 3, 512, 8),      # thinned from 16^4 cells
+])
+def test_factor_build_equals_dense_build_on_constraint_grids(metric, res, C,
+                                                             T):
+    """On constraint_points rows (C spatial cells by T time cells, time
+    fastest, then one near-field row per atom) the grid block is found
+    whole and the matrix equals the dense build bit for bit, zeros of
+    t <= s pairs inside the block included."""
+    cx, ct, wx, wt = grid_problem(metric, res)
+    assert kernel._grid_block(cx, ct) == (C, T)
+    assert C * T + wt.size == ct.size
+    kern = GaussianKernel(metric, 0.25)
+    K = kern.matrix(cx, ct, wx, wt)
+    assert np.array_equal(K, dense_matrix(kern, cx, ct, wx, wt))
+    late = ct[:C * T, None] <= wt[None, :]
+    assert late.any() and (K[:C * T][late] == 0.0).all()
+    assert (K > 0).any()
+
+
+@pytest.mark.parametrize("metric", [
+    wc.euclidean(1), wc.euclidean(2), wc.heisenberg_koranyi()])
+def test_factor_build_equals_dense_build_off_the_grid(metric):
+    """Unstructured rows, a grid whose pattern breaks mid-block (one time
+    changed, one point moved, the first run cut short), 0 and 1 rows,
+    t == s pairs inside the block, scale != 1 and the heat kernel: every
+    matrix equals the dense build bit for bit."""
+    rng = np.random.default_rng(8)
+    cx, ct, wx, wt = grid_problem(metric, 2)
+    C, T = kernel._grid_block(cx, ct)
+    kern = GaussianKernel(metric, 0.3, 3.7)
+
+    def same(Zx, Zt, block=None):
+        if block is not None:
+            assert kernel._grid_block(Zx, Zt) == block
+        assert np.array_equal(kern.matrix(Zx, Zt, wx, wt),
+                              dense_matrix(kern, Zx, Zt, wx, wt))
+
+    same(rng.uniform(-0.5, 0.5, (40, metric.N)), rng.uniform(-0.5, 0.5, 40))
+    t_break = ct.copy()
+    t_break[3 * T + 3] += 1e-3
+    same(cx, t_break, (3, T))
+    x_break = cx.copy()
+    x_break[5 * T + 2, -1] += 1e-3
+    same(x_break, ct, (5, T))
+    x_short = cx.copy()
+    x_short[3, 0] += 1e-3
+    same(x_short, ct, (1, 3))
+    same(cx[:0], ct[:0])
+    same(cx[:1], ct[:1], (1, 1))
+    same(cx[C * T:C * T + 1], ct[C * T:C * T + 1], (1, 1))
+    wt = wt.copy()
+    wt[:3] = ct[[1, 2, 5]]                       # t == s inside the block
+    same(cx, ct, (C, T))
+    if metric.kind == "euclidean":
+        heat = HeatKernel(metric.N, 1.5)
+        kern = GaussianKernel(metric, 1.5 / 4.0, heat.gaussian_factor)
+        assert np.array_equal(heat.matrix(cx, ct, wx, wt),
+                              dense_matrix(kern, cx, ct, wx, wt))
+
+
+@pytest.mark.parametrize("metric, rows", [
+    (wc.euclidean(2), 256 + 400), (wc.heisenberg_koranyi(), 512 + 400)])
+def test_distances_are_computed_once_per_spatial_row(monkeypatch, metric,
+                                                     rows):
+    """On an lp-cloud-sized problem (400 atoms against 4096 grid rows and
+    400 near-field rows) d^2 is handed the C distinct grid points and the
+    n near-field rows, C + n rows in one call, not m = 4496."""
+    seen = []
+    for name in ("_sq_dist_euclidean", "_sq_dist_koranyi"):
+        real = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda X, Y, real=real:
+                            seen.append(X.shape[0]) or real(X, Y))
+    cx, ct, wx, wt = grid_problem(metric, 3, n=400)
+    GaussianKernel(metric, 0.25).matrix(cx, ct, wx, wt)
+    assert seen == [rows] and rows < ct.size
 
 
 def test_table_matrix_keeps_the_dist_and_volume_path():

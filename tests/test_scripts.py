@@ -37,18 +37,19 @@ def _bench_pairs():
     return module
 
 
-def _result_line(wall, rate, correct=True):
+def _result_line(wall, rate, correct=True, failed=0):
     return ("perfbench: a progress line\n" + json.dumps(
-        {"correct": correct, "attempted": 755, "failed": 0,
+        {"correct": correct, "attempted": 755, "failed": failed,
          "metrics": {"wall_s": {"value": wall, "unit": "s"},
                      "capacities_per_s": {"value": rate, "unit": "1/s"}}})
             + "\n")
 
 
 def test_bench_pairs_aggregates_result_lines():
-    """bench_pairs reads perfbench's last output line and reports, per
-    metric, both sides' medians and quartiles and the pairs the change
-    won in the metric's own direction; no process is started."""
+    """bench_pairs reads perfbench's last output line and reports each
+    side's operations attempted and failed and, per metric, both sides'
+    medians and quartiles and the pairs the change won in the metric's
+    own direction; no process is started."""
     bp = _bench_pairs()
     walls = [(1.2, 0.5), (1.3, 0.6), (1.0, 1.1), (1.4, 0.4)]
     pairs = [(bp.parse_result(_result_line(p, 500.0)),
@@ -69,5 +70,12 @@ def test_bench_pairs_aggregates_result_lines():
     assert rep["metrics"]["capacities_per_s"]["pairs_better"] == 3
     one = bp.aggregate(pairs[:1], better)["metrics"]["wall_s"]["parent"]
     assert one == {"median": 1.2, "q1": 1.2, "q3": 1.2}
-    bad = [(pairs[0][0], bp.parse_result(_result_line(0.5, 1.0, False)))]
-    assert not bp.aggregate(bad, better)["all_correct"]
+    assert rep["operations"] == {
+        side: {"attempted": 4 * 755, "failed": 0, "failed_share": 0.0}
+        for side in ("parent", "change")}
+    bad = [(pairs[0][0], bp.parse_result(_result_line(0.5, 1.0, False, 3)))]
+    worse = bp.aggregate(bad, better)
+    assert not worse["all_correct"]
+    assert worse["operations"]["parent"]["failed"] == 0
+    assert worse["operations"]["change"] == {
+        "attempted": 755, "failed": 3, "failed_share": 3 / 755}

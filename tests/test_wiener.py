@@ -321,6 +321,21 @@ def test_integral_rejects_nonpositive_exponent(m1):
         wc.integral_test(dom, 0.25, 0.0, probes=[0.1])
 
 
+def test_integral_past_the_point_bound_measures_nothing(m1, monkeypatch):
+    """A quadrature whose sections would hold more than
+    INTEGRAL_MAX_POINTS grid points in all is rejected before any section
+    is measured: n_u = 10^6 on R at the automatic resolution 8, or a
+    resolution of 30 at the default n_u."""
+    def unmeasured(*args):
+        raise AssertionError("a section was measured")
+
+    monkeypatch.setattr(wiener, "section_measures", unmeasured)
+    dom = wc.benchmark("halfspace", m1)
+    for kwargs in ({"n_u": 10 ** 6}, {"resolution": 30}):
+        with pytest.raises(WienerError, match="INTEGRAL_MAX_POINTS"):
+            wc.integral_test(dom, 0.25, 0.5, [0.1, 0.05], **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Wiener function and the decay bound
 
