@@ -21,9 +21,8 @@ from .kernel import (GaussBounds, GaussianKernel, HeatKernel, KernelError,
                      euclidean_bounds, structural_constant)
 from .metric import (MetricError, MetricSpace, SpaceTimePoint, ball_volume,
                      ball_volume_with_error, dist, euclidean,
-                     heisenberg_koranyi, koranyi_ball_constant,
-                     parabolic_dist, parabolic_dist_many, stp, table_metric,
-                     unit_ball_volume_euclidean)
+                     heisenberg_koranyi, parabolic_dist, parabolic_dist_many,
+                     stp, table_metric, unit_ball_constant)
 from .pde import (HolderFit, PDEError, SolutionEstimate, WalkConfig,
                   boundary_holder, boundary_phi_cutoff, boundary_phi_distance,
                   classification_probe, interior_axis_probes, pwb_solve,

@@ -65,7 +65,7 @@ from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
                                            kHighsInf)
 
 from .domain import DomainSpec, SetSample, sample_set_and_measure
-from .metric import MetricSpace, _heis_group_diff, ball_coord_halfwidths
+from .metric import MetricSpace, ball_coord_halfwidths, frame
 
 MAX_CONSTRAINT_GRID = 4096
 MAX_REFINE_CELLS = 2 ** 17     # sample grid cells of a ladder's finest level
@@ -308,26 +308,18 @@ def dilation_frame(dom: DomainSpec, support: SetSample,
     """The atoms of a sample in the frame of z0 at scale r, snapped to 12
     decimals: (X, T, r).
 
-    Euclidean: x -> (x - x0) / r.  Koranyi: x -> delta_{1/r}(x0^-1 o x),
-    i.e. (u1 / r, u2 / r, u3 / r^2).  Time: t -> (t - t_last) / r^2, with
-    t_last the sample's latest time: it moves with the set under a
-    dilation about z0, and a set that is a time translate of another
-    (a cylinder wall's rings) gets the same frame.  Both kernels are
-    homogeneous, G_a(delta_r z, delta_r w) = r^-Q G_a(z, w), and depend
-    on time differences only, so the set's capacity is r^Q times that of
-    the framed sample.  Table metrics are not homogeneous and keep the
-    identity frame (r = 1, no shift).  Adding 0.0 turns the -0.0 of
-    rounding into 0.0."""
-    m, z0 = dom.metric, dom.z0
-    if m.kind == "table":
-        X, T, r = support.xs, support.ts, 1.0
-    else:
-        if m.kind == "heisenberg-koranyi":
-            u1, u2, u3 = _heis_group_diff(z0.x, support.xs.T)
-            X = np.stack([u1 / r, u2 / r, u3 / r ** 2], axis=-1)
-        else:
-            X = (support.xs - z0.x) / r
-        T = (support.ts - support.ts.max(initial=-np.inf)) / r ** 2
+    Space goes through metric.frame: x -> delta_{1/r}(x0^-1 o x), which
+    is (x - x0) / r on R^N and (u1 / r, u2 / r, u3 / r^2) on the Koranyi
+    group; a table metric has no dilations and keeps x, with r = 1.  Time:
+    t -> (t - t_last) / r^2, with t_last the sample's latest time: it
+    moves with the set under a dilation about z0, and a set that is a
+    time translate of another (a cylinder wall's rings) gets the same
+    frame.  Both kernels are homogeneous, G_a(delta_r z, delta_r w) =
+    r^-Q G_a(z, w), and depend on time differences only, so the set's
+    capacity is r^Q times that of the framed sample.  Adding 0.0 turns
+    the -0.0 of rounding into 0.0."""
+    X, r = frame(dom.metric, dom.z0.x, support.xs, r)
+    T = (support.ts - support.ts.max(initial=-np.inf)) / r ** 2
     return np.round(X, 12) + 0.0, np.round(T, 12) + 0.0, r
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .domain import (BallComplementTarget, DomainSpec, RingSpec, RingTarget,
                      punctured, sample_set_and_measure, spatial_halfspace)
 from .kernel import GaussBounds, GaussianKernel, euclidean_bounds
 from .metric import (MetricSpace, ball_volume, euclidean, heisenberg_koranyi,
-                     stp)
+                     stp, unit_ball_constant)
 from .pde import PDEError, WalkConfig, classification_probe, pwb_solve
 from .regularity import classify, cone_check
 from .report import ReportBundle
@@ -149,7 +149,7 @@ def _domain_summary(dom: DomainSpec) -> dict:
         "z0_t": dom.z0.t,
         "params": {k: (list(v) if isinstance(v, np.ndarray) else v)
                    for k, v in dom.params.items()},
-        "assumption_unverified": dom.metric.kind == "table",
+        "assumption_unverified": unit_ball_constant(dom.metric) is None,
     }
 
 
@@ -235,9 +235,7 @@ def _write_series(bundle, dom, tab, rep):
     S = tab.partial_sums()
     bundle.write_csv("series_partial_sums.csv", ["K", "S"],
                      [[k + 1, S[k]] for k in range(len(S))])
-    payload = asdict(rep)
-    payload["truncation_bound"] = tab.truncation_bound
-    bundle.write_json("series_report.json", payload)
+    bundle.write_json("series_report.json", rep)
 
 
 def cmd_series(cfg, bundle, quiet):
@@ -262,7 +260,7 @@ def cmd_integral(cfg, bundle, quiet):
     dom = build_domain(cfg, metric)
     rep = run_integral(cfg, dom, build_bounds(cfg, metric),
                        cfg["integral.probes"])
-    bundle.write_json("integral_report.json", asdict(rep))
+    bundle.write_json("integral_report.json", rep)
     bundle.write_csv("integral_curve.csv", ["log_inv_dhat2", "M"],
                      [[math.log(1.0 / dh ** 2), m]
                       for dh, m in zip(rep.probe_dhats, rep.M_values)])
@@ -275,24 +273,23 @@ def cmd_cone(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
     rep = cone_check(dom, *cone_settings(cfg))
-    bundle.write_json("cone_report.json", asdict(rep))
+    bundle.write_json("cone_report.json", rep)
     if not quiet:
         print(f"cone satisfied={rep.satisfied} theta={rep.theta:.4f}")
     return EXIT_OK
 
 
 def _classification_payload(cls, dom):
-    payload = {
+    return {
         "verdict": cls.verdict,
         "basis": cls.basis,
         "structural_constant": cls.structural_constant,
         "notes": cls.notes,
         "domain": _domain_summary(dom),
-        "cone": asdict(cls.cone),
-        "sufficient": asdict(cls.sufficient) if cls.sufficient else None,
-        "necessary": asdict(cls.necessary) if cls.necessary else None,
+        "cone": cls.cone,
+        "sufficient": cls.sufficient,
+        "necessary": cls.necessary,
     }
-    return payload
 
 
 def cmd_classify(cfg, bundle, quiet):
@@ -395,7 +392,7 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
         # CONVERGENT sufficient series
         irep = run_integral(cfg, dom, bounds, SUITE_INTEGRAL_PROBES)
         consistent = not (irep.divergent and suff_verdict == "CONVERGENT")
-        bundle.write_json(f"{name}_integral.json", asdict(irep))
+        bundle.write_json(f"{name}_integral.json", irep)
         # PDE cross-check on Euclidean metrics: probe for the solution
         # behavior that would falsify the verdict
         pde_status, pde_contradicts = None, None
@@ -404,7 +401,7 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
                 fit, pde_contradicts = classification_probe(
                     dom, cls.verdict, SUITE_PROBE_OFFSETS, walk)
                 pde_status = fit.status
-                bundle.write_json(f"{name}_pde_probe.json", asdict(fit))
+                bundle.write_json(f"{name}_pde_probe.json", fit)
             except PDEError as exc:
                 pde_status = f"SKIPPED: {exc}"
         expected = BENCHMARK_STATUS[name]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,23 +240,6 @@ def read_mask(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bits.reshape(shape).astype(bool), origin, spacing
 
 
-def _erode(grid: np.ndarray) -> np.ndarray:
-    """Keep voxels whose full 3^rank neighborhood is set (out-of-grid = 0);
-    this is the strict-interior convention that makes mask domains open."""
-    out = grid.copy()
-    for axis in range(grid.ndim):
-        shifted_f = np.zeros_like(grid)
-        shifted_b = np.zeros_like(grid)
-        sl_all = [slice(None)] * grid.ndim
-        src, dst = sl_all.copy(), sl_all.copy()
-        src[axis], dst[axis] = slice(1, None), slice(0, -1)
-        shifted_f[tuple(dst)] = out[tuple(src)]
-        src[axis], dst[axis] = slice(0, -1), slice(1, None)
-        shifted_b[tuple(dst)] = out[tuple(src)]
-        out = out & shifted_f & shifted_b
-    return out
-
-
 def _mask_lookup(dom: DomainSpec, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     grid = dom.mask_grid
     origin = np.asarray(dom.params["origin"])
@@ -269,10 +253,14 @@ def _mask_lookup(dom: DomainSpec, X: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def mask_domain(path, metric: MetricSpace, z0: SpaceTimePoint) -> DomainSpec:
+    """The open domain of a voxel mask: the voxels whose full 3^rank
+    neighbourhood is set, cells outside the grid counting as unset."""
+    from scipy.ndimage import binary_erosion
     grid, origin, spacing = read_mask(path)
     if grid.ndim != metric.N + 1:
         raise DomainError("mask rank must be N+1")
-    eroded = _erode(grid)
+    eroded = binary_erosion(grid, np.ones((3,) * grid.ndim, bool),
+                            border_value=0)
     shape = np.array(grid.shape)
     hi = origin + shape * spacing
     return DomainSpec("mask", metric,
@@ -444,6 +432,11 @@ class RingSpec:
             raise DomainError("k and h start at 1")
         if self.variant not in ("band", "nested"):
             raise DomainError("variant must be 'band' or 'nested'")
+        # max_nonempty_band divides by lam^(k+1) log(1/lam)
+        deepest = self.lam ** (self.k + 1) * math.log(1.0 / self.lam)
+        if deepest == 0.0 or math.isinf(self.lam / deepest):
+            raise DomainError(f"k = {self.k} takes the rings below float "
+                              "resolution")
 
 
 def _ring_keep(dom: DomainSpec, lam: float, k: int, X: np.ndarray,
@@ -501,6 +494,10 @@ class SectionTarget:
     rho: float
     tau: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.rho) and math.isfinite(self.tau)):
+            raise DomainError("section rho and tau must be finite")
+
 
 @dataclass(frozen=True)
 class BallComplementTarget:
@@ -508,6 +505,16 @@ class BallComplementTarget:
     Omega; the flat top slice at t = t0 is carried at zero weight."""
     l: int
     lam: float
+
+    def __post_init__(self):
+        if not (0.0 < self.lam < 1.0):
+            raise DomainError("lam must lie in (0, 1)")
+        if self.l < 1:
+            raise DomainError("ball complement level l must be >= 1")
+        # the ball's time depth lam^l is the square of its radius
+        if self.lam ** self.l < sys.float_info.min:
+            raise DomainError(f"l = {self.l} takes the ball below float "
+                              "resolution")
 
 
 @dataclass

@@ -19,6 +19,11 @@ which equals G_{beta/4} times the constant omega_N / (4 pi / beta)^(N/2),
 so the bound holds with a0 = b0 = beta / 4.  HeatKernel evaluates it as
 exactly that scaled GaussianKernel.
 
+The kernel sees its metric only through the metric module: d^2 from
+metric.sq_gauge, the homogeneity test metric.unit_ball_constant (with
+|B(x, r)| = c r^Q when it is not None) and, on table metrics, one Monte
+Carlo ball volume per entry.
+
 A kernel matrix is built from its factors.  -a d^2 depends on the space
 coordinates only, and t - s, the t <= s mask and log |B(sqrt(t - s))|
 on the times only.  capacity.constraint_points lays its rows out as a
@@ -38,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (MetricError, MetricSpace, SpaceTimePoint,
-                     _closed_form_volume, _heis_group_diff, ball_volume_many,
-                     dist, euclidean, unit_ball_volume_euclidean)
+from .metric import (MetricSpace, SpaceTimePoint, ball_volume_many,
+                     euclidean, sq_gauge, unit_ball_constant)
 
 _TINY = 1e-300  # flush-to-zero threshold for kernel values
 _LOG_TINY = math.log(_TINY)
@@ -145,29 +149,6 @@ def _time_gaps(Zt: np.ndarray, Wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dt, late
 
 
-def _sq_dist_euclidean(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """|X[i] - Y[j]|^2 as an (m, n) array, one coordinate at a time."""
-    d2 = np.subtract.outer(X[:, 0], Y[:, 0])
-    np.square(d2, out=d2)
-    for k in range(1, X.shape[1]):
-        diff = np.subtract.outer(X[:, k], Y[:, k])
-        d2 += np.square(diff, out=diff)
-    return d2
-
-
-def _sq_dist_koranyi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """d(X[i], Y[j])^2 = sqrt((u1^2 + u2^2)^2 + 16 u3^2) as an (m, n) array,
-    with u = X[i]^{-1} o Y[j]."""
-    u1, u2, u3 = _heis_group_diff(X.T[:, :, None], Y.T[:, None, :])
-    h = np.square(u1, out=u1)
-    h += np.square(u2, out=u2)
-    np.square(h, out=h)
-    np.square(u3, out=u3)
-    u3 *= 16.0
-    h += u3
-    return np.sqrt(h, out=h)
-
-
 @dataclass(frozen=True)
 class GaussianKernel:
     """G_a over a metric space; evaluation is exact-in-log-space and flushes
@@ -189,26 +170,25 @@ class GaussianKernel:
                Wt: np.ndarray) -> np.ndarray:
         """K[i, j] = G_a(z_i, w_j) for evaluation points z and sources w.
 
-        For the closed-form metrics the rows split into a leading grid
-        block of C spatial points by T times, time fastest (_grid_block,
-        linear in m), and r = m - C T rows after it.  d^2 (accumulated
-        coordinate by coordinate, no sqrt) is computed once on the C + r
-        spatial rows that matter and scaled by -a; dt, its t <= s mask
-        and log |B(sqrt(dt))| = log c + (Q/2) log dt once on the T + r
-        times.  _gauss_into combines them, -a d^2 / dt - log |B| + log
-        scale, masked and exponentiated, by broadcasting (C, 1, n)
-        against (1, T, n) into the block and row by row for the rest.
-        Rows without the grid layout give a block of as little as one
-        row, and the same matrix.  Table metrics go through `dist` and a
-        Monte Carlo volume per entry."""
+        d^2 comes from metric.sq_gauge, on (rows, 1, N) against (1, n, N)
+        atoms.  On homogeneous metrics (unit_ball_constant c not None) the
+        rows split into a leading grid block of C spatial points by T
+        times, time fastest (_grid_block, linear in m), and r = m - C T
+        rows after it.  d^2 is computed once on the C + r spatial rows
+        that matter and scaled by -a; dt, its t <= s mask and
+        log |B(sqrt(dt))| = log c + (Q/2) log dt once on the T + r times.
+        _gauss_into combines them, -a d^2 / dt - log |B| + log scale,
+        masked and exponentiated, by broadcasting (C, 1, n) against
+        (1, T, n) into the block and row by row for the rest.  Rows
+        without the grid layout give a block of as little as one row, and
+        the same matrix.  Table metrics take d^2 on all m rows and a Monte
+        Carlo volume per entry."""
         Zx, Zt, Wx, Wt = _as_points(Zx, Zt, Wx, Wt)
         m = self.metric
-        if Zx.shape[1] != m.N or Wx.shape[1] != m.N:
-            raise MetricError(f"points must have {m.N} spatial coordinates")
-        c = _closed_form_volume(m, 1.0)
+        c = unit_ball_constant(m)
         if c is None:
             dt, late = _time_gaps(Zt, Wt)
-            d2 = dist(m, Zx[:, None, :], Wx[None, :, :]) ** 2
+            d2 = sq_gauge(m, Zx[:, None, :], Wx[None, :, :])
             vol = ball_volume_many(m, Zx, np.sqrt(dt))
             logk = (math.log(self.scale) - np.log(np.maximum(vol, _TINY))
                     - self.a * d2 / dt)
@@ -218,9 +198,8 @@ class GaussianKernel:
             return out
         C, T = _grid_block(Zx, Zt)
         k = C * T
-        sq_dist = (_sq_dist_koranyi if m.kind == "heisenberg-koranyi"
-                   else _sq_dist_euclidean)
-        nad2 = sq_dist(np.concatenate([Zx[:k:T], Zx[k:]]), Wx)
+        nad2 = sq_gauge(m, np.concatenate([Zx[:k:T], Zx[k:]])[:, None, :],
+                        Wx[None, :, :])
         nad2 *= -self.a
         dt, late = _time_gaps(np.concatenate([Zt[:T], Zt[k:]]), Wt)
         logvol = np.log(dt)
@@ -255,7 +234,8 @@ class HeatKernel:
     @property
     def gaussian_factor(self) -> float:
         """HeatKernel = gaussian_factor * G_{beta/4} (Euclidean metric)."""
-        return unit_ball_volume_euclidean(self.N) / (4.0 * math.pi / self.beta) ** (self.N / 2.0)
+        return unit_ball_constant(euclidean(self.N)) / (
+            4.0 * math.pi / self.beta) ** (self.N / 2.0)
 
     def matrix(self, Zx, Zt, Wx, Wt) -> np.ndarray:
         return GaussianKernel(euclidean(self.N), self.beta / 4.0,

@@ -8,10 +8,13 @@ strip R^N x (T1, T2) and carry the parabolic gauge
 
     dhat(z, w) = (d(x, y)^4 + (t - s)^2)^(1/4).
 
-The metric kind alone decides how ball volumes are computed: Euclidean
-and Koranyi balls have closed forms, omega_N r^N and (pi^2/8) r^4, that do
-not depend on the centre; table metrics use a Monte Carlo hit-count
-estimate taken at each ball's own centre.
+Every decision that depends on the metric kind is made here, once; the
+other modules see the metric only through its answers.  unit_ball_constant
+is the homogeneity test (|B(x, r)| = c r^Q, or None for a table metric,
+whose ball volumes are Monte Carlo hit counts at each ball's own centre).
+One gauge routine, coordinate by coordinate on broadcast (..., N) arrays,
+gives d^2 to the kernel (sq_gauge) and d to everything else (dist).  frame
+is the dilation that puts a set in the frame of x0 at scale r.
 """
 
 from __future__ import annotations
@@ -119,24 +122,34 @@ def table_metric(axis, values, Q: float, c_d: float, mc_samples: int = 20000,
 
 
 # ---------------------------------------------------------------------------
-# distances
+# the gauge, its dilations and the homogeneity test
 
-def _heis_group_diff(x, y):
-    """Components (u1, u2, u3) of x^{-1} o y for the polarized group law
-    (a o b)_3 = a3 + b3 + (a1 b2 - a2 b1) / 2.
+def unit_ball_constant(m: MetricSpace) -> float | None:
+    """c with |B(x, r)| = c r^Q for every centre x and radius r: the one
+    test of homogeneity.  On R^N, c = omega_N = pi^(N/2) / Gamma(N/2 + 1).
+    On the Koranyi group, c = pi^2/8: the unit ball's horizontal slice at
+    height v is a disk of area pi sqrt(1 - 16 v^2), and these areas
+    integrate to pi^2/8 over |v| <= 1/4.  None for table metrics, whose
+    balls depend on the centre and which have no dilations."""
+    if m.kind == "euclidean":
+        return math.pi ** (m.N / 2.0) / special.gamma(m.N / 2.0 + 1.0)
+    if m.kind == "heisenberg-koranyi":
+        return math.pi ** 2 / 8
+    return None
 
-    x and y are triples of coordinate arrays that broadcast together; the
-    components come back as three fresh arrays of the broadcast shape, so
-    outer-shaped coordinates (m, 1) and (1, n) give (m, n) components and
-    no (m, n, 3) array is formed."""
-    x1, x2, x3 = x
-    y1, y2, y3 = y
-    return y1 - x1, y2 - x2, (y3 - x3) - 0.5 * (x1 * y2 - x2 * y1)
 
-
-def _koranyi_gauge(u1, u2, u3) -> np.ndarray:
-    horiz = u1 ** 2 + u2 ** 2
-    return (horiz ** 2 + 16.0 * u3 ** 2) ** 0.25
+def displacement(m: MetricSpace, x, y):
+    """The N coordinate arrays of x^-1 o y for (..., N) arrays x and y that
+    broadcast together, to be iterated once: y - x on R^N, each made as it
+    is taken, and (y1 - x1, y2 - x2, y3 - x3 - (x1 y2 - x2 y1) / 2) on the
+    Koranyi group.  Rows (m, 1, N) against (1, n, N) give (m, n) arrays;
+    no (m, n, N) array is formed."""
+    xs = [x[..., k] for k in range(m.N)]
+    ys = [y[..., k] for k in range(m.N)]
+    if m.kind == "heisenberg-koranyi":
+        (x1, x2, x3), (y1, y2, y3) = xs, ys
+        return y1 - x1, y2 - x2, (y3 - x3) - 0.5 * (x1 * y2 - x2 * y1)
+    return (yk - xk for xk, yk in zip(xs, ys))
 
 
 def _table_lookup(m: MetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -156,22 +169,62 @@ def _table_lookup(m: MetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             + (1 - fx) * fy * v01 + fx * fy * v11)
 
 
-def dist(m: MetricSpace, x, y) -> np.ndarray | float:
-    """d(x, y); broadcasts over leading axes of x and y."""
+def _gauge_power(m: MetricSpace, x, y):
+    """(d(x, y)^p, p) for (..., N) arrays x and y that broadcast together,
+    built coordinate by coordinate, in place: the sum of squares (p = 2)
+    on R^N, the quartic h = (u1^2 + u2^2)^2 + 16 u3^2 of u = x^-1 o y
+    (p = 4) on the Koranyi group, the interpolated table (p = 1)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != m.N or y.shape[-1] != m.N:
         raise MetricError(f"points must have {m.N} spatial coordinates")
+    if m.kind == "table":
+        return _table_lookup(m, x, y), 1
+    u = displacement(m, x, y)   # fresh arrays, squared and summed in place
     if m.kind == "euclidean":
-        out = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-    else:
-        x, y = np.broadcast_arrays(x, y)
-        if m.kind == "heisenberg-koranyi":
-            out = _koranyi_gauge(*_heis_group_diff(np.moveaxis(x, -1, 0),
-                                                   np.moveaxis(y, -1, 0)))
-        else:
-            out = _table_lookup(m, x, y)
-    return float(out) if out.ndim == 0 else out
+        g = next(u) ** 2
+        for uk in u:
+            uk *= uk
+            g += uk
+        return g, 2
+    h, u2, u3 = u
+    h *= h
+    u2 *= u2
+    h += u2
+    h *= h
+    u3 *= u3
+    u3 *= 16.0
+    h += u3
+    return h, 4
+
+
+def sq_gauge(m: MetricSpace, x, y) -> np.ndarray:
+    """d(x, y)^2 over the broadcast leading axes of (..., N) arrays x and
+    y: the kernel's one distance routine (see _gauge_power)."""
+    g, p = _gauge_power(m, x, y)
+    return g if p == 2 else np.sqrt(g) if p == 4 else g * g
+
+
+def dist(m: MetricSpace, x, y) -> np.ndarray | float:
+    """d(x, y); broadcasts over leading axes of x and y.  The root of the
+    gauge: sqrt of the sum of squares on R^N, h^(1/4) on the Koranyi
+    group."""
+    g, p = _gauge_power(m, x, y)
+    out = np.sqrt(g) if p == 2 else g ** 0.25 if p == 4 else g
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def frame(m: MetricSpace, x0, X: np.ndarray,
+          r: float) -> tuple[np.ndarray, float]:
+    """Points X (n, N) in the frame of x0 at scale r, and the scale: the
+    dilation delta_{1/r}(x0^-1 o X), which is (X - x0) / r on R^N and
+    (u1 / r, u2 / r, u3 / r^2) on the Koranyi group.  A table metric has
+    no dilations and keeps X, with r = 1."""
+    if unit_ball_constant(m) is None:
+        return X, 1.0
+    degrees = (1, 1, 2) if m.kind == "heisenberg-koranyi" else (1,) * m.N
+    u = displacement(m, np.asarray(x0, dtype=float), X)
+    return np.stack([uk / r ** w for uk, w in zip(u, degrees)], axis=-1), r
 
 
 def parabolic_dist(m: MetricSpace, z: SpaceTimePoint, w: SpaceTimePoint) -> float:
@@ -187,18 +240,6 @@ def parabolic_dist_many(m: MetricSpace, X: np.ndarray, T: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # ball volumes
-
-def unit_ball_volume_euclidean(N: int) -> float:
-    """Lebesgue volume of the Euclidean unit ball in R^N."""
-    return math.pi ** (N / 2.0) / special.gamma(N / 2.0 + 1.0)
-
-
-def koranyi_ball_constant() -> float:
-    """kappa = pi^2 / 8 with |B_Koranyi(x, r)| = kappa r^4: the unit ball's
-    horizontal slice at height v is a disk of area pi sqrt(1 - 16 v^2),
-    and these areas integrate to pi^2 / 8 over |v| <= 1/4."""
-    return math.pi ** 2 / 8
-
 
 def ball_coord_halfwidths(m: MetricSpace, r: float,
                           center=None) -> np.ndarray:
@@ -220,25 +261,15 @@ def ball_coord_halfwidths(m: MetricSpace, r: float,
     return np.full(m.N, r)
 
 
-def _closed_form_volume(m: MetricSpace, r):
-    """|B(x, r)| for the kinds whose ball volumes do not depend on the
-    centre x; None for table metrics."""
-    if m.kind == "euclidean":
-        return unit_ball_volume_euclidean(m.N) * r ** m.N
-    if m.kind == "heisenberg-koranyi":
-        return koranyi_ball_constant() * r ** 4
-    return None
-
-
 def ball_volume_with_error(m: MetricSpace, x, r: float) -> tuple[float, float]:
     """|B_d(x, r)| and the standard error of the estimate (0 if closed-form)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(r)
     if r <= 0:
         return 0.0, 0.0
-    vol = _closed_form_volume(m, r)
-    if vol is not None:
-        return vol, 0.0
+    c = unit_ball_constant(m)
+    if c is not None:
+        return c * r ** m.Q, 0.0
     # table metric: uniform proposals over the interval [x - r, x + r],
     # which contains the ball when d dominates |x - y|; unbiased hit count.
     rng = np.random.default_rng(m.seed)
@@ -261,9 +292,9 @@ def ball_volume_many(m: MetricSpace, X, r) -> np.ndarray:
     of shape (n, ...).  Closed-form kinds ignore the centres; table metrics
     take one Monte Carlo estimate per entry at its row's centre."""
     r = np.asarray(r, dtype=float)
-    vol = _closed_form_volume(m, r)
-    if vol is not None:
-        return vol
+    c = unit_ball_constant(m)
+    if c is not None:
+        return c * r ** m.Q
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return np.array([[ball_volume(m, x, ri) for ri in row.reshape(-1)]
                      for x, row in zip(X, r)]).reshape(r.shape)

@@ -48,7 +48,7 @@ import numpy as np
 from .domain import DomainSpec, contains, contains_many, contains_runs
 from .metric import (SpaceTimePoint, dist, parabolic_dist,
                      parabolic_dist_many, stp)
-from .wiener import _line_fit
+from .wiener import line_fit
 
 
 class PDEError(ValueError):
@@ -359,7 +359,7 @@ def boundary_holder(dom: DomainSpec, phi, probes, cfg: WalkConfig,
         return HolderFit(status, 0.0, math.nan, math.nan, phi0, rows, sig)
     if status == "INSUFFICIENT":
         return HolderFit(status, math.nan, math.nan, math.nan, phi0, rows, sig)
-    alpha0, log_c, r2 = _line_fit(np.log([r.dhat for r in usable]),
+    alpha0, log_c, r2 = line_fit(np.log([r.dhat for r in usable]),
                                   np.log([r.gap for r in usable]))
     return HolderFit("DECAY-FIT", alpha0, math.exp(log_c), r2, phi0, rows,
                      sig)

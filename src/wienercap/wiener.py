@@ -24,14 +24,16 @@ section measures of the complement and is divergent for cone-like sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
 from .capacity import CapacityConvergenceError, potential_many, solve_framed
-from .domain import (BallComplementTarget, DomainSpec, max_nonempty_band,
-                     ring_samples, sample_set_and_measure, section_measures)
+from .domain import (BallComplementTarget, DomainSpec, RingSpec,
+                     max_nonempty_band, ring_samples, sample_set_and_measure,
+                     section_measures)
 from .kernel import GaussianKernel
 from .metric import SpaceTimePoint, ball_volume, parabolic_dist, stp
 
@@ -131,11 +133,7 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
         raise WienerError("exponents must be positive and finite")
     if K_max < 1 or H_max < 1:
         raise WienerError("K_max and H_max must be >= 1")
-    # max_nonempty_band divides by lam^(k+1) log(1/lam), k <= K_max
-    deepest = lam ** (K_max + 1) * math.log(1.0 / lam)
-    if deepest == 0.0 or math.isinf(lam / deepest):
-        raise WienerError(f"K_max = {K_max} takes the rings below float "
-                          "resolution")
+    RingSpec(lam, K_max, 1)     # rejects rings below float resolution
     tab = SeriesTable(variant, lam, a, b, K_max, H_max, resolution,
                       np.zeros((K_max, H_max)))
     kern = GaussianKernel(dom.metric, tab.kernel_exponent)
@@ -216,7 +214,7 @@ class SeriesReport:
     b: float
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line y ~ slope x + intercept; returns (slope,
     intercept, r2), with r2 = 1 when y is constant."""
     A = np.vstack([x, np.ones_like(x)]).T
@@ -269,7 +267,7 @@ def term_tail_fit(tab: SeriesTable) -> TermTailFit:
     if tail is None:
         start = min(n - 3, int(math.floor(n * (1.0 - TERM_TAIL_FRAC))))
         tail = nonzero[start:]
-    slope, _, r2 = _line_fit(np.arange(tail.size, dtype=float), np.log(tail))
+    slope, _, r2 = line_fit(np.arange(tail.size, dtype=float), np.log(tail))
     return TermTailFit(math.exp(slope), r2, n, tail.size)
 
 
@@ -309,7 +307,7 @@ def divergence_verdict(tab: SeriesTable) -> SeriesReport:
             pos = last > 0
             ks = np.arange(half + 1, K + 1, dtype=float)
             if pos.sum() >= 3:
-                slope, _, r2 = _line_fit(ks[pos], np.log(last[pos]))
+                slope, _, r2 = line_fit(ks[pos], np.log(last[pos]))
                 q = math.exp(slope)
                 if q < 1.0:
                     tail = float(last[pos][-1]) * q / (1.0 - q)
@@ -429,6 +427,8 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         U_max = max(40.0, 16.0 / b)
     elif not 0 < U_max < math.inf:
         raise WienerError("U_max must be positive and finite")
+    if U_max > math.log(sys.float_info.max):
+        raise WienerError(f"U_max = {U_max:g} makes e^U_max overflow")
     Q, c_d = dom.metric.Q, dom.metric.c_d
     v_lo = math.log(min(dh * dh for dh in dhats))
     v_hi = math.log(lam)
@@ -458,7 +458,7 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         sel = np.ones_like(sel, dtype=bool)
     slope, r2 = 0.0, 0.0
     if sel.sum() >= 3:
-        slope, _, r2 = _line_fit(xs[sel], ys[sel])
+        slope, _, r2 = line_fit(xs[sel], ys[sel])
     tail_env, _ = integrate.quad(
         lambda u: (1.0 + c_d * u ** (Q / 2.0)) * math.exp(-b * u),
         U_max, U_max + 400.0 / b)

@@ -252,7 +252,8 @@ def test_removed_key_exits_64_at_parse_time(tmp_path, capsys, key, value):
 
 def test_package_import_leaves_scipy_stats_unloaded():
     """scipy.stats takes about 0.3 s to import, which every CLI call would
-    pay; only bound_check uses it, and imports it itself."""
+    pay; only bound_check uses it, and imports it itself.  scipy.ndimage
+    is loaded by mask_domain alone, for its erosion."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -261,10 +262,11 @@ def test_package_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, wienercap, wienercap.cli; "
-         "print('scipy.stats' in sys.modules)"],
+         "print('scipy.stats' in sys.modules, "
+         "'scipy.ndimage' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_missing_config_exits_64(capsys):
@@ -377,14 +379,16 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
     ("capacity", "capacity.resolution = 1000000",
      "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
     ("integral", "integral.n-u = 1000000",
-     "more than INTEGRAL_MAX_POINTS = 2^30 section grid points")])
+     "more than INTEGRAL_MAX_POINTS = 2^30 section grid points"),
+    ("integral", "integral.U-max = 710", "makes e^U_max overflow")])
 def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
                                        message):
-    """A series depth, cone level count or dimension beyond what floats
-    hold, or a refinement ladder or integral quadrature past its work
-    bound, is rejected before any work: exit 3 with a failure.json, never
-    an OverflowError or ZeroDivisionError that exits 1 (IRREGULAR's code),
-    a 1.6 GB allocation or a run of many minutes."""
+    """A series depth, cone level count, dimension or quadrature cutoff
+    beyond what floats hold, or a refinement ladder or integral
+    quadrature past its work bound, is rejected before any work: exit 3
+    with a failure.json, never an OverflowError or ZeroDivisionError that
+    exits 1 (IRREGULAR's code), a 1.6 GB allocation or a run of many
+    minutes."""
     cfg = _write(tmp_path, "bad.cfg", FAST_SERIES + setting + "\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
@@ -501,6 +505,37 @@ def test_reused_out_keeps_no_file_of_the_earlier_bundle(tmp_path):
     assert sorted(os.listdir(out)) == sorted(manifest["files"]
                                              + ["manifest.json", "notes.txt"])
     assert (out / "notes.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("target, setting, message", [
+    ("section", "capacity.rho = nan", "section rho and tau must be finite"),
+    ("section", "capacity.rho = inf", "section rho and tau must be finite"),
+    ("section", "capacity.tau = nan", "section rho and tau must be finite"),
+    ("section", "capacity.tau = -inf", "section rho and tau must be finite"),
+    ("ball-complement", "capacity.l = -1",
+     "ball complement level l must be >= 1"),
+    ("ball-complement", "capacity.l = 0",
+     "ball complement level l must be >= 1"),
+    ("ball-complement", "capacity.l = 1000000",
+     "l = 1000000 takes the ball below float resolution"),
+    ("ring", "capacity.k = 1000000",
+     "k = 1000000 takes the rings below float resolution")])
+def test_capacity_target_settings_exit_3(tmp_path, capsys, target, setting,
+                                         message):
+    """A section at a non-finite rho or tau, a ball complement at a level
+    below 1 or with a radius below float resolution, and a ring below
+    float resolution are rejected: exit 3 with a failure.json, never a
+    capacity of 0 or of a ball larger than the unit one."""
+    cfg = _write(tmp_path, "bad.cfg", FAST_CAPACITY.replace(
+        "capacity.target = ring", f"capacity.target = {target}")
+        + setting + "\n")
+    out = tmp_path / "out"
+    code = main(["capacity", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    assert message in capsys.readouterr().err
+    assert message in json.loads((out / "failure.json").read_text())["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["config.txt", "failure.json"]
 
 
 _SERIES_EMPTY = "K_max and H_max must be >= 1"
@@ -806,3 +841,101 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# edge-value sweep of the schema
+
+SWEEP_BASE = """
+wiener.K-max = 4
+wiener.H-max = 8
+capacity.resolution = 2
+cone.resolution = 4
+pde.walkers = 200
+"""
+
+# numeric key -> (command that reads it, settings that make that run read
+# it: the family or capacity target whose parameter it is)
+SWEEP_READERS = {
+    "seed": ("pde-verify", ""),
+    "metric.N": ("classify", ""),
+    "domain.t0": ("cone", ""),
+    "domain.halfwidth": ("cone", ""),
+    "domain.wall": ("cone", "domain.family = spatial-halfspace"),
+    "domain.radius": ("cone", "domain.family = cylinder"),
+    "domain.t1": ("cone", "domain.family = cylinder"),
+    "domain.t2": ("cone", "domain.family = cylinder"),
+    "domain.M0": ("cone", "domain.family = cone"),
+    "domain.theta": ("cone", "domain.family = cone"),
+    "domain.depth": ("cone", "domain.family = cone"),
+    "domain.p": ("cone", "domain.family = cusp"),
+    "domain.c": ("cone", "domain.family = cusp\ndomain.profile = loglog"),
+    "domain.tau": ("cone", "domain.family = punctured"),
+    "bounds.Lambda": ("classify", ""),
+    "bounds.a0": ("series", ""),
+    "bounds.b0": ("series", ""),
+    "wiener.lambda": ("series", ""),
+    "wiener.a": ("series", ""),
+    "wiener.b": ("series", ""),
+    "wiener.K-max": ("series", ""),
+    "wiener.H-max": ("series", ""),
+    "capacity.resolution": ("capacity", ""),
+    "capacity.k": ("capacity", ""),
+    "capacity.h": ("capacity", ""),
+    "capacity.rho": ("capacity", "capacity.target = section"),
+    "capacity.tau": ("capacity", "capacity.target = section"),
+    "capacity.l": ("capacity", "capacity.target = ball-complement"),
+    "capacity.refine-levels": ("capacity", ""),
+    "integral.n-u": ("integral", ""),
+    "integral.U-max": ("integral", ""),
+    "integral.resolution": ("integral", ""),
+    "integral.probes": ("integral", ""),
+    "cone.M0": ("cone", ""),
+    "cone.r0": ("cone", ""),
+    "cone.levels": ("cone", ""),
+    "cone.theta-min": ("cone", ""),
+    "cone.resolution": ("cone", ""),
+    "pde.beta": ("pde-verify", ""),
+    "pde.step": ("pde-verify", ""),
+    "pde.walkers": ("pde-verify", ""),
+    "pde.max-time": ("pde-verify", ""),
+}
+
+
+def _edge_values(key):
+    """0, -1, nan and inf for float keys; 0, -1 and 10^6 for int keys,
+    except pde.walkers: 10^6 walkers make a valid pde-verify walk of
+    about 40 s on a 2-core host, not an edge case, so 10^4 stands in."""
+    if SCHEMA[key][0] != "int":
+        return ["0", "-1", "nan", "inf"]
+    return ["0", "-1", "10000" if key == "pde.walkers" else "1000000"]
+
+
+def test_schema_sweep_ends_every_run_in_a_documented_exit(tmp_path, capsys):
+    """Each numeric schema key, set alone to each edge value on a small
+    base config, under the command and family or target that read it,
+    ends without an escaping exception in exit 0, 1, 2, 3 or 64; exit 1
+    (IRREGULAR) only from classify, every exit 3 with a failure.json and
+    a manifest, and no nan or inf value in exit 0."""
+    numeric = {k for k, (tname, _, _) in SCHEMA.items() if tname != "str"}
+    assert set(SWEEP_READERS) == numeric
+    bad = []
+    for i, (key, (command, reader)) in enumerate(SWEEP_READERS.items()):
+        for value in _edge_values(key):
+            case = f"{command} {key} = {value}"
+            cfg = _write(tmp_path, f"c{i}.cfg",
+                         f"{SWEEP_BASE}{reader}\n{key} = {value}\n")
+            out = tmp_path / f"{i}-{value}"
+            code = main([command, "--config", cfg, "--out", str(out),
+                         "--quiet"])
+            if code not in (0, 1, 2, 3, 64) or (code == 1
+                                                and command != "classify"):
+                bad.append(f"{case}: exit {code}")
+            if code == EXIT_OK and value in ("nan", "inf"):
+                bad.append(f"{case}: a result built on {value}")
+            if code == EXIT_FAILURE and not ((out / "failure.json").exists()
+                                             and (out / "manifest.json")
+                                             .exists()):
+                bad.append(f"{case}: exit 3 without failure.json or manifest")
+    capsys.readouterr()
+    assert bad == []

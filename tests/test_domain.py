@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import wienercap as wc
 from wienercap import domain
 from wienercap.domain import (BallComplementTarget, RingSpec, RingTarget,
-                              SectionTarget, _erode, contains_many,
+                              SectionTarget, contains_many,
                               max_nonempty_band, measure_standard_error,
                               ring_mask, ring_samples, sample_set_and_measure,
                               section_measures)
@@ -518,7 +518,7 @@ def test_section_sample_is_centred_on_an_off_axis_koranyi_z0(heis):
     s = sample_set_and_measure(dom, SectionTarget(lam, rho, -eta), 6)
     R = math.sqrt(eta * math.log(rho))
     assert s.measure_estimate == pytest.approx(
-        wc.koranyi_ball_constant() * R ** 4, rel=0.03)
+        wc.unit_ball_constant(heis) * R ** 4, rel=0.03)
 
 
 def test_ball_complement_carries_flat_top_slice(m1):
@@ -676,16 +676,20 @@ def test_mask_rejects_garbage(tmp_path):
         wc.read_mask(path)
 
 
-def test_erosion_is_strict_interior():
+def test_erosion_is_strict_interior(tmp_path, m1):
+    """mask_domain keeps exactly the voxels whose full 3x3 neighbourhood is
+    set, cells outside the grid counting as unset: no kept voxel lacks
+    one, and no voxel that has one is dropped."""
     rng = np.random.default_rng(10)
     grid = rng.random((15, 11)) < 0.7
-    er = _erode(grid)
-    assert not np.any(er & ~grid)
-    idx = np.argwhere(er)
-    for i, j in idx[:50]:
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                assert grid[i + di, j + dj]
+    path = tmp_path / "random.mask"
+    wc.write_mask(path, grid, np.full(2, -1.0), np.full(2, 0.125))
+    er = wc.mask_domain(path, m1, stp([0.0], 0.0)).mask_grid
+    padded = np.pad(grid, 1)
+    full = np.array([[padded[i:i + 3, j:j + 3].all() for j in range(11)]
+                     for i in range(15)])
+    assert np.array_equal(er, full)
+    assert er.any() and (grid & ~er).any()
 
 
 def test_mask_domain_membership(tmp_path, m1):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import wienercap as wc
 from wienercap import kernel
 from wienercap.kernel import GaussianKernel, HeatKernel
-from wienercap.metric import (_closed_form_volume, _heis_group_diff,
-                              ball_volume, ball_volume_many, stp)
+from wienercap.metric import (ball_volume, ball_volume_many, displacement,
+                              stp, unit_ball_constant)
 
 from conftest import random_cloud_sample, sinh_table_metric
 
@@ -228,14 +228,14 @@ def dense_matrix(kern, Zx, Zt, Wx, Wt):
     late = dt <= 0
     dt[late] = 1.0
     if m.kind == "heisenberg-koranyi":
-        u1, u2, u3 = _heis_group_diff(Zx.T[:, :, None], Wx.T[:, None, :])
+        u1, u2, u3 = displacement(m, Zx[:, None, :], Wx[None, :, :])
         d2 = np.sqrt((u1 ** 2 + u2 ** 2) ** 2 + u3 ** 2 * 16.0)
     else:
         d2 = np.subtract.outer(Zx[:, 0], Wx[:, 0]) ** 2
         for k in range(1, m.N):
             d2 = d2 + np.subtract.outer(Zx[:, k], Wx[:, k]) ** 2
     logvol = np.maximum(np.log(dt) * (0.5 * m.Q)
-                        + math.log(_closed_form_volume(m, 1.0)), LOG_TINY)
+                        + math.log(unit_ball_constant(m)), LOG_TINY)
     logk = d2 * -kern.a / dt - logvol + math.log(kern.scale)
     return np.where(late | (logk <= LOG_TINY), 0.0, np.exp(logk))
 
@@ -318,10 +318,9 @@ def test_distances_are_computed_once_per_spatial_row(monkeypatch, metric,
     400 near-field rows) d^2 is handed the C distinct grid points and the
     n near-field rows, C + n rows in one call, not m = 4496."""
     seen = []
-    for name in ("_sq_dist_euclidean", "_sq_dist_koranyi"):
-        real = getattr(kernel, name)
-        monkeypatch.setattr(kernel, name, lambda X, Y, real=real:
-                            seen.append(X.shape[0]) or real(X, Y))
+    real = kernel.sq_gauge
+    monkeypatch.setattr(kernel, "sq_gauge", lambda m, X, Y:
+                        seen.append(X.shape[0]) or real(m, X, Y))
     cx, ct, wx, wt = grid_problem(metric, 3, n=400)
     GaussianKernel(metric, 0.25).matrix(cx, ct, wx, wt)
     assert seen == [rows] and rows < ct.size

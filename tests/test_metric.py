@@ -11,9 +11,9 @@ from scipy import integrate
 import wienercap as wc
 from wienercap.metric import (ball_coord_halfwidths, ball_volume,
                               ball_volume_many, ball_volume_with_error,
-                              koranyi_ball_constant, parabolic_dist,
+                              parabolic_dist,
                               parabolic_dist_many, stp,
-                              unit_ball_volume_euclidean)
+                              unit_ball_constant)
 
 from conftest import sinh_table_metric
 
@@ -73,6 +73,46 @@ def test_koranyi_dist_is_bit_identical_to_written_out_gauge(heis):
     x0 = X.copy()
     wc.dist(heis, X, Y[0])
     assert (X == x0).all()
+
+
+def written_out_power(kind, x, y):
+    """d(x, y)^p as the distance formulas were written before the one
+    gauge routine: the squared norm of x - y, summed along the last axis
+    (p = 2), on R^N; the quartic (u1^2 + u2^2)^2 + 16 u3^2 of u = x^{-1} o y,
+    from the coordinates of the broadcast pair (p = 4), on the Koranyi
+    group."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    if kind == "euclidean":
+        return np.sum((x - y) ** 2, axis=-1)
+    x, y = np.broadcast_arrays(x, y)
+    x1, x2, x3 = np.moveaxis(x, -1, 0)
+    y1, y2, y3 = np.moveaxis(y, -1, 0)
+    u1, u2, u3 = y1 - x1, y2 - x2, (y3 - x3) - 0.5 * (x1 * y2 - x2 * y1)
+    return (u1 ** 2 + u2 ** 2) ** 2 + 16.0 * u3 ** 2
+
+
+@pytest.mark.parametrize("metric", [wc.euclidean(1), wc.euclidean(2),
+                                    wc.euclidean(3), wc.heisenberg_koranyi()],
+                         ids=["R1", "R2", "R3", "koranyi"])
+def test_dist_is_bit_identical_to_the_written_out_formulas(metric):
+    """dist, the root of the one gauge routine, equals sqrt of the squared
+    norm and the fourth root of the Koranyi quartic written out, bit for
+    bit, on outer pairs, rows against one point and single points;
+    sq_gauge equals the squared norm and the square root of the quartic."""
+    rng = np.random.default_rng(21)
+    euclid = metric.kind == "euclidean"
+    for scale in (1e-3, 1.0, 1e3):
+        X = scale * rng.normal(size=(40, metric.N))
+        Y = scale * rng.normal(size=(25, metric.N))
+        for x, y in ((X[:, None, :], Y[None, :, :]), (X, Y[0]), (Y[1], X),
+                     (X[0], Y[0])):
+            g = written_out_power(metric.kind, x, y)
+            got = wc.dist(metric, x, y)
+            assert np.array_equal(got, np.sqrt(g) if euclid else g ** 0.25)
+            assert np.ndim(got) == np.ndim(g)
+            assert np.array_equal(wc.metric.sq_gauge(metric, x, y),
+                                  g if euclid else np.sqrt(g))
 
 
 # Coordinates on the dyadic grid 2^-20 Z within [-3, 3]: the products and
@@ -162,9 +202,11 @@ def test_parabolic_dist_many_matches_scalar(m2):
 # ball volumes
 
 def test_unit_ball_volumes_euclidean():
-    assert unit_ball_volume_euclidean(1) == pytest.approx(2.0)
-    assert unit_ball_volume_euclidean(2) == pytest.approx(math.pi)
-    assert unit_ball_volume_euclidean(3) == pytest.approx(4 * math.pi / 3)
+    assert unit_ball_constant(wc.euclidean(1)) == pytest.approx(2.0)
+    assert unit_ball_constant(wc.euclidean(2)) == pytest.approx(math.pi)
+    assert unit_ball_constant(wc.euclidean(3)) == pytest.approx(
+        4 * math.pi / 3)
+    assert unit_ball_constant(sinh_table_metric()) is None
 
 
 def test_euclidean_ball_volume_scales(m2):
@@ -173,13 +215,13 @@ def test_euclidean_ball_volume_scales(m2):
             pytest.approx(math.pi * r * r, rel=1e-12)
 
 
-def test_koranyi_ball_constant_closed_form():
+def test_koranyi_ball_constant_closed_form(heis):
     # the closed form pi^2/8 is the integral of the slice areas
     # pi*sqrt(1-16 v^2) over [-1/4, 1/4]
     slices, _ = integrate.quad(lambda v: math.pi * math.sqrt(1 - 16 * v * v),
                                -0.25, 0.25, epsabs=1e-14, epsrel=1e-13)
-    assert koranyi_ball_constant() == math.pi ** 2 / 8
-    assert slices == pytest.approx(koranyi_ball_constant(), rel=1e-12)
+    assert unit_ball_constant(heis) == math.pi ** 2 / 8
+    assert slices == pytest.approx(unit_ball_constant(heis), rel=1e-12)
 
 
 def test_heisenberg_ball_volume_homogeneous(heis):
