@@ -6,10 +6,13 @@ the seed), then runs the suite's probe (pde.classification_probe with the
 suite's offsets and walk settings) at every seed of a range.  Prints, per
 domain, how often each probe status came up, the smallest decay margin in
 its own standard errors (how near the rule came to another status), the
-median wall time of one probe, a sha256 digest of every probe's (value,
-std_error) over the seed range, and at which seeds the probe contradicted
-the verdict.  Two checkouts whose probes agree bit for bit print the same
-digests.  Exits 1 if it contradicted a pinned verdict.
+median wall time of one probe, the walker moves per probe point (the
+normals the walk drew divided by N, counted by wrapping
+numpy.random.default_rng around the probe, averaged over the seeds), a
+sha256 digest of every probe's (value, std_error) over the seed range,
+and at which seeds the probe contradicted the verdict.  Two checkouts
+whose probes agree bit for bit print the same digests.  Exits 1 if it
+contradicted a pinned verdict.
 
 Usage:
     python3 scripts/probe_flip_rate.py [--seeds 1 24] [--walkers 2000]
@@ -21,6 +24,9 @@ import hashlib
 import math
 import statistics
 import time
+from contextlib import contextmanager
+
+import numpy as np
 
 from wienercap.cli import (SUITE_PROBE_OFFSETS, build_bounds, run_classify,
                            walk_config)
@@ -29,6 +35,30 @@ from wienercap.domain import BENCHMARK_STATUS, benchmark, benchmark_names
 from wienercap.pde import classification_probe, decay_margin
 
 STATUSES = ("DECAY-FIT", "NO-DECAY", "INSUFFICIENT")
+
+
+class _CountingRng:
+    """A numpy Generator that adds the normals it draws to a tally."""
+
+    def __init__(self, rng, tally):
+        self._rng, self._tally = rng, tally
+
+    def standard_normal(self, *args, **kwargs):
+        got = self._rng.standard_normal(*args, **kwargs)
+        self._tally[0] += np.size(got)
+        return got
+
+
+@contextmanager
+def counting_normals():
+    """Within the block, every numpy.random.default_rng generator counts
+    the normals it draws into the yielded one-element list."""
+    real, tally = np.random.default_rng, [0]
+    np.random.default_rng = lambda seed: _CountingRng(real(seed), tally)
+    try:
+        yield tally
+    finally:
+        np.random.default_rng = real
 
 
 def main() -> int:
@@ -47,7 +77,8 @@ def main() -> int:
     print(f"seeds {seeds.start}..{seeds.stop - 1}, {args.walkers} walkers")
     print(f"{'domain':<18} {'verdict':<12}"
           + "".join(f" {s:>12}" for s in STATUSES)
-          + f" {'min |m|/se':>11} {'median s':>9} {'digest':>12}"
+          + f" {'min |m|/se':>11} {'median s':>9} {'moves':>7}"
+          + f" {'digest':>12}"
           + "  contradicted at")
     pinned_contradicted = False
     for name in benchmark_names():
@@ -56,28 +87,31 @@ def main() -> int:
         counts = dict.fromkeys(STATUSES, 0)
         contradicted, closest_call, walls = [], math.inf, []
         digest = hashlib.sha256()
-        for seed in seeds:
-            start = time.perf_counter()
-            fit, contra = classification_probe(
-                dom, verdict, SUITE_PROBE_OFFSETS,
-                walk_config(cfg.with_override("seed", seed)))
-            walls.append(time.perf_counter() - start)
-            counts[fit.status] += 1
-            for p in fit.probes:
-                digest.update(f"{p.value.hex()} {p.std_error.hex()}\n"
-                              .encode())
-            usable = [p for p in fit.probes if p.usable]
-            if len(usable) >= 3:
-                margin, se = decay_margin(usable)
-                if se > 0:
-                    closest_call = min(closest_call, abs(margin) / se)
-            if contra:
-                contradicted.append(seed)
+        with counting_normals() as drawn:
+            for seed in seeds:
+                start = time.perf_counter()
+                fit, contra = classification_probe(
+                    dom, verdict, SUITE_PROBE_OFFSETS,
+                    walk_config(cfg.with_override("seed", seed)))
+                walls.append(time.perf_counter() - start)
+                for p in fit.probes:
+                    digest.update(f"{p.value.hex()} {p.std_error.hex()}\n"
+                                  .encode())
+                counts[fit.status] += 1
+                usable = [p for p in fit.probes if p.usable]
+                if len(usable) >= 3:
+                    margin, se = decay_margin(usable)
+                    if se > 0:
+                        closest_call = min(closest_call, abs(margin) / se)
+                if contra:
+                    contradicted.append(seed)
+        moves = drawn[0] / dom.N / (len(seeds) * len(SUITE_PROBE_OFFSETS))
         if contradicted and BENCHMARK_STATUS[name] is not None:
             pinned_contradicted = True
         print(f"{name:<18} {verdict:<12}"
               + "".join(f" {counts[s]:>12}" for s in STATUSES)
               + f" {closest_call:>11.1f} {statistics.median(walls):>9.3f}"
+              + f" {moves:>7.0f}"
               + f" {digest.hexdigest()[:12]:>12}"
               + f"  {contradicted or '-'}")
     return 1 if pinned_contradicted else 0

@@ -72,6 +72,7 @@ MAX_REFINE_CELLS = 2 ** 17     # sample grid cells of a ladder's finest level
 WORKING_SET_MIN_BATCH = 16     # rows added per pricing round: max(n // 4, 16)
 PRICING_TOLERANCE = 1e-9       # overshoot of A x <= 1 that sends a row into W
 GAP_TOLERANCE = 1e-6           # relative duality gap a certified pair may have
+MAX_KERNEL_ENTRIES = 2 ** 27   # entries of a kernel matrix: 1 GiB of float64
 
 
 class CapacityInputError(ValueError):
@@ -278,11 +279,18 @@ def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
     Every call builds the kernel matrix and solves the LP afresh;
     solve_framed calls it once per framed problem whose exact bytes its
     memo has not met.  A bracket wider than the gap gate raises
-    CapacityConvergenceError, which carries that bracket's estimate."""
+    CapacityConvergenceError, which carries that bracket's estimate.  A
+    kernel matrix of more than MAX_KERNEL_ENTRIES entries raises
+    CapacityInputError before it is allocated."""
     n = p.support.n
     if n == 0:
         return CapacityEstimate(0.0, np.zeros(0), 0.0, 0.0,
                                 p.support.resolution, 0, 0)
+    m = p.cons_t.shape[0]
+    if m * n > MAX_KERNEL_ENTRIES:
+        raise CapacityInputError(
+            f"the kernel matrix of {m} constraint rows x {n} atoms would "
+            f"hold {m * n} entries, past MAX_KERNEL_ENTRIES = 2^27 (1 GiB)")
     A = p.kernel.matrix(p.cons_x, p.cons_t, p.support.xs, p.support.ts)
     col_max = A.max(axis=0) if A.size else np.zeros(n)
     if A.size == 0 or np.any(col_max <= 0.0):

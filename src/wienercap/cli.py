@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .capacity import (CapacityConvergenceError, CapacityInputError,
                        refine_capacity, solve_framed)
-from .config import (ConfigError, RunConfig, describe_schema, load_config)
+from .config import (SCHEMA, ConfigError, RunConfig, describe_schema,
+                     load_config)
 from .domain import (BallComplementTarget, DomainSpec, RingSpec, RingTarget,
                      SectionTarget, BENCHMARK_STATUS, FAMILIES, benchmark,
                      benchmark_names, cone as cone_domain, cusp, cylinder,
@@ -66,7 +67,40 @@ def build_metric(cfg: RunConfig) -> MetricSpace:
                       "the CLI supports euclidean and heisenberg-koranyi")
 
 
+class _Reads:
+    """A view of a RunConfig that records the keys read through it."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg, self.keys = cfg, set()
+
+    def __getitem__(self, key: str):
+        self.keys.add(key)
+        return self.cfg[key]
+
+
+def _reject_unread(cfg: RunConfig, reads: _Reads, keys, reader: str):
+    """ConfigError if the config sets one of keys that reads never read."""
+    unread = sorted(k for k in keys if k in cfg.values
+                    and k not in reads.keys)
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} set, but {reader} does not "
+                          "read it")
+
+
 def build_domain(cfg: RunConfig, metric: MetricSpace) -> DomainSpec:
+    """The configured domain.  A domain.* key that the chosen benchmark or
+    family does not read is a ConfigError when the config sets it."""
+    reads = _Reads(cfg)
+    dom = _configured_domain(reads, metric)
+    reader = (f"domain.benchmark = {cfg['domain.benchmark']}"
+              if cfg["domain.benchmark"]
+              else f"domain.family = {cfg['domain.family']}")
+    _reject_unread(cfg, reads, [k for k in SCHEMA if k.startswith("domain.")],
+                   reader)
+    return dom
+
+
+def _configured_domain(cfg, metric: MetricSpace) -> DomainSpec:
     name = cfg["domain.benchmark"]
     if name:
         return benchmark(name, metric)
@@ -168,20 +202,10 @@ def cmd_capacity(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
     kern = GaussianKernel(metric, exponents(cfg, build_bounds(cfg, metric))[0])
-    tgt_kind = cfg["capacity.target"]
-    lam = cfg["wiener.lambda"]
-    if tgt_kind == "ring":
-        target = RingTarget(RingSpec(lam, cfg["capacity.k"], cfg["capacity.h"],
-                                     cfg["capacity.variant"]))
-        r = lam ** (cfg["capacity.k"] / 2.0)
-    elif tgt_kind == "section":
-        target = SectionTarget(lam, cfg["capacity.rho"], cfg["capacity.tau"])
-        r = math.sqrt(lam)
-    elif tgt_kind == "ball-complement":
-        target = BallComplementTarget(cfg["capacity.l"], lam)
-        r = lam ** (cfg["capacity.l"] / 2.0)
-    else:
-        raise ConfigError(f"unknown capacity.target {tgt_kind!r}")
+    reads = _Reads(cfg)
+    target, r = _capacity_target(reads, cfg["wiener.lambda"])
+    _reject_unread(cfg, reads, TARGET_KEYS,
+                   f"capacity.target = {cfg['capacity.target']}")
     steps = refine_capacity(dom, target, kern, r,
                             cfg["capacity.refine-levels"],
                             cfg["capacity.resolution"])
@@ -214,6 +238,27 @@ def cmd_capacity(cfg, bundle, quiet):
               f"rows={est.lp_rows}/{est.n_constraints} rounds={est.lp_rounds} "
               f"iterations={est.lp_iterations}")
     return EXIT_OK
+
+
+# the capacity.* keys that say which set of its kind a target is
+TARGET_KEYS = ("capacity.k", "capacity.h", "capacity.variant",
+               "capacity.rho", "capacity.tau", "capacity.l")
+
+
+def _capacity_target(cfg, lam: float):
+    """The configured capacity target and its parabolic scale r."""
+    tgt_kind = cfg["capacity.target"]
+    if tgt_kind == "ring":
+        target = RingTarget(RingSpec(lam, cfg["capacity.k"], cfg["capacity.h"],
+                                     cfg["capacity.variant"]))
+        return target, lam ** (cfg["capacity.k"] / 2.0)
+    if tgt_kind == "section":
+        target = SectionTarget(lam, cfg["capacity.rho"], cfg["capacity.tau"])
+        return target, math.sqrt(lam)
+    if tgt_kind == "ball-complement":
+        target = BallComplementTarget(cfg["capacity.l"], lam)
+        return target, lam ** (cfg["capacity.l"] / 2.0)
+    raise ConfigError(f"unknown capacity.target {tgt_kind!r}")
 
 
 def _write_series(bundle, dom, tab, rep):

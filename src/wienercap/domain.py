@@ -83,7 +83,8 @@ class DomainSpec:
         return self.metric.N
 
 
-def _require_in_strip(dom: DomainSpec, T: np.ndarray):
+def require_in_strip(dom: DomainSpec, T: np.ndarray):
+    """Raise DomainError if a time of T lies outside the strip."""
     # fmin and fmax skip NaN times, which fail the bbox test instead
     if T.size and (np.fmin.reduce(T) < STRIP[0]
                    or np.fmax.reduce(T) > STRIP[1]):
@@ -105,12 +106,12 @@ def _cusp_profile(params: dict, s: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown cusp profile {kind!r}")
 
 
-def _time_terms(dom: DomainSpec, T: np.ndarray):
+def time_terms(dom: DomainSpec, T: np.ndarray):
     """The time conditions of membership at times T: ok[i] holds when T[i]
     passes all of them, and cut[i] is the distance from the family's
     centre at or below which a point at time T[i] is excluded (-inf where
     nothing is), or None where no time of T has such an exclusion."""
-    _require_in_strip(dom, T)
+    require_in_strip(dom, T)
     ok = (T > dom.t_lo) & (T < dom.t_hi)
     p = dom.params
     f = dom.family
@@ -137,7 +138,7 @@ def _time_terms(dom: DomainSpec, T: np.ndarray):
 
 def _spatial_test(dom: DomainSpec, X: np.ndarray, cut, T) -> np.ndarray:
     """The spatial conditions of membership at the rows of X, given each
-    row's cut from _time_terms (and, for masks, its time T)."""
+    row's cut from time_terms (and, for masks, its time T)."""
     if X.shape[-1] != dom.N:
         raise DomainError(f"points must have {dom.N} spatial coordinates")
     inside = X[:, 0] > dom.x_lo[0]
@@ -155,9 +156,52 @@ def _spatial_test(dom: DomainSpec, X: np.ndarray, cut, T) -> np.ndarray:
     elif f == "mask":
         inside &= _mask_lookup(dom, X, T)
     elif cut is not None:
-        center = dom.z0.x if f in ("cone", "cusp") else np.asarray(p["center"])
-        inside &= ~(dist(dom.metric, X, center[None, :]) <= cut)
+        inside &= ~(dist(dom.metric, X, _cut_center(dom)) <= cut)
     return inside
+
+
+def _cut_center(dom: DomainSpec) -> np.ndarray:
+    """The centre (1, N) of the ball that a time's cut excludes."""
+    center = dom.z0.x if dom.family in ("cone", "cusp") else dom.params["center"]
+    return np.asarray(center)[None, :]
+
+
+def contains_at(dom: DomainSpec, X, ok, cut, T) -> np.ndarray:
+    """Membership in Omega of the rows of X whose time terms are known:
+    ok[i] and cut[i] as time_terms gives them at the row's time T[i] (cut
+    None where no row's time excludes anything)."""
+    inside = _spatial_test(dom, X, cut, T)
+    inside &= ok
+    return inside
+
+
+def clearance(dom: DomainSpec, X: np.ndarray, cut) -> np.ndarray:
+    """A lower bound on the Euclidean distance from each row of X to the
+    complement of Omega, at every time that passes the time terms and
+    whose cut is at most cut[i] (cut None: no such time excludes
+    anything).  It is the least of the distances to the bbox faces, the
+    spatial wall, the cylinder side and the ball of radius cut[i] about
+    the family's centre; masks get 0, since their distance is not
+    computed."""
+    if dom.metric.kind != "euclidean":
+        raise DomainError("clearance is Euclidean-only")
+    if dom.family == "mask":
+        return np.zeros(X.shape[0])
+    d = X[:, 0] - dom.x_lo[0]
+    np.minimum(d, dom.x_hi[0] - X[:, 0], out=d)
+    for i in range(1, dom.N):
+        np.minimum(d, X[:, i] - dom.x_lo[i], out=d)
+        np.minimum(d, dom.x_hi[i] - X[:, i], out=d)
+    p = dom.params
+    if dom.family == "spatial-halfspace":
+        np.minimum(d, X[:, 0] - p["wall"], out=d)
+    elif dom.family == "cylinder":
+        np.minimum(d, p["radius"] - dist(dom.metric, X,
+                                         np.asarray(p["center"])[None, :]),
+                   out=d)
+    elif cut is not None:
+        np.minimum(d, dist(dom.metric, X, _cut_center(dom)) - cut, out=d)
+    return d
 
 
 def _per_row(a: np.ndarray, counts) -> np.ndarray:
@@ -176,7 +220,7 @@ def contains_runs(dom: DomainSpec, X, times, counts) -> np.ndarray:
     every run); the time conditions are evaluated once per run."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    ok, cut = _time_terms(dom, times)
+    ok, cut = time_terms(dom, times)
     T = _per_row(times, counts) if dom.family == "mask" else None
     if cut is not None:
         cut = _per_row(cut, counts)

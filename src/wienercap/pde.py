@@ -6,25 +6,39 @@ Backward-in-time Euler random walk: from z = (x, t) the walker moves
 
 whose one-step transition density matches the fundamental solution of the
 operator, so the first-exit average E[phi(exit)] estimates the
-Perron-Wiener solution with boundary data phi.  Exit detection bisects
-the last step segment to a time tolerance of step / 64.  Euclidean
-domains only: the walk has no intrinsic meaning for the other metrics.
+Perron-Wiener solution with boundary data phi.  Membership is tested at
+the lattice times t - h, t - 2h, ... only.  Euclidean domains only: the
+walk has no intrinsic meaning for the other metrics.
+
+Far-field moves.  Brownian increments add exactly, so m steps are one
+step of variance 2 m h / beta.  A walker whose clearance (a lower bound
+on its distance to the complement over the next MAX_JUMP lattice times,
+domain.clearance) is at least JUMP_Z sqrt(N) sqrt(2 m h / beta) moves m
+<= MAX_JUMP lattice steps with one normal draw; every other walker takes
+a single step.  A move never lands on or past a lattice time that fails
+the time terms of membership, nor past the budget max_time, so exits
+through the time floor and faces still come from single steps.  Couple
+this walk with the single-step one by summing the same increments: the
+two differ only if the path leaves the ball of radius the clearance
+during a move, with probability at most 4 N Phi(-JUMP_Z) ~ 1.1e-6 per
+move on R (reflection principle).  With MAX_JUMP = 1 the walk is the
+single-step walk bit for bit.  The exit segment of a move of m steps is
+bisected over m h, to a time tolerance of m h / 64.
 
 pwb_solve_many walks several points of one domain as one batch under one
 walk config, with one seed per point, and pwb_solve is its one-point
-case.  Only walkers still inside Omega are stepped, so an iteration costs
-what is left of the walk, and the batch runs as many iterations as its
+case.  Only walkers still inside Omega move, so an iteration costs what
+is left of the walk, and the batch runs as many iterations as its
 slowest point, not their sum.  Each point keeps its own random stream: on
-every step it draws one normal vector from its own generator for each of
-its walkers still active, in walker order, so its estimate does not
-depend on the other points of the batch and no normal is drawn for a
-walker that has exited.  The normal draws bound the cost of a step: the
-rest is a few vector passes.  All active walkers of a point have taken
-the same number of steps and share one time, so the walk holds one time
-per point, and the time conditions of membership are evaluated once per
-point and step (domain.contains_runs), only the spatial ones once per
-walker.  The walk keeps the last step segment of every exit and bisects
-all of them in one pass after the last step: the bisections are
+every iteration it draws one normal vector from its own generator for
+each of its walkers still active, in walker order, so its estimate does
+not depend on the other points of the batch and no normal is drawn for a
+walker that has exited.  The normal draws bound the cost of a move: the
+rest is a few vector passes.  Each walker keeps its own index on its
+point's time lattice; the time terms of membership are evaluated once
+per lattice time and table (_Lattice), only the spatial ones once per
+walker and move.  The walk keeps the last segment of every exit and
+bisects all of them in one pass after the last move: the bisections are
 independent of each other, so six membership calls serve the whole
 batch.
 
@@ -45,7 +59,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import DomainSpec, contains, contains_many, contains_runs
+from .domain import (STRIP, DomainSpec, clearance, contains, contains_at,
+                     contains_many, require_in_strip, time_terms)
 from .metric import (SpaceTimePoint, dist, parabolic_dist,
                      parabolic_dist_many, stp)
 from .wiener import line_fit
@@ -73,6 +88,13 @@ class WalkConfig:
 
 
 EXIT_KINDS = ("bottom", "lateral", "cap")
+
+# the longest move in lattice steps, and the clearance it needs in
+# standard deviations of its increment per coordinate
+MAX_JUMP = 16
+JUMP_Z = 5.0
+# walk iterations between rebuilds of the lattice tables
+TABLE_REFRESH = 64
 
 
 def _time_floor(dom: DomainSpec) -> float:
@@ -128,17 +150,16 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfg: WalkConfig,
                    seeds) -> list[SolutionEstimate]:
     """pwb_solve at each point zs[j] with seed seeds[j], as one batch.
 
-    Only walkers still inside Omega are stepped; a global walker id
-    j * walkers + i maps each exit back to walker i of point j.  The
-    active walkers stay sorted by global id, so those of point j form one
-    run of rows, and point j fills exactly those rows from its own
-    default_rng(seeds[j]) on every step: one normal vector per active
-    walker, in walker order.  The rows of a run share their point's time,
-    which steps down by the same repeated - step as a walker's would, and
-    the strip is checked only at the times of runs that still have rows.
-    Each estimate so equals a walk of its point alone bit for bit, and
-    carries cfg with its point's seed.  Exit segments are bisected
-    together after the walk.
+    Only walkers still inside Omega move; a global walker id j * walkers
+    + i maps each exit back to walker i of point j.  The active walkers
+    stay sorted by global id, so those of point j form one run of rows,
+    and point j fills exactly those rows from its own
+    default_rng(seeds[j]) on every iteration: one normal vector per
+    active walker, in walker order.  Each walker keeps its own index on
+    its point's time lattice and moves m <= MAX_JUMP lattice steps, as
+    _Lattice and JUMP_Z set out.  Each estimate so depends on its point
+    and seed alone, not on its batch, and carries cfg with its point's
+    seed.  Exit segments are bisected together after the walk.
     """
     if dom.metric.kind != "euclidean":
         raise PDEError("the random-walk solver is Euclidean-only")
@@ -151,61 +172,168 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfg: WalkConfig,
         if not contains(dom, z):
             raise PDEError("evaluation point must lie inside Omega")
     P, w, N, h = len(zs), cfg.walkers, dom.N, cfg.step
-    sigma = math.sqrt(2.0 * h / cfg.beta)
+    max_steps = int(math.ceil(cfg.max_time / h))
+    # the sd of a move of m steps is scale[m] = sigma sqrt(m), and it
+    # needs a clearance of JUMP_Z sqrt(N) scale[m] = sqrt(m) / inv
+    scale = math.sqrt(2.0 * h / cfg.beta) * np.sqrt(np.arange(MAX_JUMP + 1))
+    inv = 1.0 / (JUMP_Z * math.sqrt(N) * scale[1])
     rngs = [np.random.default_rng(s) for s in seeds]
     X = np.repeat(np.stack([z.x for z in zs]), w, axis=0)
     step = np.empty_like(X)                # next positions of the active rows
     gid = np.arange(P * w)                 # global ids of the active walkers
-    t = np.array([z.t for z in zs], dtype=float)   # each point's walk time
     left = np.full(P, w)                   # active walkers per point
-    segs = []                              # (gid, X0, X1, T0) of each exit
-    for _ in range(int(math.ceil(cfg.max_time / h))):
+    lat = _Lattice(dom, h, max_steps, [z.t for z in zs], np.zeros(P, int),
+                   np.zeros(P, int))
+    pos = np.repeat(lat.shift, w)          # lattice table entry of each row
+    segs = []                              # (gid, X0, X1, T0, span) per exit
+    it = 0
+    while gid.size:
+        if it % TABLE_REFRESH == 0 and it:
+            lat, pos = lat.refreshed(pos, gid // w, left)
         n = gid.size
-        if n == 0:
-            break
         row = 0
         for rng, k in zip(rngs, left.tolist()):
-            rng.standard_normal(out=step[row:row + k])
-            row += k
+            if k:
+                rng.standard_normal(out=step[row:row + k])
+                row += k
+        q = clearance(dom, X[:n],
+                      None if lat.cutmax is None else lat.cutmax[pos])
+        q *= inv                           # a move of m steps needs q >= sqrt(m)
+        np.maximum(q, 1.0, out=q)
+        q *= q
+        np.minimum(q, lat.cap[pos], out=q)
+        m = q.astype(np.intp)
         Xn = step[:n]
-        Xn *= sigma
+        Xn *= scale[m][:, None]
         Xn += X[:n]
-        tn = t - h
-        live = left > 0
-        inside = contains_runs(dom, Xn, tn[live], left[live])
-        if np.count_nonzero(inside) == n:
+        nxt = pos + m
+        inside = contains_at(dom, Xn, lat.ok[nxt],
+                             None if lat.cut is None else lat.cut[nxt],
+                             lat.T[nxt])
+        it += 1
+        stay = inside
+        if it * MAX_JUMP >= max_steps:     # a walker can be at max_steps
+            stay = inside & ~lat.last[nxt]
+        if np.count_nonzero(stay) == n:
             X, step = step, X
+            pos = nxt
         else:
-            out = np.flatnonzero(~inside)
-            hit = gid[out]
-            owner = hit // w
-            segs.append((hit, X[out], Xn[out], t[owner]))
-            left -= np.bincount(owner, minlength=P)
-            gid = gid[inside]
-            np.take(Xn, np.flatnonzero(inside), axis=0, out=X[:gid.size],
-                    mode="clip")
-        t = tn
+            out = (~inside).nonzero()[0]
+            if out.size:
+                if lat.leaves_strip:
+                    require_in_strip(dom, lat.T[nxt[out]])
+                segs.append((gid[out], X[out], Xn[out], lat.T[pos[out]],
+                             m[out] * h))
+            left -= np.bincount(gid[~stay] // w, minlength=P)
+            keep = stay.nonzero()[0]
+            gid = gid[keep]
+            pos = nxt[keep]
+            np.take(Xn, keep, axis=0, out=X[:gid.size], mode="clip")
     exit_x = np.zeros((P * w, N))
     exit_t = np.zeros(P * w)
     exited = np.zeros(P * w, dtype=bool)
     if segs:
-        hit, X0, X1, T0 = (np.concatenate(a) for a in zip(*segs))
+        hit, X0, X1, T0, span = (np.concatenate(a) for a in zip(*segs))
         lo = np.zeros(hit.size)
         hi = np.ones(hit.size)
-        for _ in range(6):  # to time tolerance h / 64
+        for _ in range(6):  # to time tolerance span / 64
             mid = 0.5 * (lo + hi)
             Xm = X0 + mid[:, None] * (X1 - X0)
-            Tm = T0 - mid * h
+            Tm = T0 - mid * span
             ins = contains_many(dom, Xm, Tm)
             lo = np.where(ins, mid, lo)
             hi = np.where(ins, hi, mid)
         exit_x[hit] = X0 + hi[:, None] * (X1 - X0)
-        exit_t[hit] = T0 - hi * h
+        exit_t[hit] = T0 - hi * span
         exited[hit] = True
     return [_estimate(dom, phi, z, replace(cfg, seed=s),
                       exit_x[j * w:(j + 1) * w], exit_t[j * w:(j + 1) * w],
                       exited[j * w:(j + 1) * w])
             for j, (z, s) in enumerate(zip(zs, seeds))]
+
+
+class _Lattice:
+    """The time-lattice tables of a batch's walk, flat over its points.
+
+    Point j's lattice times are z.t minus repeated h, built with
+    np.subtract.accumulate, which gives the floats of repeated t - h.  A
+    walker of point j at lattice index k reads entry shift[j] + k of:
+      T, ok, cut  the time, its time terms (domain.time_terms; cut None
+                  when no entry excludes anything), evaluated once per
+                  table, with times below the strip failing unevaluated;
+      cutmax      the largest cut over the next MAX_JUMP times (None with
+                  cut), which domain.clearance reads;
+      cap         the longest move from k: at most MAX_JUMP, never onto or
+                  past a time that fails the time terms, nor past the
+                  budget max_steps, and at least 1, so that a walker next
+                  to a failing time steps onto it and exits (a float, as
+                  the move rule compares it with floats);
+      last        whether k is max_steps, where a walker's budget ends.
+    A table holds point j's positions from its slowest walker's index
+    through TABLE_REFRESH moves of MAX_JUMP past its fastest one's, and
+    the walk rebuilds the tables every TABLE_REFRESH iterations, so their
+    length follows the spread of the walkers, not max_steps."""
+
+    def __init__(self, dom: DomainSpec, h: float, max_steps: int, ts, ks,
+                 spans):
+        """Tables of the points with ts[j] the time of lattice index ks[j]
+        and walkers spread over spans[j] indices past it (None: a point
+        with no walker, which gets an empty table)."""
+        self.dom, self.h, self.max_steps = dom, h, max_steps
+        parts = [self._point(t, k, span) if span is not None else None
+                 for t, k, span in zip(ts, ks, spans)]
+        held = [p for p in parts if p is not None]
+        sizes = np.array([0 if p is None else p[0].size for p in parts])
+        self.shift = np.cumsum(sizes) - sizes - np.asarray(ks)
+        self.T, self.ok, cut, cutmax, self.cap, self.last = (
+            np.concatenate(a) for a in zip(*held))
+        self.leaves_strip = bool(self.T.min() < STRIP[0])
+        self.cut, self.cutmax = ((cut, cutmax) if np.isfinite(cut).any()
+                                 else (None, None))
+
+    def _point(self, t: float, k: int, span: int):
+        n = min(span + TABLE_REFRESH * MAX_JUMP, self.max_steps - k) + 1
+        T = np.full(n, self.h)
+        T[0] = t
+        np.subtract.accumulate(T, out=T)
+        # padded with failing times past the table, so a move from its
+        # last positions stops at max_steps
+        ok = np.zeros(n + MAX_JUMP, dtype=bool)
+        cut = np.full(n + MAX_JUMP, -np.inf)
+        held = int(np.count_nonzero(T >= STRIP[0]))
+        ok[:held], c = time_terms(self.dom, T[:held])
+        if c is not None:
+            cut[:held] = c
+        # cutmax[i] = max(cut[i + 1 : i + 1 + MAX_JUMP]), by doubling windows
+        cutmax = cut[1:]
+        width = 1
+        while width < MAX_JUMP:
+            s = min(width, MAX_JUMP - width)
+            cutmax = np.maximum(cutmax[:-s], cutmax[s:])
+            width += s
+        fails = np.flatnonzero(~ok)
+        ahead = np.arange(1, n + 1)
+        cap = fails[np.searchsorted(fails, ahead)] - ahead
+        cap = np.clip(cap, 1, MAX_JUMP).astype(float)
+        last = np.zeros(n, dtype=bool)
+        last[-1] = k + n - 1 == self.max_steps
+        return T, ok[:n], cut[:n], cutmax[:n], cap, last
+
+    def refreshed(self, pos: np.ndarray, owner: np.ndarray, left: np.ndarray):
+        """Tables rebuilt about the walkers' lattice indices now, and the
+        rows' entries in them; owner is each row's point."""
+        k = pos - self.shift[owner]
+        starts = np.cumsum(left) - left
+        live = left > 0
+        lo = np.zeros_like(left)
+        hi = np.zeros_like(left)
+        lo[live] = np.minimum.reduceat(k, starts[live])
+        hi[live] = np.maximum.reduceat(k, starts[live])
+        ts = self.T[np.where(live, self.shift + lo, 0)]
+        new = _Lattice(self.dom, self.h, self.max_steps, ts, lo,
+                       [int(s) if a else None
+                        for s, a in zip(hi - lo, live)])
+        return new, new.shift[owner] + k
 
 
 def _estimate(dom: DomainSpec, phi, z: SpaceTimePoint, cfg: WalkConfig,

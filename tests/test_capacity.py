@@ -120,6 +120,27 @@ def test_invisible_atom_rejected(m1):
         solve_capacity(prob)
 
 
+def test_kernel_matrix_past_the_budget_is_never_built(m1, monkeypatch):
+    """A problem of more than MAX_KERNEL_ENTRIES kernel entries raises
+    CapacityInputError naming both sizes, before the kernel is called;
+    one entry fewer is solved."""
+    rng = np.random.default_rng(25)
+    s = random_cloud_sample(rng, 1, 30)
+    cx, ct = constraint_points(s, m1, 3)
+    kern = wc.GaussianKernel(m1, 0.25)
+    monkeypatch.setattr(capacity, "MAX_KERNEL_ENTRIES", len(ct) * 30 - 1)
+
+    class Unbuilt:
+        def matrix(self, *args):
+            raise AssertionError("kernel matrix built")
+
+    with pytest.raises(CapacityInputError,
+                       match=f"{len(ct)} constraint rows x 30 atoms"):
+        solve_capacity(CapacityProblem(Unbuilt(), s, cx, ct))
+    monkeypatch.setattr(capacity, "MAX_KERNEL_ENTRIES", len(ct) * 30)
+    assert solve_capacity(CapacityProblem(kern, s, cx, ct)).value > 0
+
+
 # ---------------------------------------------------------------------------
 # capacity laws (shared constraint grids make the inequalities exact)
 

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -248,6 +249,56 @@ def test_removed_key_exits_64_at_parse_time(tmp_path, capsys, key, value):
     assert code == EXIT_CONFIG
     assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, unread", [
+    ("cone", "domain.benchmark = halfspace\ndomain.radius = 5\n",
+     "domain.radius"),
+    ("cone", "domain.family = cone\ndomain.radius = 5\n", "domain.radius"),
+    ("cone", "domain.family = cylinder\ndomain.halfwidth = 3\n"
+     "domain.t0 = 0.5\n", "domain.halfwidth, domain.t0"),
+    ("cone", "domain.family = halfspace-time\ndomain.mask-path = a.mask\n",
+     "domain.mask-path"),
+    ("series", "domain.benchmark = cone\ndomain.family = cone\n",
+     "domain.family"),
+    ("capacity", "domain.benchmark = halfspace\ncapacity.target = ring\n"
+     "capacity.rho = 7\n", "capacity.rho"),
+    ("capacity", "domain.benchmark = halfspace\ncapacity.target = section\n"
+     "capacity.k = 3\ncapacity.l = 2\n", "capacity.k, capacity.l"),
+    ("capacity", "domain.benchmark = halfspace\n"
+     "capacity.target = ball-complement\ncapacity.variant = nested\n",
+     "capacity.variant")])
+def test_set_keys_the_run_ignores_exit_64(tmp_path, capsys, command, text,
+                                          unread):
+    """A domain.* key that the chosen benchmark or family does not read,
+    and a target key that the chosen capacity target does not read, exit
+    64 when the config sets them, naming the keys, before any analysis
+    runs."""
+    cfg = _write(tmp_path, "ignored.cfg", text)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {unread} set, but" in err
+    assert not (out / "failure.json").exists()
+
+
+def test_koranyi_default_capacity_exits_3_before_its_matrix(tmp_path,
+                                                           capsys):
+    """The Koranyi halfspace ring (2, 1) at the default resolution 4 needs
+    a 25326 x 21230 kernel matrix (4.3 GB): exit 3 with a failure.json
+    naming both sizes, in seconds, with no matrix allocated."""
+    cfg = _write(tmp_path, "koranyi.cfg",
+                 "metric.kind = heisenberg-koranyi\n"
+                 "domain.benchmark = halfspace\ncapacity.target = ring\n")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(["capacity", "--config", cfg, "--out", str(out), "--quiet"])
+    assert time.perf_counter() - start < 20.0
+    assert code == EXIT_FAILURE
+    error = json.loads((out / "failure.json").read_text())["error"]
+    assert "25326 constraint rows x 21230 atoms" in error
+    assert "MAX_KERNEL_ENTRIES" in capsys.readouterr().err
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

@@ -220,6 +220,50 @@ def test_membership_matches_frozen_formulas(metric, tmp_path):
                 domain.contains_runs(dom, X[:2], [dom.z0.t, t], [1, 1])
 
 
+def _unit_ball(N):
+    """A dense sample of the open unit ball of R^N, N = 1 or 2."""
+    if N == 1:
+        return np.linspace(-1.0, 1.0, 2001)[:, None] * (1.0 - 1e-9)
+    r, a = np.meshgrid(np.linspace(0.0, 1.0 - 1e-9, 41),
+                       np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False))
+    return np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], 1)
+
+
+@pytest.mark.parametrize("metric", [wc.euclidean(1), wc.euclidean(2)],
+                         ids=["R1", "R2"])
+def test_clearance_is_a_lower_bound_over_the_window(metric, tmp_path):
+    """For random interior points and lattice windows of every family, no
+    complement point lies within domain.clearance (fed the window's
+    largest cut) at any of the next 16 lattice times that pass the time
+    terms, on a dense sample of the open ball.  The dyadic steps and
+    start times put the punctured disk's time on some windows' lattice."""
+    rng = np.random.default_rng(11)
+    ball = _unit_ball(metric.N)
+    for dom in _membership_domains(metric, tmp_path):
+        positive = 0
+        for _ in range(150):
+            h = float(rng.choice([2.0 ** -10, 2.0 ** -7]))
+            t = dom.z0.t + h * int(rng.integers(-40, 40))
+            x = dom.z0.x + rng.uniform(-0.7, 0.7, size=metric.N)
+            if not wc.contains(dom, stp(x, t)):
+                continue
+            window = np.subtract.accumulate(np.r_[t, np.full(16, h)])[1:]
+            ok, cut = domain.time_terms(dom, window)
+            d = domain.clearance(dom, x[None, :],
+                                 None if cut is None else cut.max()[None])[0]
+            if dom.family == "mask":
+                assert d == 0.0
+                continue
+            if d < 1e-6:
+                continue
+            positive += 1
+            pts = x + d * ball
+            for tk in window[ok]:
+                inside = contains_many(dom, pts, np.full(len(pts), tk))
+                assert inside.all(), (dom.family, x, t, tk, d)
+        assert dom.family == "mask" or positive >= 20, dom.family
+
+
 # ---------------------------------------------------------------------------
 # registry
 

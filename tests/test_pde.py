@@ -1,13 +1,14 @@
 """Monte Carlo Perron-Wiener solver: exactness, bias, and decay signatures."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wienercap as wc
-from wienercap import pde
+from wienercap import domain, pde
 from wienercap.domain import STRIP, contains, contains_many
 from wienercap.metric import stp
 from wienercap.pde import (EXIT_KINDS, PDEError, SolutionEstimate, WalkConfig,
@@ -341,7 +342,10 @@ def _same_estimate(a, b):
             and a.reliable == b.reliable and a.config == b.config)
 
 
-def test_batched_walk_is_bit_identical_to_per_point_walks(tmp_path):
+def test_batched_walk_is_bit_identical_to_per_point_walks(tmp_path,
+                                                          monkeypatch):
+    """With single-step moves the batched walk is the per-point walk."""
+    monkeypatch.setattr(pde, "MAX_JUMP", 1)
     for name, dom, phi, zs, cfg in _walk_cases(tmp_path):
         seeds = [cfg.seed + 7919 * j for j in range(len(zs))]
         got = wc.pwb_solve_many(dom, phi, zs, cfg, seeds)
@@ -364,6 +368,97 @@ def test_batched_walk_is_bit_identical_to_per_point_walks(tmp_path):
             assert all(e.n_timed_out == 0 for e in got)
             floor = dom.params["t0"]
             assert zs[0].t - (zs[1].t - floor) < STRIP[0]
+
+
+def test_estimate_equals_its_batched_row_with_moves(tmp_path):
+    """With far-field moves on, each point's batched estimate equals its
+    walk alone, on every walk case."""
+    for name, dom, phi, zs, cfg in _walk_cases(tmp_path):
+        seeds = [cfg.seed + 7919 * j for j in range(len(zs))]
+        got = wc.pwb_solve_many(dom, phi, zs, cfg, seeds)
+        for j, (z, s) in enumerate(zip(zs, seeds)):
+            one = wc.pwb_solve(dom, phi, z, replace(cfg, seed=s))
+            assert _same_estimate(got[j], one), (name, j)
+
+
+def test_far_field_walkers_move_many_steps_per_draw(m1, monkeypatch):
+    """From 0.2 above the floor of the time halfspace, 2 from its side
+    faces, a walker covers the 200 lattice steps in 14 moves while it
+    stays within about 1.1 of the axis (16 x 12, 7, then the single step
+    that exits through the floor), against 200 single steps."""
+    dom = wc.benchmark("halfspace", m1)
+    cfg = WalkConfig(1.0, 1e-3, 300, 5, 4.0)
+    z = stp([0.0], 0.2)
+    (est,), (drawn,), _, _ = _counted_walk(monkeypatch, dom, [z], cfg, [5])
+    assert est.exit_fractions["bottom"] == 1.0
+    assert 14 * cfg.walkers <= drawn <= 20 * cfg.walkers
+    monkeypatch.setattr(pde, "MAX_JUMP", 1)
+    (one,), (single,), _, _ = _counted_walk(monkeypatch, dom, [z], cfg, [5])
+    assert single == 200 * cfg.walkers
+    assert abs(est.mean_exit_time - one.mean_exit_time) < 2e-3
+
+
+def test_lattice_tables_match_their_definitions(m1):
+    """Every entry of the walk's lattice tables against its definition,
+    lattice time by lattice time: the times of repeated t - h, their time
+    terms, the largest cut over the next MAX_JUMP times, the longest move
+    (at most MAX_JUMP, never onto or past a failing time or the budget,
+    at least 1) and the budget's end.  Tables rebuilt about later indices
+    hold the same entries, and times below the strip fail unevaluated."""
+    J = pde.MAX_JUMP
+    # the punctured disk's time tau = 0 is on its lattice
+    cases = [(wc.benchmark("cone", m1), 0.05, 1e-3, 300),
+             (wc.punctured(m1, radius=0.5, tau=0.0), 0.125, 2.0 ** -7, 40),
+             (wc.halfspace_time(m1, t0=-7.0), -6.9, 1e-3, 1500)]
+    for dom, t, h, max_steps in cases:
+        times = [t]
+        for _ in range(max_steps):
+            times.append(times[-1] - h)
+        times = np.array(times)
+        held = times >= STRIP[0]
+        ok = np.zeros(times.size, dtype=bool)
+        cut = np.full(times.size, -np.inf)
+        ok[held] = domain.time_terms(dom, times[held])[0]
+        c = domain.time_terms(dom, times[held])[1]
+        if c is not None:
+            cut[held] = c
+        cuts = []
+        for k0, span in ((0, 0), (7, 5), (max_steps - 20, 3)):
+            lat = pde._Lattice(dom, h, max_steps, [times[k0]], [k0], [span])
+            for k in range(k0, min(k0 + span + 60, max_steps) + 1):
+                e = lat.shift[0] + k
+                assert lat.T[e] == times[k] and lat.ok[e] == ok[k]
+                if lat.cut is not None:
+                    assert lat.cut[e] == cut[k]
+                    assert lat.cutmax[e] == cut[k + 1:k + 1 + J].max(
+                        initial=-np.inf)
+                free = 0
+                while (free < J and k + free + 1 <= max_steps
+                       and ok[k + free + 1]):
+                    free += 1
+                assert lat.cap[e] == max(free, 1)
+                assert lat.last[e] == (k == max_steps)
+            cuts.append(lat.cut is not None)
+        assert lat.leaves_strip == (not held.all())
+        assert cuts[0] == (dom.family != "halfspace-time")
+
+
+def test_walk_memory_does_not_grow_with_the_budget(m1):
+    """Walkers that exit within 11 steps: a budget of 10^7 steps takes no
+    more memory than one of 10^4, since the lattice tables follow the
+    walkers, not max_time / step."""
+    dom = wc.benchmark("halfspace", m1)
+    z = stp([0.0], 0.0105)
+    peaks = []
+    for max_time in (10.0, 1e4):
+        cfg = WalkConfig(1.0, 1e-3, 200, 3, max_time)
+        tracemalloc.start()
+        est = wc.pwb_solve(dom, gaussian_data, z, cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert est.n_exited == cfg.walkers
+    assert peaks[1] <= 1.05 * peaks[0] + 4096
+    assert peaks[1] < 2 ** 20
 
 
 def test_walk_below_the_strip_raises_like_the_reference(m1):
@@ -403,10 +498,12 @@ def test_classification_probe_walks_in_one_batch(m1, monkeypatch):
 
 def test_exit_bisection_runs_once_per_batch(m1, monkeypatch):
     """Walkers started 0.0105 and 0.0205 above the floor of the time
-    halfspace all exit on steps 11 and 21: 21 stepping calls of
-    contains_runs, then 6 contains_many calls for the bisection of every
-    exit together, not 6 more for each step that had an exit."""
-    calls = {"contains_runs": 0, "contains_many": 0}
+    halfspace, with single-step moves, all exit on steps 11 and 21: 21
+    stepping calls of contains_at, then 6 contains_many calls for the
+    bisection of every exit together, not 6 more for each step that had
+    an exit."""
+    monkeypatch.setattr(pde, "MAX_JUMP", 1)
+    calls = {"contains_at": 0, "contains_many": 0}
 
     def counting(name):
         real = getattr(pde, name)
@@ -423,7 +520,7 @@ def test_exit_bisection_runs_once_per_batch(m1, monkeypatch):
                              zs, WalkConfig(1.0, 1e-3, 200, 1, 4.0), [1, 2])
     assert all(e.n_exited == 200 and e.exit_fractions["bottom"] == 1.0
                for e in ests)
-    assert calls == {"contains_runs": 21, "contains_many": 6}
+    assert calls == {"contains_at": 21, "contains_many": 6}
 
 
 class _CountingRng:
@@ -441,26 +538,26 @@ class _CountingRng:
 
 def _counted_walk(monkeypatch, dom, zs, cfg, seeds):
     """pwb_solve_many with counting stubs: the normals each point's
-    generator drew, the rows of every stepping contains_runs call and the
+    generator drew, the rows of every stepping contains_at call and the
     rows of every bisection contains_many call."""
     rngs, steps, bisections = [], [], []
-    real_runs, real_many = pde.contains_runs, pde.contains_many
+    real_at, real_many = pde.contains_at, pde.contains_many
     real_rng = np.random.default_rng
 
     def make_rng(seed):
         rngs.append(_CountingRng(real_rng(seed)))
         return rngs[-1]
 
-    def counting_runs(dom, X, times, counts):
+    def counting_at(dom, X, ok, cut, T):
         steps.append(len(X))
-        return real_runs(dom, X, times, counts)
+        return real_at(dom, X, ok, cut, T)
 
     def counting_many(dom, X, T):
         bisections.append(len(T))
         return real_many(dom, X, T)
 
     monkeypatch.setattr(pde.np.random, "default_rng", make_rng)
-    monkeypatch.setattr(pde, "contains_runs", counting_runs)
+    monkeypatch.setattr(pde, "contains_at", counting_at)
     monkeypatch.setattr(pde, "contains_many", counting_many)
     ests = wc.pwb_solve_many(dom, gaussian_data, zs, cfg, seeds)
     monkeypatch.undo()
@@ -468,15 +565,17 @@ def _counted_walk(monkeypatch, dom, zs, cfg, seeds):
 
 
 def test_each_point_draws_one_normal_per_walker_step(m1, monkeypatch):
-    """A point's generator draws N normals per step of each of its active
-    walkers, alone or in a batch, and nothing for walkers that exited.
-    Its walker-steps are the rows of the stepping contains_runs calls."""
+    """With single-step moves, a point's generator draws N normals per
+    step of each of its active walkers, alone or in a batch, and nothing
+    for walkers that exited.  Its walker-steps are the rows of the
+    stepping contains_at calls."""
     dom = wc.cylinder(m1, radius=0.3, t1=-4.0, t2=0.0)
     zs = [stp([0.0], -0.5), stp([0.2], -1.0)]
     cfg = WalkConfig(1.0, 1e-3, 300, 30, 4.0)
     seeds = [30 + 7919 * j for j in (0, 1)]
     alone = []
     for z, s in zip(zs, seeds):
+        monkeypatch.setattr(pde, "MAX_JUMP", 1)
         (est,), (drawn,), steps, bisections = _counted_walk(
             monkeypatch, dom, [z], cfg, [s])
         assert est.n_exited == cfg.walkers and bisections == [cfg.walkers] * 6
@@ -486,6 +585,7 @@ def test_each_point_draws_one_normal_per_walker_step(m1, monkeypatch):
         assert 3 * walker_steps < cfg.walkers * len(steps)
         assert drawn == dom.N * walker_steps
         alone.append(drawn)
+    monkeypatch.setattr(pde, "MAX_JUMP", 1)
     _, drawn, steps, _ = _counted_walk(monkeypatch, dom, zs, cfg, seeds)
     assert drawn == alone
     assert sum(drawn) == dom.N * sum(steps)
