@@ -95,6 +95,8 @@ def build_domain(cfg: RunConfig, metric: MetricSpace) -> DomainSpec:
     reader = (f"domain.benchmark = {cfg['domain.benchmark']}"
               if cfg["domain.benchmark"]
               else f"domain.family = {cfg['domain.family']}")
+    if "domain.profile" in reads.keys:
+        reader += f" with domain.profile = {cfg['domain.profile']}"
     _reject_unread(cfg, reads, [k for k in SCHEMA if k.startswith("domain.")],
                    reader)
     return dom
@@ -118,9 +120,12 @@ def _configured_domain(cfg, metric: MetricSpace) -> DomainSpec:
                            cfg["domain.depth"], cfg["domain.t0"],
                            cfg["domain.halfwidth"])
     if fam == "cusp":
-        return cusp(metric, cfg["domain.profile"], cfg["domain.p"],
-                    cfg["domain.c"], cfg["domain.depth"], cfg["domain.t0"],
-                    cfg["domain.halfwidth"])
+        # each profile reads its own shape key; the other keeps its default
+        profile = cfg["domain.profile"]
+        p = cfg["domain.p"] if profile == "power" else SCHEMA["domain.p"][1]
+        c = cfg["domain.c"] if profile == "loglog" else SCHEMA["domain.c"][1]
+        return cusp(metric, profile, p, c, cfg["domain.depth"],
+                    cfg["domain.t0"], cfg["domain.halfwidth"])
     if fam == "punctured":
         return punctured(metric, cfg["domain.radius"], cfg["domain.tau"],
                          halfwidth=cfg["domain.halfwidth"])

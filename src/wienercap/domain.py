@@ -204,6 +204,19 @@ def clearance(dom: DomainSpec, X: np.ndarray, cut) -> np.ndarray:
     return d
 
 
+def clearance_bound(dom: DomainSpec) -> float:
+    """The largest value clearance can return on dom: half the smallest
+    bbox width, and at most the radius on a cylinder; 0 for masks.  Each
+    term of clearance is at most its part of this bound in floating
+    point too, since rounding is monotone."""
+    if dom.family == "mask":
+        return 0.0
+    bound = float(np.min(dom.x_hi - dom.x_lo)) / 2.0
+    if dom.family == "cylinder":
+        bound = min(bound, float(dom.params["radius"]))
+    return bound
+
+
 def _per_row(a: np.ndarray, counts) -> np.ndarray:
     """a[j] repeated counts[j] times; a itself when every count is 1."""
     return a if np.ndim(counts) == 0 and counts == 1 else np.repeat(a, counts)

@@ -25,8 +25,8 @@ metric.sq_gauge, the homogeneity test metric.unit_ball_constant (with
 Carlo ball volume per entry.
 
 A kernel matrix is built from its factors.  -a d^2 depends on the space
-coordinates only, and t - s, the t <= s mask and log |B(sqrt(t - s))|
-on the times only.  capacity.constraint_points lays its rows out as a
+coordinates only, and t - s and log |B(sqrt(t - s))| (+inf where
+t <= s, which makes the entry 0) on the times only.  capacity.constraint_points lays its rows out as a
 tensor grid of C spatial cells by T time cells, time fastest, followed by
 the near-field rows; GaussianKernel.matrix recognises that leading block
 from the rows themselves, computes -a d^2 on its C distinct spatial rows
@@ -104,17 +104,23 @@ def _exp_where(logk: np.ndarray, late: np.ndarray) -> np.ndarray:
 
 
 def _gauss_into(out: np.ndarray, nad2: np.ndarray, dt: np.ndarray,
-                late: np.ndarray, logvol: np.ndarray,
-                log_scale: float) -> None:
-    """out = exp(nad2 / dt - logvol + log_scale), masked by _exp_where.
+                logvol: np.ndarray, log_scale: float) -> None:
+    """out = exp(nad2 / dt - logvol + log_scale), flushed to exactly 0 at
+    or below log(1e-300).
 
-    nad2 = -a d^2 is a space factor and (dt, late, logvol) are time
-    factors; each broadcasts to out's shape, (r, n) row by row or
-    (C, T, n) for a grid block."""
+    nad2 = -a d^2 is a space factor and (dt, logvol) are time factors;
+    each broadcasts to out's shape, (r, n) row by row or (C, T, n) for a
+    grid block.  logvol is +inf where t <= s (dt is 1 there), so those
+    entries reach -inf and flush to 0 with no mask of their own.
+    log_scale is added only when it is not 0: x + 0.0 is x up to the sign
+    of a zero, which exp ignores, so the entries are bit for bit those of
+    the unconditional sum.  Five passes over out, six with a scale."""
     np.divide(nad2, dt, out=out)
     out -= logvol
-    out += log_scale
-    _exp_where(out, late)
+    if log_scale != 0.0:
+        out += log_scale
+    np.copyto(out, -np.inf, where=out <= _LOG_TINY)
+    np.exp(out, out=out)
 
 
 def _as_points(Zx, Zt, Wx, Wt):
@@ -175,11 +181,12 @@ class GaussianKernel:
         rows split into a leading grid block of C spatial points by T
         times, time fastest (_grid_block, linear in m), and r = m - C T
         rows after it.  d^2 is computed once on the C + r spatial rows
-        that matter and scaled by -a; dt, its t <= s mask and
-        log |B(sqrt(dt))| = log c + (Q/2) log dt once on the T + r times.
-        _gauss_into combines them, -a d^2 / dt - log |B| + log scale,
-        masked and exponentiated, by broadcasting (C, 1, n) against
-        (1, T, n) into the block and row by row for the rest.  Rows
+        that matter and scaled by -a; dt and logvol = log |B(sqrt(dt))|
+        = log c + (Q/2) log dt once on the T + r times, with logvol +inf
+        where t <= s.  _gauss_into combines them, -a d^2 / dt - logvol
+        + log scale, flushed and exponentiated, by broadcasting (C, 1, n)
+        against (1, T, n) into the block and row by row for the rest; an
+        entry with t <= s reaches -inf and so exactly 0.  Rows
         without the grid layout give a block of as little as one row, and
         the same matrix.  Table metrics take d^2 on all m rows and a Monte
         Carlo volume per entry."""
@@ -206,11 +213,11 @@ class GaussianKernel:
         logvol *= 0.5 * m.Q
         logvol += math.log(c)
         np.maximum(logvol, _LOG_TINY, out=logvol)
+        np.copyto(logvol, np.inf, where=late)
         log_scale = math.log(self.scale)
         _gauss_into(out[:k].reshape(C, T, Wt.size), nad2[:C, None],
-                    dt[None, :T], late[None, :T], logvol[None, :T], log_scale)
-        _gauss_into(out[k:], nad2[C:], dt[T:], late[T:], logvol[T:],
-                    log_scale)
+                    dt[None, :T], logvol[None, :T], log_scale)
+        _gauss_into(out[k:], nad2[C:], dt[T:], logvol[T:], log_scale)
         return out
 
     def eval(self, z: SpaceTimePoint, w: SpaceTimePoint) -> float:

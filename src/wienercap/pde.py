@@ -22,7 +22,10 @@ this walk with the single-step one by summing the same increments: the
 two differ only if the path leaves the ball of radius the clearance
 during a move, with probability at most 4 N Phi(-JUMP_Z) ~ 1.1e-6 per
 move on R (reflection principle).  With MAX_JUMP = 1 the walk is the
-single-step walk bit for bit.  The exit segment of a move of m steps is
+single-step walk bit for bit.  On a domain where no clearance can reach
+the 2-step value (domain.clearance_bound below JUMP_Z sqrt(N) sqrt(4 h /
+beta), as on the narrow cylinder of the registry) the walk computes no
+clearance, and every move is one step.  The exit segment of a move of m steps is
 bisected over m h, to a time tolerance of m h / 64.
 
 pwb_solve_many walks several points of one domain as one batch under one
@@ -59,8 +62,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain import (STRIP, DomainSpec, clearance, contains, contains_at,
-                     contains_many, require_in_strip, time_terms)
+from .domain import (STRIP, DomainSpec, clearance, clearance_bound,
+                     contains, contains_at, contains_many, require_in_strip,
+                     time_terms)
 from .metric import (SpaceTimePoint, dist, parabolic_dist,
                      parabolic_dist_many, stp)
 from .wiener import line_fit
@@ -177,6 +181,10 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfg: WalkConfig,
     # needs a clearance of JUMP_Z sqrt(N) scale[m] = sqrt(m) / inv
     scale = math.sqrt(2.0 * h / cfg.beta) * np.sqrt(np.arange(MAX_JUMP + 1))
     inv = 1.0 / (JUMP_Z * math.sqrt(N) * scale[1])
+    # below the 2-step clearance every q < sqrt(2), so every move is 1 step
+    reach = max(clearance_bound(dom) * inv, 1.0)
+    far = reach * reach >= 2.0
+    ones = np.ones(P * w, np.intp)
     rngs = [np.random.default_rng(s) for s in seeds]
     X = np.repeat(np.stack([z.x for z in zs]), w, axis=0)
     step = np.empty_like(X)                # next positions of the active rows
@@ -196,13 +204,16 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfg: WalkConfig,
             if k:
                 rng.standard_normal(out=step[row:row + k])
                 row += k
-        q = clearance(dom, X[:n],
-                      None if lat.cutmax is None else lat.cutmax[pos])
-        q *= inv                           # a move of m steps needs q >= sqrt(m)
-        np.maximum(q, 1.0, out=q)
-        q *= q
-        np.minimum(q, lat.cap[pos], out=q)
-        m = q.astype(np.intp)
+        if far:
+            q = clearance(dom, X[:n],
+                          None if lat.cutmax is None else lat.cutmax[pos])
+            q *= inv                       # a move of m steps needs q >= sqrt(m)
+            np.maximum(q, 1.0, out=q)
+            q *= q
+            np.minimum(q, lat.cap[pos], out=q)
+            m = q.astype(np.intp)
+        else:
+            m = ones[:n]
         Xn = step[:n]
         Xn *= scale[m][:, None]
         Xn += X[:n]

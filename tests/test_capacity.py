@@ -358,10 +358,10 @@ def test_packing_fallback_yields_certified_bracket(m1, monkeypatch):
     assert est.value == pytest.approx(ref.value, rel=1e-6)
 
 
-def warm_and_cold(prob, monkeypatch):
+def warm_and_cold(prob, monkeypatch, method="highs"):
     """Solve prob through the warm-started covering model, recording the
     column maxima s and the grid rows appended in each round, and solve
-    the covering LP of the final working set cold by linprog."""
+    the covering LP of the final working set cold by linprog's `method`."""
     seen, rows = {}, []
     real_solve, real_covering = capacity._solve_lp, capacity._covering_solve
 
@@ -381,23 +381,33 @@ def warm_and_cold(prob, monkeypatch):
     s = seen["s"]
     AW = np.concatenate(rows)
     cold = linprog(c=np.ones(AW.shape[0]), A_ub=-AW.T, b_ub=-1.0 / s,
-                   bounds=(0.0, None), method="highs",
+                   bounds=(0.0, None), method=method,
                    options={"presolve": False})
     assert cold.success
     return est, seen["out"], s, cold
 
 
-@pytest.mark.parametrize("case", ["heisenberg-cloud", "ring"])
+@pytest.mark.parametrize("case", ["heisenberg-cloud", "euclidean2-cloud",
+                                  "ring", "deep-ring"])
 def test_warm_covering_model_matches_cold_linprog(case, m1, monkeypatch):
-    """The covering LP re-solved round by round from the last basis agrees
-    with the same LP solved cold: the covering value to 1e-9 relative and
-    the packing marginals to 1e-8."""
-    if case == "ring":
+    """The covering LP re-solved round by round from the last basis, by
+    the unscaled model at 1e-9 feasibility, agrees with the same LP solved
+    cold by linprog with its default scaling and tolerances: the covering
+    value to 1e-9 relative and the packing marginals to 1e-8.
+
+    The deep ring (k = 80, solved in place) has a raw capacity near 2e-24
+    and working-set entries down to 1e-61.  On it the scaled dual simplex
+    stops 1.1e-8 above the optimum, with a covering row short by 1.7e-8,
+    so its cold reference is the interior-point method, with crossover to
+    a basis."""
+    if case in ("ring", "deep-ring"):
+        k = 1 if case == "ring" else 80
         prob = build_problem(wc.benchmark("halfspace", m1),
-                             RingTarget(RingSpec(0.25, 1, 1)),
+                             RingTarget(RingSpec(0.25, k, 1)),
                              wc.GaussianKernel(m1, 0.5), 3)
     else:
-        m = wc.heisenberg_koranyi()
+        m = wc.heisenberg_koranyi() if case == "heisenberg-cloud" \
+            else wc.euclidean(2)
         rng = np.random.default_rng(41)
         n = 400
         X = rng.uniform(-1.0, 1.0, size=(n, m.N)) * ball_coord_halfwidths(m, 0.5)
@@ -406,13 +416,15 @@ def test_warm_covering_model_matches_cold_linprog(case, m1, monkeypatch):
         cx, ct = constraint_points(s, m, 3)
         prob = CapacityProblem(wc.GaussianKernel(m, 0.25), s, cx, ct)
     est, (nu, y, rows, rounds, iterations), s, cold = warm_and_cold(
-        prob, monkeypatch)
+        prob, monkeypatch, "highs-ipm" if case == "deep-ring" else "highs")
     # at least one round restarts from an earlier basis
     assert rounds >= 2 and rows < prob.cons_t.shape[0] and iterations > 0
     assert est.lp_iterations == iterations and est.lp_rounds == rounds
     assert float(y.sum()) == pytest.approx(cold.fun, rel=1e-9)
     np.testing.assert_allclose(s * nu, -cold.ineqlin.marginals, rtol=0.0,
                                atol=1e-8)
+    if case == "deep-ring":
+        assert est.value < 1e-20
 
 
 @pytest.mark.parametrize("N, resolution", [(1, 5), (2, 3), ("heis", 3)],

@@ -267,7 +267,12 @@ def test_removed_key_exits_64_at_parse_time(tmp_path, capsys, key, value):
      "capacity.k = 3\ncapacity.l = 2\n", "capacity.k, capacity.l"),
     ("capacity", "domain.benchmark = halfspace\n"
      "capacity.target = ball-complement\ncapacity.variant = nested\n",
-     "capacity.variant")])
+     "capacity.variant"),
+    ("cone", "domain.family = cusp\ndomain.profile = loglog\n"
+     "domain.p = 0.8\n", "domain.p"),
+    ("cone", "domain.family = cusp\ndomain.c = 0.5\n", "domain.c"),
+    ("cone", "domain.family = cusp\ndomain.profile = power\n"
+     "domain.c = 0.5\n", "domain.c")])
 def test_set_keys_the_run_ignores_exit_64(tmp_path, capsys, command, text,
                                           unread):
     """A domain.* key that the chosen benchmark or family does not read,
@@ -490,7 +495,7 @@ def test_bad_domain_geometry_exits_3(tmp_path, capsys, family, key, value):
     """A family constructor rejects a size that is not positive and
     finite, a theta outside (0, 1] and a wall that is not finite: exit 3
     with a failure.json, never a verdict on a domain of nan or negative
-    size."""
+    size.  The cusp's c is set under the loglog profile, which reads it."""
     if key in ("halfwidth", "wall"):
         message = "bbox and x0 must be finite"
     elif key == "theta":
@@ -499,8 +504,9 @@ def test_bad_domain_geometry_exits_3(tmp_path, capsys, family, key, value):
         message = "power cusp needs p > 1/2"
     else:
         message = f"{key} must be positive and finite"
+    profile = "domain.profile = loglog\n" if key == "c" else ""
     cfg = _write(tmp_path, "bad.cfg", f"domain.family = {family}\n"
-                 f"domain.{key} = {value}\n")
+                 f"{profile}domain.{key} = {value}\n")
     out = tmp_path / "out"
     code = main(["cone", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_FAILURE

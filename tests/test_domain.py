@@ -236,7 +236,9 @@ def test_clearance_is_a_lower_bound_over_the_window(metric, tmp_path):
     complement point lies within domain.clearance (fed the window's
     largest cut) at any of the next 16 lattice times that pass the time
     terms, on a dense sample of the open ball.  The dyadic steps and
-    start times put the punctured disk's time on some windows' lattice."""
+    start times put the punctured disk's time on some windows' lattice.
+    No clearance exceeds domain.clearance_bound, which the walk reads to
+    skip clearance where no move can be longer than one step."""
     rng = np.random.default_rng(11)
     ball = _unit_ball(metric.N)
     for dom in _membership_domains(metric, tmp_path):
@@ -251,6 +253,7 @@ def test_clearance_is_a_lower_bound_over_the_window(metric, tmp_path):
             ok, cut = domain.time_terms(dom, window)
             d = domain.clearance(dom, x[None, :],
                                  None if cut is None else cut.max()[None])[0]
+            assert d <= domain.clearance_bound(dom), dom.family
             if dom.family == "mask":
                 assert d == 0.0
                 continue

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import wienercap as wc
-from wienercap import domain, pde
+from wienercap import cli, domain, pde
+from wienercap.config import parse_config
 from wienercap.domain import STRIP, contains, contains_many
 from wienercap.metric import stp
 from wienercap.pde import (EXIT_KINDS, PDEError, SolutionEstimate, WalkConfig,
                            classify_exit)
+from wienercap.report import ReportBundle
 
 
 def gaussian_data(X, T):
@@ -396,6 +398,37 @@ def test_far_field_walkers_move_many_steps_per_draw(m1, monkeypatch):
     (one,), (single,), _, _ = _counted_walk(monkeypatch, dom, [z], cfg, [5])
     assert single == 200 * cfg.walkers
     assert abs(est.mean_exit_time - one.mean_exit_time) < 2e-3
+
+
+def test_walk_skips_clearance_where_no_move_can_be_longer(tmp_path,
+                                                        monkeypatch):
+    """The suite's cylinder-top (radius 0.15, below the 0.32 a 2-step move
+    needs at the default walk) never calls domain.clearance, and its
+    probe bundle file is byte for byte the one a walk that computes
+    every clearance writes."""
+    dom = wc.benchmark("cylinder-top", wc.euclidean(1))
+    walk = cli.walk_config(parse_config("seed = 13"))
+    calls = []
+    real = pde.clearance
+
+    def spy(*args):
+        calls.append(args[1].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(pde, "clearance", spy)
+    files, counts = [], []
+    for bound in (pde.clearance_bound, lambda dom: math.inf):
+        monkeypatch.setattr(pde, "clearance_bound", bound)
+        calls.clear()
+        fit, _ = pde.classification_probe(dom, "IRREGULAR",
+                                          cli.SUITE_PROBE_OFFSETS, walk)
+        bundle = ReportBundle(tmp_path / str(len(files)), "probe", "", 13)
+        with open(bundle.write_json("cylinder-top_pde_probe.json", fit),
+                  "rb") as fh:
+            files.append(fh.read())
+        counts.append(len(calls))
+    assert counts[0] == 0 and counts[1] > 0
+    assert files[0] == files[1]
 
 
 def test_lattice_tables_match_their_definitions(m1):

@@ -16,6 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
      "--force-series"],
     ["capacity_refinement_study.py", "--res-min", "3", "--res-max", "3"],
     ["probe_flip_rate.py", "--seeds", "1", "2", "--walkers", "100"],
+    ["lp_census.py", "--workload", "lp-cloud"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ)
