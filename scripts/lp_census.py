@@ -12,11 +12,14 @@ inputs (imported, never modified).  Per workload it prints:
     iterations  simplex iterations (CapacityEstimate.lp_iterations)
     highs_s     seconds inside capacity._covering_solve, the one call
                 that appends rows to the HiGHS model and runs it
+    kernel_s    seconds inside kernel.GaussianKernel.matrix, which builds
+                every kernel matrix (HeatKernel's included)
     fallbacks   full-grid linprog solves
 
-The two capacity functions are wrapped for the round and restored after
-it.  The seconds are wall time on whatever host runs the script; the
-counts depend on the seed only.
+capacity._solve_lp, capacity._covering_solve, capacity.linprog and
+GaussianKernel.matrix are wrapped for the round and restored after it.
+The seconds are wall time on whatever host runs the script; the counts
+depend on the seed only.
 
 Usage, from the root of a checkout:
     python3 scripts/lp_census.py [--workload lp-cloud ...] [--seed 13] \\
@@ -37,21 +40,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(1, os.path.join(ROOT, "perfbench"))
 
-from wienercap import capacity  # noqa: E402
+from wienercap import capacity, kernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-COLUMNS = ("solves", "W rows", "rounds", "iterations", "highs_s", "fallbacks")
+COLUMNS = ("solves", "W rows", "rounds", "iterations", "highs_s", "kernel_s",
+           "fallbacks")
+SECONDS = ("highs_s", "kernel_s")
 
 
 def census(name: str, seed: int) -> dict:
     """One round of workload `name` at `seed`, counted."""
     row = dict.fromkeys(COLUMNS, 0)
-    row["highs_s"] = 0.0
+    row.update(dict.fromkeys(SECONDS, 0.0))
     solve_lp, covering_solve = capacity._solve_lp, capacity._covering_solve
-    linprog = capacity.linprog
+    linprog, matrix = capacity.linprog, kernel.GaussianKernel.matrix
 
-    def counted_solve_lp(A, s):
-        out = solve_lp(A, s)
+    def counted_solve_lp(K, c, kappa):
+        out = solve_lp(K, c, kappa)
         row["solves"] += 1
         row["W rows"] += out[2]
         row["rounds"] += out[3]
@@ -65,6 +70,13 @@ def census(name: str, seed: int) -> dict:
         finally:
             row["highs_s"] += time.perf_counter() - start
 
+    def timed_matrix(self, *args):
+        start = time.perf_counter()
+        try:
+            return matrix(self, *args)
+        finally:
+            row["kernel_s"] += time.perf_counter() - start
+
     def counted_linprog(*args, **kwargs):
         row["fallbacks"] += 1
         return linprog(*args, **kwargs)
@@ -75,6 +87,7 @@ def census(name: str, seed: int) -> dict:
         capacity._solve_lp = counted_solve_lp
         capacity._covering_solve = timed_covering_solve
         capacity.linprog = counted_linprog
+        kernel.GaussianKernel.matrix = timed_matrix
         try:
             # a round reads the recorder's captured tables only
             work.round(SimpleNamespace(tables=[]), 0)
@@ -82,6 +95,7 @@ def census(name: str, seed: int) -> dict:
             capacity._solve_lp = solve_lp
             capacity._covering_solve = covering_solve
             capacity.linprog = linprog
+            kernel.GaussianKernel.matrix = matrix
     return row
 
 
@@ -97,7 +111,7 @@ def main() -> int:
     width = max(len(n) for n in rows)
     print(f"{'workload':<{width}}  " + "  ".join(f"{c:>10}" for c in COLUMNS))
     for name, row in rows.items():
-        cells = [f"{row[c]:>10.3f}" if c == "highs_s" else f"{row[c]:>10d}"
+        cells = [f"{row[c]:>10.3f}" if c in SECONDS else f"{row[c]:>10d}"
                  for c in COLUMNS]
         print(f"{name:<{width}}  " + "  ".join(cells))
     if args.json:

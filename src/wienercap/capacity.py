@@ -14,28 +14,40 @@ Both solutions are rescaled into exactly feasible points, so the reported
 (value, dual_value) pair is a certified bracket and gap >= 0 up to the
 rounding of two matrix-vector products.  The gap gate is the fixed
 constant GAP_TOLERANCE = 1e-6: a bracket is accepted only if its gap is at
-most 1e-6 of its value.  The kernel matrix is normalized by its largest
-entry before the solve; capacities of sets at depth lambda^40 are ~1e-25
-in absolute size and would otherwise drown in the solver's absolute
-tolerances.
+most 1e-6 of its value.  The LP is posed on Kn = K / kappa, kappa the
+largest entry of the kernel matrix K; capacities of sets at depth
+lambda^40 are ~1e-25 in absolute size and would otherwise drown in the
+solver's absolute tolerances.
 
 HiGHS runs without presolve, which on these dense LPs costs more than it
-saves.  The LP's columns are equilibrated: with s the column maxima of
-the normalized matrix, A = Kn / s has unit column maxima and the packing
-point is x = s * mu, because HiGHS drops matrix entries below 1e-9, and
-with large mu those dropped entries would let K mu overshoot 1 by more
-than the gap gate allows.  Certification uses the scaled matrix, so only
-one m x n copy is held.
+saves.  The LP's columns are equilibrated: with c the column maxima of K
+and s = c / kappa those of Kn, A = K / c has unit column maxima and the
+packing point is x = s * nu, because HiGHS drops matrix entries below
+1e-9, and with large nu those dropped entries would let Kn nu overshoot 1
+by more than the gap gate allows.  K itself is never rescaled: kappa and
+c are carried in the vectors.  Only the rows handed to HiGHS are divided
+by c, the pricing product A x is K (x / c), and certification reads
+Kn nu and Kn^T y as (K nu) / kappa and (K^T y) / kappa, so the one
+m x n array a solve holds is the kernel matrix as built.
 
 The covering model runs unscaled (simplex_scale_strategy = 0).  Its
 matrix already has unit column maxima, and HiGHS's own scaling on top of
 that cost simplex iterations: 2659 per round of the benchmark's 12
-random clouds, against 1624 unscaled.  Its primal and dual feasibility
-tolerances are 1e-9 instead of HiGHS's default 1e-7.  Unscaled at 1e-7,
-the halfspace ring (5, 15) solved in place lands 1.02e-9 from its solve
-in the dilation frame, which is the same LP up to rounding; at 1e-9 the
-worst such difference over the nested tables is 1.4e-10, and the 12
-clouds take the same 1624 iterations.
+random clouds, against 1624 unscaled (both with HiGHS's default dual
+steepest-edge pricing).  Its primal and dual feasibility tolerances are
+1e-9 instead of HiGHS's default 1e-7.  Unscaled at 1e-7, the halfspace
+ring (5, 15) solved in place lands 1.02e-9 from its solve in the
+dilation frame, which is the same LP up to rounding; at 1e-9 the worst
+such difference over the nested tables is 1.4e-10.
+
+The dual simplex prices by Dantzig's rule, the largest primal
+infeasibility (simplex_dual_edge_weight_strategy = 0).  Dual steepest
+edge, HiGHS's default, updates an edge weight for every row on every
+iteration, and on these dense kernel columns that update costs more than
+the iterations it saves: a round of the 12 clouds takes 1743 iterations
+instead of 1624, and 0.126 s inside HiGHS instead of 0.163 s on a
+2-core x86_64 host (scripts/lp_census.py, seed 13).  Devex pricing and
+the primal simplex were no faster there.
 
 HiGHS is handed the covering side, min 1.y s.t. A_W^T y >= 1/s, and the
 packing point is read off its row marginals.  The covering LP has one row
@@ -183,16 +195,20 @@ def _covering_model(s: np.ndarray) -> _Highs:
     """HiGHS model of the covering LP with its n atom rows, 1/s <= row,
     and no columns yet; presolve and output off.
 
-    The model is unscaled: the grid rows it is given come from A, whose
-    columns solve_capacity has already equilibrated to unit maxima, and
-    rescaling them again only costs iterations.  Without HiGHS's scaling
-    its feasibility tolerances act on these rows directly, so both are
-    1e-9, not the default 1e-7, to keep a solve within 1e-9 of the same
-    LP solved in another dilation frame."""
+    The model is unscaled: the grid rows it is given are rows of
+    A = K / c, which has unit column maxima, and rescaling them again
+    only costs iterations.  Without HiGHS's scaling its feasibility
+    tolerances act on these rows directly, so both are 1e-9, not the
+    default 1e-7, to keep a solve within 1e-9 of the same LP solved in
+    another dilation frame.  The dual simplex prices by Dantzig's rule
+    (simplex_dual_edge_weight_strategy = 0): the default dual steepest
+    edge updates an edge weight every iteration, which on these dense
+    columns costs more than the iterations it saves."""
     h = _Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("presolve", "off")
     h.setOptionValue("simplex_scale_strategy", 0)
+    h.setOptionValue("simplex_dual_edge_weight_strategy", 0)
     h.setOptionValue("primal_feasibility_tolerance", 1e-9)
     h.setOptionValue("dual_feasibility_tolerance", 1e-9)
     n = s.size
@@ -223,37 +239,41 @@ def _covering_solve(h: _Highs, rows: np.ndarray):
             np.maximum(np.asarray(sol.col_value), 0.0), iterations)
 
 
-def _solve_lp(A: np.ndarray, s: np.ndarray):
-    """Fresh primal/dual pair (nu, y) for Kn = A diag(s), the number of
-    grid rows in the LP that produced it, the covering rounds solved and
-    the simplex iterations of every HiGHS solve made.
+def _solve_lp(K: np.ndarray, c: np.ndarray, kappa: float):
+    """Fresh primal/dual pair (nu, y) for Kn = K / kappa, whose column
+    maxima are s = c / kappa, the number of grid rows in the LP that
+    produced it, the covering rounds solved and the simplex iterations of
+    every HiGHS solve made.
 
-    The covering LP  min 1.y  s.t.  A_W^T y >= 1/s, y >= 0  is solved on a
-    working set W of grid rows; its row marginals are the packing point
-    x = s * nu of the same rows.  Rows of the full grid that x overshoots
-    join W, the most violated first and at most max(n // 4,
-    WORKING_SET_MIN_BATCH) a round, until none outside W exceeds
-    1 + PRICING_TOLERANCE.  One HiGHS model serves every round: the rows
-    joining W are appended as columns and the model is re-solved from the
-    last basis.  y is zero outside W, so it stays feasible for the full
-    covering LP.  If a restricted solve fails or its marginals are
-    degenerate (worth less than half the covering value), one full-grid
-    packing LP is solved by linprog instead and its marginals give y."""
-    m, n = A.shape
+    The covering LP  min 1.y  s.t.  A_W^T y >= 1/s, y >= 0  on
+    A = K / c is solved on a working set W of grid rows; its row
+    marginals are the packing point x = s * nu of the same rows.  Rows of
+    the full grid that x overshoots join W, the most violated first and
+    at most max(n // 4, WORKING_SET_MIN_BATCH) a round, until none outside
+    W exceeds 1 + PRICING_TOLERANCE.  Only the rows joining W are divided
+    by c; the overshoot A x is priced as K (x / c).  One HiGHS model
+    serves every round: the rows joining W are appended as columns and
+    the model is re-solved from the last basis.  y is zero outside W, so
+    it stays feasible for the full covering LP.  If a restricted solve
+    fails or its marginals are degenerate (worth less than half the
+    covering value), one full-grid packing LP on K / c is solved by
+    linprog instead and its marginals give y."""
+    m, n = K.shape
+    s = c / kappa
     h = _covering_model(s)
-    # each column's first unit entry, its argmax row: a column-wise argmax
-    # of A itself is a strided reduction, several times slower
-    W = new = np.unique((A == 1.0).argmax(axis=0))
+    # each column's first maximum, its argmax row: a column-wise argmax
+    # of K itself is a strided reduction, several times slower
+    W = new = np.unique((K == c).argmax(axis=0))
     batch = max(n // 4, WORKING_SET_MIN_BATCH)
     rounds = iterations = 0
     while True:
         rounds += 1
-        x, yW, its = _covering_solve(h, A[new])
+        x, yW, its = _covering_solve(h, K[new] / c)
         iterations += its
         if x is None or not x.any() or \
                 float((x / s).sum()) < 0.5 * float(yW.sum()):
             break
-        excess = A @ x
+        excess = K @ (x / c)
         excess[W] = 0.0
         violated = np.flatnonzero(excess > 1.0 + PRICING_TOLERANCE)
         if violated.size == 0:
@@ -262,8 +282,9 @@ def _solve_lp(A: np.ndarray, s: np.ndarray):
             return x / s, y, W.size, rounds, iterations
         new = violated[np.argsort(excess[violated])[::-1][:batch]]
         W = np.concatenate([W, new])
-    res_p = linprog(c=-1.0 / s, A_ub=A, b_ub=np.ones(m), bounds=(0.0, None),
-                    method="highs", options={"presolve": False})
+    res_p = linprog(c=-1.0 / s, A_ub=K / c, b_ub=np.ones(m),
+                    bounds=(0.0, None), method="highs",
+                    options={"presolve": False})
     if not res_p.success:
         raise CapacityConvergenceError(f"packing LP failed: {res_p.message}")
     nu = np.maximum(res_p.x, 0.0) / s
@@ -271,20 +292,20 @@ def _solve_lp(A: np.ndarray, s: np.ndarray):
     return nu, y, m, rounds, iterations + res_p.nit
 
 
-def _certify(p: CapacityProblem, A: np.ndarray, s: np.ndarray, kappa: float,
+def _certify(p: CapacityProblem, K: np.ndarray, kappa: float,
              nu: np.ndarray, y: np.ndarray) -> CapacityEstimate:
     """Rescale (nu, y) into exactly feasible points for this problem's
-    Kn = A diag(s): Kn nu = A (s nu) and Kn^T y = s (A^T y)."""
-    overshoot = float((A @ (s * nu)).max(initial=0.0))
+    Kn = K / kappa: Kn nu = (K nu) / kappa and Kn^T y = (K^T y) / kappa."""
+    overshoot = float((K @ nu).max(initial=0.0)) / kappa
     if overshoot > 1.0:
         nu = nu / overshoot
     value = float(nu.sum() / kappa)
-    slack = float((s * (A.T @ y)).min()) if y.any() else 0.0
+    slack = float((K.T @ y).min()) / kappa if y.any() else 0.0
     dual_value = float((y / slack).sum() / kappa) if slack > 0.0 else math.inf
     return CapacityEstimate(value=value, mu=nu / kappa, dual_value=dual_value,
                             gap=max(dual_value - value, 0.0),
                             resolution=p.support.resolution,
-                            n_atoms=A.shape[1], n_constraints=A.shape[0])
+                            n_atoms=K.shape[1], n_constraints=K.shape[0])
 
 
 def _within_gap(est: CapacityEstimate) -> bool:
@@ -311,18 +332,15 @@ def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
         raise CapacityInputError(
             f"the kernel matrix of {m} constraint rows x {n} atoms would "
             f"hold {m * n} entries, past MAX_KERNEL_ENTRIES = 2^27 (1 GiB)")
-    A = p.kernel.matrix(p.cons_x, p.cons_t, p.support.xs, p.support.ts)
-    col_max = A.max(axis=0) if A.size else np.zeros(n)
-    if A.size == 0 or np.any(col_max <= 0.0):
+    K = p.kernel.matrix(p.cons_x, p.cons_t, p.support.xs, p.support.ts)
+    c = K.max(axis=0) if K.size else np.zeros(n)
+    if K.size == 0 or np.any(c <= 0.0):
         raise CapacityInputError(
             "some support atoms are invisible to every constraint point; "
             "the packing program would be unbounded")
-    kappa = float(col_max.max())
-    A /= kappa                       # Kn, entries in [0, 1]
-    s = col_max / kappa              # column maxima of Kn
-    A /= s                           # Kn = A diag(s), unit column maxima
-    nu, y, rows, rounds, iterations = _solve_lp(A, s)
-    est = _certify(p, A, s, kappa, nu, y)
+    kappa = float(c.max())           # Kn = K / kappa has entries in [0, 1]
+    nu, y, rows, rounds, iterations = _solve_lp(K, c, kappa)
+    est = _certify(p, K, kappa, nu, y)
     est.lp_rows, est.lp_rounds, est.lp_iterations = rows, rounds, iterations
     if not _within_gap(est):
         raise CapacityConvergenceError(

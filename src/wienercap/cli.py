@@ -87,6 +87,16 @@ def _reject_unread(cfg: RunConfig, reads: _Reads, keys, reader: str):
                           "read it")
 
 
+def _unread_keys(command: str) -> list:
+    """Keys that command never reads: the capacity target keys under every
+    command but capacity, and every domain.* key under benchmark-suite and
+    pde-verify, which build their own domains."""
+    keys = [] if command == "capacity" else list(TARGET_KEYS)
+    if command in ("benchmark-suite", "pde-verify"):
+        keys += [k for k in SCHEMA if k.startswith("domain.")]
+    return keys
+
+
 def build_domain(cfg: RunConfig, metric: MetricSpace) -> DomainSpec:
     """The configured domain.  A domain.* key that the chosen benchmark or
     family does not read is a ConfigError when the config sets it."""
@@ -525,6 +535,8 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         if args.seed is not None:
             cfg = cfg.with_override("seed", args.seed)
+        _reject_unread(cfg, _Reads(cfg), _unread_keys(args.command),
+                       args.command)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

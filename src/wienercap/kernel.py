@@ -114,13 +114,17 @@ def _gauss_into(out: np.ndarray, nad2: np.ndarray, dt: np.ndarray,
     entries reach -inf and flush to 0 with no mask of their own.
     log_scale is added only when it is not 0: x + 0.0 is x up to the sign
     of a zero, which exp ignores, so the entries are bit for bit those of
-    the unconditional sum.  Five passes over out, six with a scale."""
+    the unconditional sum.  The flush keeps the exponents above
+    log(1e-300) and multiplies exp by that mask: an exponent at or below
+    it has a finite exp, which the product turns into +0.0, and a nan
+    stays nan.  Five passes over out, six with a scale."""
     np.divide(nad2, dt, out=out)
     out -= logvol
     if log_scale != 0.0:
         out += log_scale
-    np.copyto(out, -np.inf, where=out <= _LOG_TINY)
+    kept = out > _LOG_TINY
     np.exp(out, out=out)
+    out *= kept
 
 
 def _as_points(Zx, Zt, Wx, Wt):

@@ -70,9 +70,9 @@ def counting_solves(monkeypatch):
     calls = []
     real = capacity._solve_lp
 
-    def wrapper(A, s):
-        calls.append(A.shape)
-        return real(A, s)
+    def wrapper(K, c, kappa):
+        calls.append(K.shape)
+        return real(K, c, kappa)
 
     monkeypatch.setattr(capacity, "_solve_lp", wrapper)
     return calls

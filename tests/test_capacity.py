@@ -302,21 +302,46 @@ def test_parabolic_dilation_scales_capacity_by_r_to_the_Q(m1, m2, heis):
             assert est.value <= ed.dual_value / scale * (1 + 1e-9)
 
 
-def gap_gate_cloud():
-    """The 8th random cloud drawn from default_rng(5) (Euclidean N=2, 260
-    atoms).  Against its resolution-3 constraint grid the normalized matrix
-    has 33,276 nonzeros below HiGHS's dropping threshold of 1e-9; solved
-    without column scaling, the primal overshoots K mu <= 1 by ~2e-6 and
-    the certified gap came out at 1.98e-6 relative."""
-    rng = np.random.default_rng(5)
-    sizes = (50, 75, 100, 130, 160, 190, 220, 260)
+LP_CLOUD_SIZES = (50, 75, 100, 130, 160, 190, 220, 260, 300, 340, 370, 400)
+
+
+def lp_clouds(draw):
+    """The twelve random clouds of the lp-cloud benchmark workload drawn
+    from default_rng(draw): cloud i has LP_CLOUD_SIZES[i] atoms on
+    euclidean(1), euclidean(2) and the Koranyi group in turn, uniform in
+    the coordinate box of the radius-0.5 ball and in time on [-0.25, 0],
+    at resolution 3."""
+    rng = np.random.default_rng(draw)
     metrics = (wc.euclidean(1), wc.euclidean(2), wc.heisenberg_koranyi())
-    for i, n in enumerate(sizes):
+    clouds = []
+    for i, n in enumerate(LP_CLOUD_SIZES):
         m = metrics[i % 3]
         X = rng.uniform(-1.0, 1.0, size=(n, m.N)) * ball_coord_halfwidths(m, 0.5)
         T = rng.uniform(-0.25, 0.0, size=n)
-    s = SetSample(X, T, np.full(n, 1.0 / n), 1.0, 0.0, 3)
-    return m, s
+        clouds.append((m, SetSample(X, T, np.full(n, 1.0 / n), 1.0, 0.0, 3)))
+    return clouds
+
+
+@pytest.mark.parametrize("draw", [0, 1, 5])
+def test_every_lp_cloud_certifies_without_the_fallback(draw, monkeypatch):
+    """Every cloud of three lp-cloud draws (36 LPs of 50 to 400 atoms
+    against up to 4496 grid rows) certifies a bracket within GAP_TOLERANCE
+    on the warm-started covering model alone: linprog is never called."""
+    calls = counting_linprog(monkeypatch)
+    for m, s in lp_clouds(draw):
+        est, _ = solve_sample(m, s, 0.25)
+        assert 0.0 <= est.rel_gap() <= capacity.GAP_TOLERANCE
+        assert est.lp_rows < est.n_constraints
+    assert calls == []
+
+
+def gap_gate_cloud():
+    """The 8th lp-cloud cloud of draw 5 (Euclidean N=2, 260 atoms).
+    Against its resolution-3 constraint grid the normalized matrix has
+    33,276 nonzeros below HiGHS's dropping threshold of 1e-9; solved
+    without column scaling, the primal overshoots K mu <= 1 by ~2e-6 and
+    the certified gap came out at 1.98e-6 relative."""
+    return lp_clouds(5)[7]
 
 
 def test_gap_gate_met_on_cloud_with_tiny_kernel_entries():
@@ -360,14 +385,15 @@ def test_packing_fallback_yields_certified_bracket(m1, monkeypatch):
 
 def warm_and_cold(prob, monkeypatch, method="highs"):
     """Solve prob through the warm-started covering model, recording the
-    column maxima s and the grid rows appended in each round, and solve
-    the covering LP of the final working set cold by linprog's `method`."""
+    column maxima s = c / kappa of the normalized matrix and the grid rows
+    appended in each round, and solve the covering LP of the final working
+    set cold by linprog's `method`."""
     seen, rows = {}, []
     real_solve, real_covering = capacity._solve_lp, capacity._covering_solve
 
-    def solve(A, s):
-        seen["s"] = s.copy()
-        seen["out"] = real_solve(A, s)
+    def solve(K, c, kappa):
+        seen["s"] = c / kappa
+        seen["out"] = real_solve(K, c, kappa)
         return seen["out"]
 
     def covering(h, new):
@@ -464,8 +490,8 @@ def halved_packing(monkeypatch):
     so the certified bracket has a relative gap near 1."""
     real = capacity._solve_lp
 
-    def halved(A, s):
-        nu, *rest = real(A, s)
+    def halved(K, c, kappa):
+        nu, *rest = real(K, c, kappa)
         return (0.5 * nu, *rest)
 
     monkeypatch.setattr(capacity, "_solve_lp", halved)
@@ -533,15 +559,18 @@ def test_classify_withholds_a_verdict_on_a_partial_table(m1, bounds1,
     (wc.heisenberg_koranyi(), 340, 1), (wc.euclidean(2), 160, 2)])
 def test_working_set_seeds_are_the_first_column_maxima(monkeypatch, metric,
                                                        n, repeat):
-    """_solve_lp seeds its working set with (A == 1.0).argmax(axis=0): the
-    normalized matrix has each column's maximum exactly 1.0 and no entry
-    above it, so these are the rows A.argmax(axis=0) picks, on lp-cloud
-    sized problems and where every maximum is tied (each constraint row
-    given twice)."""
-    seen = []
-    real = capacity._solve_lp
-    monkeypatch.setattr(capacity, "_solve_lp",
-                        lambda A, s: seen.append(A) or real(A, s))
+    """_solve_lp seeds its working set with (K == c).argmax(axis=0) on the
+    unscaled kernel matrix K and its column maxima c: each seed entry is
+    its column's maximum exactly, and the seeds are the rows
+    K.argmax(axis=0) picks, on lp-cloud sized problems and where every
+    maximum is tied (each constraint row given twice).  The first round
+    hands HiGHS exactly those rows divided by c."""
+    seen, rounds = [], []
+    real_solve, real_covering = capacity._solve_lp, capacity._covering_solve
+    monkeypatch.setattr(capacity, "_solve_lp", lambda K, c, kappa:
+                        seen.append((K, c)) or real_solve(K, c, kappa))
+    monkeypatch.setattr(capacity, "_covering_solve", lambda h, rows:
+                        rounds.append(rows) or real_covering(h, rows))
     s = random_cloud_sample(np.random.default_rng(n), metric.N, n)
     cx, ct = constraint_points(s, metric, 3)
     cx, ct = np.tile(cx, (repeat, 1)), np.tile(ct, repeat)
@@ -550,7 +579,11 @@ def test_working_set_seeds_are_the_first_column_maxima(monkeypatch, metric,
                                        cx, ct))
     except wc.CapacityConvergenceError:
         pass                     # the seeds are taken before any LP round
-    (A,) = seen
-    assert (A.max(axis=0) == 1.0).all()
-    assert ((A == 1.0).sum(axis=0) >= repeat).all()
-    assert np.array_equal((A == 1.0).argmax(axis=0), A.argmax(axis=0))
+    ((K, c),) = seen
+    assert np.array_equal(c, K.max(axis=0))
+    seeds = K.argmax(axis=0)
+    assert (K[seeds, np.arange(n)] == c).all()
+    assert ((K == c).sum(axis=0) >= repeat).all()
+    assert np.array_equal((K == c).argmax(axis=0), seeds)
+    assert np.array_equal(rounds[0], K[np.unique(seeds)] / c)
+    assert (rounds[0].max(axis=0) == 1.0).all()

@@ -288,6 +288,45 @@ def test_set_keys_the_run_ignores_exit_64(tmp_path, capsys, command, text,
     assert not (out / "failure.json").exists()
 
 
+def exits_64_before_the_bundle(tmp_path, capsys, command, text, unread):
+    """The command exits 64 on the config text, naming the unread keys,
+    before its bundle directory is made."""
+    cfg = _write(tmp_path, "ignored.cfg", text)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert (f"config error: {unread} set, but {command} does not read it"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, unread", [
+    ("benchmark-suite", "domain.radius = 5\n", "domain.radius"),
+    ("pde-verify", "domain.benchmark = halfspace\ndomain.t0 = 0.5\n",
+     "domain.benchmark, domain.t0")])
+def test_domain_keys_under_commands_with_their_own_domains_exit_64(
+        tmp_path, capsys, command, text, unread):
+    """benchmark-suite and pde-verify build their own domains, so a
+    domain.* key set under either is rejected."""
+    exits_64_before_the_bundle(tmp_path, capsys, command, text, unread)
+
+
+@pytest.mark.parametrize("command, text, unread", [
+    ("series", "domain.benchmark = halfspace\ncapacity.k = 3\n",
+     "capacity.k"),
+    ("classify", "domain.benchmark = halfspace\ncapacity.target = section\n"
+     "capacity.rho = 0.5\ncapacity.tau = 0.5\n",
+     "capacity.rho, capacity.tau"),
+    ("benchmark-suite", "capacity.variant = nested\n", "capacity.variant"),
+    ("pde-verify", "capacity.h = 2\ncapacity.l = 3\n",
+     "capacity.h, capacity.l")])
+def test_target_keys_outside_the_capacity_command_exit_64(
+        tmp_path, capsys, command, text, unread):
+    """Only the capacity command builds a target, so capacity.k, h,
+    variant, rho, tau and l set under any other command are rejected."""
+    exits_64_before_the_bundle(tmp_path, capsys, command, text, unread)
+
+
 def test_koranyi_default_capacity_exits_3_before_its_matrix(tmp_path,
                                                            capsys):
     """The Koranyi halfspace ring (2, 1) at the default resolution 4 needs
@@ -350,9 +389,12 @@ def test_analysis_failure_exits_3_and_writes_failure_json(tmp_path, capsys):
 def test_nonpositive_cone_resolution_exits_3(tmp_path, capsys, command,
                                               resolution):
     """A cone resolution below 1 is an input error: exit 3 with a
-    failure.json, never a TypeError that exits 1 (IRREGULAR's code)."""
-    cfg = _write(tmp_path, "cone.cfg", FAST_CLASSIFY.format(name="halfspace")
-                 + f"cone.resolution = {resolution}\n")
+    failure.json, never a TypeError that exits 1 (IRREGULAR's code).
+    benchmark-suite builds its own domains, so its config sets none."""
+    base = FAST_SUITE if command == "benchmark-suite" \
+        else FAST_CLASSIFY.format(name="halfspace")
+    cfg = _write(tmp_path, "cone.cfg",
+                 base + f"cone.resolution = {resolution}\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_FAILURE

@@ -326,6 +326,60 @@ def test_distances_are_computed_once_per_spatial_row(monkeypatch, metric,
     assert seen == [rows] and rows < ct.size
 
 
+def masked_copy_gauss_into(out, nad2, dt, logvol, log_scale):
+    """_gauss_into with its flush written as a masked copy of -inf before
+    exp: the formula the mask product must reproduce bit for bit."""
+    np.divide(nad2, dt, out=out)
+    out -= logvol
+    if log_scale != 0.0:
+        out += log_scale
+    np.copyto(out, -np.inf, where=out <= LOG_TINY)
+    np.exp(out, out=out)
+
+
+@pytest.mark.parametrize("metric, n, scale", [
+    (wc.euclidean(1), 370, 1.0), (wc.euclidean(2), 400, 1.0),
+    (wc.heisenberg_koranyi(), 340, 1.0), (wc.euclidean(2), 400, 3.7)])
+def test_flush_by_mask_product_equals_the_masked_copy(monkeypatch, metric, n,
+                                                      scale):
+    """On lp-cloud-sized problems (up to 400 atoms against 4496 rows) the
+    matrix flushed by a mask product has the bytes of the one flushed by a
+    masked copy before exp, flushed tails and t <= s zeros included."""
+    cx, ct, wx, wt = grid_problem(metric, 3, n=n)
+    kern = GaussianKernel(metric, 0.25, scale)
+    K = kern.matrix(cx, ct, wx, wt)
+    monkeypatch.setattr(kernel, "_gauss_into", masked_copy_gauss_into)
+    assert K.tobytes() == kern.matrix(cx, ct, wx, wt).tobytes()
+    assert (K == 0).any() and (K > 0).any()
+
+
+def test_flush_by_mask_product_keeps_nan_and_inf(monkeypatch):
+    """Exponents that are nan, +-inf, or straddle log(1e-300) give the
+    same bytes under both flushes, and so does a matrix whose nan atom
+    makes a column of nan."""
+    rng = np.random.default_rng(3)
+    nad2 = -rng.uniform(0.0, 800.0, size=(6, 1, 50))
+    nad2[0, 0, :4] = [np.nan, -np.inf, -0.0, 0.0]
+    dt = rng.uniform(0.5, 2.0, size=(1, 7, 50))
+    dt[0, 1, 4:8] = [np.nan, np.inf, 1e-300, 1.0]
+    logvol = rng.uniform(-3.0, 3.0, size=(1, 7, 50))
+    logvol[0, 2, 8:12] = [np.nan, np.inf, -np.inf, LOG_TINY]
+    logvol[0, 3, :] = -LOG_TINY + np.linspace(-1e-12, 1e-12, 50)
+    for log_scale in (0.0, 0.7):
+        got, want = np.empty((6, 7, 50)), np.empty((6, 7, 50))
+        kernel._gauss_into(got, nad2, dt, logvol, log_scale)
+        masked_copy_gauss_into(want, nad2, dt, logvol, log_scale)
+        assert np.isnan(got).any() and np.isinf(got).any()
+        assert got.tobytes() == want.tobytes()
+    cx, ct, wx, wt = grid_problem(wc.euclidean(2), 2)
+    wx[3] = np.nan
+    kern = GaussianKernel(wc.euclidean(2), 0.25)
+    K = kern.matrix(cx, ct, wx, wt)
+    assert np.isnan(K[:, 3]).any()
+    monkeypatch.setattr(kernel, "_gauss_into", masked_copy_gauss_into)
+    assert K.tobytes() == kern.matrix(cx, ct, wx, wt).tobytes()
+
+
 def test_table_matrix_keeps_the_dist_and_volume_path():
     kern = GaussianKernel(sinh_table_metric(mc_samples=2000), 0.3, 1.5)
     rng = np.random.default_rng(12)
