@@ -8,11 +8,12 @@ domain, how often each probe status came up, the smallest decay margin in
 its own standard errors (how near the rule came to another status), the
 median wall time of one probe, the walker moves per probe point (the
 normals the walk drew divided by N, counted by wrapping
-numpy.random.default_rng around the probe, averaged over the seeds), a
-sha256 digest of every probe's (value, std_error) over the seed range,
-and at which seeds the probe contradicted the verdict.  Two checkouts
-whose probes agree bit for bit print the same digests.  Exits 1 if it
-contradicted a pinned verdict.
+numpy.random.default_rng around the probe, averaged over the seeds), the
+walk iterations per probe batch (the calls of pde.contains_at, one per
+iteration, averaged over the seeds), a sha256 digest of every probe's
+(value, std_error) over the seed range, and at which seeds the probe
+contradicted the verdict.  Two checkouts whose probes agree bit for bit
+print the same digests.  Exits 1 if it contradicted a pinned verdict.
 
 Usage:
     python3 scripts/probe_flip_rate.py [--seeds 1 24] [--walkers 2000]
@@ -28,6 +29,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from wienercap import pde
 from wienercap.cli import (SUITE_PROBE_OFFSETS, build_bounds, run_classify,
                            walk_config)
 from wienercap.config import RunConfig
@@ -61,6 +63,23 @@ def counting_normals():
         np.random.default_rng = real
 
 
+@contextmanager
+def counting_iterations():
+    """Within the block, every walk iteration (one pde.contains_at call)
+    adds 1 to the yielded one-element list."""
+    real, tally = pde.contains_at, [0]
+
+    def counted(*args):
+        tally[0] += 1
+        return real(*args)
+
+    pde.contains_at = counted
+    try:
+        yield tally
+    finally:
+        pde.contains_at = real
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs=2, default=[1, 24],
@@ -78,6 +97,7 @@ def main() -> int:
     print(f"{'domain':<18} {'verdict':<12}"
           + "".join(f" {s:>12}" for s in STATUSES)
           + f" {'min |m|/se':>11} {'median s':>9} {'moves':>7}"
+          + f" {'iters':>6}"
           + f" {'digest':>12}"
           + "  contradicted at")
     pinned_contradicted = False
@@ -87,7 +107,7 @@ def main() -> int:
         counts = dict.fromkeys(STATUSES, 0)
         contradicted, closest_call, walls = [], math.inf, []
         digest = hashlib.sha256()
-        with counting_normals() as drawn:
+        with counting_normals() as drawn, counting_iterations() as iters:
             for seed in seeds:
                 start = time.perf_counter()
                 fit, contra = classification_probe(
@@ -111,7 +131,7 @@ def main() -> int:
         print(f"{name:<18} {verdict:<12}"
               + "".join(f" {counts[s]:>12}" for s in STATUSES)
               + f" {closest_call:>11.1f} {statistics.median(walls):>9.3f}"
-              + f" {moves:>7.0f}"
+              + f" {moves:>7.0f} {iters[0] / len(seeds):>6.0f}"
               + f" {digest.hexdigest()[:12]:>12}"
               + f"  {contradicted or '-'}")
     return 1 if pinned_contradicted else 0

@@ -136,9 +136,11 @@ def time_terms(dom: DomainSpec, T: np.ndarray):
     return ok, cut
 
 
-def _spatial_test(dom: DomainSpec, X: np.ndarray, cut, T) -> np.ndarray:
+def _spatial_test(dom: DomainSpec, X: np.ndarray, cut, T):
     """The spatial conditions of membership at the rows of X, given each
-    row's cut from time_terms (and, for masks, its time T)."""
+    row's cut from time_terms (and, for masks, its time T), and each row's
+    distance to the family's centre where the test computed it (cylinders,
+    and cones, cusps and punctured domains with a cut; None elsewhere)."""
     if X.shape[-1] != dom.N:
         raise DomainError(f"points must have {dom.N} spatial coordinates")
     inside = X[:, 0] > dom.x_lo[0]
@@ -148,60 +150,75 @@ def _spatial_test(dom: DomainSpec, X: np.ndarray, cut, T) -> np.ndarray:
         inside &= X[:, i] < dom.x_hi[i]
     p = dom.params
     f = dom.family
+    d = None
     if f == "spatial-halfspace":
         inside &= X[:, 0] > p["wall"]
     elif f == "cylinder":
-        inside &= dist(dom.metric, X, np.asarray(p["center"])[None, :]) \
-            < p["radius"]
+        d = _center_dist(dom, X)
+        inside &= d < p["radius"]
     elif f == "mask":
         inside &= _mask_lookup(dom, X, T)
     elif cut is not None:
-        inside &= ~(dist(dom.metric, X, _cut_center(dom)) <= cut)
-    return inside
+        d = _center_dist(dom, X)
+        inside &= d > cut
+    return inside, d
 
 
-def _cut_center(dom: DomainSpec) -> np.ndarray:
-    """The centre (1, N) of the ball that a time's cut excludes."""
-    center = dom.z0.x if dom.family in ("cone", "cusp") else dom.params["center"]
-    return np.asarray(center)[None, :]
+def _center_dist(dom: DomainSpec, X: np.ndarray) -> np.ndarray:
+    """d(x, c) for each row x of X, c the family's centre: x0 on cones and
+    cusps, the origin on cylinders and punctured domains.  On R^N it is
+    metric.dist's sum of squares of c - x, formed in place."""
+    c = dom.z0.x if dom.family in ("cone", "cusp") else dom.params["center"]
+    if dom.metric.kind != "euclidean":
+        return dist(dom.metric, X, np.asarray(c)[None, :])
+    g = c[0] - X[:, 0]
+    g *= g
+    for i in range(1, dom.N):
+        u = c[i] - X[:, i]
+        u *= u
+        g += u
+    return np.sqrt(g, out=g)
 
 
-def contains_at(dom: DomainSpec, X, ok, cut, T) -> np.ndarray:
+def contains_at(dom: DomainSpec, X, ok, cut, T):
     """Membership in Omega of the rows of X whose time terms are known:
     ok[i] and cut[i] as time_terms gives them at the row's time T[i] (cut
-    None where no row's time excludes anything)."""
-    inside = _spatial_test(dom, X, cut, T)
+    None where no row's time excludes anything; T read on masks only).
+    Returns the membership and each row's distance to the family's
+    centre as the test computed it, or None, for clearance to reuse."""
+    inside, d = _spatial_test(dom, X, cut, T)
     inside &= ok
-    return inside
+    return inside, d
 
 
-def clearance(dom: DomainSpec, X: np.ndarray, cut) -> np.ndarray:
+def clearance(dom: DomainSpec, X: np.ndarray, cut, d=None) -> np.ndarray:
     """A lower bound on the Euclidean distance from each row of X to the
     complement of Omega, at every time that passes the time terms and
     whose cut is at most cut[i] (cut None: no such time excludes
     anything).  It is the least of the distances to the bbox faces, the
     spatial wall, the cylinder side and the ball of radius cut[i] about
     the family's centre; masks get 0, since their distance is not
-    computed."""
+    computed.  d holds the rows' distances to the centre as contains_at
+    returned them, or None to compute them here."""
     if dom.metric.kind != "euclidean":
         raise DomainError("clearance is Euclidean-only")
     if dom.family == "mask":
         return np.zeros(X.shape[0])
-    d = X[:, 0] - dom.x_lo[0]
-    np.minimum(d, dom.x_hi[0] - X[:, 0], out=d)
+    q = X[:, 0] - dom.x_lo[0]
+    np.minimum(q, dom.x_hi[0] - X[:, 0], out=q)
     for i in range(1, dom.N):
-        np.minimum(d, X[:, i] - dom.x_lo[i], out=d)
-        np.minimum(d, dom.x_hi[i] - X[:, i], out=d)
+        np.minimum(q, X[:, i] - dom.x_lo[i], out=q)
+        np.minimum(q, dom.x_hi[i] - X[:, i], out=q)
     p = dom.params
+    if d is None and (dom.family == "cylinder" or cut is not None):
+        d = _center_dist(dom, X)
     if dom.family == "spatial-halfspace":
-        np.minimum(d, X[:, 0] - p["wall"], out=d)
+        np.minimum(q, X[:, 0] - p["wall"], out=q)
     elif dom.family == "cylinder":
-        np.minimum(d, p["radius"] - dist(dom.metric, X,
-                                         np.asarray(p["center"])[None, :]),
-                   out=d)
+        np.minimum(q, p["radius"] - d, out=q)
     elif cut is not None:
-        np.minimum(d, dist(dom.metric, X, _cut_center(dom)) - cut, out=d)
-    return d
+        np.minimum(q, d - cut, out=q)
+    return q
 
 
 def clearance_bound(dom: DomainSpec) -> float:
@@ -237,7 +254,7 @@ def contains_runs(dom: DomainSpec, X, times, counts) -> np.ndarray:
     T = _per_row(times, counts) if dom.family == "mask" else None
     if cut is not None:
         cut = _per_row(cut, counts)
-    inside = _spatial_test(dom, X, cut, T)
+    inside, _ = _spatial_test(dom, X, cut, T)
     if not ok.all():
         inside &= _per_row(ok, counts)
     return inside
@@ -354,10 +371,10 @@ def spatial_halfspace(metric: MetricSpace, wall: float = 0.0, t0: float = 0.0,
 
 
 def cylinder(metric: MetricSpace, radius: float = 0.5, t1: float = -1.0,
-             t2: float = 0.0, center=None, z0: str = "top") -> DomainSpec:
-    """Omega = B_d(center, radius) x (t1, t2); z0 at the top-cap interior
-    point (center, t2) by default ("top"), else at a lateral point."""
-    center = np.zeros(metric.N) if center is None else np.asarray(center, float)
+             t2: float = 0.0, z0: str = "top") -> DomainSpec:
+    """Omega = B_d(0, radius) x (t1, t2); z0 at the top-cap interior point
+    (0, t2) by default ("top"), else at a lateral point."""
+    center = np.zeros(metric.N)
     lo = center - 2.0 * radius
     hi = center + 2.0 * radius
     if z0 == "top":
@@ -406,11 +423,11 @@ def cusp(metric: MetricSpace, profile: str = "power", p: float = 1.0,
 
 
 def punctured(metric: MetricSpace, radius: float = 0.5, tau: float = 0.0,
-              center=None, halfwidth: float = 2.0) -> DomainSpec:
-    """bbox minus a flat closed d-ball {d <= radius} x {tau}; z0 at the
-    center of the removed disk."""
-    center = np.zeros(metric.N) if center is None else np.asarray(center, float)
-    lo, hi, tl, th = _box(metric, halfwidth, tau - 1.0, tau + 1.0, center)
+              halfwidth: float = 2.0) -> DomainSpec:
+    """bbox minus a flat closed d-ball {d(0, x) <= radius} x {tau}; z0 at
+    the center of the removed disk."""
+    center = np.zeros(metric.N)
+    lo, hi, tl, th = _box(metric, halfwidth, tau - 1.0, tau + 1.0)
     return DomainSpec("punctured", metric,
                       {"center": center, "radius": radius, "tau": tau},
                       lo, hi, tl, th, stp(center, tau))

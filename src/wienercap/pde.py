@@ -45,6 +45,21 @@ bisects all of them in one pass after the last move: the bisections are
 independent of each other, so six membership calls serve the whole
 batch.
 
+A move computes each quantity once.  The membership test at the new
+positions computes each walker's distance to the family's centre (on
+cylinders, and on cones, cusps and punctured domains where a time of the
+table has a cut); domain.contains_at returns it, and the walk carries it,
+compacted with its walker, into the next move's domain.clearance, which
+computes it only where nothing was carried (the first move, or tables
+that gained a cut).  Table times are gathered for masks only, a walk of
+single steps multiplies by one sd, and the moves' lengths, table entries
+and table values, and the exit records, go into buffers made once per
+batch.  The lattice tables are rebuilt every TABLE_REFRESH = 256
+iterations: a point's table holds its walkers' spread of lattice indices
+plus 256 x 16 + 17 entries, of at most 34 bytes each (about 140 kB),
+whatever the budget, and the old tables are freed before the new ones
+are built.
+
 The boundary-behavior probe fits |u(z) - phi(z0)| against dhat(z, z0)
 along an interior approach path; at regular points the Hoelder exponent
 of the fit is positive, at irregular points the gap fails to decay
@@ -97,8 +112,9 @@ EXIT_KINDS = ("bottom", "lateral", "cap")
 # standard deviations of its increment per coordinate
 MAX_JUMP = 16
 JUMP_Z = 5.0
-# walk iterations between rebuilds of the lattice tables
-TABLE_REFRESH = 64
+# walk iterations between rebuilds of the lattice tables; a table holds
+# TABLE_REFRESH * MAX_JUMP entries past its point's fastest walker
+TABLE_REFRESH = 256
 
 
 def _time_floor(dom: DomainSpec) -> float:
@@ -175,6 +191,33 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfg: WalkConfig,
     for z in zs:
         if not contains(dom, z):
             raise PDEError("evaluation point must lie inside Omega")
+    P, w, N = len(zs), cfg.walkers, dom.N
+    hit, X0, X1, T0, span = _walk(dom, zs, cfg, seeds)
+    exit_x = np.zeros((P * w, N))
+    exit_t = np.zeros(P * w)
+    exited = np.zeros(P * w, dtype=bool)
+    if hit.size:
+        X1 -= X0                           # the exit segments
+        lo = np.zeros(hit.size)
+        hi = np.ones(hit.size)
+        for _ in range(6):  # to time tolerance span / 64
+            mid = 0.5 * (lo + hi)
+            ins = contains_many(dom, X0 + mid[:, None] * X1, T0 - mid * span)
+            np.copyto(lo, mid, where=ins)
+            np.copyto(hi, mid, where=~ins)
+        exit_x[hit] = X0 + hi[:, None] * X1
+        exit_t[hit] = T0 - hi * span
+        exited[hit] = True
+    return [_estimate(dom, phi, z, replace(cfg, seed=s),
+                      exit_x[j * w:(j + 1) * w], exit_t[j * w:(j + 1) * w],
+                      exited[j * w:(j + 1) * w])
+            for j, (z, s) in enumerate(zip(zs, seeds))]
+
+
+def _walk(dom: DomainSpec, zs, cfg: WalkConfig, seeds):
+    """The walk of pwb_solve_many, up to the exits: the global id of each
+    walker that exited, in exit order, and its last move's start X0 and
+    end X1, start time T0 and time span."""
     P, w, N, h = len(zs), cfg.walkers, dom.N, cfg.step
     max_steps = int(math.ceil(cfg.max_time / h))
     # the sd of a move of m steps is scale[m] = sigma sqrt(m), and it
@@ -184,83 +227,88 @@ def pwb_solve_many(dom: DomainSpec, phi, zs, cfg: WalkConfig,
     # below the 2-step clearance every q < sqrt(2), so every move is 1 step
     reach = max(clearance_bound(dom) * inv, 1.0)
     far = reach * reach >= 2.0
-    ones = np.ones(P * w, np.intp)
     rngs = [np.random.default_rng(s) for s in seeds]
+    rows = P * w
     X = np.repeat(np.stack([z.x for z in zs]), w, axis=0)
     step = np.empty_like(X)                # next positions of the active rows
-    gid = np.arange(P * w)                 # global ids of the active walkers
+    gid = np.arange(rows)                  # global ids of the active walkers
     left = np.full(P, w)                   # active walkers per point
+    first = np.arange(P + 1) * w           # the first global id of each point
     lat = _Lattice(dom, h, max_steps, [z.t for z in zs], np.zeros(P, int),
                    np.zeros(P, int))
-    pos = np.repeat(lat.shift, w)          # lattice table entry of each row
-    segs = []                              # (gid, X0, X1, T0, span) per exit
+    # per-move buffers over the active rows: the table entry before and
+    # after the move, its length in lattice steps, and table values read
+    pos = np.repeat(lat.shift, w)
+    nxt = np.empty(rows, np.intp)
+    m = np.ones(rows, np.intp)
+    ok = np.empty(rows, bool)
+    val = np.empty(rows)
+    d = None        # the rows' distances to the family's centre, or None
+    mask = dom.family == "mask"
+    # the exit records, filled in exit order
+    hit = np.empty(rows, np.intp)
+    X0, X1 = np.empty((rows, N)), np.empty((rows, N))
+    T0 = np.empty(rows)
+    moved = np.empty(rows, np.intp)
+    done = 0
     it = 0
     while gid.size:
-        if it % TABLE_REFRESH == 0 and it:
-            lat, pos = lat.refreshed(pos, gid // w, left)
         n = gid.size
+        if it % TABLE_REFRESH == 0 and it:
+            lat.refresh(pos[:n], gid // w, left)
         row = 0
         for rng, k in zip(rngs, left.tolist()):
             if k:
                 rng.standard_normal(out=step[row:row + k])
                 row += k
+        # this iteration's views of the active rows
+        x, xn, p, pn, mn, v = X[:n], step[:n], pos[:n], nxt[:n], m[:n], val[:n]
         if far:
-            q = clearance(dom, X[:n],
-                          None if lat.cutmax is None else lat.cutmax[pos])
+            q = clearance(dom, x, None if lat.cutmax is None else
+                          lat.cutmax.take(p, out=v, mode="clip"), d)
             q *= inv                       # a move of m steps needs q >= sqrt(m)
             np.maximum(q, 1.0, out=q)
             q *= q
-            np.minimum(q, lat.cap[pos], out=q)
-            m = q.astype(np.intp)
+            np.minimum(q, lat.cap.take(p, out=v, mode="clip"), out=q)
+            mn[:] = q
+            xn *= scale.take(mn, out=v, mode="clip")[:, None]
         else:
-            m = ones[:n]
-        Xn = step[:n]
-        Xn *= scale[m][:, None]
-        Xn += X[:n]
-        nxt = pos + m
-        inside = contains_at(dom, Xn, lat.ok[nxt],
-                             None if lat.cut is None else lat.cut[nxt],
-                             lat.T[nxt])
+            xn *= scale[1]
+        xn += x
+        np.add(p, mn, out=pn)
+        inside, d = contains_at(
+            dom, xn, lat.ok.take(pn, out=ok[:n], mode="clip"),
+            None if lat.cut is None else lat.cut.take(pn, out=v, mode="clip"),
+            lat.T[pn] if mask else None)
         it += 1
         stay = inside
         if it * MAX_JUMP >= max_steps:     # a walker can be at max_steps
-            stay = inside & ~lat.last[nxt]
-        if np.count_nonzero(stay) == n:
+            stay = inside & ~lat.last[pn]
+        kept = np.count_nonzero(stay)
+        if kept == n:
             X, step = step, X
-            pos = nxt
-        else:
-            out = (~inside).nonzero()[0]
-            if out.size:
-                if lat.leaves_strip:
-                    require_in_strip(dom, lat.T[nxt[out]])
-                segs.append((gid[out], X[out], Xn[out], lat.T[pos[out]],
-                             m[out] * h))
-            left -= np.bincount(gid[~stay] // w, minlength=P)
-            keep = stay.nonzero()[0]
-            gid = gid[keep]
-            pos = nxt[keep]
-            np.take(Xn, keep, axis=0, out=X[:gid.size], mode="clip")
-    exit_x = np.zeros((P * w, N))
-    exit_t = np.zeros(P * w)
-    exited = np.zeros(P * w, dtype=bool)
-    if segs:
-        hit, X0, X1, T0, span = (np.concatenate(a) for a in zip(*segs))
-        lo = np.zeros(hit.size)
-        hi = np.ones(hit.size)
-        for _ in range(6):  # to time tolerance span / 64
-            mid = 0.5 * (lo + hi)
-            Xm = X0 + mid[:, None] * (X1 - X0)
-            Tm = T0 - mid * span
-            ins = contains_many(dom, Xm, Tm)
-            lo = np.where(ins, mid, lo)
-            hi = np.where(ins, hi, mid)
-        exit_x[hit] = X0 + hi[:, None] * (X1 - X0)
-        exit_t[hit] = T0 - hi * span
-        exited[hit] = True
-    return [_estimate(dom, phi, z, replace(cfg, seed=s),
-                      exit_x[j * w:(j + 1) * w], exit_t[j * w:(j + 1) * w],
-                      exited[j * w:(j + 1) * w])
-            for j, (z, s) in enumerate(zip(zs, seeds))]
+            pos, nxt = nxt, pos
+            continue
+        keep = stay.nonzero()[0]
+        out = (~inside).nonzero()[0]
+        if out.size:
+            if lat.leaves_strip:
+                require_in_strip(dom, lat.T[pn[out]])
+            e = done + out.size
+            gid.take(out, out=hit[done:e], mode="clip")
+            x.take(out, axis=0, out=X0[done:e], mode="clip")
+            xn.take(out, axis=0, out=X1[done:e], mode="clip")
+            lat.T.take(p[out], out=T0[done:e], mode="clip")
+            mn.take(out, out=moved[done:e], mode="clip")
+            done = e
+        gid = gid[keep]
+        ends = gid.searchsorted(first)
+        left = ends[1:] - ends[:-1]
+        xn.take(keep, axis=0, out=X[:kept], mode="clip")
+        pn.take(keep, out=pos[:kept], mode="clip")
+        if d is not None:
+            d = d[keep]
+    return hit[:done], X0[:done], X1[:done], T0[:done], moved[:done] * h
 
 
 class _Lattice:
@@ -281,9 +329,13 @@ class _Lattice:
                   the move rule compares it with floats);
       last        whether k is max_steps, where a walker's budget ends.
     A table holds point j's positions from its slowest walker's index
-    through TABLE_REFRESH moves of MAX_JUMP past its fastest one's, and
-    the walk rebuilds the tables every TABLE_REFRESH iterations, so their
-    length follows the spread of the walkers, not max_steps."""
+    through TABLE_REFRESH moves of MAX_JUMP past its fastest one's,
+    followed by MAX_JUMP failing entries (NaN times) that no walker
+    reaches.  The walk rebuilds the tables in place every TABLE_REFRESH
+    iterations (refresh), so their length follows the spread of the
+    walkers, not max_steps: at TABLE_REFRESH = 256, at most 34 bytes for
+    each index of the spread plus about 140 kB per point.  The time terms
+    are evaluated over all points' entries in one call."""
 
     def __init__(self, dom: DomainSpec, h: float, max_steps: int, ts, ks,
                  spans):
@@ -291,60 +343,75 @@ class _Lattice:
         and walkers spread over spans[j] indices past it (None: a point
         with no walker, which gets an empty table)."""
         self.dom, self.h, self.max_steps = dom, h, max_steps
-        parts = [self._point(t, k, span) if span is not None else None
-                 for t, k, span in zip(ts, ks, spans)]
-        held = [p for p in parts if p is not None]
-        sizes = np.array([0 if p is None else p[0].size for p in parts])
-        self.shift = np.cumsum(sizes) - sizes - np.asarray(ks)
-        self.T, self.ok, cut, cutmax, self.cap, self.last = (
-            np.concatenate(a) for a in zip(*held))
-        self.leaves_strip = bool(self.T.min() < STRIP[0])
-        self.cut, self.cutmax = ((cut, cutmax) if np.isfinite(cut).any()
-                                 else (None, None))
+        self._build(ts, ks, spans)
 
-    def _point(self, t: float, k: int, span: int):
-        n = min(span + TABLE_REFRESH * MAX_JUMP, self.max_steps - k) + 1
-        T = np.full(n, self.h)
-        T[0] = t
-        np.subtract.accumulate(T, out=T)
-        # padded with failing times past the table, so a move from its
-        # last positions stops at max_steps
-        ok = np.zeros(n + MAX_JUMP, dtype=bool)
-        cut = np.full(n + MAX_JUMP, -np.inf)
-        held = int(np.count_nonzero(T >= STRIP[0]))
-        ok[:held], c = time_terms(self.dom, T[:held])
+    def _build(self, ts, ks, spans):
+        J = MAX_JUMP
+        ks = np.asarray(ks)
+        sizes = np.array([0 if span is None else
+                          min(span + TABLE_REFRESH * J, self.max_steps - k)
+                          + 1 for k, span in zip(ks.tolist(), spans)])
+        ends = np.cumsum(sizes + J) - J    # one past each point's entries
+        starts = ends - sizes
+        self.shift = starts - ks
+        self.T = T = np.full(ends[-1] + J, self.h)
+        for t, a, b in zip(ts, starts.tolist(), ends.tolist()):
+            if a < b:
+                T[a] = t
+                np.subtract.accumulate(T[a:b], out=T[a:b])
+            T[b:b + J] = np.nan
+        # NaN times fail the time terms; times below the strip fail
+        # unevaluated
+        self.leaves_strip = bool(np.count_nonzero(T < STRIP[0]))
+        if self.leaves_strip:
+            held = ~(T < STRIP[0])
+            self.ok = np.zeros(T.size, dtype=bool)
+            self.ok[held], c = time_terms(self.dom, T[held])
+            if c is not None:
+                cut = np.full(T.size, -np.inf)
+                cut[held] = c
+                c = cut
+        else:
+            self.ok, c = time_terms(self.dom, T)
+        self.cut = self.cutmax = None
         if c is not None:
-            cut[:held] = c
-        # cutmax[i] = max(cut[i + 1 : i + 1 + MAX_JUMP]), by doubling windows
-        cutmax = cut[1:]
-        width = 1
-        while width < MAX_JUMP:
-            s = min(width, MAX_JUMP - width)
-            cutmax = np.maximum(cutmax[:-s], cutmax[s:])
-            width += s
-        fails = np.flatnonzero(~ok)
-        ahead = np.arange(1, n + 1)
-        cap = fails[np.searchsorted(fails, ahead)] - ahead
-        cap = np.clip(cap, 1, MAX_JUMP).astype(float)
-        last = np.zeros(n, dtype=bool)
-        last[-1] = k + n - 1 == self.max_steps
-        return T, ok[:n], cut[:n], cutmax[:n], cap, last
+            # cutmax[i] = max(c[i + 1 : i + 1 + J]), by doubling windows
+            cutmax = np.full(T.size, -np.inf)
+            cutmax[:-1] = c[1:]
+            width = 1
+            while width < J:
+                s = min(width, J - width)
+                np.maximum(cutmax[:-s], cutmax[s:], out=cutmax[:-s])
+                width += s
+            self.cut, self.cutmax = c, cutmax
+        fails = np.flatnonzero(~self.ok)
+        ahead = np.arange(1, T.size + 1)
+        # the last entry, padding, has no failing entry ahead of it
+        cap = fails[np.searchsorted(fails, ahead).clip(max=fails.size - 1)]
+        cap -= ahead
+        self.cap = cap.clip(1, J).astype(float)
+        self.last = np.zeros(T.size, dtype=bool)
+        live = sizes > 0
+        self.last[ends[live] - 1] = (ks[live] + sizes[live] - 1
+                                     == self.max_steps)
 
-    def refreshed(self, pos: np.ndarray, owner: np.ndarray, left: np.ndarray):
-        """Tables rebuilt about the walkers' lattice indices now, and the
-        rows' entries in them; owner is each row's point."""
-        k = pos - self.shift[owner]
+    def refresh(self, pos: np.ndarray, owner: np.ndarray, left: np.ndarray):
+        """Rebuild the tables about the walkers' lattice indices now; pos,
+        the rows' entries, is moved to their entries in the new tables.
+        owner is each row's point."""
+        pos -= self.shift[owner]           # the rows' lattice indices
         starts = np.cumsum(left) - left
         live = left > 0
         lo = np.zeros_like(left)
         hi = np.zeros_like(left)
-        lo[live] = np.minimum.reduceat(k, starts[live])
-        hi[live] = np.maximum.reduceat(k, starts[live])
+        lo[live] = np.minimum.reduceat(pos, starts[live])
+        hi[live] = np.maximum.reduceat(pos, starts[live])
         ts = self.T[np.where(live, self.shift + lo, 0)]
-        new = _Lattice(self.dom, self.h, self.max_steps, ts, lo,
-                       [int(s) if a else None
-                        for s, a in zip(hi - lo, live)])
-        return new, new.shift[owner] + k
+        self.T = self.ok = self.cut = self.cutmax = self.cap = None
+        self.last = None                   # free the old tables first
+        self._build(ts, lo, [int(s) if a else None
+                             for s, a in zip(hi - lo, live)])
+        pos += self.shift[owner]
 
 
 def _estimate(dom: DomainSpec, phi, z: SpaceTimePoint, cfg: WalkConfig,

@@ -7,7 +7,9 @@ sorted keys; floats go through repr, so identical runs produce identical
 bytes and every value round-trips.  A bundle written into a directory
 that holds an earlier one first deletes the files that bundle's manifest
 lists, and the manifest, so no report of the earlier run is left behind;
-files no bundle wrote stay.
+files no bundle wrote stay.  The directory is touched only at a bundle's
+first write, so a run rejected before it writes anything leaves an
+earlier bundle as it was, and makes no directory.
 """
 
 from __future__ import annotations
@@ -75,14 +77,22 @@ class ReportBundle:
         self.config_text = config_text
         self.seed = seed
         self.files = []
-        os.makedirs(self.out_dir, exist_ok=True)
-        _remove_earlier_bundle(self.out_dir)
-        with open(os.path.join(self.out_dir, "config.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(config_text)
+        self._opened = False
+
+    def _path(self, name: str) -> str:
+        """The path of file name in the bundle, whose directory is made,
+        cleared of an earlier bundle and given config.txt on first use."""
+        if not self._opened:
+            os.makedirs(self.out_dir, exist_ok=True)
+            _remove_earlier_bundle(self.out_dir)
+            with open(os.path.join(self.out_dir, "config.txt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(self.config_text)
+            self._opened = True
+        return os.path.join(self.out_dir, name)
 
     def write_json(self, name: str, payload) -> str:
-        path = os.path.join(self.out_dir, name)
+        path = self._path(name)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(_plain(payload), fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -90,7 +100,7 @@ class ReportBundle:
         return path
 
     def write_csv(self, name: str, header, rows) -> str:
-        path = os.path.join(self.out_dir, name)
+        path = self._path(name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
@@ -109,7 +119,7 @@ class ReportBundle:
             "scipy_version": scipy.__version__,
             "files": sorted(self.files + ["config.txt"]),
         }
-        path = os.path.join(self.out_dir, "manifest.json")
+        path = self._path("manifest.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")

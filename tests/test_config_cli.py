@@ -606,6 +606,42 @@ def test_reused_out_keeps_no_file_of_the_earlier_bundle(tmp_path):
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+# config errors that a command raises only once it runs: an unread domain
+# key, an unknown family, a mask without its path, an unknown capacity
+# target and pde-verify off R^N
+_LATE_CONFIG_ERRORS = [
+    ("cone", "domain.benchmark = halfspace\ndomain.radius = 5\n"),
+    ("cone", "domain.family = torus\n"),
+    ("cone", "domain.family = mask\n"),
+    ("capacity", "capacity.target = torus\n"),
+    ("pde-verify", "metric.kind = heisenberg-koranyi\n"),
+]
+
+
+def test_config_error_inside_a_command_leaves_out_as_it_was(tmp_path,
+                                                            capsys):
+    """A config error raised inside a command exits 64 before the bundle
+    writes anything: every file of an earlier bundle in --out stays byte
+    for byte, and a missing --out is not made."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "h.cfg", FAST_CLASSIFY.format(name="halfspace"))
+    assert main(["classify", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert len(before) == 4
+    for j, (command, text) in enumerate(_LATE_CONFIG_ERRORS):
+        bad = _write(tmp_path, f"bad{j}.cfg", text)
+        missing = tmp_path / f"missing{j}"
+        for target in (out, missing):
+            code = main([command, "--config", bad, "--out", str(target),
+                         "--quiet"])
+            assert code == EXIT_CONFIG, (command, text)
+            assert "config error" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes()
+                for name in os.listdir(out)} == before, (command, text)
+        assert not missing.exists(), (command, text)
+
+
 @pytest.mark.parametrize("target, setting, message", [
     ("section", "capacity.rho = nan", "section rho and tau must be finite"),
     ("section", "capacity.rho = inf", "section rho and tau must be finite"),

@@ -21,10 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALKED = ("src", "scripts", "tests", "perfbench")
 
 # (function, parameter) -> why its default stays unset by every caller
-ALLOWED = {
-    ("cylinder", "center"): "library API for domains off the origin",
-    ("punctured", "center"): "library API for domains off the origin",
-}
+ALLOWED = {}
 
 
 def _sources(top):

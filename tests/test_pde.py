@@ -11,7 +11,7 @@ import wienercap as wc
 from wienercap import cli, domain, pde
 from wienercap.config import parse_config
 from wienercap.domain import STRIP, contains, contains_many
-from wienercap.metric import stp
+from wienercap.metric import dist, stp
 from wienercap.pde import (EXIT_KINDS, PDEError, SolutionEstimate, WalkConfig,
                            classify_exit)
 from wienercap.report import ReportBundle
@@ -381,6 +381,49 @@ def test_estimate_equals_its_batched_row_with_moves(tmp_path):
         for j, (z, s) in enumerate(zip(zs, seeds)):
             one = wc.pwb_solve(dom, phi, z, replace(cfg, seed=s))
             assert _same_estimate(got[j], one), (name, j)
+
+
+def test_table_rebuilds_and_carried_distances_leave_the_walk_as_it_is(
+        tmp_path, monkeypatch):
+    """With far-field moves on, every walk case gives the same estimates
+    with its lattice tables rebuilt on every iteration, every
+    TABLE_REFRESH iterations and never within the budget.  On every
+    move, the distances to the family's centre that the walk hands
+    domain.clearance (carried from the last membership test and
+    compacted with their walkers) equal metric.dist recomputed on the
+    same rows, and cones, cusps, punctured domains and a cylinder wide
+    enough for far moves do hand them."""
+    wide = wc.cylinder(wc.euclidean(1), radius=1.0, t1=-1.5, t2=0.0)
+    cases = _walk_cases(tmp_path) + [
+        ("wide-cylinder", wide, gaussian_data,
+         [stp([0.1], -0.2), stp([0.0], -0.7), stp([-0.5], -0.05)],
+         WalkConfig(1.0, 1e-3, 300, 33, 4.0))]
+    real = pde.clearance
+    carried = []
+
+    def spy(dom, X, cut, d=None):
+        if d is not None:
+            c = dom.z0.x if dom.family in ("cone", "cusp") \
+                else dom.params["center"]
+            assert np.array_equal(d, dist(dom.metric, X, c[None, :]))
+            carried.append(len(d))
+        return real(dom, X, cut, d)
+
+    monkeypatch.setattr(pde, "clearance", spy)
+    default = pde.TABLE_REFRESH
+    for name, dom, phi, zs, cfg in cases:
+        seeds = [cfg.seed + 7919 * j for j in range(len(zs))]
+        beyond = math.ceil(cfg.max_time / cfg.step) + 1
+        carried.clear()
+        runs = []
+        for refresh in (1, default, beyond):
+            monkeypatch.setattr(pde, "TABLE_REFRESH", refresh)
+            runs.append(wc.pwb_solve_many(dom, phi, zs, cfg, seeds))
+        assert all(_same_estimate(a, b) for run in runs[:2]
+                   for a, b in zip(run, runs[2])), name
+        if name == "wide-cylinder" or dom.family in ("cone", "cusp",
+                                                     "punctured"):
+            assert carried, name
 
 
 def test_far_field_walkers_move_many_steps_per_draw(m1, monkeypatch):
