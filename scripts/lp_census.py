@@ -10,14 +10,19 @@ inputs (imported, never modified).  Per workload it prints:
                 summed over the solves
     rounds      covering rounds, summed over the solves
     iterations  simplex iterations (CapacityEstimate.lp_iterations)
+    models      HiGHS models built (capacity._Highs); the solves of one
+                series table share one (capacity.shared_model)
+    model_s     seconds inside capacity._covering_model, which builds or
+                clears a solve's model and adds its atom rows
     highs_s     seconds inside capacity._covering_solve, the one call
                 that appends rows to the HiGHS model and runs it
     kernel_s    seconds inside kernel.GaussianKernel.matrix, which builds
                 every kernel matrix (HeatKernel's included)
     fallbacks   full-grid linprog solves
 
-capacity._solve_lp, capacity._covering_solve, capacity.linprog and
-GaussianKernel.matrix are wrapped for the round and restored after it.
+capacity._solve_lp, capacity._Highs, capacity._covering_model,
+capacity._covering_solve, capacity.linprog and GaussianKernel.matrix are
+wrapped for the round and restored after it.
 The seconds are wall time on whatever host runs the script; the counts
 depend on the seed only.
 
@@ -43,9 +48,9 @@ sys.path.insert(1, os.path.join(ROOT, "perfbench"))
 from wienercap import capacity, kernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-COLUMNS = ("solves", "W rows", "rounds", "iterations", "highs_s", "kernel_s",
-           "fallbacks")
-SECONDS = ("highs_s", "kernel_s")
+COLUMNS = ("solves", "W rows", "rounds", "iterations", "models", "model_s",
+           "highs_s", "kernel_s", "fallbacks")
+SECONDS = ("model_s", "highs_s", "kernel_s")
 
 
 def census(name: str, seed: int) -> dict:
@@ -53,6 +58,7 @@ def census(name: str, seed: int) -> dict:
     row = dict.fromkeys(COLUMNS, 0)
     row.update(dict.fromkeys(SECONDS, 0.0))
     solve_lp, covering_solve = capacity._solve_lp, capacity._covering_solve
+    highs, covering_model = capacity._Highs, capacity._covering_model
     linprog, matrix = capacity.linprog, kernel.GaussianKernel.matrix
 
     def counted_solve_lp(K, c, kappa):
@@ -62,6 +68,17 @@ def census(name: str, seed: int) -> dict:
         row["rounds"] += out[3]
         row["iterations"] += out[4]
         return out
+
+    def counted_highs():
+        row["models"] += 1
+        return highs()
+
+    def timed_covering_model(s):
+        start = time.perf_counter()
+        try:
+            return covering_model(s)
+        finally:
+            row["model_s"] += time.perf_counter() - start
 
     def timed_covering_solve(h, rows):
         start = time.perf_counter()
@@ -85,6 +102,8 @@ def census(name: str, seed: int) -> dict:
         work = WORKLOADS[name](seed, out_dir)
         work.setup()
         capacity._solve_lp = counted_solve_lp
+        capacity._Highs = counted_highs
+        capacity._covering_model = timed_covering_model
         capacity._covering_solve = timed_covering_solve
         capacity.linprog = counted_linprog
         kernel.GaussianKernel.matrix = timed_matrix
@@ -93,6 +112,8 @@ def census(name: str, seed: int) -> dict:
             work.round(SimpleNamespace(tables=[]), 0)
         finally:
             capacity._solve_lp = solve_lp
+            capacity._Highs = highs
+            capacity._covering_model = covering_model
             capacity._covering_solve = covering_solve
             capacity.linprog = linprog
             kernel.GaussianKernel.matrix = matrix

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .capacity import CapacityConvergenceError, potential_many, solve_framed
+from .capacity import (CapacityConvergenceError, potential_many,
+                       shared_model, solve_framed)
 from .domain import (BallComplementTarget, DomainSpec, RingSpec,
                      max_nonempty_band, ring_samples, sample_set_and_measure,
                      section_measures)
@@ -84,6 +85,12 @@ ROW_TAIL_CHUNK = 64
 ROW_TAIL_CAP = 10000
 
 
+def _tail_terms(C_fit: float, Q: float, r: float,
+                hs: np.ndarray) -> np.ndarray:
+    """The fitted tail's terms C_fit h^(Q/2) r^h at the bands hs, r = lam^w."""
+    return C_fit * hs ** (Q / 2.0) * r ** hs
+
+
 def _row_tail(C_fit: float, Q: float, w: float, lam: float, h_from: int) -> float:
     """sum_{h >= h_from} C_fit h^(Q/2) lam^(w h), summed to convergence:
     term by term in order (a sequential cumsum per chunk of terms), up to
@@ -96,13 +103,30 @@ def _row_tail(C_fit: float, Q: float, w: float, lam: float, h_from: int) -> floa
     for h in range(h_from, h_from + ROW_TAIL_CAP, ROW_TAIL_CHUNK):
         hs = np.arange(h, min(h + ROW_TAIL_CHUNK, h_from + ROW_TAIL_CAP),
                        dtype=float)
-        terms = C_fit * hs ** (Q / 2.0) * r ** hs
+        terms = _tail_terms(C_fit, Q, r, hs)
         sums = np.cumsum(np.concatenate(([total], terms)))[1:]
         stop = np.flatnonzero(terms < 1e-18 * np.maximum(sums, 1e-30))
         if stop.size:
             return float(sums[stop[0]])
         total = float(sums[-1])
     return total
+
+
+def _tail_may_stop(C_fit: float, Q: float, w: float, lam: float, h: int,
+                   running: float) -> bool:
+    """Whether series_table's stop test after band h needs the tail
+    _row_tail(C_fit, Q, w, lam, h + 1) to decide.  The test never stops
+    before band 2.  The tail is a float sum of nonnegative terms that
+    starts from its first term, so it is at least that term, and when
+    C_fit > 0 and that term is at least SERIES_STOP_REL * max(running,
+    1e-30) the test does not stop either.  The first term is computed as
+    _row_tail computes it, by _tail_terms on a float array."""
+    if h < 2:
+        return False
+    if C_fit == 0.0:
+        return True
+    head = _tail_terms(C_fit, Q, lam ** w, np.array([h + 1.0]))[0]
+    return head < SERIES_STOP_REL * max(running, 1e-30)
 
 
 def series_table(dom: DomainSpec, lam: float, a: float, b: float,
@@ -113,7 +137,8 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     Within each time level k the band loop stops once the fitted tail
     bound (capacity ratios grow at most like h^(Q/2), weights decay like
     lam^(w h)) falls below SERIES_STOP_REL of the running sum; the unexplored
-    tail is accumulated into truncation_bound.  The bands 1..min(h_cap,
+    tail is accumulated into truncation_bound.  The tail is summed only
+    where it can stop the loop (_tail_may_stop).  The bands 1..min(h_cap,
     H_max) of a level are sampled together, in vectorized passes
     (ring_samples), as the loop reaches them; a ring whose sample is empty
     has an exactly zero term and gets neither a constraint grid nor a
@@ -123,7 +148,8 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     r = lam^(k/2): in the frame of z0 at that scale, with the estimate
     multiplied by r^Q.  Rings at different levels are often exact dilates
     of each other, so one call keeps one memo, keyed on the exact bytes of
-    each framed sample; a hit is recorded in `reused`.
+    each framed sample; a hit is recorded in `reused`.  The solves share
+    one HiGHS model (capacity.shared_model), held for this call only.
     """
     if variant not in VARIANTS:
         raise WienerError(f"variant must be one of {VARIANTS}")
@@ -143,53 +169,56 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     memo = {}
     running = 0.0
     C_fit = 0.0
-    for k in range(1, K_max + 1):
-        r = lam ** (k / 2.0)
-        vol = ball_volume(dom.metric, dom.z0.x, r)
-        h_cap = max_nonempty_band(lam, k)
-        samples = ring_samples(dom, lam, k, range(1, min(h_cap, H_max) + 1),
-                               ring_variant, resolution)
-        stable_ratio = None  # nested variant: capacity freezes past h_cap
-        for h in range(1, H_max + 1):
-            weight = lam ** (w * h)
-            if h > h_cap and ring_variant == "band":
-                break
-            if h > h_cap and stable_ratio is not None:
-                ratio = stable_ratio
-            else:
-                support = next(samples)
-                try:
-                    if support.is_empty():
-                        if ring_variant == "band":
-                            continue
-                        ratio = 0.0
-                    else:
-                        est = solve_framed(dom, kern, support, r,
-                                           resolution, memo)
+    with shared_model():
+        for k in range(1, K_max + 1):
+            r = lam ** (k / 2.0)
+            vol = ball_volume(dom.metric, dom.z0.x, r)
+            h_cap = max_nonempty_band(lam, k)
+            samples = ring_samples(dom, lam, k,
+                                   range(1, min(h_cap, H_max) + 1),
+                                   ring_variant, resolution)
+            stable_ratio = None  # nested variant: capacity freezes past h_cap
+            for h in range(1, H_max + 1):
+                weight = lam ** (w * h)
+                if h > h_cap and ring_variant == "band":
+                    break
+                if h > h_cap and stable_ratio is not None:
+                    ratio = stable_ratio
+                else:
+                    support = next(samples)
+                    try:
+                        if support.is_empty():
+                            if ring_variant == "band":
+                                continue
+                            ratio = 0.0
+                        else:
+                            est = solve_framed(dom, kern, support, r,
+                                               resolution, memo)
+                            tab.capacities[(k, h)] = est
+                            if est.reused:
+                                tab.reused.append((k, h))
+                            ratio = est.value / vol
+                    except CapacityConvergenceError as exc:
+                        tab.failed.append((k, h))
+                        tab.partial = True
+                        est = exc.estimate
                         tab.capacities[(k, h)] = est
-                        if est.reused:
-                            tab.reused.append((k, h))
-                        ratio = est.value / vol
-                except CapacityConvergenceError as exc:
-                    tab.failed.append((k, h))
-                    tab.partial = True
-                    est = exc.estimate
-                    tab.capacities[(k, h)] = est
-                    ratio = (est.value / vol) if est is not None else 0.0
-                if ring_variant == "nested" and h >= h_cap:
-                    stable_ratio = ratio
-            term = weight * ratio
-            tab.terms[k - 1, h - 1] = term
-            running += term
-            if ratio > 0:
-                C_fit = max(C_fit, ratio / h ** (Q / 2.0))
-            tail = _row_tail(C_fit, Q, w, lam, h + 1)
-            if tail < SERIES_STOP_REL * max(running, 1e-30) and h >= 2:
-                tab.truncation_bound += tail
-                break
-        else:
-            # h loop exhausted H_max: account for the un-walked tail
-            tab.truncation_bound += _row_tail(C_fit, Q, w, lam, H_max + 1)
+                        ratio = (est.value / vol) if est is not None else 0.0
+                    if ring_variant == "nested" and h >= h_cap:
+                        stable_ratio = ratio
+                term = weight * ratio
+                tab.terms[k - 1, h - 1] = term
+                running += term
+                if ratio > 0:
+                    C_fit = max(C_fit, ratio / h ** (Q / 2.0))
+                if _tail_may_stop(C_fit, Q, w, lam, h, running):
+                    tail = _row_tail(C_fit, Q, w, lam, h + 1)
+                    if tail < SERIES_STOP_REL * max(running, 1e-30):
+                        tab.truncation_bound += tail
+                        break
+            else:
+                # h loop exhausted H_max: account for the un-walked tail
+                tab.truncation_bound += _row_tail(C_fit, Q, w, lam, H_max + 1)
     return tab
 
 

@@ -15,8 +15,11 @@ of the infinite plate.  The n=20 oracle is recomputed live below; the rest
 are frozen.
 """
 
+import gc
 import math
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -117,6 +120,36 @@ def test_invisible_atom_rejected(m1):
     kern = wc.GaussianKernel(m1, 0.25)
     prob = CapacityProblem(kern, s, np.array([[0.0]]), np.array([0.0]))
     with pytest.raises(CapacityInputError):
+        solve_capacity(prob)
+
+
+@pytest.mark.parametrize("bad, named", [
+    ("atom-x-nan", "atom coordinates"), ("atom-t-nan", "atom times"),
+    ("row-x-nan", "constraint point coordinates"),
+    ("row-t-nan", "constraint point times"),
+    ("atom-x-inf", "atom coordinates")])
+def test_non_finite_input_is_named_before_the_kernel_is_built(
+        m1, monkeypatch, bad, named):
+    """A NaN or infinite atom or constraint point raises CapacityInputError
+    naming it, without building the kernel matrix: not linprog's NaN
+    message from the fallback, nor, for an infinite atom, the invisible
+    atom error."""
+    s = random_cloud_sample(np.random.default_rng(34), 1, 20)
+    cx, ct = constraint_points(s, m1, 3)
+    xs, ts = s.xs.copy(), s.ts.copy()
+    {"atom-x-nan": xs, "atom-t-nan": ts, "row-x-nan": cx,
+     "row-t-nan": ct, "atom-x-inf": xs}[bad][3] = \
+        math.inf if bad.endswith("inf") else math.nan
+    bad_s = SetSample(xs, ts, s.weights, s.measure_estimate,
+                      s.standard_error, s.resolution)
+
+    def no_kernel(*args):
+        raise AssertionError("kernel matrix built")
+
+    monkeypatch.setattr(wc.GaussianKernel, "matrix", no_kernel)
+    prob = CapacityProblem(wc.GaussianKernel(m1, 0.25), bad_s, cx, ct)
+    with pytest.raises(CapacityInputError,
+                       match=f"the problem's {named} are not all finite"):
         solve_capacity(prob)
 
 
@@ -333,6 +366,92 @@ def test_every_lp_cloud_certifies_without_the_fallback(draw, monkeypatch):
         assert 0.0 <= est.rel_gap() <= capacity.GAP_TOLERANCE
         assert est.lp_rows < est.n_constraints
     assert calls == []
+
+
+def shared_model_problems():
+    """Small clouds and a ring on R, R^2 and the Koranyi group, then the
+    twelve lp-cloud clouds of draw 0."""
+    rng = np.random.default_rng(35)
+    probs = []
+    for m in (wc.euclidean(1), wc.euclidean(2), wc.heisenberg_koranyi()):
+        s = random_cloud_sample(rng, m.N, 20)
+        probs.append(CapacityProblem(wc.GaussianKernel(m, 0.25), s,
+                                     *constraint_points(s, m, 3)))
+    m1 = wc.euclidean(1)
+    probs.append(build_problem(wc.benchmark("halfspace", m1),
+                               RingTarget(RingSpec(0.25, 3, 2)),
+                               wc.GaussianKernel(m1, 0.5), 3))
+    for m, s in lp_clouds(0):
+        probs.append(CapacityProblem(wc.GaussianKernel(m, 0.25), s,
+                                     *constraint_points(s, m, 3)))
+    return probs
+
+
+def test_a_shared_model_solves_as_fresh_models_do(monkeypatch):
+    """A sequence of solves inside one shared_model block, the second
+    forced into the full-grid fallback, gives every estimate a solve on a
+    fresh model gives, bit for bit, from one HiGHS model.  Another thread
+    does not see it, and nothing is held once the block exits, by
+    returning or by raising."""
+    probs = shared_model_problems()
+    force = {"fallback": None}
+    real_covering = capacity._covering_solve
+
+    def covering(h, rows):
+        x, y, iterations = real_covering(h, rows)
+        if force["fallback"] is not None:
+            force["fallback"] = None
+            x = np.zeros_like(x)
+        return x, y, iterations
+
+    built = []
+    real_highs = capacity._Highs
+
+    def counting_highs():
+        built.append(real_highs())
+        return built[-1]
+
+    monkeypatch.setattr(capacity, "_covering_solve", covering)
+    monkeypatch.setattr(capacity, "_Highs", counting_highs)
+    calls = counting_linprog(monkeypatch)
+
+    def solve_all():
+        out = []
+        for i, p in enumerate(probs):
+            force["fallback"] = True if i == 1 else None
+            out.append(solve_capacity(p))
+        return out
+
+    fresh = solve_all()
+    assert len(built) == len(probs) and len(calls) == 1
+    built.clear()
+    with capacity.shared_model():
+        shared = solve_all()
+        assert capacity._scope.highs is built[0]
+        other = []
+        thread = threading.Thread(target=lambda: other.append(
+            (capacity._scope.open, capacity._scope.highs)))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and other == [(False, None)]
+    assert len(built) == 1 and len(calls) == 2
+    for a, b in zip(fresh, shared):
+        assert (a.value, a.dual_value, a.gap, a.lp_rows, a.lp_rounds,
+                a.lp_iterations) == (b.value, b.dual_value, b.gap, b.lp_rows,
+                                     b.lp_rounds, b.lp_iterations)
+        assert a.mu.tobytes() == b.mu.tobytes()
+    model = weakref.ref(built.pop())
+    gc.collect()
+    assert model() is None
+    assert not capacity._scope.open and capacity._scope.highs is None
+    with pytest.raises(KeyError):
+        with capacity.shared_model():
+            solve_capacity(probs[0])
+            model = weakref.ref(built.pop())
+            raise KeyError("inside the block")
+    gc.collect()
+    assert model() is None
+    assert not capacity._scope.open and capacity._scope.highs is None
 
 
 def gap_gate_cloud():

@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wienercap as wc
 from wienercap import capacity, wiener
@@ -245,6 +247,65 @@ def test_series_samples_each_level_in_one_pass(m1, monkeypatch, variant):
     assert all(n > 0 for n in grids)
     assert sorted(passes) == sorted(set(passes))
     assert set(passes) <= set(range(1, 17))
+
+
+@given(C=st.floats(1e-30, 1e30), Q=st.sampled_from([3.0, 4.0, 6.0]),
+       w=st.floats(0.01, 4.0), lam=st.floats(0.01, 0.99),
+       h=st.integers(2, 2000))
+def test_row_tail_is_at_least_its_first_term(C, Q, w, lam, h):
+    """The fact series_table's tail skip rests on: the summed tail is at
+    least its first term, computed as _tail_may_stop computes it."""
+    head = wiener._tail_terms(C, Q, lam ** w, np.array([float(h)]))[0]
+    assert wiener._row_tail(C, Q, w, lam, h) >= head
+
+
+def recorded_tables(monkeypatch, run):
+    """The series tables `run` builds, and the _row_tail calls made."""
+    tables, tails = [], []
+    real_table, real_tail = wiener.series_table, wiener._row_tail
+    monkeypatch.setattr(wiener, "series_table", lambda *args, **kwargs:
+                        tables.append(real_table(*args, **kwargs))
+                        or tables[-1])
+    monkeypatch.setattr(wiener, "_row_tail", lambda *args:
+                        tails.append(args) or real_tail(*args))
+    run()
+    monkeypatch.setattr(wiener, "series_table", real_table)
+    monkeypatch.setattr(wiener, "_row_tail", real_tail)
+    return tables, len(tails)
+
+
+def test_tail_skip_leaves_every_table_as_it_is(m1, bounds1, monkeypatch):
+    """With the tail skip patched off (the tail summed after every band
+    from 2 on), lambda_comparability's nested halfspace tables and the
+    registry domains' sufficient and necessary tables have the same
+    terms, truncation bounds and capacities, bit for bit, while the skip
+    sums fewer tails."""
+    a, b = bounds1.exponents(None, None)
+
+    def run():
+        dom = wc.halfspace_time(m1, t0=0.0, t_top=1.0)
+        wc.lambda_comparability(dom, 0.25, 0.5, 0.25, 0.5, (2, 3, 4, 5),
+                                resolution=3)
+        for name in ("halfspace", "cylinder-top", "cone", "cusp-power"):
+            for variant in ("sufficient", "necessary"):
+                wiener.series_table(wc.benchmark(name, m1), 0.25, a, b,
+                                    variant, K_max=16, resolution=3)
+
+    skipped, n_skipped = recorded_tables(monkeypatch, run)
+    monkeypatch.setattr(wiener, "_tail_may_stop",
+                        lambda C_fit, Q, w, lam, h, running: h >= 2)
+    summed, n_summed = recorded_tables(monkeypatch, run)
+    assert len(skipped) == len(summed) == 10
+    assert n_skipped < n_summed
+    for x, y in zip(skipped, summed):
+        assert x.terms.tobytes() == y.terms.tobytes()
+        assert x.truncation_bound == y.truncation_bound
+        assert x.capacities.keys() == y.capacities.keys()
+        for key, est in x.capacities.items():
+            other = y.capacities[key]
+            assert (est.value, est.dual_value) == (other.value,
+                                                   other.dual_value)
+            assert est.mu.tobytes() == other.mu.tobytes()
 
 
 def test_nested_partial_value_floors(m1):
