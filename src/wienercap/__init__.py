@@ -20,9 +20,8 @@ from .domain import (BENCHMARK_STATUS, BallComplementTarget, DomainError,
 from .kernel import (GaussBounds, GaussianKernel, HeatKernel, KernelError,
                      euclidean_bounds, structural_constant)
 from .metric import (MetricError, MetricSpace, SpaceTimePoint, ball_volume,
-                     ball_volume_with_error, dist, euclidean,
-                     heisenberg_koranyi, parabolic_dist, parabolic_dist_many,
-                     stp, table_metric, unit_ball_constant)
+                     dist, euclidean, heisenberg_koranyi, parabolic_dist,
+                     parabolic_dist_many, stp, unit_ball_constant)
 from .pde import (HolderFit, PDEError, SolutionEstimate, WalkConfig,
                   boundary_holder, boundary_phi_cutoff, boundary_phi_distance,
                   classification_probe, interior_axis_probes, pwb_solve,

@@ -407,23 +407,22 @@ def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
 
 
 def dilation_frame(dom: DomainSpec, support: SetSample,
-                   r: float) -> tuple[np.ndarray, np.ndarray, float]:
+                   r: float) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of a sample in the frame of z0 at scale r, snapped to 12
-    decimals: (X, T, r).
+    decimals: (X, T).
 
     Space goes through metric.frame: x -> delta_{1/r}(x0^-1 o x), which
     is (x - x0) / r on R^N and (u1 / r, u2 / r, u3 / r^2) on the Koranyi
-    group; a table metric has no dilations and keeps x, with r = 1.  Time:
-    t -> (t - t_last) / r^2, with t_last the sample's latest time: it
-    moves with the set under a dilation about z0, and a set that is a
-    time translate of another (a cylinder wall's rings) gets the same
-    frame.  Both kernels are homogeneous, G_a(delta_r z, delta_r w) =
-    r^-Q G_a(z, w), and depend on time differences only, so the set's
-    capacity is r^Q times that of the framed sample.  Adding 0.0 turns
-    the -0.0 of rounding into 0.0."""
-    X, r = frame(dom.metric, dom.z0.x, support.xs, r)
+    group.  Time: t -> (t - t_last) / r^2, with t_last the sample's
+    latest time: it moves with the set under a dilation about z0, and a
+    set that is a time translate of another (a cylinder wall's rings)
+    gets the same frame.  Both kernels are homogeneous,
+    G_a(delta_r z, delta_r w) = r^-Q G_a(z, w), and depend on time
+    differences only, so the set's capacity is r^Q times that of the
+    framed sample.  Adding 0.0 turns the -0.0 of rounding into 0.0."""
+    X = frame(dom.metric, dom.z0.x, support.xs, r)
     T = (support.ts - support.ts.max(initial=-np.inf)) / r ** 2
-    return np.round(X, 12) + 0.0, np.round(T, 12) + 0.0, r
+    return np.round(X, 12) + 0.0, np.round(T, 12) + 0.0
 
 
 def _dilated(est: CapacityEstimate, rQ: float, **changes) -> CapacityEstimate:
@@ -445,7 +444,7 @@ def solve_framed(dom: DomainSpec, kernel, support: SetSample, r: float,
     give, bit for bit; it is marked reused, with no LP work.  A failed
     solve raises CapacityConvergenceError with its estimate rescaled, and
     is not memoized.  A memo serves one kernel and one resolution."""
-    X, T, r = dilation_frame(dom, support, r)
+    X, T = dilation_frame(dom, support, r)
     rQ = r ** dom.metric.Q
     key = (X.shape, X.tobytes() + T.tobytes())
     if key in memo:

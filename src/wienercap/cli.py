@@ -37,7 +37,7 @@ from .domain import (BallComplementTarget, DomainSpec, RingSpec, RingTarget,
                      punctured, sample_set_and_measure, spatial_halfspace)
 from .kernel import GaussBounds, GaussianKernel, euclidean_bounds
 from .metric import (MetricSpace, ball_volume, euclidean, heisenberg_koranyi,
-                     stp, unit_ball_constant)
+                     stp)
 from .pde import PDEError, WalkConfig, classification_probe, pwb_solve
 from .regularity import classify, cone_check
 from .report import ReportBundle
@@ -63,8 +63,8 @@ def build_metric(cfg: RunConfig) -> MetricSpace:
         return euclidean(cfg["metric.N"])
     if kind == "heisenberg-koranyi":
         return heisenberg_koranyi()
-    raise ConfigError("table metrics must be constructed programmatically; "
-                      "the CLI supports euclidean and heisenberg-koranyi")
+    raise ConfigError(f"unknown metric.kind {kind!r}; the CLI supports "
+                      "euclidean and heisenberg-koranyi")
 
 
 class _Reads:
@@ -198,7 +198,6 @@ def _domain_summary(dom: DomainSpec) -> dict:
         "z0_t": dom.z0.t,
         "params": {k: (list(v) if isinstance(v, np.ndarray) else v)
                    for k, v in dom.params.items()},
-        "assumption_unverified": unit_ball_constant(dom.metric) is None,
     }
 
 
@@ -280,7 +279,7 @@ def _write_series(bundle, dom, tab, rep):
     rows = []
     w = tab.weight_exponent
     for k in range(1, tab.K_max + 1):
-        vol = ball_volume(dom.metric, dom.z0.x, tab.lam ** (k / 2.0))
+        vol = ball_volume(dom.metric, tab.lam ** (k / 2.0))
         for h in range(1, tab.H_max + 1):
             term = tab.terms[k - 1, h - 1]
             est = tab.capacities.get((k, h))

@@ -20,9 +20,8 @@ so the bound holds with a0 = b0 = beta / 4.  HeatKernel evaluates it as
 exactly that scaled GaussianKernel.
 
 The kernel sees its metric only through the metric module: d^2 from
-metric.sq_gauge, the homogeneity test metric.unit_ball_constant (with
-|B(x, r)| = c r^Q when it is not None) and, on table metrics, one Monte
-Carlo ball volume per entry.
+metric.sq_gauge and the ball constant c of |B(x, r)| = c r^Q from
+metric.unit_ball_constant.
 
 A kernel matrix is built from its factors.  -a d^2 depends on the space
 coordinates only, and t - s and log |B(sqrt(t - s))| (+inf where
@@ -43,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (MetricSpace, SpaceTimePoint, ball_volume_many,
-                     euclidean, sq_gauge, unit_ball_constant)
+from .metric import (MetricSpace, SpaceTimePoint, euclidean, sq_gauge,
+                     unit_ball_constant)
 
 _TINY = 1e-300  # flush-to-zero threshold for kernel values
 _LOG_TINY = math.log(_TINY)
@@ -92,15 +91,6 @@ def euclidean_bounds(N: int, beta: float = 1.0) -> GaussBounds:
     ratio = HeatKernel(N, beta).gaussian_factor
     lam = max(ratio, 1.0 / ratio)
     return GaussBounds(Lambda=lam, a0=beta / 4.0, b0=beta / 4.0, c_d=2.0 ** N)
-
-
-def _exp_where(logk: np.ndarray, late: np.ndarray) -> np.ndarray:
-    """exp(logk) in place, exactly 0 where `late` holds or logk is at or
-    below log(1e-300); `late` broadcasts to logk's shape."""
-    zero = logk <= _LOG_TINY
-    zero |= late
-    np.copyto(logk, -np.inf, where=zero)
-    return np.exp(logk, out=logk)
 
 
 def _gauss_into(out: np.ndarray, nad2: np.ndarray, dt: np.ndarray,
@@ -181,29 +171,19 @@ class GaussianKernel:
         """K[i, j] = G_a(z_i, w_j) for evaluation points z and sources w.
 
         d^2 comes from metric.sq_gauge, on (rows, 1, N) against (1, n, N)
-        atoms.  On homogeneous metrics (unit_ball_constant c not None) the
-        rows split into a leading grid block of C spatial points by T
-        times, time fastest (_grid_block, linear in m), and r = m - C T
-        rows after it.  d^2 is computed once on the C + r spatial rows
-        that matter and scaled by -a; dt and logvol = log |B(sqrt(dt))|
-        = log c + (Q/2) log dt once on the T + r times, with logvol +inf
-        where t <= s.  _gauss_into combines them, -a d^2 / dt - logvol
-        + log scale, flushed and exponentiated, by broadcasting (C, 1, n)
-        against (1, T, n) into the block and row by row for the rest; an
-        entry with t <= s reaches -inf and so exactly 0.  Rows
-        without the grid layout give a block of as little as one row, and
-        the same matrix.  Table metrics take d^2 on all m rows and a Monte
-        Carlo volume per entry."""
+        atoms.  The rows split into a leading grid block of C spatial
+        points by T times, time fastest (_grid_block, linear in m), and
+        r = m - C T rows after it.  d^2 is computed once on the C + r
+        spatial rows that matter and scaled by -a; dt and logvol =
+        log |B(sqrt(dt))| = log c + (Q/2) log dt once on the T + r times,
+        with logvol +inf where t <= s.  _gauss_into combines them,
+        -a d^2 / dt - logvol + log scale, flushed and exponentiated, by
+        broadcasting (C, 1, n) against (1, T, n) into the block and row by
+        row for the rest; an entry with t <= s reaches -inf and so exactly
+        0.  Rows without the grid layout give a block of as little as one
+        row, and the same matrix."""
         Zx, Zt, Wx, Wt = _as_points(Zx, Zt, Wx, Wt)
         m = self.metric
-        c = unit_ball_constant(m)
-        if c is None:
-            dt, late = _time_gaps(Zt, Wt)
-            d2 = sq_gauge(m, Zx[:, None, :], Wx[None, :, :])
-            vol = ball_volume_many(m, Zx, np.sqrt(dt))
-            logk = (math.log(self.scale) - np.log(np.maximum(vol, _TINY))
-                    - self.a * d2 / dt)
-            return _exp_where(logk, late)
         out = np.empty((Zt.size, Wt.size))
         if Zt.size == 0:
             return out
@@ -215,7 +195,7 @@ class GaussianKernel:
         dt, late = _time_gaps(np.concatenate([Zt[:T], Zt[k:]]), Wt)
         logvol = np.log(dt)
         logvol *= 0.5 * m.Q
-        logvol += math.log(c)
+        logvol += math.log(unit_ball_constant(m))
         np.maximum(logvol, _LOG_TINY, out=logvol)
         np.copyto(logvol, np.inf, where=late)
         log_scale = math.log(self.scale)

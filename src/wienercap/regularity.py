@@ -55,8 +55,8 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
         raise RegularityError("resolution must be >= 1")
     if r_levels < 1:
         raise RegularityError("r_levels must be >= 1")
-    x0, t0 = dom.z0.x, dom.z0.t
-    if ball_volume(dom.metric, x0, M0 * r0 * 2.0 ** (1 - r_levels)) <= 0.0:
+    t0 = dom.z0.t
+    if ball_volume(dom.metric, M0 * r0 * 2.0 ** (1 - r_levels)) <= 0.0:
         raise RegularityError(f"r_levels = {r_levels} shrinks the smallest "
                               "ball to zero volume")
     radii, skipped = [], []
@@ -66,7 +66,7 @@ def cone_check(dom: DomainSpec, M0: float = 1.0, r0: float = 0.25,
     balls = [M0 * r for r in radii]
     excluded = excluded_slice_measures(dom, balls, [t0 - r * r for r in radii],
                                        resolution)
-    thetas = [e / ball_volume(dom.metric, x0, R)
+    thetas = [e / ball_volume(dom.metric, R)
               for e, R in zip(excluded.tolist(), balls)]
     theta = min(thetas) if thetas else math.inf
     satisfied = bool(thetas) and all(th >= theta_min for th in thetas)

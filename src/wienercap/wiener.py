@@ -172,7 +172,7 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     with shared_model():
         for k in range(1, K_max + 1):
             r = lam ** (k / 2.0)
-            vol = ball_volume(dom.metric, dom.z0.x, r)
+            vol = ball_volume(dom.metric, r)
             h_cap = max_nonempty_band(lam, k)
             samples = ring_samples(dom, lam, k,
                                    range(1, min(h_cap, H_max) + 1),
@@ -510,7 +510,7 @@ def _integral_inner(dom: DomainSpec, lam: float, b: float,
     inner = np.zeros(v_grid.size)
     for iv, v in enumerate(v_grid):
         eta = math.exp(v)
-        volB = ball_volume(dom.metric, dom.z0.x, math.sqrt(eta))
+        volB = ball_volume(dom.metric, math.sqrt(eta))
         vals = np.zeros(u_grid.size)
         meas = section_measures(dom, lam, rhos, t0 - eta, resolution)
         vals[pos] = meas / volB * damp

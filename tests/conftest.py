@@ -40,16 +40,6 @@ def bounds1():
     return wc.euclidean_bounds(1, 2.0)
 
 
-def sinh_table_metric(mc_samples=20000, seed=0):
-    """1-D table metric d(x, y) = |sinh x - sinh y| on [-3, 3].  It dominates
-    |x - y|, so each ball lies in the Monte Carlo sampling interval, and
-    its ball volumes depend on the centre."""
-    axis = np.linspace(-3.0, 3.0, 1201)
-    phi = np.sinh(axis)
-    return wc.table_metric(axis, np.abs(phi[:, None] - phi[None, :]), Q=1.0,
-                           c_d=2.0, mc_samples=mc_samples, seed=seed)
-
-
 def counting_linprog(monkeypatch):
     """Replace capacity.linprog by a wrapper recording each call's A_ub
     shape."""

@@ -643,7 +643,8 @@ def test_failed_ring_solves_are_not_memoized(m1, monkeypatch, halved_packing):
     for k, h in tab.failed:
         support = wc.sample_set_and_measure(
             dom, RingTarget(RingSpec(lam, k, h, "nested")), 3)
-        X, T, r = capacity.dilation_frame(dom, support, lam ** (k / 2.0))
+        r = lam ** (k / 2.0)
+        X, T = capacity.dilation_frame(dom, support, r)
         framed.setdefault(X.tobytes() + T.tobytes(), []).append((k, h, r))
     repeats = [rings for rings in framed.values() if len(rings) > 1]
     assert repeats

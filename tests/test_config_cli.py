@@ -472,6 +472,8 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
     ("cone", "cone.levels = 1000000",
      "shrinks the smallest ball to zero volume"),
     ("cone", "metric.N = 2000", "makes the doubling constant 2^N infinite"),
+    ("classify", "metric.N = 400",
+     "N = 400 underflows the unit-ball constant omega_N to 0"),
     ("capacity", "capacity.refine-levels = 1000000",
      "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
     ("capacity", "capacity.resolution = 1000000",
@@ -952,7 +954,8 @@ def test_table_metric_kind_exits_64(tmp_path, capsys):
     code = main(["cone", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"])
     assert code == EXIT_CONFIG
-    assert "constructed programmatically" in capsys.readouterr().err
+    assert ("unknown metric.kind 'table'; the CLI supports euclidean and "
+            "heisenberg-koranyi") in capsys.readouterr().err
 
 
 def test_series_table_csv_layout(tmp_path):

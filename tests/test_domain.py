@@ -676,7 +676,7 @@ def reference_cone_thetas(dom, M0, r0, levels, resolution):
         keep &= ~contains_many(dom, X, np.full(X.shape[0], t0 - r * r))
         radii.append(r)
         thetas.append(float(keep.sum()) * cellvol
-                      / wc.ball_volume(dom.metric, x0, R))
+                      / wc.ball_volume(dom.metric, R))
     return radii, thetas
 
 

@@ -44,8 +44,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_the_walk_reports_relative_and_absolute_private_imports():
     source = ("from . import __version__\n"
-              "from .metric import dist, _table_lookup\n"
+              "from .metric import dist, _gauge_power\n"
               "from wienercap.kernel import _grid_block as grid\n"
               "from scipy.optimize._highspy._core import _Highs\n")
     assert private_imports(source, "planted.py") == [
-        "planted.py:2 _table_lookup", "planted.py:3 _grid_block"]
+        "planted.py:2 _gauge_power", "planted.py:3 _grid_block"]

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import wienercap as wc
 from wienercap import kernel
 from wienercap.kernel import GaussianKernel, HeatKernel
-from wienercap.metric import (ball_volume, ball_volume_many, displacement,
-                              stp, unit_ball_constant)
+from wienercap.metric import (ball_volume, displacement, stp,
+                              unit_ball_constant)
 
-from conftest import random_cloud_sample, sinh_table_metric
+from conftest import random_cloud_sample
 
 times = st.floats(-2.0, 2.0, allow_nan=False)
 coords = st.floats(-2.0, 2.0, allow_nan=False)
@@ -125,7 +125,7 @@ LOG_TINY = math.log(1e-300)
 
 def reference_matrix(kern, Zx, Zt, Wx, Wt):
     """G_a from its definition, one entry at a time: the distance, squared,
-    the ball volume at the row's point, one exp at the end, and the
+    the ball volume at radius sqrt(t - s), one exp at the end, and the
     flush of values at or below 1e-300."""
     K = np.zeros((len(Zt), len(Wt)))
     for i, j in np.ndindex(K.shape):
@@ -134,7 +134,7 @@ def reference_matrix(kern, Zx, Zt, Wx, Wt):
             continue
         d = wc.dist(kern.metric, Zx[i], Wx[j])
         logk = (math.log(kern.scale) - kern.a * d * d / dt
-                - math.log(ball_volume(kern.metric, Zx[i], math.sqrt(dt))))
+                - math.log(ball_volume(kern.metric, math.sqrt(dt))))
         K[i, j] = math.exp(logk) if logk > LOG_TINY else 0.0
     return K
 
@@ -148,7 +148,7 @@ def threshold_pairs(kern, rng, deltas):
     for delta in deltas:
         x = rng.uniform(-0.5, 0.5, size=m.N)
         dt = rng.uniform(0.01, 0.1)
-        logvol = math.log(ball_volume(m, x, math.sqrt(dt)))
+        logvol = math.log(ball_volume(m, math.sqrt(dt)))
         d = math.sqrt((math.log(kern.scale) - logvol - LOG_TINY - delta)
                       * dt / kern.a)
         if m.kind == "heisenberg-koranyi":
@@ -161,22 +161,6 @@ def threshold_pairs(kern, rng, deltas):
         Wx.append(y)
         Wt.append(0.0)
     return np.array(Zx), np.array(Zt), np.array(Wx), np.array(Wt)
-
-
-def written_out_table_matrix(kern, Zx, Zt, Wx, Wt):
-    """The table-metric path written out: dist over the broadcast pairs,
-    ball_volume_many, a boolean-indexed exp."""
-    dt = Zt[:, None] - Wt[None, :]
-    pos = dt > 0
-    dtp = np.where(pos, dt, 1.0)
-    d2 = wc.dist(kern.metric, Zx[:, None, :], Wx[None, :, :]) ** 2
-    vol = ball_volume_many(kern.metric, Zx, np.sqrt(dtp))
-    logk = (math.log(kern.scale) - np.log(np.maximum(vol, 1e-300))
-            - kern.a * d2 / dtp)
-    out = np.zeros(logk.shape)
-    good = pos & (logk > LOG_TINY)
-    out[good] = np.exp(logk[good])
-    return out
 
 
 @pytest.mark.parametrize("metric, a, scale", [
@@ -378,41 +362,6 @@ def test_flush_by_mask_product_keeps_nan_and_inf(monkeypatch):
     assert np.isnan(K[:, 3]).any()
     monkeypatch.setattr(kernel, "_gauss_into", masked_copy_gauss_into)
     assert K.tobytes() == kern.matrix(cx, ct, wx, wt).tobytes()
-
-
-def test_table_matrix_keeps_the_dist_and_volume_path():
-    kern = GaussianKernel(sinh_table_metric(mc_samples=2000), 0.3, 1.5)
-    rng = np.random.default_rng(12)
-    Zx = rng.uniform(-1.5, 1.5, size=(7, 1))
-    Wx = rng.uniform(-1.5, 1.5, size=(5, 1))
-    Zt = rng.uniform(-0.2, 0.4, size=7)
-    Wt = rng.uniform(-0.2, 0.1, size=5)
-    Zt[0] = Wt[0]
-    K = kern.matrix(Zx, Zt, Wx, Wt)
-    assert (K == written_out_table_matrix(kern, Zx, Zt, Wx, Wt)).all()
-    assert (K == 0).any() and (K > 0).any()
-
-
-def test_table_matrix_uses_each_rows_own_ball_volume():
-    # d(x, y) = |sinh x - sinh y|: ball volumes shrink as |x| grows, so a
-    # matrix that reused one centre's volume for every row would differ
-    tm = sinh_table_metric(mc_samples=2000)
-    kern = GaussianKernel(tm, 0.3)
-    Zx = np.array([[-1.0], [0.0], [0.7], [1.2]])
-    Zt = np.array([0.3, 0.5, 0.2, 0.4])
-    Wx = np.array([[-0.2], [0.1], [0.5]])
-    Wt = np.array([0.0, -0.1, 0.1])
-    K = kern.matrix(Zx, Zt, Wx, Wt)
-    assert K.shape == (4, 3)
-    for i in range(4):
-        for j in range(3):
-            dt = Zt[i] - Wt[j]
-            d = wc.dist(tm, Zx[i], Wx[j])
-            ref = math.exp(-0.3 * d * d / dt) / ball_volume(tm, Zx[i],
-                                                             math.sqrt(dt))
-            assert K[i, j] == pytest.approx(ref, rel=1e-12)
-    r = math.sqrt(0.3)
-    assert ball_volume(tm, Zx[0], r) < 0.8 * ball_volume(tm, Zx[1], r)
 
 
 def test_matrix_scale_factor(m1):

@@ -10,12 +10,8 @@ from scipy import integrate
 
 import wienercap as wc
 from wienercap.metric import (ball_coord_halfwidths, ball_volume,
-                              ball_volume_many, ball_volume_with_error,
-                              parabolic_dist,
-                              parabolic_dist_many, stp,
+                              parabolic_dist, parabolic_dist_many, stp,
                               unit_ball_constant)
-
-from conftest import sinh_table_metric
 
 coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -206,13 +202,13 @@ def test_unit_ball_volumes_euclidean():
     assert unit_ball_constant(wc.euclidean(2)) == pytest.approx(math.pi)
     assert unit_ball_constant(wc.euclidean(3)) == pytest.approx(
         4 * math.pi / 3)
-    assert unit_ball_constant(sinh_table_metric()) is None
 
 
 def test_euclidean_ball_volume_scales(m2):
     for r in (0.25, 1.0, 2.5):
-        assert ball_volume(m2, np.zeros(2), r) == \
+        assert ball_volume(m2, r) == \
             pytest.approx(math.pi * r * r, rel=1e-12)
+    assert ball_volume(m2, 0.0) == ball_volume(m2, -1.0) == 0.0
 
 
 def test_koranyi_ball_constant_closed_form(heis):
@@ -225,42 +221,11 @@ def test_koranyi_ball_constant_closed_form(heis):
 
 
 def test_heisenberg_ball_volume_homogeneous(heis):
-    v1 = ball_volume(heis, np.zeros(3), 1.0)
+    v1 = ball_volume(heis, 1.0)
     assert v1 == pytest.approx(math.pi ** 2 / 8, rel=1e-9)
     for r in (0.5, 2.0):
-        assert ball_volume(heis, np.zeros(3), r) == \
+        assert ball_volume(heis, r) == \
             pytest.approx(v1 * r ** heis.Q, rel=1e-9)
-
-
-def test_heisenberg_ball_volume_translation_invariant(heis):
-    v0 = ball_volume(heis, np.zeros(3), 0.7)
-    v1 = ball_volume(heis, np.array([1.0, -2.0, 0.3]), 0.7)
-    assert v1 == pytest.approx(v0, rel=1e-9)
-
-
-def test_mc_ball_volume_agrees_with_table_closed_form():
-    # d(x, y) = |sinh x - sinh y| has |B(x, r)| = asinh(sinh x + r)
-    # - asinh(sinh x - r), which varies with the centre x
-    tm = sinh_table_metric(mc_samples=40000, seed=5)
-    r = 0.5
-    for x in (-1.0, 0.0, 0.7, 1.2):
-        v, se = ball_volume_with_error(tm, np.array([x]), r)
-        exact = math.asinh(math.sinh(x) + r) - math.asinh(math.sinh(x) - r)
-        assert se > 0
-        assert abs(v - exact) <= 4 * se
-
-
-def test_ball_volume_many_matches_scalar(m1, heis):
-    rs = np.array([[0.1, 0.5, 1.3], [0.2, 0.4, 0.9]])
-    tm = sinh_table_metric(mc_samples=2000)
-    for m in (m1, heis, tm):
-        X = np.linspace(-0.6, 0.6, 2 * m.N).reshape(2, m.N)
-        vm = ball_volume_many(m, X, rs)
-        assert vm.shape == rs.shape
-        for i in range(2):
-            for j, r in enumerate(rs[i]):
-                assert vm[i, j] == pytest.approx(ball_volume(m, X[i], r),
-                                                 rel=1e-12)
 
 
 def test_ball_coord_halfwidths_cover_ball(heis):
@@ -291,40 +256,20 @@ def test_ball_coord_halfwidths_cover_off_axis_ball(heis):
 
 
 # ---------------------------------------------------------------------------
-# table metric
-
-def test_table_metric_reproduces_axis_distance():
-    axis = np.linspace(-2.0, 2.0, 81)
-    vals = np.abs(axis[:, None] - axis[None, :])
-    tm = wc.table_metric(axis, vals, Q=1.0, c_d=2.0)
-    rng = np.random.default_rng(8)
-    h = float(axis[1] - axis[0])
-    for _ in range(20):
-        x, y = rng.uniform(-2.0, 2.0, size=2)
-        got = wc.dist(tm, np.array([x]), np.array([y]))
-        # bilinear interpolation of |x - y| is exact away from the diagonal
-        # kink and off by at most h/2 on cells crossing it
-        assert got == pytest.approx(abs(x - y), abs=0.5 * h + 1e-9)
-
-
-def test_table_metric_rejects_asymmetric_table():
-    axis = np.linspace(0.0, 1.0, 5)
-    vals = np.abs(axis[:, None] - axis[None, :])
-    vals[0, 1] += 0.3
-    with pytest.raises(wc.MetricError):
-        wc.table_metric(axis, vals, Q=1.0, c_d=2.0)
-
-
-def test_table_metric_rejects_nonzero_diagonal():
-    axis = np.linspace(0.0, 1.0, 5)
-    vals = np.abs(axis[:, None] - axis[None, :]) + 0.1
-    with pytest.raises(wc.MetricError):
-        wc.table_metric(axis, vals, Q=1.0, c_d=2.0)
-
+# construction
 
 def test_metric_space_requires_positive_doubling():
     with pytest.raises(wc.MetricError):
-        wc.table_metric(np.linspace(0, 1, 5),
-                        np.abs(np.subtract.outer(np.linspace(0, 1, 5),
-                                                 np.linspace(0, 1, 5))),
-                        Q=1.0, c_d=0.5)
+        wc.MetricSpace("euclidean", 1, 1.0, 0.5)
+
+
+def test_metric_space_rejects_table_kind():
+    with pytest.raises(wc.MetricError):
+        wc.MetricSpace("table", 1, 1.0, 2.0)
+
+
+def test_euclidean_rejects_underflowing_ball_constant():
+    """omega_N = pi^(N/2) / Gamma(N/2 + 1) is 0.0 in floats from N = 342."""
+    assert unit_ball_constant(wc.euclidean(341)) > 0
+    with pytest.raises(wc.MetricError, match="N = 342 underflows"):
+        wc.euclidean(342)

@@ -39,7 +39,7 @@ def test_series_table_term_formula(m1, bounds1):
     assert tab.kernel_exponent == a
     assert tab.weight_exponent == b
     for (k, h), est in tab.capacities.items():
-        vol = ball_volume(m1, dom.z0.x, lam ** (k / 2.0))
+        vol = ball_volume(m1, lam ** (k / 2.0))
         want = lam ** (b * h) * est.value / vol
         assert tab.terms[k - 1, h - 1] == pytest.approx(want, rel=1e-12)
 
@@ -132,6 +132,17 @@ def test_halfspace_sufficient_series_diverges(m1, bounds1):
     assert inc[4:].std() / inc[4:].mean() < 0.05
 
 
+@pytest.mark.parametrize("name", ["spatial-halfspace", "cone",
+                                  "cusp-power", "cusp-loglog"])
+def test_cone_decided_domains_sufficient_series_diverges(m1, bounds1, name):
+    """classify stops at the cone check on these registry domains and never
+    builds their series; their sufficient series still read DIVERGENT."""
+    tab = wc.series_table(wc.benchmark(name, m1), 0.25, bounds1.a0,
+                          2 * bounds1.b0, "sufficient", K_max=16, H_max=16,
+                          resolution=3)
+    assert divergence_verdict(tab).verdict == "DIVERGENT"
+
+
 def test_cylinder_top_necessary_series_converges(m1, bounds1):
     dom = wc.benchmark("cylinder-top", m1)
     tab = wc.series_table(dom, 0.25, bounds1.a0, 2 * bounds1.b0,
@@ -162,12 +173,12 @@ def test_nested_dominates_band_rows(m1, bounds1):
 
 def framed_solve(dom, kern, r, support, resolution):
     """A fresh solve of a sample's problem in its frame at scale r
-    (dilation_frame), and the frame's scale."""
-    X, T, r = capacity.dilation_frame(dom, support, r)
+    (dilation_frame)."""
+    X, T = capacity.dilation_frame(dom, support, r)
     framed = replace(support, xs=X, ts=T)
     prob = CapacityProblem(kern, framed,
                            *constraint_points(framed, dom.metric, resolution))
-    return wc.solve_capacity(prob), r
+    return wc.solve_capacity(prob)
 
 
 def test_nested_table_reuses_certified_solves(m1, heis, monkeypatch):
@@ -191,8 +202,8 @@ def test_nested_table_reuses_certified_solves(m1, heis, monkeypatch):
         for (k, h), est in tab.capacities.items():
             prob = wc.build_problem(
                 dom, RingTarget(RingSpec(lam, k, h, "nested")), kern, res)
-            fresh, r = framed_solve(dom, kern, lam ** (k / 2.0),
-                                    prob.support, res)
+            r = lam ** (k / 2.0)
+            fresh = framed_solve(dom, kern, r, prob.support, res)
             rQ = r ** m.Q
             assert est.reused == ((k, h) in tab.reused)
             assert (est.value, est.dual_value, est.gap) == (
@@ -345,7 +356,7 @@ def reference_integral_inner(dom, lam, b, u_grid, v_grid, resolution):
     inner = np.zeros(v_grid.size)
     for iv, v in enumerate(v_grid):
         eta = math.exp(v)
-        volB = ball_volume(dom.metric, dom.z0.x, math.sqrt(eta))
+        volB = ball_volume(dom.metric, math.sqrt(eta))
         vals = np.zeros(u_grid.size)
         for iu, u in enumerate(u_grid):
             if u == 0.0:
@@ -433,7 +444,8 @@ def test_wiener_function_solves_each_framed_complement_once(m1, bounds1,
     for l, est in west.level_estimates.items():
         support = wc.sample_set_and_measure(
             dom, wc.BallComplementTarget(l, lam), res)
-        fresh, r = framed_solve(dom, kern, lam ** (l / 2.0), support, res)
+        r = lam ** (l / 2.0)
+        fresh = framed_solve(dom, kern, r, support, res)
         rQ = r ** m1.Q
         assert (est.value, est.dual_value, est.gap) == (
             fresh.value * rQ, fresh.dual_value * rQ, fresh.gap * rQ)
