@@ -10,17 +10,19 @@ inputs (imported, never modified).  Per workload it prints:
                 summed over the solves
     rounds      covering rounds, summed over the solves
     iterations  simplex iterations (CapacityEstimate.lp_iterations)
-    models      HiGHS models built (capacity._Highs); the solves of one
-                series table share one (capacity.shared_model)
-    model_s     seconds inside capacity._covering_model, which builds or
-                clears a solve's model and adds its atom rows
+    models      HiGHS models built (capacity._new_model): one per
+                capacity.FramedSolver, shared by its solves, and one per
+                solve_capacity call given no model
+    model_s     seconds inside capacity._new_model, which builds a model,
+                and capacity._covering_model, which clears a solve's model
+                and adds its atom rows
     highs_s     seconds inside capacity._covering_solve, the one call
                 that appends rows to the HiGHS model and runs it
     kernel_s    seconds inside kernel.GaussianKernel.matrix, which builds
                 every kernel matrix (HeatKernel's included)
     fallbacks   full-grid linprog solves
 
-capacity._solve_lp, capacity._Highs, capacity._covering_model,
+capacity._solve_lp, capacity._new_model, capacity._covering_model,
 capacity._covering_solve, capacity.linprog and GaussianKernel.matrix are
 wrapped for the round and restored after it.
 The seconds are wall time on whatever host runs the script; the counts
@@ -58,25 +60,29 @@ def census(name: str, seed: int) -> dict:
     row = dict.fromkeys(COLUMNS, 0)
     row.update(dict.fromkeys(SECONDS, 0.0))
     solve_lp, covering_solve = capacity._solve_lp, capacity._covering_solve
-    highs, covering_model = capacity._Highs, capacity._covering_model
+    new_model, covering_model = capacity._new_model, capacity._covering_model
     linprog, matrix = capacity.linprog, kernel.GaussianKernel.matrix
 
-    def counted_solve_lp(K, c, kappa):
-        out = solve_lp(K, c, kappa)
+    def counted_solve_lp(K, c, kappa, h):
+        out = solve_lp(K, c, kappa, h)
         row["solves"] += 1
         row["W rows"] += out[2]
         row["rounds"] += out[3]
         row["iterations"] += out[4]
         return out
 
-    def counted_highs():
+    def timed_new_model():
         row["models"] += 1
-        return highs()
-
-    def timed_covering_model(s):
         start = time.perf_counter()
         try:
-            return covering_model(s)
+            return new_model()
+        finally:
+            row["model_s"] += time.perf_counter() - start
+
+    def timed_covering_model(h, s):
+        start = time.perf_counter()
+        try:
+            return covering_model(h, s)
         finally:
             row["model_s"] += time.perf_counter() - start
 
@@ -102,7 +108,7 @@ def census(name: str, seed: int) -> dict:
         work = WORKLOADS[name](seed, out_dir)
         work.setup()
         capacity._solve_lp = counted_solve_lp
-        capacity._Highs = counted_highs
+        capacity._new_model = timed_new_model
         capacity._covering_model = timed_covering_model
         capacity._covering_solve = timed_covering_solve
         capacity.linprog = counted_linprog
@@ -112,7 +118,7 @@ def census(name: str, seed: int) -> dict:
             work.round(SimpleNamespace(tables=[]), 0)
         finally:
             capacity._solve_lp = solve_lp
-            capacity._Highs = highs
+            capacity._new_model = new_model
             capacity._covering_model = covering_model
             capacity._covering_solve = covering_solve
             capacity.linprog = linprog

@@ -67,29 +67,28 @@ scratch, with none of linprog's per-call input checks and copies.  If a
 round fails or its marginals are degenerate, one packing LP on the full
 grid is solved by scipy.optimize.linprog instead.
 
-The solves of one series table share one model (shared_model, a block
-on this thread): each clears it with clearModel(), which keeps its six
-options, where building one costs about ten times as much.  The 128
-solves of a scale-comparability round build 2 models instead of 128.
-The sharing is scoped to a table and dropped at its end.  One model kept
-for the life of the process ran lp-cloud's rounds 13% faster but raised
-their peak RSS from 121 to 140 MB: the long-lived model kept glibc from
-trimming the heap.  Outside a block each solve builds its own model.
+A FramedSolver holds one model for the solves it makes: each clears it
+with clearModel(), which keeps its six options, where building one costs
+about ten times as much.  The 128 solves of a scale-comparability round
+build 2 models instead of 128, one per series table, and a model is freed
+with its solver.  One model kept for the life of the process ran
+lp-cloud's rounds 13% faster but raised their peak RSS from 121 to 140 MB:
+the long-lived model kept glibc from trimming the heap.  solve_capacity
+called without a model builds its own.
 
 solve_capacity solves every problem it is given; it keeps no memo.
-solve_framed, the one way the package solves a sampled set, builds the
-problem in the frame of z0 at the set's parabolic scale r, memoizes the
-estimate on the exact bytes of the framed atoms, and multiplies it by
-r^Q, the dilation law of the homogeneous kernels.  It serves
-series_table (r = lam^(k/2)), refine_capacity and the capacity command,
-wiener_function (r = lam^(l/2)) and classify's provenance measure.
+FramedSolver(dom, kernel, resolution).solve(support, r), the one way the
+package solves a sampled set, builds the problem in the frame of z0 at the
+set's parabolic scale r, memoizes the estimate on the exact bytes of the
+framed atoms, and multiplies it by r^Q, the dilation law of the
+homogeneous kernels.  One solver serves a series_table (r = lam^(k/2)),
+a wiener_function (r = lam^(l/2)), a level of refine_capacity and the
+capacity command, or classify's provenance measure.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,7 +137,7 @@ class CapacityEstimate:
     resolution: int
     n_atoms: int = 0
     n_constraints: int = 0
-    reused: bool = False           # a memo hit of solve_framed, rescaled
+    reused: bool = False           # a FramedSolver memo hit, rescaled
     lp_rows: int = 0               # grid rows in the LP that was solved
     lp_rounds: int = 0             # covering rounds; 0 for a memo hit
     lp_iterations: int = 0         # simplex iterations; 0 for a memo hit
@@ -200,43 +199,15 @@ def constraint_points(support: SetSample, metric: MetricSpace,
 def build_problem(dom: DomainSpec, target, kernel,
                   resolution: int) -> CapacityProblem:
     """The target's problem in place, unframed: the reference that tests
-    and the benchmark's independent re-solve compare solve_framed with."""
+    and the benchmark's independent re-solve compare FramedSolver with."""
     support = sample_set_and_measure(dom, target, resolution)
     cx, ct = constraint_points(support, dom.metric, resolution)
     return CapacityProblem(kernel, support, cx, ct)
 
 
-class _ModelScope(threading.local):
-    """This thread's shared_model scope: whether one is open, and its
-    HiGHS model once a covering solve has built it."""
-    open = False
-    highs = None
-
-
-_scope = _ModelScope()
-
-
-@contextmanager
-def shared_model():
-    """Within this block, the covering solves this thread makes share one
-    HiGHS model: the first builds it, each later one clears it with
-    clearModel(), which keeps its options, and adds its own atom rows.
-    A cleared model solves as a fresh one does, bit for bit, for about a
-    tenth of the cost of building one.  Nothing is held once the block
-    exits, whether it returns or raises."""
-    _scope.open = True
-    try:
-        yield
-    finally:
-        _scope.open = False
-        _scope.highs = None
-
-
-def _covering_model(s: np.ndarray) -> _Highs:
-    """HiGHS model of the covering LP with its n atom rows, 1/s <= row,
-    and no columns yet; presolve and output off.  Inside a shared_model
-    block this is the block's model, cleared; outside one it is built
-    afresh.
+def _new_model() -> _Highs:
+    """An empty HiGHS model with the covering LP's options: output and
+    presolve off, unscaled, Dantzig pricing, 1e-9 feasibility.
 
     The model is unscaled: the grid rows it is given are rows of
     A = K / c, which has unit column maxima, and rescaling them again
@@ -247,23 +218,24 @@ def _covering_model(s: np.ndarray) -> _Highs:
     (simplex_dual_edge_weight_strategy = 0): the default dual steepest
     edge updates an edge weight every iteration, which on these dense
     columns costs more than the iterations it saves."""
-    h = _scope.highs
-    if h is not None:
-        h.clearModel()
-    else:
-        h = _Highs()
-        h.setOptionValue("output_flag", False)
-        h.setOptionValue("presolve", "off")
-        h.setOptionValue("simplex_scale_strategy", 0)
-        h.setOptionValue("simplex_dual_edge_weight_strategy", 0)
-        h.setOptionValue("primal_feasibility_tolerance", 1e-9)
-        h.setOptionValue("dual_feasibility_tolerance", 1e-9)
-        if _scope.open:
-            _scope.highs = h
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "off")
+    h.setOptionValue("simplex_scale_strategy", 0)
+    h.setOptionValue("simplex_dual_edge_weight_strategy", 0)
+    h.setOptionValue("primal_feasibility_tolerance", 1e-9)
+    h.setOptionValue("dual_feasibility_tolerance", 1e-9)
+    return h
+
+
+def _covering_model(h: _Highs, s: np.ndarray) -> None:
+    """Clear h, keeping its options, and give it the covering LP's n atom
+    rows, 1/s <= row, and no columns.  A cleared model solves as a fresh
+    one does, bit for bit, for about a tenth of the cost of building one."""
+    h.clearModel()
     n = s.size
     h.addRows(n, 1.0 / s, np.full(n, kHighsInf), 0, np.zeros(n, np.int32),
               np.zeros(0, np.int32), np.zeros(0))
-    return h
 
 
 def _covering_solve(h: _Highs, rows: np.ndarray):
@@ -288,7 +260,7 @@ def _covering_solve(h: _Highs, rows: np.ndarray):
             np.maximum(np.asarray(sol.col_value), 0.0), iterations)
 
 
-def _solve_lp(K: np.ndarray, c: np.ndarray, kappa: float):
+def _solve_lp(K: np.ndarray, c: np.ndarray, kappa: float, h: _Highs):
     """Fresh primal/dual pair (nu, y) for Kn = K / kappa, whose column
     maxima are s = c / kappa, the number of grid rows in the LP that
     produced it, the covering rounds solved and the simplex iterations of
@@ -300,16 +272,16 @@ def _solve_lp(K: np.ndarray, c: np.ndarray, kappa: float):
     the full grid that x overshoots join W, the most violated first and
     at most max(n // 4, WORKING_SET_MIN_BATCH) a round, until none outside
     W exceeds 1 + PRICING_TOLERANCE.  Only the rows joining W are divided
-    by c; the overshoot A x is priced as K (x / c).  One HiGHS model
-    serves every round: the rows joining W are appended as columns and
-    the model is re-solved from the last basis.  y is zero outside W, so
-    it stays feasible for the full covering LP.  If a restricted solve
-    fails or its marginals are degenerate (worth less than half the
-    covering value), one full-grid packing LP on K / c is solved by
-    linprog instead and its marginals give y."""
+    by c; the overshoot A x is priced as K (x / c).  The HiGHS model h,
+    cleared, serves every round: the rows joining W are appended as
+    columns and the model is re-solved from the last basis.  y is zero
+    outside W, so it stays feasible for the full covering LP.  If a
+    restricted solve fails or its marginals are degenerate (worth less
+    than half the covering value), one full-grid packing LP on K / c is
+    solved by linprog instead and its marginals give y."""
     m, n = K.shape
     s = c / kappa
-    h = _covering_model(s)
+    _covering_model(h, s)
     # each column's first maximum, its argmax row: a column-wise argmax
     # of K itself is a strided reduction, several times slower
     W = new = np.unique((K == c).argmax(axis=0))
@@ -363,13 +335,16 @@ def _within_gap(est: CapacityEstimate) -> bool:
         + 1e-14 * est.dual_value)
 
 
-def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
+def solve_capacity(p: CapacityProblem,
+                   highs: _Highs | None = None) -> CapacityEstimate:
     """Solve the packing LP and its covering dual; certify both.
 
-    Every call builds the kernel matrix and solves the LP afresh;
-    solve_framed calls it once per framed problem whose exact bytes its
-    memo has not met.  A bracket wider than the gap gate raises
-    CapacityConvergenceError, which carries that bracket's estimate.  A
+    Every call builds the kernel matrix and solves the LP afresh, on the
+    HiGHS model `highs`, cleared, or on a model of its own when none is
+    given; FramedSolver.solve calls it with its model once per framed
+    problem whose exact bytes its memo has not met.  A bracket wider than
+    the gap gate raises CapacityConvergenceError, which carries that
+    bracket's estimate.  A
     kernel matrix of more than MAX_KERNEL_ENTRIES entries, or a NaN or
     infinite atom or constraint point, raises CapacityInputError before
     the matrix is built."""
@@ -396,7 +371,8 @@ def solve_capacity(p: CapacityProblem) -> CapacityEstimate:
             "some support atoms are invisible to every constraint point; "
             "the packing program would be unbounded")
     kappa = float(c.max())           # Kn = K / kappa has entries in [0, 1]
-    nu, y, rows, rounds, iterations = _solve_lp(K, c, kappa)
+    nu, y, rows, rounds, iterations = _solve_lp(
+        K, c, kappa, _new_model() if highs is None else highs)
     est = _certify(p, K, kappa, nu, y)
     est.lp_rows, est.lp_rounds, est.lp_iterations = rows, rounds, iterations
     if not _within_gap(est):
@@ -432,35 +408,44 @@ def _dilated(est: CapacityEstimate, rQ: float, **changes) -> CapacityEstimate:
                    gap=est.gap * rQ, mu=est.mu * rQ, **changes)
 
 
-def solve_framed(dom: DomainSpec, kernel, support: SetSample, r: float,
-                 resolution: int, memo: dict) -> CapacityEstimate:
-    """Capacity of a sample of a set at parabolic scale r about z0: solved
-    in its frame (dilation_frame) on the constraint grid of that frame and
-    multiplied by r^Q, or taken from memo, which maps the exact bytes of a
-    framed sample to its certified estimate.
+class FramedSolver:
+    """Capacities of samples of sets of one domain, under one kernel, at
+    one resolution: each is solved in its frame (dilation_frame) on the
+    constraint grid of that frame and multiplied by r^Q, or taken from the
+    memo, which maps the exact bytes of a framed sample to its certified
+    estimate.  The solves share one HiGHS model, freed with the solver.
 
     A memo key is the framed problem itself (the constraint grid is a
     function of the sample), so a hit is the bracket a fresh solve would
     give, bit for bit; it is marked reused, with no LP work.  A failed
     solve raises CapacityConvergenceError with its estimate rescaled, and
-    is not memoized.  A memo serves one kernel and one resolution."""
-    X, T = dilation_frame(dom, support, r)
-    rQ = r ** dom.metric.Q
-    key = (X.shape, X.tobytes() + T.tobytes())
-    if key in memo:
-        return _dilated(memo[key], rQ, reused=True, lp_rows=0, lp_rounds=0,
-                        lp_iterations=0)
-    framed = replace(support, xs=X, ts=T)      # the LP reads the atoms only
-    prob = CapacityProblem(kernel, framed,
-                           *constraint_points(framed, dom.metric, resolution))
-    try:
-        est = solve_capacity(prob)
-    except CapacityConvergenceError as exc:
-        if exc.estimate is not None:
-            exc.estimate = _dilated(exc.estimate, rQ)
-        raise
-    memo[key] = est
-    return _dilated(est, rQ)
+    is not memoized."""
+
+    def __init__(self, dom: DomainSpec, kernel, resolution: int):
+        self.dom, self.kernel, self.resolution = dom, kernel, resolution
+        self._memo = {}
+        self._highs = _new_model()
+
+    def solve(self, support: SetSample, r: float) -> CapacityEstimate:
+        """The capacity of `support`, a sample of a set at parabolic scale
+        r about z0."""
+        X, T = dilation_frame(self.dom, support, r)
+        rQ = r ** self.dom.metric.Q
+        key = (X.shape, X.tobytes() + T.tobytes())
+        if key in self._memo:
+            return _dilated(self._memo[key], rQ, reused=True, lp_rows=0,
+                            lp_rounds=0, lp_iterations=0)
+        framed = replace(support, xs=X, ts=T)  # the LP reads the atoms only
+        prob = CapacityProblem(self.kernel, framed, *constraint_points(
+            framed, self.dom.metric, self.resolution))
+        try:
+            est = solve_capacity(prob, self._highs)
+        except CapacityConvergenceError as exc:
+            if exc.estimate is not None:
+                exc.estimate = _dilated(exc.estimate, rQ)
+            raise
+        self._memo[key] = est
+        return _dilated(est, rQ)
 
 
 def potential_many(est: CapacityEstimate, support: SetSample, kernel,
@@ -479,7 +464,7 @@ class RefinementStep:
 def refine_capacity(dom: DomainSpec, target, kernel, r: float, levels: int = 3,
                     base_resolution: int = 3) -> list[RefinementStep]:
     """Re-solve the capacity of a target at parabolic scale r
-    (solve_framed) across a ladder of grid resolutions.
+    (FramedSolver.solve) across a ladder of grid resolutions.
 
     Each level doubles the sample grid per axis, to (2^res + 1)^N 2^res
     cells, each a possible atom.  A ladder whose finest level has more
@@ -498,5 +483,5 @@ def refine_capacity(dom: DomainSpec, target, kernel, r: float, levels: int = 3,
     for res in range(base_resolution, base_resolution + levels):
         support = sample_set_and_measure(dom, target, res)
         out.append(RefinementStep(
-            res, solve_framed(dom, kernel, support, r, res, {}), support))
+            res, FramedSolver(dom, kernel, res).solve(support, r), support))
     return out

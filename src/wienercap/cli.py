@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import (CapacityConvergenceError, CapacityInputError,
-                       refine_capacity, solve_framed)
+                       FramedSolver, refine_capacity)
 from .config import (SCHEMA, ConfigError, RunConfig, describe_schema,
                      load_config)
 from .domain import (BallComplementTarget, DomainSpec, RingSpec, RingTarget,
@@ -368,7 +368,7 @@ def cmd_classify(cfg, bundle, quiet):
     else:
         kern = GaussianKernel(metric, exponents(cfg, bounds)[0])
         try:
-            est = solve_framed(dom, kern, support, lam, res, {})
+            est = FramedSolver(dom, kern, res).solve(support, lam)
         except (CapacityInputError, CapacityConvergenceError):
             est = None
     if est is not None:

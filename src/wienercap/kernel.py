@@ -87,9 +87,13 @@ def structural_constant(b: GaussBounds) -> float:
 
 
 def euclidean_bounds(N: int, beta: float = 1.0) -> GaussBounds:
-    """Exact-fit bounds for (1/beta) Laplace - d/dt on R^N."""
-    ratio = HeatKernel(N, beta).gaussian_factor
-    lam = max(ratio, 1.0 / ratio)
+    """Exact-fit bounds for (1/beta) Laplace - d/dt on R^N.  A Lambda past
+    the float range (N >= 268 at beta = 1) raises KernelError."""
+    ratio = float(HeatKernel(N, beta).gaussian_factor)
+    lam = max(ratio, 1.0 / ratio) if ratio > 0.0 else math.inf
+    if not math.isfinite(lam):
+        raise KernelError(f"N = {N}, beta = {beta:g} puts the heat kernel's "
+                          "Lambda = max(ratio, 1/ratio) past the float range")
     return GaussBounds(Lambda=lam, a0=beta / 4.0, b0=beta / 4.0, c_d=2.0 ** N)
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .capacity import (CapacityConvergenceError, potential_many,
-                       shared_model, solve_framed)
+from .capacity import (CapacityConvergenceError, FramedSolver,
+                       potential_many)
 from .domain import (BallComplementTarget, DomainSpec, RingSpec,
                      max_nonempty_band, ring_samples, sample_set_and_measure,
                      section_measures)
@@ -63,7 +63,6 @@ class SeriesTable:
     terms: np.ndarray                       # (K_max, H_max) weighted terms
     capacities: dict = field(default_factory=dict)   # (k, h) -> CapacityEstimate
     failed: list = field(default_factory=list)       # (k, h) of failed solves
-    reused: list = field(default_factory=list)       # (k, h) served from the memo
     truncation_bound: float = 0.0
     partial: bool = False
 
@@ -144,12 +143,12 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     has an exactly zero term and gets neither a constraint grid nor a
     solve.  Failed solves are recorded and flag the table PARTIAL.
 
-    Each ring is solved by capacity.solve_framed at its own scale
+    Each ring is solved by one capacity.FramedSolver at its own scale
     r = lam^(k/2): in the frame of z0 at that scale, with the estimate
     multiplied by r^Q.  Rings at different levels are often exact dilates
-    of each other, so one call keeps one memo, keyed on the exact bytes of
-    each framed sample; a hit is recorded in `reused`.  The solves share
-    one HiGHS model (capacity.shared_model), held for this call only.
+    of each other, so the solver's memo, keyed on the exact bytes of each
+    framed sample, serves the repeats, marked reused.  The solves share
+    the solver's one HiGHS model, held for this call only.
     """
     if variant not in VARIANTS:
         raise WienerError(f"variant must be one of {VARIANTS}")
@@ -166,59 +165,55 @@ def series_table(dom: DomainSpec, lam: float, a: float, b: float,
     w = tab.weight_exponent
     ring_variant = "nested" if variant == "nested" else "band"
     Q = dom.metric.Q
-    memo = {}
+    solver = FramedSolver(dom, kern, resolution)
     running = 0.0
     C_fit = 0.0
-    with shared_model():
-        for k in range(1, K_max + 1):
-            r = lam ** (k / 2.0)
-            vol = ball_volume(dom.metric, r)
-            h_cap = max_nonempty_band(lam, k)
-            samples = ring_samples(dom, lam, k,
-                                   range(1, min(h_cap, H_max) + 1),
-                                   ring_variant, resolution)
-            stable_ratio = None  # nested variant: capacity freezes past h_cap
-            for h in range(1, H_max + 1):
-                weight = lam ** (w * h)
-                if h > h_cap and ring_variant == "band":
-                    break
-                if h > h_cap and stable_ratio is not None:
-                    ratio = stable_ratio
-                else:
-                    support = next(samples)
-                    try:
-                        if support.is_empty():
-                            if ring_variant == "band":
-                                continue
-                            ratio = 0.0
-                        else:
-                            est = solve_framed(dom, kern, support, r,
-                                               resolution, memo)
-                            tab.capacities[(k, h)] = est
-                            if est.reused:
-                                tab.reused.append((k, h))
-                            ratio = est.value / vol
-                    except CapacityConvergenceError as exc:
-                        tab.failed.append((k, h))
-                        tab.partial = True
-                        est = exc.estimate
-                        tab.capacities[(k, h)] = est
-                        ratio = (est.value / vol) if est is not None else 0.0
-                    if ring_variant == "nested" and h >= h_cap:
-                        stable_ratio = ratio
-                term = weight * ratio
-                tab.terms[k - 1, h - 1] = term
-                running += term
-                if ratio > 0:
-                    C_fit = max(C_fit, ratio / h ** (Q / 2.0))
-                if _tail_may_stop(C_fit, Q, w, lam, h, running):
-                    tail = _row_tail(C_fit, Q, w, lam, h + 1)
-                    if tail < SERIES_STOP_REL * max(running, 1e-30):
-                        tab.truncation_bound += tail
-                        break
+    for k in range(1, K_max + 1):
+        r = lam ** (k / 2.0)
+        vol = ball_volume(dom.metric, r)
+        h_cap = max_nonempty_band(lam, k)
+        samples = ring_samples(dom, lam, k,
+                               range(1, min(h_cap, H_max) + 1),
+                               ring_variant, resolution)
+        stable_ratio = None  # nested variant: capacity freezes past h_cap
+        for h in range(1, H_max + 1):
+            weight = lam ** (w * h)
+            if h > h_cap and ring_variant == "band":
+                break
+            if h > h_cap and stable_ratio is not None:
+                ratio = stable_ratio
             else:
-                # h loop exhausted H_max: account for the un-walked tail
-                tab.truncation_bound += _row_tail(C_fit, Q, w, lam, H_max + 1)
+                support = next(samples)
+                try:
+                    if support.is_empty():
+                        if ring_variant == "band":
+                            continue
+                        ratio = 0.0
+                    else:
+                        est = solver.solve(support, r)
+                        tab.capacities[(k, h)] = est
+                        ratio = est.value / vol
+                except CapacityConvergenceError as exc:
+                    tab.failed.append((k, h))
+                    tab.partial = True
+                    est = exc.estimate
+                    tab.capacities[(k, h)] = est
+                    ratio = (est.value / vol) if est is not None else 0.0
+                if ring_variant == "nested" and h >= h_cap:
+                    stable_ratio = ratio
+            term = weight * ratio
+            tab.terms[k - 1, h - 1] = term
+            running += term
+            if ratio > 0:
+                C_fit = max(C_fit, ratio / h ** (Q / 2.0))
+            if _tail_may_stop(C_fit, Q, w, lam, h, running):
+                tail = _row_tail(C_fit, Q, w, lam, h + 1)
+                if tail < SERIES_STOP_REL * max(running, 1e-30):
+                    tab.truncation_bound += tail
+                    break
+        else:
+            # h loop exhausted H_max: account for the un-walked tail
+            tab.truncation_bound += _row_tail(C_fit, Q, w, lam, H_max + 1)
     return tab
 
 
@@ -448,7 +443,9 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     if n_u < 2:
         raise WienerError("n_u must be >= 2")
     dhats = [float(dh) for dh in probes]
-    if any(dh <= 0 or dh * dh >= lam for dh in dhats):
+    if not dhats:
+        raise WienerError("no probes: need at least one dhat")
+    if not all(0 < dh and dh * dh < lam for dh in dhats):    # NaN fails too
         raise WienerError("probes must satisfy 0 < dhat^2 < lam")
     if resolution is None:
         resolution = 8 if dom.metric.N == 1 else 5
@@ -539,8 +536,8 @@ def wiener_function(dom: DomainSpec, kernel, rho: float, L_max: int,
                     lam: float = 0.25) -> WienerFunctionEstimate:
     """W(z) = sum_{l=1..L_max} rho^l (1 - V_l(z)) with V_l the clamped
     potential of the discrete equilibrium measure of the parabolic-ball
-    complement at scale r = lam^(l/2), solved by capacity.solve_framed at
-    that scale with one memo per call.  Empty complements give V_l = 0."""
+    complement at scale r = lam^(l/2), solved at that scale by one
+    capacity.FramedSolver per call.  Empty complements give V_l = 0."""
     if not (0.0 < rho < 1.0):
         raise WienerError("rho must lie in (0, 1)")
     P = len(probes)
@@ -549,13 +546,12 @@ def wiener_function(dom: DomainSpec, kernel, rho: float, L_max: int,
     V = np.zeros((L_max, P))
     level_estimates = {}
     partial = False
-    memo = {}
+    solver = FramedSolver(dom, kernel, resolution)
     for l in range(1, L_max + 1):
         support = sample_set_and_measure(dom, BallComplementTarget(l, lam),
                                          resolution)
         try:
-            est = solve_framed(dom, kernel, support, lam ** (l / 2.0),
-                               resolution, memo)
+            est = solver.solve(support, lam ** (l / 2.0))
         except CapacityConvergenceError as exc:
             partial = True
             est = exc.estimate

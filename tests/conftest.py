@@ -60,9 +60,9 @@ def counting_solves(monkeypatch):
     calls = []
     real = capacity._solve_lp
 
-    def wrapper(K, c, kappa):
+    def wrapper(K, c, kappa, h):
         calls.append(K.shape)
-        return real(K, c, kappa)
+        return real(K, c, kappa, h)
 
     monkeypatch.setattr(capacity, "_solve_lp", wrapper)
     return calls

@@ -17,7 +17,6 @@ are frozen.
 
 import gc
 import math
-import threading
 import time
 import weakref
 
@@ -31,8 +30,8 @@ from scipy.optimize._highspy._core import _Highs
 import wienercap as wc
 from wienercap import capacity
 from wienercap.capacity import (CapacityInputError, CapacityProblem,
-                                build_problem, constraint_points,
-                                potential_many,
+                                FramedSolver, build_problem,
+                                constraint_points, potential_many,
                                 refine_capacity, solve_capacity)
 from wienercap.domain import RingSpec, RingTarget, SetSample
 from wienercap.metric import ball_coord_halfwidths
@@ -388,11 +387,10 @@ def shared_model_problems():
 
 
 def test_a_shared_model_solves_as_fresh_models_do(monkeypatch):
-    """A sequence of solves inside one shared_model block, the second
+    """A sequence of solves on one FramedSolver's model, the second
     forced into the full-grid fallback, gives every estimate a solve on a
-    fresh model gives, bit for bit, from one HiGHS model.  Another thread
-    does not see it, and nothing is held once the block exits, by
-    returning or by raising."""
+    fresh model gives, bit for bit, and builds one HiGHS model, which is
+    freed with its solver."""
     probs = shared_model_problems()
     force = {"fallback": None}
     real_covering = capacity._covering_solve
@@ -405,53 +403,40 @@ def test_a_shared_model_solves_as_fresh_models_do(monkeypatch):
         return x, y, iterations
 
     built = []
-    real_highs = capacity._Highs
+    real_new_model = capacity._new_model
 
-    def counting_highs():
-        built.append(real_highs())
+    def counting_new_model():
+        built.append(real_new_model())
         return built[-1]
 
     monkeypatch.setattr(capacity, "_covering_solve", covering)
-    monkeypatch.setattr(capacity, "_Highs", counting_highs)
+    monkeypatch.setattr(capacity, "_new_model", counting_new_model)
     calls = counting_linprog(monkeypatch)
 
-    def solve_all():
+    def solve_all(highs):
         out = []
         for i, p in enumerate(probs):
             force["fallback"] = True if i == 1 else None
-            out.append(solve_capacity(p))
+            out.append(solve_capacity(p, highs))
         return out
 
-    fresh = solve_all()
+    fresh = solve_all(None)
     assert len(built) == len(probs) and len(calls) == 1
     built.clear()
-    with capacity.shared_model():
-        shared = solve_all()
-        assert capacity._scope.highs is built[0]
-        other = []
-        thread = threading.Thread(target=lambda: other.append(
-            (capacity._scope.open, capacity._scope.highs)))
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive() and other == [(False, None)]
-    assert len(built) == 1 and len(calls) == 2
+    m1 = wc.euclidean(1)
+    solver = FramedSolver(wc.benchmark("halfspace", m1),
+                          wc.GaussianKernel(m1, 0.5), 3)
+    shared = solve_all(solver._highs)
+    assert built == [solver._highs] and len(calls) == 2
     for a, b in zip(fresh, shared):
         assert (a.value, a.dual_value, a.gap, a.lp_rows, a.lp_rounds,
                 a.lp_iterations) == (b.value, b.dual_value, b.gap, b.lp_rows,
                                      b.lp_rounds, b.lp_iterations)
         assert a.mu.tobytes() == b.mu.tobytes()
     model = weakref.ref(built.pop())
+    del solver
     gc.collect()
     assert model() is None
-    assert not capacity._scope.open and capacity._scope.highs is None
-    with pytest.raises(KeyError):
-        with capacity.shared_model():
-            solve_capacity(probs[0])
-            model = weakref.ref(built.pop())
-            raise KeyError("inside the block")
-    gc.collect()
-    assert model() is None
-    assert not capacity._scope.open and capacity._scope.highs is None
 
 
 def gap_gate_cloud():
@@ -510,9 +495,9 @@ def warm_and_cold(prob, monkeypatch, method="highs"):
     seen, rows = {}, []
     real_solve, real_covering = capacity._solve_lp, capacity._covering_solve
 
-    def solve(K, c, kappa):
+    def solve(K, c, kappa, h):
         seen["s"] = c / kappa
-        seen["out"] = real_solve(K, c, kappa)
+        seen["out"] = real_solve(K, c, kappa, h)
         return seen["out"]
 
     def covering(h, new):
@@ -609,8 +594,8 @@ def halved_packing(monkeypatch):
     so the certified bracket has a relative gap near 1."""
     real = capacity._solve_lp
 
-    def halved(K, c, kappa):
-        nu, *rest = real(K, c, kappa)
+    def halved(K, c, kappa, h):
+        nu, *rest = real(K, c, kappa, h)
         return (0.5 * nu, *rest)
 
     monkeypatch.setattr(capacity, "_solve_lp", halved)
@@ -636,7 +621,7 @@ def test_failed_ring_solves_are_not_memoized(m1, monkeypatch, halved_packing):
     lam = 0.25
     tab = wc.series_table(dom, lam, 0.25, 0.5, "nested", K_max=3, H_max=4,
                           resolution=3)
-    assert tab.partial and tab.reused == []
+    assert tab.partial and not any(e.reused for e in tab.capacities.values())
     assert set(tab.failed) == set(tab.capacities)
     assert len(calls) == len(tab.failed)
     framed = {}
@@ -687,8 +672,8 @@ def test_working_set_seeds_are_the_first_column_maxima(monkeypatch, metric,
     hands HiGHS exactly those rows divided by c."""
     seen, rounds = [], []
     real_solve, real_covering = capacity._solve_lp, capacity._covering_solve
-    monkeypatch.setattr(capacity, "_solve_lp", lambda K, c, kappa:
-                        seen.append((K, c)) or real_solve(K, c, kappa))
+    monkeypatch.setattr(capacity, "_solve_lp", lambda K, c, kappa, h:
+                        seen.append((K, c)) or real_solve(K, c, kappa, h))
     monkeypatch.setattr(capacity, "_covering_solve", lambda h, rows:
                         rounds.append(rows) or real_covering(h, rows))
     s = random_cloud_sample(np.random.default_rng(n), metric.N, n)

@@ -189,9 +189,9 @@ def test_classify_takes_equilibrium_measure_from_the_series(tmp_path,
     real_table = regularity.series_table
     solved, grids, tables = [], [], []
 
-    def counting(prob):
+    def counting(prob, highs=None):
         solved.append(prob.support.n)
-        return real_solve(prob)
+        return real_solve(prob, highs)
 
     def counting_grid(*args):
         grids.append(args[0].n)
@@ -210,7 +210,7 @@ def test_classify_takes_equilibrium_measure_from_the_series(tmp_path,
     assert code == EXIT_IRREGULAR
     assert len(tables) == 2
     assert len(solved) == len(grids) == sum(
-        len(t.capacities) - len(t.reused) for t in tables)
+        not est.reused for t in tables for est in t.capacities.values())
     rows = (out / "equilibrium_measure.csv").read_text().splitlines()
     assert rows[0] == "x1,t,mass" and len(rows) > 1
 
@@ -480,15 +480,23 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
      "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
     ("integral", "integral.n-u = 1000000",
      "more than INTEGRAL_MAX_POINTS = 2^30 section grid points"),
-    ("integral", "integral.U-max = 710", "makes e^U_max overflow")])
+    ("integral", "integral.U-max = 710", "makes e^U_max overflow"),
+    ("classify", "metric.N = 300",
+     "N = 300, beta = 1 puts the heat kernel's Lambda = max(ratio, 1/ratio) "
+     "past the float range"),
+    ("integral", "integral.probes = 0.1 nan",
+     "probes must satisfy 0 < dhat^2 < lam"),
+    ("integral", "integral.probes = nan",
+     "probes must satisfy 0 < dhat^2 < lam"),
+    ("integral", "integral.probes =", "no probes: need at least one dhat")])
 def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
                                        message):
     """A series depth, cone level count, dimension or quadrature cutoff
-    beyond what floats hold, or a refinement ladder or integral
-    quadrature past its work bound, is rejected before any work: exit 3
-    with a failure.json, never an OverflowError or ZeroDivisionError that
-    exits 1 (IRREGULAR's code), a 1.6 GB allocation or a run of many
-    minutes."""
+    beyond what floats hold, a refinement ladder or integral quadrature
+    past its work bound, or an empty or NaN probe list is rejected before
+    any work: exit 3 with a failure.json, never an OverflowError or
+    ZeroDivisionError that exits 1 (IRREGULAR's code), a 1.6 GB
+    allocation, a run of many minutes or a report with a nan row."""
     cfg = _write(tmp_path, "bad.cfg", FAST_SERIES + setting + "\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
@@ -566,9 +574,9 @@ def test_bad_domain_geometry_exits_3(tmp_path, capsys, family, key, value):
     "domain.z0-position = lateral\ncapacity.resolution = 2"],
     ids=["euclidean1", "koranyi-halfspace", "koranyi-lateral-cylinder"])
 def test_capacity_command_equals_the_series_entry(tmp_path, setting):
-    """capacity and series solve a ring by one path (solve_framed at the
-    ring's scale lam^(k/2)), so the capacity command's ring (k, h) is the
-    sufficient series' entry (k, h), bit for bit."""
+    """capacity and series solve a ring by one path (FramedSolver.solve at
+    the ring's scale lam^(k/2)), so the capacity command's ring (k, h) is
+    the sufficient series' entry (k, h), bit for bit."""
     cfg = _write(tmp_path, "s.cfg",
                  setting + "\nwiener.K-max = 3\nwiener.H-max = 3\n")
     assert main(["series", "--config", cfg, "--out", str(tmp_path / "s"),
@@ -816,9 +824,9 @@ def test_capacity_solves_once_per_refinement_level(tmp_path, monkeypatch,
     solved = []
     real = capmod.solve_capacity
 
-    def counting(prob):
+    def counting(prob, highs=None):
         solved.append(prob.support.resolution)
-        return real(prob)
+        return real(prob, highs)
 
     monkeypatch.setattr(capmod, "solve_capacity", counting)
     # base resolution 2 keeps the finest of three levels a small LP

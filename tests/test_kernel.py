@@ -1,6 +1,7 @@
 """Gaussian kernels, heat kernel, and the two-sided bound bookkeeping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,21 @@ def test_euclidean_bounds_exact_fit():
     b2 = wc.euclidean_bounds(2, 1.0)
     assert b2.Lambda == pytest.approx(4.0, rel=1e-12)
     assert b2.c_d == pytest.approx(4.0)
+
+
+def test_euclidean_bounds_past_the_float_range_raise_cleanly():
+    """At beta = 1 the heat kernel's ratio omega_N / (4 pi)^(N/2) is
+    subnormal or zero from N = 268 on, so Lambda = 1/ratio overflows:
+    a KernelError naming N and beta, with no numpy warning.  N = 267,
+    Lambda = 4.08e307, still fits."""
+    assert wc.euclidean_bounds(267).Lambda == pytest.approx(4.08e307,
+                                                             rel=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in range(268, 342):
+            with pytest.raises(wc.KernelError,
+                               match=f"N = {N}, beta = 1 puts"):
+                wc.euclidean_bounds(N)
 
 
 def test_structural_constant_formula():

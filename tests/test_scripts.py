@@ -19,6 +19,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ["lp_census.py", "--workload", "lp-cloud"],
 ])
 def test_script_runs(argv):
+    assert _run_script(argv).stdout.strip()
+
+
+def _run_script(argv):
+    """Run scripts/argv[0] with this checkout's src first on the path;
+    it must exit 0."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -27,7 +33,21 @@ def test_script_runs(argv):
         [sys.executable, os.path.join(ROOT, "scripts", argv[0]), *argv[1:]],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip()
+    return proc
+
+
+def test_lp_census_builds_one_model_per_table(tmp_path):
+    """A scale-comparability round solves its two series tables on one
+    HiGHS model each, and lp-cloud's twelve direct solves build one
+    apiece; no solve falls back to the full-grid linprog."""
+    out = tmp_path / "census.json"
+    _run_script(["lp_census.py", "--workload", "scale-comparability",
+                 "lp-cloud", "--json", str(out)])
+    rows = json.loads(out.read_text())["workloads"]
+    assert rows["scale-comparability"]["models"] == 2
+    assert rows["lp-cloud"]["models"] == 12
+    assert rows["scale-comparability"]["fallbacks"] == 0
+    assert rows["lp-cloud"]["fallbacks"] == 0
 
 
 def _bench_pairs():

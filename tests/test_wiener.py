@@ -196,8 +196,8 @@ def test_nested_table_reuses_certified_solves(m1, heis, monkeypatch):
         tab = wc.series_table(dom, lam, 0.25, 0.5, "nested", K_max=K_max,
                               H_max=H_max, resolution=res)
         assert not tab.failed
-        assert tab.reused and set(tab.reused) <= set(tab.capacities)
-        assert len(calls) == len(tab.capacities) - len(tab.reused)
+        reused = [kh for kh, est in tab.capacities.items() if est.reused]
+        assert reused and len(calls) == len(tab.capacities) - len(reused)
         kern = wc.GaussianKernel(m, 0.25)
         for (k, h), est in tab.capacities.items():
             prob = wc.build_problem(
@@ -205,7 +205,6 @@ def test_nested_table_reuses_certified_solves(m1, heis, monkeypatch):
             r = lam ** (k / 2.0)
             fresh = framed_solve(dom, kern, r, prob.support, res)
             rQ = r ** m.Q
-            assert est.reused == ((k, h) in tab.reused)
             assert (est.value, est.dual_value, est.gap) == (
                 fresh.value * rQ, fresh.dual_value * rQ, fresh.gap * rQ)
             assert np.array_equal(est.mu, fresh.mu * rQ)
@@ -213,6 +212,44 @@ def test_nested_table_reuses_certified_solves(m1, heis, monkeypatch):
                 assert est.lp_rounds == est.lp_iterations == est.lp_rows == 0
             in_place = wc.solve_capacity(prob)
             assert est.value == pytest.approx(in_place.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind, names, bounds, K_max, H_max, res", [
+    ("euclidean", wc.benchmark_names(), wc.euclidean_bounds(1, 2.0), 8, 8, 3),
+    ("heisenberg-koranyi", ["halfspace", "cylinder-top", "cone"],
+     wc.GaussBounds(1.0, 0.25, 0.25, 16.0), 3, 8, 2)],
+    ids=["euclidean1", "koranyi"])
+def test_no_ring_falls_below_the_uniform_packing(kind, names, bounds, K_max,
+                                                 H_max, res):
+    """The uniform measure on a ring's framed sample, scaled so that its
+    potential is at most 1 on the constraint grid, is a feasible packing:
+    n / max(K 1) r^Q bounds the ring's capacity from below with no solver.
+    Every ring of both series tables reaches it, up to the gap gate."""
+    metric = (wc.euclidean(1) if kind == "euclidean"
+              else wc.heisenberg_koranyi())
+    a, b = bounds.exponents(None, None)
+    lam = 0.25
+    rings = 0
+    for name in names:
+        dom = wc.benchmark(name, metric)
+        for variant in ("sufficient", "necessary"):
+            tab = wc.series_table(dom, lam, a, b, variant, K_max=K_max,
+                                  H_max=H_max, resolution=res)
+            assert not tab.failed
+            kern = wc.GaussianKernel(metric, tab.kernel_exponent)
+            for (k, h), est in tab.capacities.items():
+                support = wc.sample_set_and_measure(
+                    dom, RingTarget(RingSpec(lam, k, h)), res)
+                r = lam ** (k / 2.0)
+                X, T = capacity.dilation_frame(dom, support, r)
+                framed = replace(support, xs=X, ts=T)
+                cx, ct = constraint_points(framed, metric, res)
+                K = kern.matrix(cx, ct, X, T)
+                assert K.shape == (est.n_constraints, est.n_atoms)
+                uniform = K.shape[1] / K.sum(axis=1).max() * r ** metric.Q
+                assert uniform <= est.value * (1.0 + capacity.GAP_TOLERANCE)
+                rings += 1
+    assert rings > 0
 
 
 def test_comparability_is_independent_of_a_dyadic_shift(monkeypatch):
@@ -254,7 +291,8 @@ def test_series_samples_each_level_in_one_pass(m1, monkeypatch, variant):
     tab = wc.series_table(wc.benchmark("cylinder-top", m1), 0.25, 1.0, 2.0,
                           variant, K_max=16, resolution=3)
     assert tab.capacities and not tab.failed
-    assert len(solves) == len(grids) == len(tab.capacities) - len(tab.reused)
+    assert len(solves) == len(grids) == sum(
+        not est.reused for est in tab.capacities.values())
     assert all(n > 0 for n in grids)
     assert sorted(passes) == sorted(set(passes))
     assert set(passes) <= set(range(1, 17))
@@ -429,9 +467,9 @@ def test_wiener_function_solves_each_framed_complement_once(m1, bounds1,
                                                            monkeypatch):
     """The ball complements of the halfspace are dilates of one another
     about z0, so wiener_function, which solves each in the frame of z0 at
-    its scale r = lam^(l/2) with one memo, solves fewer LPs than levels;
-    every level is r^Q times a fresh solve of its framed problem, bit for
-    bit."""
+    its scale r = lam^(l/2) with one FramedSolver, solves fewer LPs than
+    levels; every level is r^Q times a fresh solve of its framed problem,
+    bit for bit."""
     calls = counting_solves(monkeypatch)
     dom = wc.benchmark("halfspace", m1)
     kern = wc.GaussianKernel(m1, bounds1.a0)
