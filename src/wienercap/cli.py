@@ -149,11 +149,14 @@ def _configured_domain(cfg, metric: MetricSpace) -> DomainSpec:
 
 
 def build_bounds(cfg: RunConfig, metric: MetricSpace) -> GaussBounds:
+    """bounds.Lambda, a0 and b0, each left at 0 taken from the Euclidean
+    fit, which is computed only if one is."""
     lam_c, a0, b0 = cfg["bounds.Lambda"], cfg["bounds.a0"], cfg["bounds.b0"]
-    auto = euclidean_bounds(metric.N if metric.kind == "euclidean" else 1,
-                            cfg["pde.beta"])
-    return GaussBounds(lam_c or auto.Lambda, a0 or auto.a0, b0 or auto.b0,
-                       metric.c_d)
+    if not (lam_c and a0 and b0):
+        auto = euclidean_bounds(metric.N if metric.kind == "euclidean" else 1,
+                                cfg["pde.beta"])
+        lam_c, a0, b0 = lam_c or auto.Lambda, a0 or auto.a0, b0 or auto.b0
+    return GaussBounds(lam_c, a0, b0, metric.c_d)
 
 
 def exponents(cfg: RunConfig, bounds: GaussBounds) -> tuple[float, float]:

@@ -88,8 +88,10 @@ def structural_constant(b: GaussBounds) -> float:
 
 def euclidean_bounds(N: int, beta: float = 1.0) -> GaussBounds:
     """Exact-fit bounds for (1/beta) Laplace - d/dt on R^N.  A Lambda past
-    the float range (N >= 268 at beta = 1) raises KernelError."""
-    ratio = float(HeatKernel(N, beta).gaussian_factor)
+    the float range (N >= 268 at beta = 1, or N = 3 at beta = 1e308,
+    where the ratio's denominator underflows to 0) raises KernelError."""
+    with np.errstate(divide="ignore"):
+        ratio = float(HeatKernel(N, beta).gaussian_factor)
     lam = max(ratio, 1.0 / ratio) if ratio > 0.0 else math.inf
     if not math.isfinite(lam):
         raise KernelError(f"N = {N}, beta = {beta:g} puts the heat kernel's "

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-from scipy.optimize import linprog
 
 import wienercap as wc
 from wienercap import capacity
@@ -38,19 +37,6 @@ def heis():
 @pytest.fixture(scope="session")
 def bounds1():
     return wc.euclidean_bounds(1, 2.0)
-
-
-def counting_linprog(monkeypatch):
-    """Replace capacity.linprog by a wrapper recording each call's A_ub
-    shape."""
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(np.shape(kwargs["A_ub"]))
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(capacity, "linprog", wrapper)
-    return calls
 
 
 def counting_solves(monkeypatch):

@@ -36,7 +36,7 @@ from wienercap.capacity import (CapacityInputError, CapacityProblem,
 from wienercap.domain import RingSpec, RingTarget, SetSample
 from wienercap.metric import ball_coord_halfwidths
 
-from conftest import (counting_linprog, counting_solves, flat_rect_sample,
+from conftest import (counting_solves, flat_rect_sample,
                       parabolic_ball_sample, random_cloud_sample)
 
 ORACLE_N20 = 0.6254538889215207
@@ -256,6 +256,57 @@ def test_parabolic_ball_capacity_scaling(m1):
     assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-9)
 
 
+def heat_ball_sample(N, r, res):
+    """Midpoints inside the heat ball E(0; r) = {w : Gamma(-w) > r^-N} of
+    the heat kernel Gamma of Laplace - d/dt on R^N, z0 = (0, 0), among
+    (2^res + 1)^N x 2^res cells over its box |x| <= r sqrt(N / (2 pi e)),
+    0 < -s < r^2 / (4 pi)."""
+    nx, nt = 2 ** res + 1, 2 ** res
+    hw, depth = r * math.sqrt(N / (2 * math.pi * math.e)), r * r / (4 * math.pi)
+    ax = -hw + (np.arange(nx) + 0.5) * (2 * hw / nx)
+    mesh = np.meshgrid(*[ax] * N, (np.arange(nt) + 0.5) * (depth / nt),
+                       indexing="ij")
+    X = np.stack([g.reshape(-1) for g in mesh[:-1]], axis=-1)
+    tau = mesh[-1].reshape(-1)
+    gamma = np.exp(-(X ** 2).sum(axis=1) / (4 * tau)) \
+        / (4 * math.pi * tau) ** (N / 2)
+    keep = gamma > r ** -N
+    cell = (2 * hw / nx) ** N * depth / nt
+    return SetSample(X[keep], -tau[keep], np.full(int(keep.sum()), cell),
+                     cell * int(keep.sum()), 0.0, res)
+
+
+def heat_ball_capacity(N, r, res):
+    s = heat_ball_sample(N, r, res)
+    prob = CapacityProblem(wc.HeatKernel(N, 1.0), s, *constraint_points(
+        s, wc.euclidean(N), res))
+    return solve_capacity(prob)
+
+
+@pytest.mark.parametrize("N, resolutions, band",
+                         [(1, (3, 4, 5), 0.05), (2, (2, 3), 0.16)])
+def test_heat_ball_capacity_is_r_to_the_N(N, resolutions, band,
+                                          monkeypatch):
+    """The heat ball E(z0; r) has thermal capacity exactly r^N (Watson
+    1978).  Sampled from inside, its capacity under HeatKernel(N, 1)
+    lies within `band` below r^N, 1 - cap / r^N falling with resolution
+    (0.041, 0.025, 0.015 on N = 1; 0.143, 0.123 on N = 2); r = 1/2 gives
+    r = 1's value times 2^-N, and the full-grid fallback the same value."""
+    caps = []
+    for res in resolutions:
+        cap = heat_ball_capacity(N, 1.0, res).value
+        assert 0.0 < 1.0 - cap < band
+        assert heat_ball_capacity(N, 0.5, res).value / 0.5 ** N == \
+            pytest.approx(cap, rel=1e-9)
+        caps.append(cap)
+    assert caps == sorted(caps) and len(set(caps)) == len(caps)
+    solves = forced_fallback(monkeypatch)
+    forced = [heat_ball_capacity(N, 1.0, res) for res in resolutions]
+    assert [e.lp_rows for e in forced] == [e.n_constraints for e in forced]
+    assert len(solves) == len(resolutions)
+    assert [e.value for e in forced] == pytest.approx(caps, rel=1e-9)
+
+
 def test_refinement_ladder(m1):
     dom = wc.benchmark("halfspace", m1)
     kern = wc.GaussianKernel(m1, 0.5)
@@ -358,13 +409,22 @@ def lp_clouds(draw):
 def test_every_lp_cloud_certifies_without_the_fallback(draw, monkeypatch):
     """Every cloud of three lp-cloud draws (36 LPs of 50 to 400 atoms
     against up to 4496 grid rows) certifies a bracket within GAP_TOLERANCE
-    on the warm-started covering model alone: linprog is never called."""
-    calls = counting_linprog(monkeypatch)
+    on the warm-started covering model alone: each solve fills its model
+    once, never again for a full-grid round."""
+    solves = counting_solves(monkeypatch)
+    fills = []
+    real = capacity._covering_model
+
+    def covering_model(h, s):
+        fills.append(s.size)
+        return real(h, s)
+
+    monkeypatch.setattr(capacity, "_covering_model", covering_model)
     for m, s in lp_clouds(draw):
         est, _ = solve_sample(m, s, 0.25)
         assert 0.0 <= est.rel_gap() <= capacity.GAP_TOLERANCE
         assert est.lp_rows < est.n_constraints
-    assert calls == []
+    assert fills == [n for _, n in solves] == list(LP_CLOUD_SIZES)
 
 
 def shared_model_problems():
@@ -411,23 +471,26 @@ def test_a_shared_model_solves_as_fresh_models_do(monkeypatch):
 
     monkeypatch.setattr(capacity, "_covering_solve", covering)
     monkeypatch.setattr(capacity, "_new_model", counting_new_model)
-    calls = counting_linprog(monkeypatch)
 
     def solve_all(highs):
         out = []
         for i, p in enumerate(probs):
             force["fallback"] = True if i == 1 else None
             out.append(solve_capacity(p, highs))
+        # only the forced solve ran its LP on every grid row
+        assert [e.lp_rows == p.cons_t.shape[0]
+                for e, p in zip(out, probs)] == [i == 1 for i in
+                                                 range(len(probs))]
         return out
 
     fresh = solve_all(None)
-    assert len(built) == len(probs) and len(calls) == 1
+    assert len(built) == len(probs)
     built.clear()
     m1 = wc.euclidean(1)
     solver = FramedSolver(wc.benchmark("halfspace", m1),
                           wc.GaussianKernel(m1, 0.5), 3)
     shared = solve_all(solver._highs)
-    assert built == [solver._highs] and len(calls) == 2
+    assert built == [solver._highs]
     for a, b in zip(fresh, shared):
         assert (a.value, a.dual_value, a.gap, a.lp_rows, a.lp_rounds,
                 a.lp_iterations) == (b.value, b.dual_value, b.gap, b.lp_rows,
@@ -458,33 +521,63 @@ def test_gap_gate_met_on_cloud_with_tiny_kernel_entries():
     assert float(pot.max()) <= 1.0 + 1e-9
 
 
+def forced_fallback(monkeypatch):
+    """Zero the packing marginals of each solve's first covering round, so
+    that every solve takes the full-grid round.  Returns, per solve, the
+    shape of the grid rows each of its covering rounds appended."""
+    solves = []
+    real_solve, real_covering = capacity._solve_lp, capacity._covering_solve
+
+    def solve(K, c, kappa, h):
+        solves.append([])
+        return real_solve(K, c, kappa, h)
+
+    def zero_first_marginals(h, rows):
+        x, y, iterations = real_covering(h, rows)
+        solves[-1].append(rows.shape)
+        if len(solves[-1]) == 1:
+            x = np.zeros_like(x)
+        return x, y, iterations
+
+    monkeypatch.setattr(capacity, "_solve_lp", solve)
+    monkeypatch.setattr(capacity, "_covering_solve", zero_first_marginals)
+    return solves
+
+
 def test_packing_fallback_yields_certified_bracket(m1, monkeypatch):
     """Degenerate marginals of the restricted covering LP send the solve to
-    one explicit full-grid packing LP, which must still produce a
+    one cold covering round on the full grid, which must still produce a
     certified bracket."""
     s = random_cloud_sample(np.random.default_rng(32), 1, 50)
     ref, _ = solve_sample(m1, s, 0.25)
 
-    rounds = []
-    real = capacity._covering_solve
-
-    def zero_first_marginals(h, rows):
-        x, y, iterations = real(h, rows)
-        rounds.append(rows.shape)
-        if len(rounds) == 1:
-            x = np.zeros_like(x)
-        return x, y, iterations
-
-    monkeypatch.setattr(capacity, "_covering_solve", zero_first_marginals)
-    calls = counting_linprog(monkeypatch)
+    solves = forced_fallback(monkeypatch)
     est, prob = solve_sample(m1, s, 0.25)
     m = prob.cons_t.shape[0]
-    assert len(rounds) == 1 and rounds[0][1] == s.n and rounds[0][0] < m
-    assert calls == [(m, s.n)]
-    assert est.lp_rows == m
+    [[restricted, full]] = solves
+    assert restricted[1] == s.n and restricted[0] < m
+    assert full == (m, s.n)
+    assert est.lp_rows == m and est.lp_rounds == 2
     assert est.dual_value >= est.value > 0.0
     assert est.rel_gap() <= 1e-6
     assert est.value == pytest.approx(ref.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("draw, index, metric, n", [
+    (1, 10, "euclidean", 370), (2, 8, "heisenberg-koranyi", 300),
+    (8, 11, "heisenberg-koranyi", 400)])
+def test_full_grid_fallback_bracket_is_tight(draw, index, metric, n,
+                                             monkeypatch):
+    """The full-grid round runs on the unscaled covering model at 1e-9
+    feasibility, so its bracket is as tight as a normal solve's: within
+    1e-8 on three lp-cloud clouds where a scaled packing LP at HiGHS's
+    default 1e-7 tolerances left 3.4e-8 to 1.2e-7."""
+    m, s = lp_clouds(draw)[index]
+    assert (m.kind, s.n) == (metric, n)
+    solves = forced_fallback(monkeypatch)
+    est, prob = solve_sample(m, s, 0.25)
+    assert 0.0 <= est.rel_gap() <= 1e-8
+    assert [shape for _, shape in solves] == [(prob.cons_t.shape[0], n)]
 
 
 def warm_and_cold(prob, monkeypatch, method="highs"):

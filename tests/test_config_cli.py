@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -506,6 +507,30 @@ def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
     assert message in failure["error"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == ["config.txt", "failure.json"]
+
+
+@pytest.mark.parametrize("bounds, code", [
+    ("bounds.Lambda = 2\nbounds.a0 = 0.25\nbounds.b0 = 0.25\n", EXIT_OK),
+    ("", EXIT_FAILURE)], ids=["all-set", "fitted"])
+def test_euclidean_fit_is_computed_only_for_bounds_left_at_0(
+        tmp_path, capsys, bounds, code):
+    """At N = 3, beta = 1e308 the Euclidean fit's Lambda is past the float
+    range.  A run that sets all three bounds never computes it and exits
+    0; a run that leaves them at 0 exits 3 naming it, with no numpy
+    warning either way."""
+    cfg = _write(tmp_path, "beta.cfg", FAST_CAPACITY.replace(
+        "resolution = 3", "resolution = 2")
+        + "metric.N = 3\npde.beta = 1e308\n" + bounds)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(["capacity", "--config", cfg, "--out", str(out),
+                    "--quiet"])
+    assert got == code
+    if code == EXIT_FAILURE:
+        assert ("N = 3, beta = 1e+308 puts the heat kernel's Lambda = "
+                "max(ratio, 1/ratio) past the float range"
+                in capsys.readouterr().err)
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -412,7 +412,8 @@ def test_euclidean_bounds_past_the_float_range_raise_cleanly():
     """At beta = 1 the heat kernel's ratio omega_N / (4 pi)^(N/2) is
     subnormal or zero from N = 268 on, so Lambda = 1/ratio overflows:
     a KernelError naming N and beta, with no numpy warning.  N = 267,
-    Lambda = 4.08e307, still fits."""
+    Lambda = 4.08e307, still fits.  At N = 3, beta = 1e308 the ratio's
+    denominator (4 pi / beta)^(N/2) underflows to 0: the same error."""
     assert wc.euclidean_bounds(267).Lambda == pytest.approx(4.08e307,
                                                              rel=1e-3)
     with warnings.catch_warnings():
@@ -421,6 +422,9 @@ def test_euclidean_bounds_past_the_float_range_raise_cleanly():
             with pytest.raises(wc.KernelError,
                                match=f"N = {N}, beta = 1 puts"):
                 wc.euclidean_bounds(N)
+        with pytest.raises(wc.KernelError,
+                           match=r"N = 3, beta = 1e\+308 puts"):
+            wc.euclidean_bounds(3, 1e308)
 
 
 def test_structural_constant_formula():

@@ -39,7 +39,7 @@ def _run_script(argv):
 def test_lp_census_builds_one_model_per_table(tmp_path):
     """A scale-comparability round solves its two series tables on one
     HiGHS model each, and lp-cloud's twelve direct solves build one
-    apiece; no solve falls back to the full-grid linprog."""
+    apiece; no solve falls back to a full-grid covering round."""
     out = tmp_path / "census.json"
     _run_script(["lp_census.py", "--workload", "scale-comparability",
                  "lp-cloud", "--json", str(out)])
