@@ -30,7 +30,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from wienercap import pde
-from wienercap.cli import (SUITE_PROBE_OFFSETS, build_bounds, run_classify,
+from wienercap.cli import (SUITE_PROBE_OFFSETS, build_bounds, classifier,
                            walk_config)
 from wienercap.config import RunConfig
 from wienercap.domain import BENCHMARK_STATUS, benchmark, benchmark_names
@@ -103,7 +103,7 @@ def main() -> int:
     pinned_contradicted = False
     for name in benchmark_names():
         dom = benchmark(name)
-        verdict = run_classify(cfg, dom, build_bounds(cfg, dom.metric)).verdict
+        verdict = classifier(cfg, build_bounds(cfg, dom.metric))(dom).verdict
         counts = dict.fromkeys(STATUSES, 0)
         contradicted, closest_call, walls = [], math.inf, []
         digest = hashlib.sha256()

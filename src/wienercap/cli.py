@@ -10,6 +10,8 @@ Subcommands:
     benchmark-suite  classify + consistency checks over the registry
     list-domains     available benchmarks, families and config keys
 
+Each command reads its settings first, then settles: a key the config
+sets that the command never read exits 64, before any work or any write.
 Every run writes a bundle directory: manifest.json (config hash, seed,
 versions), config.txt (byte-exact copy), and per-command JSON/CSV files.
 Exit codes: 0 success (classify: REGULAR), 1 IRREGULAR, 2 INCONCLUSIVE,
@@ -22,6 +24,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -68,51 +71,27 @@ def build_metric(cfg: RunConfig) -> MetricSpace:
 
 
 class _Reads:
-    """A view of a RunConfig that records the keys read through it."""
+    """A RunConfig as one command sees it: records the keys read through
+    it, and settle() rejects every key the config sets that the command
+    has not read.  seed counts as read, since the manifest records it."""
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg, self.keys = cfg, set()
+    def __init__(self, cfg: RunConfig, command: str):
+        self.cfg, self.command, self.keys = cfg, command, {"seed"}
 
     def __getitem__(self, key: str):
         self.keys.add(key)
         return self.cfg[key]
 
-
-def _reject_unread(cfg: RunConfig, reads: _Reads, keys, reader: str):
-    """ConfigError if the config sets one of keys that reads never read."""
-    unread = sorted(k for k in keys if k in cfg.values
-                    and k not in reads.keys)
-    if unread:
-        raise ConfigError(f"{', '.join(unread)} set, but {reader} does not "
-                          "read it")
-
-
-def _unread_keys(command: str) -> list:
-    """Keys that command never reads: the capacity target keys under every
-    command but capacity, and every domain.* key under benchmark-suite and
-    pde-verify, which build their own domains."""
-    keys = [] if command == "capacity" else list(TARGET_KEYS)
-    if command in ("benchmark-suite", "pde-verify"):
-        keys += [k for k in SCHEMA if k.startswith("domain.")]
-    return keys
+    def settle(self):
+        unread = sorted(set(self.cfg.values) - self.keys)
+        if unread:
+            raise ConfigError(f"{', '.join(unread)} set, but {self.command} "
+                              "does not read it")
 
 
 def build_domain(cfg: RunConfig, metric: MetricSpace) -> DomainSpec:
-    """The configured domain.  A domain.* key that the chosen benchmark or
-    family does not read is a ConfigError when the config sets it."""
-    reads = _Reads(cfg)
-    dom = _configured_domain(reads, metric)
-    reader = (f"domain.benchmark = {cfg['domain.benchmark']}"
-              if cfg["domain.benchmark"]
-              else f"domain.family = {cfg['domain.family']}")
-    if "domain.profile" in reads.keys:
-        reader += f" with domain.profile = {cfg['domain.profile']}"
-    _reject_unread(cfg, reads, [k for k in SCHEMA if k.startswith("domain.")],
-                   reader)
-    return dom
-
-
-def _configured_domain(cfg, metric: MetricSpace) -> DomainSpec:
+    """The configured domain, reading only the domain.* keys of the chosen
+    benchmark or family."""
     name = cfg["domain.benchmark"]
     if name:
         return benchmark(name, metric)
@@ -150,7 +129,7 @@ def _configured_domain(cfg, metric: MetricSpace) -> DomainSpec:
 
 def build_bounds(cfg: RunConfig, metric: MetricSpace) -> GaussBounds:
     """bounds.Lambda, a0 and b0, each left at 0 taken from the Euclidean
-    fit, which is computed only if one is."""
+    fit, which is computed (and pde.beta read) only if one is."""
     lam_c, a0, b0 = cfg["bounds.Lambda"], cfg["bounds.a0"], cfg["bounds.b0"]
     if not (lam_c and a0 and b0):
         auto = euclidean_bounds(metric.N if metric.kind == "euclidean" else 1,
@@ -170,21 +149,27 @@ def cone_settings(cfg: RunConfig) -> tuple:
             cfg["cone.theta-min"], cfg["cone.resolution"])
 
 
-def run_classify(cfg: RunConfig, dom: DomainSpec, bounds: GaussBounds):
-    """The three-step classifier with every setting read from the config."""
-    return classify(dom, bounds, cfg["wiener.lambda"], *exponents(cfg, bounds),
-                    cfg["wiener.K-max"], cfg["wiener.H-max"],
-                    cfg["capacity.resolution"], *cone_settings(cfg))
+def classifier(cfg: RunConfig, bounds: GaussBounds) -> partial:
+    """classify(dom) under bounds, with every setting read from the config
+    once, here, and kept in the call's keywords."""
+    a, b = exponents(cfg, bounds)
+    M0, r0, levels, theta_min, cone_res = cone_settings(cfg)
+    return partial(classify, bounds=bounds, lam=cfg["wiener.lambda"], a=a,
+                   b=b, K_max=cfg["wiener.K-max"], H_max=cfg["wiener.H-max"],
+                   resolution=cfg["capacity.resolution"], cone_M0=M0,
+                   cone_r0=r0, cone_levels=levels, cone_theta_min=theta_min,
+                   cone_resolution=cone_res)
 
 
-def run_integral(cfg: RunConfig, dom: DomainSpec, bounds: GaussBounds,
-                 probes):
-    """The integral criterion at the dhat probes, with wiener.lambda and the
-    integral.* quadrature keys (0 = automatic) read from the config."""
-    return integral_test(dom, cfg["wiener.lambda"], exponents(cfg, bounds)[1],
-                         probes, n_u=cfg["integral.n-u"],
-                         U_max=cfg["integral.U-max"] or None,
-                         resolution=cfg["integral.resolution"] or None)
+def integrator(cfg: RunConfig, bounds: GaussBounds) -> partial:
+    """integral_test(dom, probes=...) with wiener.lambda, the weight
+    exponent and the integral.* quadrature keys (0 = automatic) read from
+    the config once, here."""
+    return partial(integral_test, lam=cfg["wiener.lambda"],
+                   b=bounds.exponents(None, cfg["wiener.b"] or None)[1],
+                   n_u=cfg["integral.n-u"],
+                   U_max=cfg["integral.U-max"] or None,
+                   resolution=cfg["integral.resolution"] or None)
 
 
 def walk_config(cfg: RunConfig) -> WalkConfig:
@@ -218,14 +203,13 @@ def _write_equilibrium(bundle, est, support):
 def cmd_capacity(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    kern = GaussianKernel(metric, exponents(cfg, build_bounds(cfg, metric))[0])
-    reads = _Reads(cfg)
-    target, r = _capacity_target(reads, cfg["wiener.lambda"])
-    _reject_unread(cfg, reads, TARGET_KEYS,
-                   f"capacity.target = {cfg['capacity.target']}")
-    steps = refine_capacity(dom, target, kern, r,
-                            cfg["capacity.refine-levels"],
-                            cfg["capacity.resolution"])
+    bounds = build_bounds(cfg, metric)
+    kern = GaussianKernel(metric,
+                          bounds.exponents(cfg["wiener.a"] or None, None)[0])
+    target, r = _capacity_target(cfg, cfg["wiener.lambda"])
+    levels, res = cfg["capacity.refine-levels"], cfg["capacity.resolution"]
+    cfg.settle()
+    steps = refine_capacity(dom, target, kern, r, levels, res)
     est, support = steps[-1].estimate, steps[-1].support
     record = {
         "domain": _domain_summary(dom),
@@ -255,11 +239,6 @@ def cmd_capacity(cfg, bundle, quiet):
               f"rows={est.lp_rows}/{est.n_constraints} rounds={est.lp_rounds} "
               f"iterations={est.lp_iterations}")
     return EXIT_OK
-
-
-# the capacity.* keys that say which set of its kind a target is
-TARGET_KEYS = ("capacity.k", "capacity.h", "capacity.variant",
-               "capacity.rho", "capacity.tau", "capacity.l")
 
 
 def _capacity_target(cfg, lam: float):
@@ -303,11 +282,12 @@ def _write_series(bundle, dom, tab, rep):
 def cmd_series(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    bounds = build_bounds(cfg, metric)
-    a, b = exponents(cfg, bounds)
-    tab = series_table(dom, cfg["wiener.lambda"], a, b, cfg["wiener.variant"],
-                       cfg["wiener.K-max"], cfg["wiener.H-max"],
-                       cfg["capacity.resolution"])
+    a, b = exponents(cfg, build_bounds(cfg, metric))
+    settings = (cfg["wiener.lambda"], a, b, cfg["wiener.variant"],
+                cfg["wiener.K-max"], cfg["wiener.H-max"],
+                cfg["capacity.resolution"])
+    cfg.settle()
+    tab = series_table(dom, *settings)
     rep = divergence_verdict(tab)
     _write_series(bundle, dom, tab, rep)
     if not quiet:
@@ -320,8 +300,10 @@ def cmd_series(cfg, bundle, quiet):
 def cmd_integral(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    rep = run_integral(cfg, dom, build_bounds(cfg, metric),
-                       cfg["integral.probes"])
+    integrate = integrator(cfg, build_bounds(cfg, metric))
+    probes = cfg["integral.probes"]
+    cfg.settle()
+    rep = integrate(dom, probes=probes)
     bundle.write_json("integral_report.json", rep)
     bundle.write_csv("integral_curve.csv", ["log_inv_dhat2", "M"],
                      [[math.log(1.0 / dh ** 2), m]
@@ -334,7 +316,9 @@ def cmd_integral(cfg, bundle, quiet):
 def cmd_cone(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    rep = cone_check(dom, *cone_settings(cfg))
+    settings = cone_settings(cfg)
+    cfg.settle()
+    rep = cone_check(dom, *settings)
     bundle.write_json("cone_report.json", rep)
     if not quiet:
         print(f"cone satisfied={rep.satisfied} theta={rep.theta:.4f}")
@@ -357,19 +341,20 @@ def _classification_payload(cls, dom):
 def cmd_classify(cfg, bundle, quiet):
     metric = build_metric(cfg)
     dom = build_domain(cfg, metric)
-    bounds = build_bounds(cfg, metric)
-    cls = run_classify(cfg, dom, bounds)
+    run = classifier(cfg, build_bounds(cfg, metric))
+    cfg.settle()
+    cls = run(dom)
     bundle.write_json("classification.json", _classification_payload(cls, dom))
     # provenance: ring (2, 1)'s equilibrium measure under G_a at its scale
     # lam, the sufficient series' entry when that series ran, else solved;
     # none when its solve failed
-    lam, res = cfg["wiener.lambda"], cfg["capacity.resolution"]
+    lam, res = run.keywords["lam"], run.keywords["resolution"]
     support = sample_set_and_measure(dom, RingTarget(RingSpec(lam, 2, 1)), res)
     tab = cls.sufficient_table
     if tab is not None and (2, 1) in tab.capacities:
         est = None if (2, 1) in tab.failed else tab.capacities[(2, 1)]
     else:
-        kern = GaussianKernel(metric, exponents(cfg, bounds)[0])
+        kern = GaussianKernel(metric, run.keywords["a"])
         try:
             est = FramedSolver(dom, kern, res).solve(support, lam)
         except (CapacityInputError, CapacityConvergenceError):
@@ -389,8 +374,9 @@ def cmd_pde_verify(cfg, bundle, quiet):
     metric = build_metric(cfg)
     if metric.kind != "euclidean":
         raise ConfigError("pde-verify requires a Euclidean metric")
-    beta = cfg["pde.beta"]
     walk = walk_config(cfg)
+    cfg.settle()
+    beta = walk.beta
     dom = halfspace_time(metric)
     z = stp(np.full(metric.N, 0.3), 0.25)
     checks = {}
@@ -439,11 +425,13 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
     walk = walk_config(cfg)     # rejects a walk that could not run
     metric = build_metric(cfg)
     bounds = build_bounds(cfg, metric)
+    classify_at, integrate = classifier(cfg, bounds), integrator(cfg, bounds)
+    cfg.settle()
     summary = []
     all_ok = True
     for name in benchmark_names():
         dom = benchmark(name, metric)
-        cls = run_classify(cfg, dom, bounds)
+        cls = classify_at(dom)
         bundle.write_json(f"{name}_classification.json",
                           _classification_payload(cls, dom))
         if cls.sufficient is not None:
@@ -452,7 +440,7 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
             suff_verdict = None
         # integral-consistency: integral divergence must not meet a
         # CONVERGENT sufficient series
-        irep = run_integral(cfg, dom, bounds, SUITE_INTEGRAL_PROBES)
+        irep = integrate(dom, probes=SUITE_INTEGRAL_PROBES)
         consistent = not (irep.divergent and suff_verdict == "CONVERGENT")
         bundle.write_json(f"{name}_integral.json", irep)
         # PDE cross-check on Euclidean metrics: probe for the solution
@@ -491,6 +479,7 @@ def cmd_benchmark_suite(cfg, bundle, quiet):
 
 
 def cmd_list_domains(cfg, bundle, quiet):
+    cfg.settle()
     print("registry benchmarks:")
     for name in benchmark_names():
         status = BENCHMARK_STATUS[name] or "unpinned"
@@ -537,19 +526,17 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         if args.seed is not None:
             cfg = cfg.with_override("seed", args.seed)
-        _reject_unread(cfg, _Reads(cfg), _unread_keys(args.command),
-                       args.command)
+        reads = _Reads(cfg, args.command)
+        if args.command == "list-domains":
+            return cmd_list_domains(reads, None, args.quiet)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "list-domains":
-        return cmd_list_domains(cfg, None, args.quiet)
-
     out_dir = args.out or f"wienercap-{args.command}"
     bundle = ReportBundle(out_dir, args.command, cfg.source_text, cfg["seed"])
     try:
-        code = COMMANDS[args.command](cfg, bundle, args.quiet)
+        code = COMMANDS[args.command](reads, bundle, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -571,6 +571,8 @@ class SectionTarget:
     def __post_init__(self):
         if not (math.isfinite(self.rho) and math.isfinite(self.tau)):
             raise DomainError("section rho and tau must be finite")
+        if self.rho <= 1.0:
+            raise DomainError("section needs rho > 1")
 
 
 @dataclass(frozen=True)
@@ -717,26 +719,27 @@ def ring_samples(dom: DomainSpec, lam: float, k: int, hs, variant: str,
                                              2 ** resolution))
 
 
-def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
+def _section_chunks(dom: DomainSpec, lam: float, log_rhos, tau: float,
                     cells_x: int):
-    """Sample the sections SectionTarget(lam, rho, tau) for every rho of
-    rhos on their fine grids, one pass of _ball_grids at a time.
+    """Sample the sections SectionTarget(lam, rho, tau) for every log rho
+    of log_rhos on their fine grids, one pass of _ball_grids at a time.
+    The sections read rho only through log rho, so a rho past the float
+    range is fine.
 
-    Yields (index, X, keep, cellvol): the indices into rhos of the
+    Yields (index, X, keep, cellvol): the indices into log_rhos of the
     nonempty-radius sections of the pass, their grid points (k, M, N),
     the target membership of each point (k, M) and the cell volumes (k,).
     Sections with eta = t0 - tau outside (0, lam) or a zero radius are
     empty and never yielded.
     """
-    rhos = [float(rho) for rho in rhos]
-    if any(rho <= 1.0 for rho in rhos):
+    logs = np.asarray(log_rhos, dtype=float)
+    if np.any(logs <= 0.0):
         raise DomainError("section needs rho > 1")
     x0 = dom.z0.x
     eta = dom.z0.t - tau
     if eta <= 0 or eta >= lam:
         return
     r_cap = (lam ** 2 - eta ** 2) ** 0.25
-    logs = np.array([math.log(rho) for rho in rhos])
     radii = [min(math.sqrt(eta * lg), r_cap) for lg in logs.tolist()]
     index = np.array([i for i, R in enumerate(radii) if R > 0], dtype=int)
     for lo, X, cellvol in _ball_grids(dom, [radii[i] for i in index],
@@ -751,15 +754,16 @@ def _section_chunks(dom: DomainSpec, lam: float, rhos, tau: float,
         yield idx, X, keep.reshape(k, M), cellvol
 
 
-def section_measures(dom: DomainSpec, lam: float, rhos, tau: float,
+def section_measures(dom: DomainSpec, lam: float, log_rhos, tau: float,
                      resolution: int) -> np.ndarray:
     """measure_estimate of sample_set_and_measure(dom, SectionTarget(lam,
-    rho, tau), resolution) for every rho of rhos, bit for bit, from one
-    vectorized pass over the fine grids and without the coarse pass."""
+    rho, tau), resolution) for every log rho of log_rhos, bit for bit
+    where log rho = math.log(rho), from one vectorized pass over the fine
+    grids and without the coarse pass."""
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    out = np.zeros(len(rhos))
-    for idx, _, keep, cellvol in _section_chunks(dom, lam, rhos, tau,
+    out = np.zeros(len(log_rhos))
+    for idx, _, keep, cellvol in _section_chunks(dom, lam, log_rhos, tau,
                                                  2 ** resolution + 1):
         out[idx] = keep.sum(axis=1) * cellvol
     return out
@@ -820,7 +824,7 @@ def _sample(dom: DomainSpec, target, resolution: int):
                                 cx, ct))
     if isinstance(target, SectionTarget):
         for _, X, keep, cellvol in _section_chunks(
-                dom, target.lam, [target.rho], target.tau, cx):
+                dom, target.lam, [math.log(target.rho)], target.tau, cx):
             n = int(keep[0].sum())
             return (X[0][keep[0]], np.full(n, target.tau),
                     np.full(n, cellvol[0]), float(n * cellvol[0]))

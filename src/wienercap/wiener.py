@@ -24,7 +24,6 @@ section measures of the complement and is divergent for cone-like sets.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -453,11 +452,18 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         U_max = max(40.0, 16.0 / b)
     elif not 0 < U_max < math.inf:
         raise WienerError("U_max must be positive and finite")
-    if U_max > math.log(sys.float_info.max):
-        raise WienerError(f"U_max = {U_max:g} makes e^U_max overflow")
     Q, c_d = dom.metric.Q, dom.metric.c_d
     v_lo = math.log(min(dh * dh for dh in dhats))
     v_hi = math.log(lam)
+    try:
+        tail_env, _ = integrate.quad(
+            lambda u: (1.0 + c_d * u ** (Q / 2.0)) * math.exp(-b * u),
+            U_max, U_max + 400.0 / b)
+    except OverflowError:
+        tail_env = math.inf
+    if not math.isfinite(tail_env * (v_hi - v_lo)):
+        raise WienerError(f"b = {b:g}, U_max = {U_max:g} put the inner tail "
+                          "bound past the float range")
     n_v = max(33, int(8 * (v_hi - v_lo)) | 1)
     # n_v time nodes of n_u - 1 sections, each on (2^res + 1)^N grid points
     points = n_v * (n_u - 1) * (2 ** resolution + 1) ** dom.metric.N
@@ -485,9 +491,6 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     slope, r2 = 0.0, 0.0
     if sel.sum() >= 3:
         slope, _, r2 = line_fit(xs[sel], ys[sel])
-    tail_env, _ = integrate.quad(
-        lambda u: (1.0 + c_d * u ** (Q / 2.0)) * math.exp(-b * u),
-        U_max, U_max + 400.0 / b)
     return IntegralReport(lam, b, dhats, M_vals, slope, r2,
                           bool(slope >= INTEGRAL_SLOPE_MIN
                                and r2 >= INTEGRAL_R2_MIN),
@@ -498,18 +501,19 @@ def _integral_inner(dom: DomainSpec, lam: float, b: float,
                     u_grid: np.ndarray, v_grid: np.ndarray,
                     resolution: int) -> np.ndarray:
     """Inner rho-integral of integral_test at each time node eta = e^v,
-    with rho = e^u; the node u = 0 (rho = 1) has a zero Gaussian radius
-    and contributes 0."""
+    with log rho = u handed to the sections as it is, so no e^u is formed;
+    the node u = 0 (rho = 1) has a zero Gaussian radius and contributes
+    0."""
     t0 = dom.z0.t
     pos = u_grid != 0.0
-    rhos = [math.exp(u) for u in u_grid[pos]]
     damp = np.array([math.exp(-b * u) for u in u_grid[pos]])
     inner = np.zeros(v_grid.size)
     for iv, v in enumerate(v_grid):
         eta = math.exp(v)
         volB = ball_volume(dom.metric, math.sqrt(eta))
         vals = np.zeros(u_grid.size)
-        meas = section_measures(dom, lam, rhos, t0 - eta, resolution)
+        meas = section_measures(dom, lam, u_grid[pos], t0 - eta,
+                                resolution)
         vals[pos] = meas / volB * damp
         inner[iv] = float(np.trapezoid(vals, u_grid))
     return inner

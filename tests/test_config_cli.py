@@ -8,6 +8,7 @@ reruns), and the documented exit codes: 0 success/REGULAR, 1 IRREGULAR,
 
 import filecmp
 import json
+import math
 import os
 import re
 import subprocess
@@ -152,6 +153,26 @@ capacity.resolution = 3
 wiener.K-max = 4
 wiener.H-max = 3
 """
+
+FAST_SUITE = """
+wiener.K-max = 16
+capacity.resolution = 3
+pde.walkers = 200
+"""
+
+# cone and integral read no key here but the domain's
+FAST_DOMAIN = "domain.benchmark = {name}\n"
+
+FAST_BASE = {"classify": FAST_CLASSIFY, "series": FAST_SERIES,
+             "capacity": FAST_CAPACITY, "cone": FAST_DOMAIN,
+             "integral": FAST_DOMAIN, "benchmark-suite": FAST_SUITE}
+
+
+def fast_base(command, name="halfspace"):
+    """A small config for command that sets only keys the command reads;
+    classify, cone and integral run on the registry domain name, series
+    and capacity on the halfspace."""
+    return FAST_BASE[command].format(name=name)
 
 
 def _write(tmp_path, name, text):
@@ -317,14 +338,44 @@ def test_domain_keys_under_commands_with_their_own_domains_exit_64(
      "capacity.k"),
     ("classify", "domain.benchmark = halfspace\ncapacity.target = section\n"
      "capacity.rho = 0.5\ncapacity.tau = 0.5\n",
-     "capacity.rho, capacity.tau"),
+     "capacity.rho, capacity.target, capacity.tau"),
     ("benchmark-suite", "capacity.variant = nested\n", "capacity.variant"),
     ("pde-verify", "capacity.h = 2\ncapacity.l = 3\n",
      "capacity.h, capacity.l")])
 def test_target_keys_outside_the_capacity_command_exit_64(
         tmp_path, capsys, command, text, unread):
-    """Only the capacity command builds a target, so capacity.k, h,
-    variant, rho, tau and l set under any other command are rejected."""
+    """Only the capacity command builds a target, so capacity.target and
+    its keys k, h, variant, rho, tau and l set under any other command
+    are rejected."""
+    exits_64_before_the_bundle(tmp_path, capsys, command, text, unread)
+
+
+@pytest.mark.parametrize("command, text, unread", [
+    ("cone", "domain.benchmark = halfspace\npde.walkers = 77\n",
+     "pde.walkers"),
+    ("cone", "domain.benchmark = halfspace\nbounds.a0 = 0.2\n", "bounds.a0"),
+    ("pde-verify", "bounds.a0 = 0.2\n", "bounds.a0"),
+    ("series", FAST_SERIES + "integral.n-u = 16\n", "integral.n-u"),
+    ("classify", FAST_CLASSIFY.format(name="halfspace")
+     + "capacity.refine-levels = 2\n", "capacity.refine-levels"),
+    ("cone", "metric.kind = heisenberg-koranyi\nmetric.N = 7\n"
+     "domain.benchmark = halfspace\n", "metric.N"),
+    ("capacity", FAST_CAPACITY + "bounds.Lambda = 2\nbounds.a0 = 0.25\n"
+     "bounds.b0 = 0.25\npde.beta = 2\n", "pde.beta"),
+    ("list-domains", "wiener.K-max = 16\n", "wiener.K-max"),
+    ("capacity", FAST_CAPACITY + "wiener.b = 0.6\n", "wiener.b"),
+    ("integral", "domain.benchmark = halfspace\nwiener.a = 0.2\n",
+     "wiener.a"),
+    ("benchmark-suite", FAST_SUITE + "integral.probes = 0.1\n",
+     "integral.probes")])
+def test_keys_the_command_never_reads_exit_64(tmp_path, capsys, command,
+                                              text, unread):
+    """Every command reads its settings, then rejects each key the config
+    sets that it has not read: a key of a section the command never reads,
+    metric.N on the Korányi group (always N = 3), pde.beta once all three
+    bounds are set (no Euclidean fit is computed), the weight exponent
+    under capacity, the capacity exponent under integral, and the probes
+    of benchmark-suite, which has its own."""
     exits_64_before_the_bundle(tmp_path, capsys, command, text, unread)
 
 
@@ -392,10 +443,8 @@ def test_nonpositive_cone_resolution_exits_3(tmp_path, capsys, command,
     """A cone resolution below 1 is an input error: exit 3 with a
     failure.json, never a TypeError that exits 1 (IRREGULAR's code).
     benchmark-suite builds its own domains, so its config sets none."""
-    base = FAST_SUITE if command == "benchmark-suite" \
-        else FAST_CLASSIFY.format(name="halfspace")
     cfg = _write(tmp_path, "cone.cfg",
-                 base + f"cone.resolution = {resolution}\n")
+                 fast_base(command) + f"cone.resolution = {resolution}\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_FAILURE
@@ -457,7 +506,8 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
     """A nan or inf cone size, series weight exponent or quadrature cutoff
     is an input error: exit 3 with a failure.json, never a result built
     on nan or inf."""
-    cfg = _write(tmp_path, "bad.cfg", FAST_SERIES + f"{setting} = {value}\n")
+    cfg = _write(tmp_path, "bad.cfg",
+                 fast_base(command) + f"{setting} = {value}\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_FAILURE
@@ -481,7 +531,9 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
      "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
     ("integral", "integral.n-u = 1000000",
      "more than INTEGRAL_MAX_POINTS = 2^30 section grid points"),
-    ("integral", "integral.U-max = 710", "makes e^U_max overflow"),
+    ("integral", "wiener.b = 1e-300",
+     "b = 1e-300, U_max = 1.6e+301 put the inner tail bound past the float "
+     "range"),
     ("classify", "metric.N = 300",
      "N = 300, beta = 1 puts the heat kernel's Lambda = max(ratio, 1/ratio) "
      "past the float range"),
@@ -492,13 +544,13 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
     ("integral", "integral.probes =", "no probes: need at least one dhat")])
 def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
                                        message):
-    """A series depth, cone level count, dimension or quadrature cutoff
+    """A series depth, cone level count, dimension or integral tail bound
     beyond what floats hold, a refinement ladder or integral quadrature
     past its work bound, or an empty or NaN probe list is rejected before
     any work: exit 3 with a failure.json, never an OverflowError or
     ZeroDivisionError that exits 1 (IRREGULAR's code), a 1.6 GB
     allocation, a run of many minutes or a report with a nan row."""
-    cfg = _write(tmp_path, "bad.cfg", FAST_SERIES + setting + "\n")
+    cfg = _write(tmp_path, "bad.cfg", fast_base(command) + setting + "\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_FAILURE
@@ -509,18 +561,37 @@ def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
     assert manifest["files"] == ["config.txt", "failure.json"]
 
 
+def test_small_weight_exponent_integral_exits_0(tmp_path):
+    """The sections read rho only through log rho = u, so integral_test
+    forms no e^u: wiener.b = 0.01, whose automatic cutoff U_max = 16/b =
+    1600 is past log(float max), gives finite M values."""
+    cfg = _write(tmp_path, "b.cfg",
+                 fast_base("integral") + "wiener.b = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["integral", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    rep = json.loads((out / "integral_report.json").read_text())
+    assert rep["U_max"] == 1600.0
+    assert all(isinstance(m, float) and math.isfinite(m)
+               for m in rep["M_values"])
+
+
 @pytest.mark.parametrize("bounds, code", [
     ("bounds.Lambda = 2\nbounds.a0 = 0.25\nbounds.b0 = 0.25\n", EXIT_OK),
-    ("", EXIT_FAILURE)], ids=["all-set", "fitted"])
+    ("pde.beta = 1e308\n", EXIT_FAILURE)], ids=["all-set", "fitted"])
 def test_euclidean_fit_is_computed_only_for_bounds_left_at_0(
-        tmp_path, capsys, bounds, code):
-    """At N = 3, beta = 1e308 the Euclidean fit's Lambda is past the float
-    range.  A run that sets all three bounds never computes it and exits
-    0; a run that leaves them at 0 exits 3 naming it, with no numpy
-    warning either way."""
+        tmp_path, capsys, monkeypatch, bounds, code):
+    """A run that sets all three bounds never computes the Euclidean fit
+    (here made to raise) and exits 0.  At N = 3, beta = 1e308 the fit's
+    Lambda is past the float range, so a run that leaves the bounds at 0
+    exits 3 naming it.  No numpy warning either way."""
+    def unfitted(*args):
+        raise AssertionError("the Euclidean fit was computed")
+
+    if code == EXIT_OK:
+        monkeypatch.setattr(cli, "euclidean_bounds", unfitted)
     cfg = _write(tmp_path, "beta.cfg", FAST_CAPACITY.replace(
-        "resolution = 3", "resolution = 2")
-        + "metric.N = 3\npde.beta = 1e308\n" + bounds)
+        "resolution = 3", "resolution = 2") + "metric.N = 3\n" + bounds)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -624,7 +695,8 @@ def test_reused_out_keeps_no_file_of_the_earlier_bundle(tmp_path):
     """A bundle written over an earlier one deletes the files that
     bundle's manifest lists; a file no bundle wrote stays."""
     out = tmp_path / "out"
-    bad = _write(tmp_path, "bad.cfg", FAST_SERIES + "integral.U-max = nan\n")
+    bad = _write(tmp_path, "bad.cfg",
+                 fast_base("integral") + "integral.U-max = nan\n")
     assert main(["integral", "--config", bad, "--out", str(out),
                  "--quiet"]) == EXIT_FAILURE
     assert (out / "failure.json").exists()
@@ -733,7 +805,7 @@ def test_settings_that_empty_a_criterion_exit_3(tmp_path, capsys, command,
     refinement level) is an input error: exit 3 with a failure.json, not
     an IndexError that exits 1 (IRREGULAR's code) or an empty verdict."""
     cfg = _write(tmp_path, "bad.cfg",
-                 FAST_CLASSIFY.format(name=name) + setting + "\n")
+                 fast_base(command, name) + setting + "\n")
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_FAILURE
@@ -906,12 +978,6 @@ def test_seed_flag_overrides_config(tmp_path):
     assert manifest["seed"] == 99
 
 
-FAST_SUITE = """
-wiener.K-max = 16
-capacity.resolution = 3
-pde.walkers = 200
-"""
-
 
 def test_benchmark_suite_matches_every_pinned_verdict(tmp_path):
     cfg = _write(tmp_path, "suite.cfg", FAST_SUITE)
@@ -1017,13 +1083,16 @@ def test_version_flag():
 # ---------------------------------------------------------------------------
 # edge-value sweep of the schema
 
-SWEEP_BASE = """
-wiener.K-max = 4
-wiener.H-max = 8
-capacity.resolution = 2
-cone.resolution = 4
-pde.walkers = 200
-"""
+# per command, a small base config holding only keys that command reads
+SWEEP_BASES = {
+    "capacity": "capacity.resolution = 2\n",
+    "series": "wiener.K-max = 4\nwiener.H-max = 8\ncapacity.resolution = 2\n",
+    "classify": "wiener.K-max = 4\nwiener.H-max = 8\ncapacity.resolution = 2\n"
+                "cone.resolution = 4\n",
+    "cone": "cone.resolution = 4\n",
+    "integral": "",
+    "pde-verify": "pde.walkers = 200\n",
+}
 
 # numeric key -> (command that reads it, settings that make that run read
 # it: the family or capacity target whose parameter it is)
@@ -1083,30 +1152,34 @@ def _edge_values(key):
 
 
 def test_schema_sweep_ends_every_run_in_a_documented_exit(tmp_path, capsys):
-    """Each numeric schema key, set alone to each edge value on a small
-    base config, under the command and family or target that read it,
-    ends without an escaping exception in exit 0, 1, 2, 3 or 64; exit 1
-    (IRREGULAR) only from classify, every exit 3 with a failure.json and
-    a manifest, and no nan or inf value in exit 0."""
+    """Each numeric schema key, set alone to each edge value on its
+    command's small base config, under the command and family or target
+    that read it, ends without an escaping exception in exit 0, 1, 2, 3 or
+    64; exit 1 (IRREGULAR) only from classify, exit 64 naming no key but
+    the swept one, every exit 3 with a failure.json and a manifest, and no
+    nan or inf value in exit 0."""
     numeric = {k for k, (tname, _, _) in SCHEMA.items() if tname != "str"}
     assert set(SWEEP_READERS) == numeric
     bad = []
     for i, (key, (command, reader)) in enumerate(SWEEP_READERS.items()):
         for value in _edge_values(key):
             case = f"{command} {key} = {value}"
-            cfg = _write(tmp_path, f"c{i}.cfg",
-                         f"{SWEEP_BASE}{reader}\n{key} = {value}\n")
+            cfg = _write(tmp_path, f"c{i}.cfg", f"{SWEEP_BASES[command]}"
+                         f"{reader}\n{key} = {value}\n")
             out = tmp_path / f"{i}-{value}"
             code = main([command, "--config", cfg, "--out", str(out),
                          "--quiet"])
+            err = capsys.readouterr().err
             if code not in (0, 1, 2, 3, 64) or (code == 1
                                                 and command != "classify"):
                 bad.append(f"{case}: exit {code}")
+            named = set(re.split(r"[\s,'\"]+", err)) & set(SCHEMA)
+            if code == EXIT_CONFIG and named - {key}:
+                bad.append(f"{case}: exit 64 on another key: {err.strip()}")
             if code == EXIT_OK and value in ("nan", "inf"):
                 bad.append(f"{case}: a result built on {value}")
             if code == EXIT_FAILURE and not ((out / "failure.json").exists()
                                              and (out / "manifest.json")
                                              .exists()):
                 bad.append(f"{case}: exit 3 without failure.json or manifest")
-    capsys.readouterr()
     assert bad == []

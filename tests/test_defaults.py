@@ -6,6 +6,7 @@ turns: it widens the API without a use.  The walk below reads the AST of
 (`from .domain import cone as cone_domain` makes `cone_domain(...)` a call
 of `cone`), and counts a parameter as set when a call passes it by
 keyword or by position, or passes `*args` / `**kwargs` that may carry it.
+`partial(f, ...)` counts as a call of f with the arguments after f.
 A defaulted dataclass field counts as set the same way through calls of
 its class, and also when a `replace(...)` call passes it by keyword or
 some code assigns it (`obj.name = ...`, `obj.name += ...`, or
@@ -93,9 +94,13 @@ def calls():
                     name = node.func.attr
                 else:
                     continue
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                args = node.args
+                if (name == "partial" and args
+                        and isinstance(args[0], ast.Name)):
+                    name, args = alias.get(args[0].id, args[0].id), args[1:]
+                starred = any(isinstance(a, ast.Starred) for a in args)
                 keywords = {k.arg for k in node.keywords}
-                out.append((name, None if starred else len(node.args),
+                out.append((name, None if starred else len(args),
                             None if None in keywords else keywords))
     return out
 

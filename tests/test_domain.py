@@ -530,12 +530,13 @@ def test_batched_sections_match_per_target_samples(monkeypatch):
             ref = [reference_section_measure(dom, lam, rho, tau, res)
                    for rho in rhos]
             assert want == ref, (dom.family, dom.N, eta)
-            got = section_measures(dom, lam, rhos, tau, res).tolist()
+            logs = [math.log(rho) for rho in rhos]
+            got = section_measures(dom, lam, logs, tau, res).tolist()
             assert got == want, (dom.family, dom.N, eta)
             # three sections per pass: the batch spans 11 or 3 chunks
             with monkeypatch.context() as mp:
                 mp.setattr(domain, "MAX_SAMPLE_GRID", 3 * cells)
-                got = section_measures(dom, lam, rhos, tau, res).tolist()
+                got = section_measures(dom, lam, logs, tau, res).tolist()
             assert got == want, (dom.family, dom.N, eta, "chunked")
             if eta in SECTION_ETAS[:3]:
                 assert any(m > 0 for m in got), (dom.family, dom.N, eta)
@@ -546,11 +547,11 @@ def test_batched_sections_match_per_target_samples(monkeypatch):
 def test_section_sampler_keeps_its_checks(m1):
     dom = wc.benchmark("halfspace", m1)
     with pytest.raises(wc.DomainError):
-        section_measures(dom, 0.25, [2.0, 1.0], -0.1, 4)
+        section_measures(dom, 0.25, [math.log(2.0), 0.0], -0.1, 4)
     with pytest.raises(wc.DomainError):
         sample_set_and_measure(dom, SectionTarget(0.25, 1.0, -0.1), 4)
     with pytest.raises(wc.DomainError):
-        section_measures(dom, 0.25, [2.0], -0.1, 0)
+        section_measures(dom, 0.25, [math.log(2.0)], -0.1, 0)
     assert section_measures(dom, 0.25, [], -0.1, 4).shape == (0,)
 
 
