@@ -6,6 +6,13 @@ in ./src of this checkout, with perfbench/workloads.py supplying the
 inputs (imported, never modified).  Per workload it prints:
 
     solves      covering LPs solved (memo hits solve nothing)
+    atoms       atoms of the problems solved, summed over the solves
+    orbits      atom orbits under the coordinate reflections: the LP's
+                columns (capacity._mirror_fold); equal to atoms where
+                nothing folds
+    rows        constraint rows of the problems solved, summed
+    row orbits  the rows the folded LPs keep, summed
+    entries     kernel matrix entries built (GaussianKernel.matrix)
     W rows      grid rows in the working sets W the LPs were solved on,
                 summed over the solves
     rounds      covering rounds, summed over the solves
@@ -24,9 +31,9 @@ inputs (imported, never modified).  Per workload it prints:
                 beyond the first of each solve, which clear its model for
                 one cold round on every grid row
 
-capacity._solve_lp, capacity._new_model, capacity._covering_model,
-capacity._covering_solve and GaussianKernel.matrix are wrapped for the
-round and restored after it.
+capacity._solve_lp, capacity._mirror_fold, capacity._new_model,
+capacity._covering_model, capacity._covering_solve and
+GaussianKernel.matrix are wrapped for the round and restored after it.
 The seconds are wall time on whatever host runs the script; the counts
 depend on the seed only.
 
@@ -52,8 +59,9 @@ sys.path.insert(1, os.path.join(ROOT, "perfbench"))
 from wienercap import capacity, kernel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-COLUMNS = ("solves", "W rows", "rounds", "iterations", "models", "model_s",
-           "highs_s", "kernel_s", "fallbacks")
+COLUMNS = ("solves", "atoms", "orbits", "rows", "row orbits", "entries",
+           "W rows", "rounds", "iterations", "models", "model_s", "highs_s",
+           "kernel_s", "fallbacks")
 SECONDS = ("model_s", "highs_s", "kernel_s")
 
 
@@ -62,6 +70,7 @@ def census(name: str, seed: int) -> dict:
     row = dict.fromkeys(COLUMNS, 0)
     row.update(dict.fromkeys(SECONDS, 0.0))
     solve_lp, covering_solve = capacity._solve_lp, capacity._covering_solve
+    mirror_fold = capacity._mirror_fold
     new_model, covering_model = capacity._new_model, capacity._covering_model
     matrix = kernel.GaussianKernel.matrix
 
@@ -73,6 +82,14 @@ def census(name: str, seed: int) -> dict:
         row["rounds"] += out[3]
         row["iterations"] += out[4]
         return out
+
+    def counted_mirror_fold(p):
+        rows, (order, starts) = mirror_fold(p)
+        row["atoms"] += p.support.n
+        row["orbits"] += starts.size
+        row["rows"] += p.cons_t.size
+        row["row orbits"] += rows.size
+        return rows, (order, starts)
 
     def timed_new_model():
         row["models"] += 1
@@ -100,14 +117,17 @@ def census(name: str, seed: int) -> dict:
     def timed_matrix(self, *args):
         start = time.perf_counter()
         try:
-            return matrix(self, *args)
+            K = matrix(self, *args)
         finally:
             row["kernel_s"] += time.perf_counter() - start
+        row["entries"] += K.size
+        return K
 
     with tempfile.TemporaryDirectory(prefix="lp-census-") as out_dir:
         work = WORKLOADS[name](seed, out_dir)
         work.setup()
         capacity._solve_lp = counted_solve_lp
+        capacity._mirror_fold = counted_mirror_fold
         capacity._new_model = timed_new_model
         capacity._covering_model = timed_covering_model
         capacity._covering_solve = timed_covering_solve
@@ -117,6 +137,7 @@ def census(name: str, seed: int) -> dict:
             work.round(SimpleNamespace(tables=[]), 0)
         finally:
             capacity._solve_lp = solve_lp
+            capacity._mirror_fold = mirror_fold
             capacity._new_model = new_model
             capacity._covering_model = covering_model
             capacity._covering_solve = covering_solve

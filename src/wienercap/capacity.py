@@ -67,6 +67,27 @@ scratch, with none of linprog's per-call input checks and copies.  If a
 round fails or its marginals are degenerate, the model is cleared and one
 cold round on every grid row is certified and gated like any other.
 
+A problem whose atoms and constraint rows are both unions of whole
+orbits of the coordinate reflections x_i -> -x_i, under a kernel on a
+Euclidean metric, is solved folded, as one LP over orbits.  With sigma a
+reflection and tau its action on the rows, K[tau j, sigma i] == K[j, i]
+by bytes (the reflection negates both points exactly), so averaging an
+optimal measure over the group keeps it feasible and optimal: some
+optimum is constant on atom orbits.  The folded matrix G keeps one
+representative row j_J of each row orbit J, against all atoms, with the
+columns of each atom orbit I averaged: G[J, I] = mean_{i in I} K[j_J, i].
+Then sum_{j in J} K[j, i] = |J| G[J, I] for every i in I, so
+mu_i = nu_I / |I| gives K mu = G nu on every row of J, and y_j = y_J / |J|
+gives K^T y = G^T y on every atom of I: the bracket certified on G is the
+full problem's, up to the rounding of one matrix-vector product.  Every
+framed ring of a scale-comparability round folds, to about half its
+atoms and rows: 2.51 M kernel entries per round become 1.29 M and 4484
+simplex iterations 1848 (scripts/lp_census.py, seed 13).  A sample with
+no such symmetry (a random cloud, any sample on the Koranyi group, where
+the reflections are no isometries) is its own fold: every orbit a
+singleton, every row kept, the same LP as before, and one lexsort of its
+atoms is all the fold costs.
+
 A FramedSolver holds one model for the solves it makes: each clears it
 with clearModel(), which keeps its six options, where building one costs
 about ten times as much.  The 128 solves of a scale-comparability round
@@ -96,7 +117,8 @@ from scipy.optimize import linprog  # only perfbench's tracer reads it
 from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
                                            kHighsInf)
 
-from .domain import DomainSpec, SetSample, sample_set_and_measure
+from .domain import (DomainSpec, SetSample, axis_centers,
+                     sample_set_and_measure)
 from .metric import MetricSpace, ball_coord_halfwidths, frame
 
 MAX_CONSTRAINT_GRID = 4096
@@ -156,6 +178,10 @@ def constraint_points(support: SetSample, metric: MetricSpace,
     (the near-field constraints that actually bind).  Deterministic; the
     grid is thinned axis-by-axis if it would exceed MAX_CONSTRAINT_GRID.
 
+    Every axis is laid out by domain.axis_centers, so a sample that is
+    mirror-symmetric about the origin by bytes gets a grid that is too,
+    and solve_capacity can fold the two.
+
     Row layout, which GaussianKernel.matrix relies on to build the kernel
     matrix from its space and time factors: first the grid, C spatial
     cells by T time cells with time fastest (row c T + j is spatial cell
@@ -175,14 +201,13 @@ def constraint_points(support: SetSample, metric: MetricSpace,
     cells = [2 ** (resolution + 1)] * (metric.N + 1)
     while int(np.prod(cells)) > MAX_CONSTRAINT_GRID:
         cells[int(np.argmax(cells))] //= 2
-    axes = []
-    for i in range(metric.N):
-        lo, hi = x_lo[i] - pad[i], x_hi[i] + pad[i]
-        edges = np.linspace(lo, hi, cells[i] + 1)
-        axes.append(0.5 * (edges[:-1] + edges[1:]))
-    dt_fine = (t_hi + dT_fwd - t_lo) / cells[-1]
-    t_edges = np.linspace(t_lo, t_hi + dT_fwd, cells[-1] + 1)
-    t_ax = 0.5 * (t_edges[:-1] + t_edges[1:])
+    lo, hi = x_lo - pad, x_hi + pad
+    axes = [axis_centers(0.5 * (lo[i] + hi[i]), 0.5 * (hi[i] - lo[i]),
+                         cells[i]) for i in range(metric.N)]
+    t_end = t_hi + dT_fwd
+    dt_fine = (t_end - t_lo) / cells[-1]
+    t_ax = axis_centers(0.5 * (t_lo + t_end), 0.5 * (t_end - t_lo),
+                        cells[-1])
     G = math.prod(cells)
     cx = np.empty((G + xs.shape[0], metric.N))
     ct = np.empty(G + ts.size)
@@ -328,6 +353,46 @@ def _certify(p: CapacityProblem, K: np.ndarray, kappa: float,
                             n_atoms=K.shape[1], n_constraints=K.shape[0])
 
 
+def _mirror_orbits(X: np.ndarray, T: np.ndarray):
+    """The orbits of the points (X, T) under the coordinate reflections
+    x_i -> -x_i, as (order, starts): `order` lists the points orbit by
+    orbit and orbit j begins at order[starts[j]]; or None if some orbit is
+    not whole.
+
+    One lexsort on (t, |x|), with the signed coordinates breaking ties,
+    groups the points by (|x|, t).  A group is a whole orbit when its
+    points are distinct and there are 2^z of them, z the nonzero
+    coordinates of |x|: every sign pattern of |x| is then present once."""
+    A = np.abs(X)
+    order = np.lexsort((*X.T, *A.T, T))
+    As, Xs, Ts = A[order], X[order], T[order]
+    new = np.ones(T.size, bool)
+    new[1:] = (As[1:] != As[:-1]).any(axis=1) | (Ts[1:] != Ts[:-1])
+    if ((Xs[1:] == Xs[:-1]).all(axis=1) & ~new[1:]).any():
+        return None                  # a repeated point
+    starts = np.flatnonzero(new)
+    size = np.diff(starts, append=T.size)
+    if not np.array_equal(size, 2 ** np.count_nonzero(As[starts], axis=1)):
+        return None
+    return order, starts
+
+
+def _mirror_fold(p: CapacityProblem):
+    """(rows, atoms): the constraint rows the folded LP keeps, ascending,
+    and the atom orbits as _mirror_orbits gives them.  Atoms and rows are
+    folded by the coordinate reflections when both are unions of whole
+    orbits and the kernel's metric is Euclidean, whose kernels are
+    invariant under them by bytes; otherwise every orbit is a singleton."""
+    n = p.support.n
+    if p.kernel.metric.kind == "euclidean":
+        atoms = _mirror_orbits(p.support.xs, p.support.ts)
+        if atoms is not None:
+            rows = _mirror_orbits(p.cons_x, p.cons_t)
+            if rows is not None:
+                return np.sort(np.minimum.reduceat(*rows)), atoms
+    return np.arange(p.cons_t.size), (np.arange(n), np.arange(n))
+
+
 def _within_gap(est: CapacityEstimate) -> bool:
     return math.isfinite(est.dual_value) and (
         est.gap <= GAP_TOLERANCE * max(est.value, 1e-300)
@@ -338,15 +403,21 @@ def solve_capacity(p: CapacityProblem,
                    highs: _Highs | None = None) -> CapacityEstimate:
     """Solve the packing LP and its covering dual; certify both.
 
+    The problem is folded by the coordinate reflections where its atoms
+    and rows allow it (_mirror_fold; see the module docstring): the LP
+    and its certificate run on the orbits, and mu is expanded back onto
+    the atoms.  n_atoms and n_constraints count the problem's atoms and
+    rows; lp_rows counts rows of the LP solved, so of the folded LP.
+
     Every call builds the kernel matrix and solves the LP afresh, on the
     HiGHS model `highs`, cleared, or on a model of its own when none is
     given; FramedSolver.solve calls it with its model once per framed
     problem whose exact bytes its memo has not met.  A bracket wider than
     the gap gate raises CapacityConvergenceError, which carries that
-    bracket's estimate.  A
-    kernel matrix of more than MAX_KERNEL_ENTRIES entries, or a NaN or
-    infinite atom or constraint point, raises CapacityInputError before
-    the matrix is built."""
+    bracket's estimate.  A problem of more than MAX_KERNEL_ENTRIES
+    atom-row pairs, folded or not, or a NaN or infinite atom or
+    constraint point, raises CapacityInputError before the matrix is
+    built."""
     n = p.support.n
     if n == 0:
         return CapacityEstimate(0.0, np.zeros(0), 0.0, 0.0,
@@ -363,17 +434,27 @@ def solve_capacity(p: CapacityProblem,
         if not np.isfinite(v).all():
             raise CapacityInputError(f"the problem's {name} are not all "
                                      "finite")
-    K = p.kernel.matrix(p.cons_x, p.cons_t, p.support.xs, p.support.ts)
+    rows, (order, starts) = _mirror_fold(p)
+    size = np.diff(starts, append=n)
+    K = p.kernel.matrix(p.cons_x[rows], p.cons_t[rows], p.support.xs,
+                        p.support.ts)
+    if starts.size < n:              # average each atom orbit's columns
+        K = np.add.reduceat(K[:, order], starts, axis=1)
+        K /= size
     c = K.max(axis=0) if K.size else np.zeros(n)
     if K.size == 0 or np.any(c <= 0.0):
         raise CapacityInputError(
             "some support atoms are invisible to every constraint point; "
             "the packing program would be unbounded")
     kappa = float(c.max())           # Kn = K / kappa has entries in [0, 1]
-    nu, y, rows, rounds, iterations = _solve_lp(
+    nu, y, lp_rows, rounds, iterations = _solve_lp(
         K, c, kappa, _new_model() if highs is None else highs)
     est = _certify(p, K, kappa, nu, y)
-    est.lp_rows, est.lp_rounds, est.lp_iterations = rows, rounds, iterations
+    mu = np.empty(n)                 # mu_i = nu_I / |I| on each orbit I
+    mu[order] = np.repeat(est.mu / size, size)
+    est.mu = mu
+    est.n_atoms, est.n_constraints = n, m
+    est.lp_rows, est.lp_rounds, est.lp_iterations = lp_rows, rounds, iterations
     if not _within_gap(est):
         raise CapacityConvergenceError(
             f"duality gap {est.gap:.3e} exceeds tolerance "

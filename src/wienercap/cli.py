@@ -164,12 +164,13 @@ def classifier(cfg: RunConfig, bounds: GaussBounds) -> partial:
 def integrator(cfg: RunConfig, bounds: GaussBounds) -> partial:
     """integral_test(dom, probes=...) with wiener.lambda, the weight
     exponent and the integral.* quadrature keys (0 = automatic) read from
-    the config once, here."""
+    the config once, here, and the bounds whose b > b0 rule it applies."""
     return partial(integral_test, lam=cfg["wiener.lambda"],
                    b=bounds.exponents(None, cfg["wiener.b"] or None)[1],
                    n_u=cfg["integral.n-u"],
                    U_max=cfg["integral.U-max"] or None,
-                   resolution=cfg["integral.resolution"] or None)
+                   resolution=cfg["integral.resolution"] or None,
+                   bounds=bounds)
 
 
 def walk_config(cfg: RunConfig) -> WalkConfig:

@@ -618,11 +618,16 @@ class SetSample:
         return self.n == 0
 
 
-def _axis_centers(center: float, halfwidth: float, cells: int) -> np.ndarray:
-    """Midpoints of `cells` equal cells over [center - hw, center + hw];
-    odd cell counts place one midpoint exactly at `center`."""
-    edges = np.linspace(center - halfwidth, center + halfwidth, cells + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
+def axis_centers(center, halfwidth, cells: int) -> np.ndarray:
+    """Midpoints of `cells` equal cells over [center - hw, center + hw],
+    laid out as center + hw * u with u = (2k + 1 - cells) / cells.  u is
+    exactly antisymmetric (u[cells - 1 - k] == -u[k]), so about center = 0
+    the midpoints are mirror images by bytes, and an odd cell count places
+    its middle midpoint exactly at center.  center and halfwidth broadcast
+    together; the cells run along a new last axis."""
+    u = (2.0 * np.arange(cells) + 1.0 - cells) / cells
+    return (np.asarray(center, dtype=float)[..., None]
+            + np.asarray(halfwidth, dtype=float)[..., None] * u)
 
 
 def _cell_volumes(halfwidths: np.ndarray, cells_x: int) -> np.ndarray:
@@ -634,11 +639,9 @@ def _cell_volumes(halfwidths: np.ndarray, cells_x: int) -> np.ndarray:
 def _spatial_grids(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
     """Midpoint grids of cells_x cells per axis over the boxes x0 +- each
     row of halfwidths (k, N): points (k, cells_x^N, N) in meshgrid "ij"
-    order, with the axis values of _axis_centers."""
+    order, with the axis values of axis_centers."""
     k, N = halfwidths.shape
-    edges = np.linspace(x0 - halfwidths, x0 + halfwidths, cells_x + 1,
-                        axis=-1)
-    centers = 0.5 * (edges[..., :-1] + edges[..., 1:])      # (k, N, cells)
+    centers = axis_centers(x0, halfwidths, cells_x)         # (k, N, cells)
     full = (k,) + (cells_x,) * N
     cols = []
     for i in range(N):
@@ -684,7 +687,7 @@ def _ring_bands(dom: DomainSpec, lam: float, k: int, hs, variant: str,
     L = math.log(1.0 / lam)
     r_cap = math.sqrt(lam)
     t_lo, t_hi = dom.z0.t - lam ** k, dom.z0.t - lam ** (k + 1)
-    t_ax = _axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
+    t_ax = axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
     radii = [min(math.sqrt(h * (lam ** k) * L), r_cap) for h in hs]
     for lo, S, cellvols in _ball_grids(dom, radii, cells_x, cells_t):
         band = hs[lo:lo + len(S)]
@@ -793,7 +796,7 @@ def _ballcomp_eval(dom: DomainSpec, bt: BallComplementTarget, cells_x: int,
     t0 = dom.z0.t
     r = bt.lam ** (bt.l / 2.0)
     t_lo, t_hi = t0 - r * r, t0
-    t_ax = _axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
+    t_ax = axis_centers(0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo), cells_t)
     _, (S,), (cellvol,) = next(_ball_grids(dom, [r], cells_x, cells_t))
     X = np.repeat(S, cells_t, axis=0)
     T = np.tile(t_ax, S.shape[0])

@@ -79,6 +79,12 @@ class GaussBounds:
         return (self.a0 if a is None else a,
                 2.0 * self.b0 if b is None else b)
 
+    def check_weight_exponent(self, b: float) -> None:
+        """Raise KernelError unless b > b0, the weight exponent's
+        admissibility rule, shared by classify and integral_test."""
+        if not (b > self.b0):
+            raise KernelError(f"weight exponent b={b} must be > b0={self.b0}")
+
 
 def structural_constant(b: GaussBounds) -> float:
     """Single number |H| = Lambda + 1/a0 + b0 + c_d that every stability
@@ -229,13 +235,18 @@ class HeatKernel:
                               f"finite; got N={self.N}, beta={self.beta}")
 
     @property
+    def metric(self) -> MetricSpace:
+        """euclidean(N): every kernel names its metric."""
+        return euclidean(self.N)
+
+    @property
     def gaussian_factor(self) -> float:
         """HeatKernel = gaussian_factor * G_{beta/4} (Euclidean metric)."""
-        return unit_ball_constant(euclidean(self.N)) / (
+        return unit_ball_constant(self.metric) / (
             4.0 * math.pi / self.beta) ** (self.N / 2.0)
 
     def matrix(self, Zx, Zt, Wx, Wt) -> np.ndarray:
-        return GaussianKernel(euclidean(self.N), self.beta / 4.0,
+        return GaussianKernel(self.metric, self.beta / 4.0,
                               self.gaussian_factor).matrix(Zx, Zt, Wx, Wt)
 
     eval = GaussianKernel.eval

@@ -101,8 +101,7 @@ def classify(dom: DomainSpec, bounds: GaussBounds, lam: float = 0.25,
     a, b = bounds.exponents(a, b)
     if not (a <= bounds.a0):
         raise RegularityError(f"capacity exponent a={a} must be <= a0={bounds.a0}")
-    if not (b > bounds.b0):
-        raise RegularityError(f"weight exponent b={b} must be > b0={bounds.b0}")
+    bounds.check_weight_exponent(b)
     notes = []
     cone_rep = cone_check(dom, cone_M0, cone_r0, cone_levels,
                           cone_theta_min, cone_resolution)

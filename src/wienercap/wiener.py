@@ -34,7 +34,7 @@ from .capacity import (CapacityConvergenceError, FramedSolver,
 from .domain import (BallComplementTarget, DomainSpec, RingSpec,
                      max_nonempty_band, ring_samples, sample_set_and_measure,
                      section_measures)
-from .kernel import GaussianKernel
+from .kernel import GaussBounds, GaussianKernel
 from .metric import SpaceTimePoint, ball_volume, parabolic_dist, stp
 
 VARIANTS = ("sufficient", "necessary", "nested")
@@ -421,7 +421,8 @@ class IntegralReport:
 
 def integral_test(dom: DomainSpec, lam: float, b: float, probes,
                   n_u: int = 32, U_max: float | None = None,
-                  resolution: int | None = None) -> IntegralReport:
+                  resolution: int | None = None,
+                  bounds: GaussBounds | None = None) -> IntegralReport:
     """Measure-based criterion
 
         M(z) = int_{dhat^2}^{lam} int_1^inf m(rho, t0 - eta) / |B(x0, sqrt(eta))|
@@ -435,7 +436,9 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     is computed from one shared cumulative grid, so it is exactly
     nonincreasing in dhat; `divergent` reports whether M grows along
     log(1/dhat^2) with slope >= INTEGRAL_SLOPE_MIN at fit quality
-    INTEGRAL_R2_MIN.
+    INTEGRAL_R2_MIN.  Given the Gaussian bounds, b must also pass their
+    admissibility rule b > b0 (GaussBounds.check_weight_exponent, which
+    classify applies too), checked once b's tail bound is known finite.
     """
     if not 0 < b < math.inf:
         raise WienerError("b must be positive and finite")
@@ -464,6 +467,8 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
     if not math.isfinite(tail_env * (v_hi - v_lo)):
         raise WienerError(f"b = {b:g}, U_max = {U_max:g} put the inner tail "
                           "bound past the float range")
+    if bounds is not None:
+        bounds.check_weight_exponent(b)
     n_v = max(33, int(8 * (v_hi - v_lo)) | 1)
     # n_v time nodes of n_u - 1 sections, each on (2^res + 1)^N grid points
     points = n_v * (n_u - 1) * (2 ** resolution + 1) ** dom.metric.N

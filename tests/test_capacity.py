@@ -19,6 +19,7 @@ import gc
 import math
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -676,6 +677,143 @@ def test_column_generation_matches_full_grid_lp(N, resolution):
     assert res.status == 0
     assert est.value == pytest.approx(-res.fun / kappa, rel=1e-6)
     assert est.lp_rows < rows / 2 and est.lp_rounds >= 1
+
+
+# ---------------------------------------------------------------------------
+# the mirror fold
+
+def framed_problems(monkeypatch):
+    """Every framed problem solve_capacity is handed by a
+    scale-comparability round (lambda_comparability on the time halfspace
+    at t0 = 3/64, resolution 3) and by classify on the six registry
+    domains (K-max 16, resolution 3), as the benchmark runs them."""
+    probs = []
+    real = capacity.solve_capacity
+
+    def recording(p, highs=None):
+        probs.append(p)
+        return real(p, highs)
+
+    monkeypatch.setattr(capacity, "solve_capacity", recording)
+    m1 = wc.euclidean(1)
+    dom = wc.halfspace_time(m1, t0=3 / 64, t_top=3 / 64 + 1.0)
+    wc.lambda_comparability(dom, 0.25, 0.5, 0.25, 0.5, (2, 3, 4, 5),
+                            resolution=3)
+    scale = len(probs)
+    bounds = wc.euclidean_bounds(1, 1.0)
+    for name in wc.benchmark_names():
+        wc.classify(wc.benchmark(name, m1), bounds, K_max=16, resolution=3)
+    monkeypatch.undo()
+    return probs, scale
+
+
+def unfolded(p, monkeypatch):
+    """solve_capacity on p with every orbit a singleton: the full LP,
+    certified on the full kernel matrix."""
+    n = p.support.n
+    with monkeypatch.context() as mp:
+        mp.setattr(capacity, "_mirror_fold", lambda q: (
+            np.arange(q.cons_t.size), (np.arange(n), np.arange(n))))
+        return solve_capacity(p)
+
+
+def test_folded_brackets_meet_the_full_problems(monkeypatch):
+    """Every ring the benchmark's scale-comparability and registry-suite
+    workloads solve is mirror-invariant by bytes in its frame, so each is
+    solved folded, on half its rows or fewer; the folded bracket agrees
+    with the full problem's, certified on the full kernel matrix, within
+    the gap gate, and the expanded measure is feasible on every row."""
+    probs, scale = framed_problems(monkeypatch)
+    assert (scale, len(probs) - scale) == (128, 54)
+    for p in probs:
+        rows, (order, starts) = capacity._mirror_fold(p)
+        assert 2 * rows.size <= p.cons_t.size + p.support.n
+        assert starts.size < p.support.n or not p.support.xs.any()
+        est, full = solve_capacity(p), unfolded(p, monkeypatch)
+        assert (est.n_atoms, est.n_constraints) == (full.n_atoms,
+                                                    full.n_constraints)
+        assert est.lp_rows < full.n_constraints
+        assert est.rel_gap() <= capacity.GAP_TOLERANCE
+        assert est.value == pytest.approx(full.value,
+                                          rel=capacity.GAP_TOLERANCE)
+        assert float(est.mu.sum()) == pytest.approx(est.value, rel=1e-12)
+        pot = potential_many(est, p.support, p.kernel, p.cons_x, p.cons_t)
+        assert float(pot.max()) <= 1.0 + 1e-9
+
+
+def mirrored_problem(N):
+    """A grid sample symmetric about the origin by bytes, a few times on
+    each of three levels, and its constraint grid."""
+    ax = wc.domain.axis_centers(0.0, 0.3, 5)
+    X = np.stack([m.ravel() for m in np.meshgrid(*[ax] * N, indexing="ij")],
+                 axis=-1)
+    X = np.tile(X, (3, 1))
+    T = np.repeat([-0.09, -0.05, -0.02], X.shape[0] // 3)
+    s = SetSample(X, T, np.ones(T.size), 1.0, 0.0, 3)
+    m = wc.euclidean(N)
+    return CapacityProblem(wc.GaussianKernel(m, 0.25), s,
+                           *constraint_points(s, m, 3))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_mirrored_kernel_entries_are_equal_by_bytes(N):
+    """On a mirrored grid on R and R^2, every coordinate reflection maps
+    the atoms and the constraint rows onto themselves, by permutations
+    sigma and tau, and K[tau j, sigma i] == K[j, i] by bytes."""
+    p = mirrored_problem(N)
+    K = p.kernel.matrix(p.cons_x, p.cons_t, p.support.xs, p.support.ts)
+
+    def image(X, T, flip):
+        """The permutation taking each point to its reflection."""
+        Y = X * flip
+        here, there = np.lexsort((*X.T, T)), np.lexsort((*Y.T, T))
+        assert np.array_equal(X[here], Y[there])
+        perm = np.empty(T.size, np.intp)
+        perm[there] = here
+        return perm
+
+    for k in range(N):
+        flip = np.ones(N)
+        flip[k] = -1.0
+        sigma = image(p.support.xs, p.support.ts, flip)
+        tau = image(p.cons_x, p.cons_t, flip)
+        assert not np.array_equal(sigma, np.arange(sigma.size))
+        assert K[tau][:, sigma].tobytes() == K.tobytes()
+    # 3^N orbits of atoms per level; the grid rows fold 2^N to one
+    rows, (order, starts) = capacity._mirror_fold(p)
+    assert starts.size == 3 ** N * 3
+    grid = p.cons_t.size - p.support.n
+    assert rows.size == grid // 2 ** N + starts.size
+
+
+def test_asymmetric_samples_are_their_own_fold():
+    """lp-cloud's clouds, an invariant sample with one atom moved by one
+    ulp, and any problem on the Koranyi group get singleton orbits and
+    keep every constraint row."""
+    cases = [CapacityProblem(wc.GaussianKernel(m, 0.25), s,
+                             *constraint_points(s, m, 3))
+             for m, s in lp_clouds(0)]
+    p = mirrored_problem(2)
+    assert capacity._mirror_orbits(p.support.xs, p.support.ts) is not None
+    xs = p.support.xs.copy()
+    xs[7, 1] = np.nextafter(xs[7, 1], 1.0)
+    moved = replace(p.support, xs=xs)
+    cases.append(CapacityProblem(p.kernel, moved,
+                                 *constraint_points(moved, p.kernel.metric,
+                                                    3)))
+    heis = wc.heisenberg_koranyi()
+    cases.append(replace(p, kernel=wc.GaussianKernel(heis, 0.25),
+                         support=replace(p.support,
+                                         xs=np.pad(p.support.xs,
+                                                   ((0, 0), (0, 1)))),
+                         cons_x=np.pad(p.cons_x, ((0, 0), (0, 1)))))
+    for q in cases:
+        n, m = q.support.n, q.cons_t.size
+        rows, (order, starts) = capacity._mirror_fold(q)
+        assert np.array_equal(rows, np.arange(m))
+        assert np.array_equal(order, np.arange(n))
+        assert np.array_equal(starts, np.arange(n))
+    assert capacity._mirror_orbits(moved.xs, moved.ts) is None
 
 
 # ---------------------------------------------------------------------------

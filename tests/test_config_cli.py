@@ -564,9 +564,10 @@ def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
 def test_small_weight_exponent_integral_exits_0(tmp_path):
     """The sections read rho only through log rho = u, so integral_test
     forms no e^u: wiener.b = 0.01, whose automatic cutoff U_max = 16/b =
-    1600 is past log(float max), gives finite M values."""
-    cfg = _write(tmp_path, "b.cfg",
-                 fast_base("integral") + "wiener.b = 0.01\n")
+    1600 is past log(float max), gives finite M values (under a b0 that
+    admits it)."""
+    cfg = _write(tmp_path, "b.cfg", fast_base("integral")
+                 + "wiener.b = 0.01\nbounds.b0 = 0.005\n")
     out = tmp_path / "out"
     assert main(["integral", "--config", cfg, "--out", str(out),
                  "--quiet"]) == EXIT_OK
@@ -574,6 +575,23 @@ def test_small_weight_exponent_integral_exits_0(tmp_path):
     assert rep["U_max"] == 1600.0
     assert all(isinstance(m, float) and math.isfinite(m)
                for m in rep["M_values"])
+
+
+def test_inadmissible_weight_exponent_integral_exits_3(tmp_path, capsys):
+    """integral applies classify's rule b > b0: wiener.b = 0.01 under the
+    Euclidean fit's b0 = 0.25 on cylinder-top, whose pinned verdict is
+    IRREGULAR, exits 3 with a failure.json naming both, not 0 with a
+    divergent integral."""
+    cfg = _write(tmp_path, "b.cfg",
+                 fast_base("integral", "cylinder-top") + "wiener.b = 0.01\n")
+    out = tmp_path / "out"
+    code = main(["integral", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_FAILURE
+    message = "weight exponent b=0.01 must be > b0=0.25"
+    assert message in capsys.readouterr().err
+    assert message in json.loads((out / "failure.json").read_text())["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["config.txt", "failure.json"]
 
 
 @pytest.mark.parametrize("bounds, code", [

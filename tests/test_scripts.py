@@ -39,15 +39,23 @@ def _run_script(argv):
 def test_lp_census_builds_one_model_per_table(tmp_path):
     """A scale-comparability round solves its two series tables on one
     HiGHS model each, and lp-cloud's twelve direct solves build one
-    apiece; no solve falls back to a full-grid covering round."""
+    apiece; no solve falls back to a full-grid covering round.  Every
+    scale-comparability ring folds to fewer atom orbits than atoms and
+    about half its rows; no lp-cloud cloud folds at all."""
     out = tmp_path / "census.json"
     _run_script(["lp_census.py", "--workload", "scale-comparability",
                  "lp-cloud", "--json", str(out)])
     rows = json.loads(out.read_text())["workloads"]
-    assert rows["scale-comparability"]["models"] == 2
-    assert rows["lp-cloud"]["models"] == 12
-    assert rows["scale-comparability"]["fallbacks"] == 0
-    assert rows["lp-cloud"]["fallbacks"] == 0
+    scale, cloud = rows["scale-comparability"], rows["lp-cloud"]
+    assert scale["models"] == 2
+    assert cloud["models"] == 12
+    assert scale["fallbacks"] == 0
+    assert cloud["fallbacks"] == 0
+    assert scale["solves"] <= scale["orbits"] < scale["atoms"]
+    assert 2 * scale["row orbits"] <= scale["rows"] + scale["atoms"]
+    assert (cloud["orbits"], cloud["row orbits"]) == (cloud["atoms"],
+                                                      cloud["rows"])
+    assert cloud["entries"] > scale["entries"] > 0
 
 
 def _bench_pairs():
