@@ -68,9 +68,8 @@ SCHEMA = {
     "capacity.tau": ("float", -0.01, "section time"),
     "capacity.l": ("int", 1, "ball-complement level"),
     "capacity.refine-levels": ("int", 1, "resolutions to sweep (>= 1)"),
-    "integral.n-u": ("int", 32, "inner quadrature nodes"),
-    "integral.U-max": ("float", 0.0, "inner cutoff; 0 = auto"),
-    "integral.resolution": ("int", 0, "section sampling resolution; 0 = auto"),
+    "integral.resolution": ("int", 0, "2^(res+1) grid cells per axis per "
+                            "time node; 0 = auto"),
     "integral.probes": ("floats", (0.45, 0.35, 0.25, 0.18, 0.12, 0.08,
                                    0.055, 0.04, 0.028, 0.02),
                         "probe dhat values"),

@@ -652,10 +652,10 @@ def _spatial_grids(x0: np.ndarray, halfwidths: np.ndarray, cells_x: int):
     return np.stack(cols, axis=-1)
 
 
-# grid points per vectorized pass of _ball_grids: the 31 rho sections of
-# one Heisenberg time node at resolution 5 hold 1.1 M grid points, and a
-# pass keeps several arrays of that many entries alive at once; the 40
-# bands of a ring level on R at resolution 3 hold 2880
+# grid points per vectorized pass of _ball_grids: one Heisenberg time node
+# of weighted_section_sums at resolution 5 holds 64^3 = 262144 grid
+# points, and a pass keeps several arrays of that many entries alive at
+# once; the 40 bands of a ring level on R at resolution 3 hold 2880
 MAX_SAMPLE_GRID = 2 ** 16
 
 
@@ -722,53 +722,53 @@ def ring_samples(dom: DomainSpec, lam: float, k: int, hs, variant: str,
                                              2 ** resolution))
 
 
-def _section_chunks(dom: DomainSpec, lam: float, log_rhos, tau: float,
-                    cells_x: int):
-    """Sample the sections SectionTarget(lam, rho, tau) for every log rho
-    of log_rhos on their fine grids, one pass of _ball_grids at a time.
-    The sections read rho only through log rho, so a rho past the float
-    range is fine.
+def _section_eval(dom: DomainSpec, st: SectionTarget, cells_x: int):
+    """(X, T, weights, measure) of the section st on its grid of cells_x
+    cells per axis.  The section reads rho only through log rho.  A section
+    with eta = t0 - tau outside (0, lam) or a zero radius is empty."""
+    eta = dom.z0.t - st.tau
+    lg = math.log(st.rho)
+    R = min(math.sqrt(eta * lg), (st.lam ** 2 - eta ** 2) ** 0.25) \
+        if 0 < eta < st.lam else 0.0
+    if R <= 0:
+        return (np.zeros((0, dom.N)), np.zeros(0), np.zeros(0), 0.0)
+    _, (X,), (cellvol,) = next(_ball_grids(dom, [R], cells_x))
+    keep = ~contains_runs(dom, X, st.tau, X.shape[0])
+    d = dist(dom.metric, X, dom.z0.x[None, :])
+    keep &= d * d <= eta * lg
+    keep &= d ** 4 + eta ** 2 <= st.lam ** 2
+    n = int(keep.sum())
+    return X[keep], np.full(n, st.tau), np.full(n, cellvol), float(n * cellvol)
 
-    Yields (index, X, keep, cellvol): the indices into log_rhos of the
-    nonempty-radius sections of the pass, their grid points (k, M, N),
-    the target membership of each point (k, M) and the cell volumes (k,).
-    Sections with eta = t0 - tau outside (0, lam) or a zero radius are
-    empty and never yielded.
-    """
-    logs = np.asarray(log_rhos, dtype=float)
-    if np.any(logs <= 0.0):
-        raise DomainError("section needs rho > 1")
+
+def weighted_section_sums(dom: DomainSpec, lam: float, etas, b: float,
+                          U: float, resolution: int) -> np.ndarray:
+    """sum of cellvol * exp(-b d^2 / eta), d = d(x0, x), over the grid
+    points x of the section {x : (x, t0 - eta) not in Omega, d^2 <= eta U,
+    d^4 + eta^2 <= lam^2} for every eta of etas; 0 where eta lies outside
+    (0, lam).  Each section is counted on the midpoint grid of
+    2^(resolution + 1) cells per axis over the coordinate box of its ball
+    B(x0, min(sqrt(eta U), (lam^2 - eta^2)^(1/4))).  The cell count is
+    even, so no grid point sits on x0, and by axis_centers the grid is
+    mirror-symmetric about x0.  The sections are summed together, in passes
+    of _ball_grids with eta and the section time repeated per grid row."""
+    etas = np.asarray(etas, dtype=float)
+    idx = np.flatnonzero((etas > 0) & (etas < lam))
+    eta = etas[idx]
+    radii = np.minimum(np.sqrt(eta * U), (lam ** 2 - eta ** 2) ** 0.25)
     x0 = dom.z0.x
-    eta = dom.z0.t - tau
-    if eta <= 0 or eta >= lam:
-        return
-    r_cap = (lam ** 2 - eta ** 2) ** 0.25
-    radii = [min(math.sqrt(eta * lg), r_cap) for lg in logs.tolist()]
-    index = np.array([i for i, R in enumerate(radii) if R > 0], dtype=int)
-    for lo, X, cellvol in _ball_grids(dom, [radii[i] for i in index],
-                                      cells_x):
+    out = np.zeros(etas.size)
+    for lo, X, cellvol in _ball_grids(dom, radii, 2 ** (resolution + 1)):
         k, M = X.shape[:2]
-        idx = index[lo:lo + k]
         Xf = X.reshape(k * M, dom.N)
-        keep = ~contains_runs(dom, Xf, tau, k * M)
+        e = np.repeat(eta[lo:lo + k], M)
         d = dist(dom.metric, Xf, x0[None, :])
-        keep &= d * d <= np.repeat(eta * logs[idx], M)
-        keep &= d ** 4 + eta ** 2 <= lam ** 2
-        yield idx, X, keep.reshape(k, M), cellvol
-
-
-def section_measures(dom: DomainSpec, lam: float, log_rhos, tau: float,
-                     resolution: int) -> np.ndarray:
-    """measure_estimate of sample_set_and_measure(dom, SectionTarget(lam,
-    rho, tau), resolution) for every log rho of log_rhos, bit for bit
-    where log rho = math.log(rho), from one vectorized pass over the fine
-    grids and without the coarse pass."""
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
-    out = np.zeros(len(log_rhos))
-    for idx, _, keep, cellvol in _section_chunks(dom, lam, log_rhos, tau,
-                                                 2 ** resolution + 1):
-        out[idx] = keep.sum(axis=1) * cellvol
+        q = d * d / e
+        keep = ~contains_runs(dom, Xf, dom.z0.t - eta[lo:lo + k], M)
+        keep &= q <= U
+        keep &= d ** 4 + e ** 2 <= lam ** 2
+        w = np.where(keep, np.exp(-b * q), 0.0)
+        out[idx[lo:lo + k]] = w.reshape(k, M).sum(axis=1) * cellvol
     return out
 
 
@@ -826,12 +826,7 @@ def _sample(dom: DomainSpec, target, resolution: int):
         return next(_ring_bands(dom, rs.lam, rs.k, [rs.h], rs.variant,
                                 cx, ct))
     if isinstance(target, SectionTarget):
-        for _, X, keep, cellvol in _section_chunks(
-                dom, target.lam, [math.log(target.rho)], target.tau, cx):
-            n = int(keep[0].sum())
-            return (X[0][keep[0]], np.full(n, target.tau),
-                    np.full(n, cellvol[0]), float(n * cellvol[0]))
-        return (np.zeros((0, dom.N)), np.zeros(0), np.zeros(0), 0.0)
+        return _section_eval(dom, target, cx)
     if isinstance(target, BallComplementTarget):
         return _ballcomp_eval(dom, target, cx, ct)
     raise DomainError(f"unknown target {target!r}")

@@ -18,7 +18,9 @@ partial sums z(lam; s) used by the quantitative decay bound
 
 W_rho is the discrete Wiener function built from balayage surrogates of
 parabolic-ball complements.  The integral criterion replaces capacities by
-section measures of the complement and is divergent for cone-like sets.
+section measures of the complement, which it integrates in rho in closed
+form as a Gaussian-weighted grid sum per time node, and is divergent for
+cone-like sets.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .capacity import (CapacityConvergenceError, FramedSolver,
                        potential_many)
 from .domain import (BallComplementTarget, DomainSpec, RingSpec,
                      max_nonempty_band, ring_samples, sample_set_and_measure,
-                     section_measures)
+                     weighted_section_sums)
 from .kernel import GaussBounds, GaussianKernel
 from .metric import SpaceTimePoint, ball_volume, parabolic_dist, stp
 
@@ -399,8 +401,9 @@ def lambda_comparability(dom: DomainSpec, a: float, b: float, lam: float,
 # along log(1/dhat^2) at this r2
 INTEGRAL_SLOPE_MIN = 0.05
 INTEGRAL_R2_MIN = 0.9
-# section grid points one integral_test may measure; at the 25-125 ns a
-# point measured on a 2-core x86_64 host, at most about two minutes
+# grid points one integral_test may weigh; at the 35-50 ns a point took
+# on the registry domains on R^2 and the Koranyi group (2-core x86_64
+# host), under a minute
 INTEGRAL_MAX_POINTS = 2 ** 30
 
 @dataclass
@@ -413,14 +416,26 @@ class IntegralReport:
     slope_r2: float
     divergent: bool
     inner_truncation: float
-    U_max: float
-    n_u: int
     n_v: int
     resolution: int
 
 
+def inner_tail(Q: float, b: float, U: float) -> float:
+    """(1/b) int_U^inf e^(-b u) d(u^(Q/2)) = Gamma(Q/2 + 1) Q(Q/2, b U) /
+    b^(1 + Q/2), Q(s, x) the regularized upper incomplete gamma function:
+    the inner integral's weight, relative to |B(x0, sqrt(eta))|, of all
+    points with d^2 / eta > U, and at U = 0 the whole halfspace's.  inf
+    past the float range."""
+    s = Q / 2.0
+    try:
+        tail = (math.gamma(s + 1.0) * float(special.gammaincc(s, b * U))
+                * (1.0 / b) ** (1.0 + s))
+    except OverflowError:
+        return math.inf
+    return tail if math.isfinite(tail) else math.inf
+
+
 def integral_test(dom: DomainSpec, lam: float, b: float, probes,
-                  n_u: int = 32, U_max: float | None = None,
                   resolution: int | None = None,
                   bounds: GaussBounds | None = None) -> IntegralReport:
     """Measure-based criterion
@@ -428,22 +443,27 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         M(z) = int_{dhat^2}^{lam} int_1^inf m(rho, t0 - eta) / |B(x0, sqrt(eta))|
                drho / rho^(1+b) deta / eta
 
-    evaluated by nested log-substituted trapezoid rules; m is the section
-    measure of the complement.  The sections of all rho nodes of one time
-    node are measured in one vectorized pass over their fine grids
-    (section_measures), with no coarse-grid error pass, since M has no
-    use for one.  Probes are dhat values, the parabolic distances to z0.  M
-    is computed from one shared cumulative grid, so it is exactly
-    nonincreasing in dhat; `divergent` reports whether M grows along
-    log(1/dhat^2) with slope >= INTEGRAL_SLOPE_MIN at fit quality
-    INTEGRAL_R2_MIN.  Given the Gaussian bounds, b must also pass their
-    admissibility rule b > b0 (GaussBounds.check_weight_exponent, which
-    classify applies too), checked once b's tail bound is known finite.
+    with m the section measure of the complement.  A complement point at
+    distance d from x0 lies in every section with log rho >= d^2 / eta, so
+    the inner integral is exactly the sum of e^(-b d^2/eta) / b over the
+    complement's time section, divided by |B(x0, sqrt(eta))|: no rho
+    quadrature.  Each time node eta weighs the section on one grid of
+    2^(resolution + 1) cells per axis over the ball of radius
+    min(sqrt(eta U), (lam^2 - eta^2)^(1/4)), U = max(40, 16 / b), all
+    nodes in one vectorized pass (domain.weighted_section_sums); the
+    weight of the points past U is bounded by inner_tail, reported
+    integrated over the time range as inner_truncation.  The outer
+    integral is a trapezoid rule in log eta.  Probes are dhat values, the
+    parabolic distances to z0.  M is computed from one shared cumulative
+    grid, so it is exactly nonincreasing in dhat; `divergent` reports
+    whether M grows along log(1/dhat^2) with slope >= INTEGRAL_SLOPE_MIN
+    at fit quality INTEGRAL_R2_MIN.  Given the Gaussian bounds, b must also
+    pass their admissibility rule b > b0 (GaussBounds.check_weight_exponent,
+    which classify applies too), checked once b's tail bound is known
+    finite.  A bound, M value or fit past the float range is rejected.
     """
     if not 0 < b < math.inf:
         raise WienerError("b must be positive and finite")
-    if n_u < 2:
-        raise WienerError("n_u must be >= 2")
     dhats = [float(dh) for dh in probes]
     if not dhats:
         raise WienerError("no probes: need at least one dhat")
@@ -451,35 +471,23 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         raise WienerError("probes must satisfy 0 < dhat^2 < lam")
     if resolution is None:
         resolution = 8 if dom.metric.N == 1 else 5
-    if U_max is None:
-        U_max = max(40.0, 16.0 / b)
-    elif not 0 < U_max < math.inf:
-        raise WienerError("U_max must be positive and finite")
-    Q, c_d = dom.metric.Q, dom.metric.c_d
+    if resolution < 1:
+        raise WienerError("resolution must be >= 1")
+    U = max(40.0, 16.0 / b)
     v_lo = math.log(min(dh * dh for dh in dhats))
     v_hi = math.log(lam)
-    try:
-        tail_env, _ = integrate.quad(
-            lambda u: (1.0 + c_d * u ** (Q / 2.0)) * math.exp(-b * u),
-            U_max, U_max + 400.0 / b)
-    except OverflowError:
-        tail_env = math.inf
-    if not math.isfinite(tail_env * (v_hi - v_lo)):
-        raise WienerError(f"b = {b:g}, U_max = {U_max:g} put the inner tail "
-                          "bound past the float range")
+    truncation = inner_tail(dom.metric.Q, b, U) * (v_hi - v_lo)
+    if not math.isfinite(truncation):
+        raise WienerError(f"b = {b:g} puts the inner truncation bound past "
+                          "the float range")
     if bounds is not None:
         bounds.check_weight_exponent(b)
     n_v = max(33, int(8 * (v_hi - v_lo)) | 1)
-    # n_v time nodes of n_u - 1 sections, each on (2^res + 1)^N grid points
-    points = n_v * (n_u - 1) * (2 ** resolution + 1) ** dom.metric.N
-    if points > INTEGRAL_MAX_POINTS:
-        raise WienerError(f"n_u = {n_u} at resolution {resolution} measures "
-                          "more than INTEGRAL_MAX_POINTS = 2^30 section grid "
-                          "points")
-    # quadratic grading resolves the u^(N/2) kink of the integrand at rho=1
-    u_grid = U_max * (np.arange(n_u) / (n_u - 1)) ** 2
+    if n_v * (2 ** (resolution + 1)) ** dom.metric.N > INTEGRAL_MAX_POINTS:
+        raise WienerError(f"resolution {resolution} weighs more than "
+                          "INTEGRAL_MAX_POINTS = 2^30 grid points")
     v_grid = np.linspace(v_lo, v_hi, n_v)
-    inner = _integral_inner(dom, lam, b, u_grid, v_grid, resolution)
+    inner = _integral_inner(dom, lam, b, U, v_grid, resolution)
     # cumulative from the top so every probe shares one quadrature
     M_cum = np.zeros(n_v)
     for iv in range(n_v - 2, -1, -1):
@@ -495,33 +503,24 @@ def integral_test(dom: DomainSpec, lam: float, b: float, probes,
         sel = np.ones_like(sel, dtype=bool)
     slope, r2 = 0.0, 0.0
     if sel.sum() >= 3:
-        slope, _, r2 = line_fit(xs[sel], ys[sel])
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope, _, r2 = line_fit(xs[sel], ys[sel])
+    if not all(math.isfinite(v) for v in M_vals + [slope, r2]):
+        raise WienerError(f"b = {b:g} puts M past the float range")
     return IntegralReport(lam, b, dhats, M_vals, slope, r2,
                           bool(slope >= INTEGRAL_SLOPE_MIN
                                and r2 >= INTEGRAL_R2_MIN),
-                          tail_env * (v_hi - v_lo), U_max, n_u, n_v, resolution)
+                          truncation, n_v, resolution)
 
 
-def _integral_inner(dom: DomainSpec, lam: float, b: float,
-                    u_grid: np.ndarray, v_grid: np.ndarray,
-                    resolution: int) -> np.ndarray:
-    """Inner rho-integral of integral_test at each time node eta = e^v,
-    with log rho = u handed to the sections as it is, so no e^u is formed;
-    the node u = 0 (rho = 1) has a zero Gaussian radius and contributes
-    0."""
-    t0 = dom.z0.t
-    pos = u_grid != 0.0
-    damp = np.array([math.exp(-b * u) for u in u_grid[pos]])
-    inner = np.zeros(v_grid.size)
-    for iv, v in enumerate(v_grid):
-        eta = math.exp(v)
-        volB = ball_volume(dom.metric, math.sqrt(eta))
-        vals = np.zeros(u_grid.size)
-        meas = section_measures(dom, lam, u_grid[pos], t0 - eta,
-                                resolution)
-        vals[pos] = meas / volB * damp
-        inner[iv] = float(np.trapezoid(vals, u_grid))
-    return inner
+def _integral_inner(dom: DomainSpec, lam: float, b: float, U: float,
+                    v_grid: np.ndarray, resolution: int) -> np.ndarray:
+    """Inner rho-integral of integral_test at each time node eta = e^v:
+    the section's Gaussian-weighted sum over b |B(x0, sqrt(eta))|."""
+    etas = np.exp(v_grid)
+    sums = weighted_section_sums(dom, lam, etas, b, U, resolution)
+    return sums / (b * np.array([ball_volume(dom.metric, math.sqrt(e))
+                                 for e in etas]))
 
 
 # ---------------------------------------------------------------------------

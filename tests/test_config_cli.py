@@ -262,7 +262,9 @@ def test_unknown_config_key_exits_64(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     pytest.param(k, v, id=k) for k, v in [("metric.volume-mode", "monte-carlo"),
                                          ("capacity.tolerance", "1e-3"),
-                                         ("capacity.exponent", "0.25")]])
+                                         ("capacity.exponent", "0.25"),
+                                         ("integral.n-u", "16"),
+                                         ("integral.U-max", "48")]])
 def test_removed_key_exits_64_at_parse_time(tmp_path, capsys, key, value):
     cfg = _write(tmp_path, "old.cfg",
                  f"metric.kind = heisenberg-koranyi\n{key} = {value}\n")
@@ -355,7 +357,8 @@ def test_target_keys_outside_the_capacity_command_exit_64(
      "pde.walkers"),
     ("cone", "domain.benchmark = halfspace\nbounds.a0 = 0.2\n", "bounds.a0"),
     ("pde-verify", "bounds.a0 = 0.2\n", "bounds.a0"),
-    ("series", FAST_SERIES + "integral.n-u = 16\n", "integral.n-u"),
+    ("series", FAST_SERIES + "integral.resolution = 4\n",
+     "integral.resolution"),
     ("classify", FAST_CLASSIFY.format(name="halfspace")
      + "capacity.refine-levels = 2\n", "capacity.refine-levels"),
     ("cone", "metric.kind = heisenberg-koranyi\nmetric.N = 7\n"
@@ -400,7 +403,8 @@ def test_koranyi_default_capacity_exits_3_before_its_matrix(tmp_path,
 def test_package_import_leaves_scipy_stats_unloaded():
     """scipy.stats takes about 0.3 s to import, which every CLI call would
     pay; only bound_check uses it, and imports it itself.  scipy.ndimage
-    is loaded by mask_domain alone, for its erosion."""
+    is loaded by mask_domain alone, for its erosion.  No module uses
+    scipy.integrate."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -410,10 +414,11 @@ def test_package_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c",
          "import sys, wienercap, wienercap.cli; "
          "print('scipy.stats' in sys.modules, "
-         "'scipy.ndimage' in sys.modules)"],
+         "'scipy.ndimage' in sys.modules, "
+         "'scipy.integrate' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False"
 
 
 def test_missing_config_exits_64(capsys):
@@ -500,11 +505,11 @@ def test_invalid_gaussian_bound_settings_exit_3(tmp_path, capsys, command,
     ("cone", "cone.M0", "need finite M0 > 0 and r0 > 0"),
     ("cone", "cone.r0", "need finite M0 > 0 and r0 > 0"),
     ("series", "wiener.b", "exponents must be positive and finite"),
-    ("integral", "integral.U-max", "U_max must be positive and finite")])
+    ("integral", "wiener.b", "b must be positive and finite")])
 def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
                                    message, value):
-    """A nan or inf cone size, series weight exponent or quadrature cutoff
-    is an input error: exit 3 with a failure.json, never a result built
+    """A nan or inf cone size or series or integral weight exponent is an
+    input error: exit 3 with a failure.json, never a result built
     on nan or inf."""
     cfg = _write(tmp_path, "bad.cfg",
                  fast_base(command) + f"{setting} = {value}\n")
@@ -529,11 +534,12 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
      "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
     ("capacity", "capacity.resolution = 1000000",
      "samples more than MAX_REFINE_CELLS = 2^17 grid cells"),
-    ("integral", "integral.n-u = 1000000",
-     "more than INTEGRAL_MAX_POINTS = 2^30 section grid points"),
+    ("integral", "integral.resolution = 1000000",
+     "more than INTEGRAL_MAX_POINTS = 2^30 grid points"),
     ("integral", "wiener.b = 1e-300",
-     "b = 1e-300, U_max = 1.6e+301 put the inner tail bound past the float "
-     "range"),
+     "b = 1e-300 puts the inner truncation bound past the float range"),
+    ("integral", "wiener.b = 1e-200\nbounds.b0 = 1e-201",
+     "b = 1e-200 puts M past the float range"),
     ("classify", "metric.N = 300",
      "N = 300, beta = 1 puts the heat kernel's Lambda = max(ratio, 1/ratio) "
      "past the float range"),
@@ -545,8 +551,8 @@ def test_nonfinite_settings_exit_3(tmp_path, capsys, command, setting,
 def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
                                        message):
     """A series depth, cone level count, dimension or integral tail bound
-    beyond what floats hold, a refinement ladder or integral quadrature
-    past its work bound, or an empty or NaN probe list is rejected before
+    beyond what floats hold, a refinement ladder or integral grid past its
+    work bound, or an empty or NaN probe list is rejected before
     any work: exit 3 with a failure.json, never an OverflowError or
     ZeroDivisionError that exits 1 (IRREGULAR's code), a 1.6 GB
     allocation, a run of many minutes or a report with a nan row."""
@@ -562,19 +568,17 @@ def test_large_integer_settings_exit_3(tmp_path, capsys, command, setting,
 
 
 def test_small_weight_exponent_integral_exits_0(tmp_path):
-    """The sections read rho only through log rho = u, so integral_test
-    forms no e^u: wiener.b = 0.01, whose automatic cutoff U_max = 16/b =
-    1600 is past log(float max), gives finite M values (under a b0 that
-    admits it)."""
+    """integral_test forms no rho = e^u: wiener.b = 0.01, whose cutoff
+    U = 16/b = 1600 is past log(float max), gives finite M values and a
+    finite truncation bound (under a b0 that admits it)."""
     cfg = _write(tmp_path, "b.cfg", fast_base("integral")
                  + "wiener.b = 0.01\nbounds.b0 = 0.005\n")
     out = tmp_path / "out"
     assert main(["integral", "--config", cfg, "--out", str(out),
                  "--quiet"]) == EXIT_OK
     rep = json.loads((out / "integral_report.json").read_text())
-    assert rep["U_max"] == 1600.0
     assert all(isinstance(m, float) and math.isfinite(m)
-               for m in rep["M_values"])
+               for m in rep["M_values"] + [rep["inner_truncation"]])
 
 
 def test_inadmissible_weight_exponent_integral_exits_3(tmp_path, capsys):
@@ -714,7 +718,7 @@ def test_reused_out_keeps_no_file_of_the_earlier_bundle(tmp_path):
     bundle's manifest lists; a file no bundle wrote stays."""
     out = tmp_path / "out"
     bad = _write(tmp_path, "bad.cfg",
-                 fast_base("integral") + "integral.U-max = nan\n")
+                 fast_base("integral") + "integral.probes = nan\n")
     assert main(["integral", "--config", bad, "--out", str(out),
                  "--quiet"]) == EXIT_FAILURE
     assert (out / "failure.json").exists()
@@ -809,8 +813,6 @@ _SERIES_EMPTY = "K_max and H_max must be >= 1"
     ("cone", "halfspace", "cone.levels = 0", "r_levels must be >= 1"),
     ("classify", "halfspace", "wiener.H-max = 0\ncone.levels = 0",
      "r_levels must be >= 1"),
-    ("integral", "halfspace", "integral.n-u = 0", "n_u must be >= 2"),
-    ("integral", "halfspace", "integral.n-u = 1", "n_u must be >= 2"),
     ("capacity", "halfspace", "capacity.refine-levels = 0",
      "refinement levels must be >= 1"),
     ("capacity", "halfspace", "capacity.refine-levels = -1",
@@ -819,9 +821,9 @@ _SERIES_EMPTY = "K_max and H_max must be >= 1"
 def test_settings_that_empty_a_criterion_exit_3(tmp_path, capsys, command,
                                                 name, setting, message):
     """A setting that leaves a criterion nothing to compute (no series
-    level or band, no cone radius, fewer than two quadrature nodes, no
-    refinement level) is an input error: exit 3 with a failure.json, not
-    an IndexError that exits 1 (IRREGULAR's code) or an empty verdict."""
+    level or band, no cone radius, no refinement level) is an input
+    error: exit 3 with a failure.json, not an IndexError that exits 1
+    (IRREGULAR's code) or an empty verdict."""
     cfg = _write(tmp_path, "bad.cfg",
                  fast_base(command, name) + setting + "\n")
     out = tmp_path / "out"
@@ -1035,12 +1037,12 @@ def test_benchmark_suite_passes_integral_quadrature_keys(tmp_path,
 
     monkeypatch.setattr(cli, "classification_probe", probe)
     cfg = _write(tmp_path, "suite.cfg",
-                 FAST_SUITE + "integral.n-u = 16\nintegral.U-max = 48\n")
+                 FAST_SUITE + "integral.resolution = 3\n")
     out = tmp_path / "out"
     main(["benchmark-suite", "--config", cfg, "--out", str(out), "--quiet"])
     for name in wc.benchmark_names():
         rep = json.loads((out / f"{name}_integral.json").read_text())
-        assert (rep["n_u"], rep["U_max"]) == (16, 48.0), name
+        assert rep["resolution"] == 3, name
 
 
 def test_pde_verify_passes_its_four_checks(tmp_path):
@@ -1144,8 +1146,6 @@ SWEEP_READERS = {
     "capacity.tau": ("capacity", "capacity.target = section"),
     "capacity.l": ("capacity", "capacity.target = ball-complement"),
     "capacity.refine-levels": ("capacity", ""),
-    "integral.n-u": ("integral", ""),
-    "integral.U-max": ("integral", ""),
     "integral.resolution": ("integral", ""),
     "integral.probes": ("integral", ""),
     "cone.M0": ("cone", ""),

@@ -12,8 +12,7 @@ from wienercap import domain
 from wienercap.domain import (BallComplementTarget, RingSpec, RingTarget,
                               SectionTarget, contains_many,
                               max_nonempty_band, measure_standard_error,
-                              ring_mask, ring_samples, sample_set_and_measure,
-                              section_measures)
+                              ring_mask, ring_samples, sample_set_and_measure)
 from wienercap.metric import (ball_coord_halfwidths, dist,
                               parabolic_dist_many, stp)
 
@@ -474,11 +473,11 @@ def test_ring_sampler_keeps_its_checks(m1):
 
 
 # ---------------------------------------------------------------------------
-# all rho sections of one time node in one pass
+# complement sections
 
 def reference_section_measure(dom, lam, rho, tau, resolution):
-    """One section sampled alone on its own meshgrid: the per-target
-    arithmetic that section_measures must reproduce bit for bit."""
+    """One section sampled alone on its own meshgrid: the arithmetic that
+    sample_set_and_measure must reproduce bit for bit."""
     eta = dom.z0.t - tau
     if eta <= 0 or eta > lam:
         return 0.0
@@ -503,9 +502,8 @@ def reference_section_measure(dom, lam, rho, tau, resolution):
 
 
 def _section_cases():
-    """(domain, resolution, rho nodes) per case: the rho nodes of
-    integral_test's inner grid (n_u = 32, U_max = 40), every 4th on the
-    Heisenberg group."""
+    """(domain, resolution, rho values) per case: log rho = 40 (j/31)^2,
+    j = 1..31, every 4th on the Heisenberg group."""
     u = 40.0 * (np.arange(1, 32) / 31.0) ** 2
     rhos = [math.exp(v) for v in u]
     m1, m2, heis = wc.euclidean(1), wc.euclidean(2), wc.heisenberg_koranyi()
@@ -522,26 +520,17 @@ SECTION_ETAS = (0.002, 0.03, 0.2, -0.01, 0.0, 0.25,
                 math.nextafter(0.25, 0.0), 0.3)
 
 
-def test_batched_sections_match_per_target_samples(monkeypatch):
+def test_section_samples_match_their_meshgrids():
     lam = 0.25
     for dom, res, rhos in _section_cases():
-        cells = (2 ** res + 1) ** dom.N
         for eta in SECTION_ETAS:
             tau = dom.z0.t - eta
-            want = [sample_set_and_measure(
+            got = [sample_set_and_measure(
                 dom, SectionTarget(lam, rho, tau), res).measure_estimate
                 for rho in rhos]
             ref = [reference_section_measure(dom, lam, rho, tau, res)
                    for rho in rhos]
-            assert want == ref, (dom.family, dom.N, eta)
-            logs = [math.log(rho) for rho in rhos]
-            got = section_measures(dom, lam, logs, tau, res).tolist()
-            assert got == want, (dom.family, dom.N, eta)
-            # three sections per pass: the batch spans 11 or 3 chunks
-            with monkeypatch.context() as mp:
-                mp.setattr(domain, "MAX_SAMPLE_GRID", 3 * cells)
-                got = section_measures(dom, lam, logs, tau, res).tolist()
-            assert got == want, (dom.family, dom.N, eta, "chunked")
+            assert got == ref, (dom.family, dom.N, eta)
             if eta in SECTION_ETAS[:3]:
                 assert any(m > 0 for m in got), (dom.family, dom.N, eta)
             elif not 0 < eta < lam:
@@ -551,12 +540,9 @@ def test_batched_sections_match_per_target_samples(monkeypatch):
 def test_section_sampler_keeps_its_checks(m1):
     dom = wc.benchmark("halfspace", m1)
     with pytest.raises(wc.DomainError):
-        section_measures(dom, 0.25, [math.log(2.0), 0.0], -0.1, 4)
-    with pytest.raises(wc.DomainError):
         sample_set_and_measure(dom, SectionTarget(0.25, 1.0, -0.1), 4)
     with pytest.raises(wc.DomainError):
-        section_measures(dom, 0.25, [math.log(2.0)], -0.1, 0)
-    assert section_measures(dom, 0.25, [], -0.1, 4).shape == (0,)
+        sample_set_and_measure(dom, SectionTarget(0.25, 2.0, -0.1), 0)
 
 
 def test_section_sample_is_centred_on_an_off_axis_koranyi_z0(heis):

@@ -1,7 +1,8 @@
 """Series tables, verdicts, integral criterion, Wiener function, bound check."""
 
+import itertools
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wienercap as wc
-from wienercap import capacity, wiener
+from wienercap import capacity, domain, wiener
 from wienercap.capacity import CapacityProblem, constraint_points
-from wienercap.domain import (RingSpec, RingTarget, SectionTarget,
-                              sample_set_and_measure)
-from wienercap.metric import ball_volume, stp
+from wienercap.domain import RingSpec, RingTarget, sample_set_and_measure
+from wienercap.metric import ball_coord_halfwidths, ball_volume, stp
 from wienercap.wiener import (SeriesTable, WienerError, divergence_verdict,
                               nested_partial_value, term_tail_fit)
 
@@ -367,18 +367,54 @@ def test_nested_partial_value_floors(m1):
 # ---------------------------------------------------------------------------
 # integral criterion
 
-def test_integral_halfspace_matches_closed_form(m1):
-    """For the time halfspace the inner integral is exactly
-    int_0^inf sqrt(u) e^(-b u) du / ... => slope sqrt(pi)/(2 b^(3/2))."""
-    dom = wc.benchmark("halfspace", m1)
-    rep = wc.integral_test(dom, 0.25, 0.5, probes=[0.2, 0.1, 0.05, 0.02],
-                           n_u=48, resolution=9)
-    assert rep.divergent
-    want = math.sqrt(math.pi) / (2 * 0.5 ** 1.5)
-    assert rep.slope == pytest.approx(want, rel=0.01)
-    assert rep.inner_truncation < 1e-4
-    # probes are listed with decreasing dhat, and M grows as dhat shrinks
-    assert all(a <= b + 1e-12 for a, b in zip(rep.M_values, rep.M_values[1:]))
+SUITE_PROBES = (0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035)
+
+
+def test_integral_halfspace_matches_closed_form():
+    """Below the time halfspace every point is complement, so the inner
+    integral is (1/b) int_0^inf e^(-b u) d(u^(Q/2)) = Gamma(Q/2 + 1) /
+    b^(1 + Q/2) at every time node whose ball the cap (lam^2 - eta^2)^(1/4)
+    does not cut: M grows with that slope along log(1/dhat^2), 2.5066 on
+    R, 4 on R^2 and 16 on the Koranyi group at b = 1/2.  The spatial
+    halfspace keeps the half x_1 <= 0 of each section, and the even grid
+    is mirror-symmetric about x0, so its M is half the halfspace's to
+    rounding."""
+    b = 0.5
+    for metric, rel in ((wc.euclidean(1), 1e-3), (wc.euclidean(2), 1e-3),
+                        (wc.heisenberg_koranyi(), 5e-3)):
+        rep = wc.integral_test(wc.benchmark("halfspace", metric), 0.25, b,
+                               SUITE_PROBES)
+        Q = metric.Q
+        assert rep.divergent
+        assert rep.slope == pytest.approx(math.gamma(Q / 2 + 1)
+                                          / b ** (1 + Q / 2), rel=rel), Q
+        assert rep.inner_truncation == pytest.approx(
+            wiener.inner_tail(Q, b, 40.0) * math.log(0.25 / 0.035 ** 2))
+        assert rep.inner_truncation < 1e-4
+        # probes are listed with decreasing dhat, and M grows as dhat
+        # shrinks
+        assert all(m <= n + 1e-12
+                   for m, n in zip(rep.M_values, rep.M_values[1:]))
+        half = wc.integral_test(wc.benchmark("spatial-halfspace", metric),
+                                0.25, b, SUITE_PROBES)
+        for m, h in zip(rep.M_values, half.M_values):
+            assert h == pytest.approx(m / 2, rel=1e-12, abs=0), Q
+
+
+def test_inner_tail_is_the_incomplete_gamma_tail():
+    """inner_tail(Q, b, U) against a direct midpoint sum of its integral
+    (Q/2b) int_U^inf u^(Q/2 - 1) e^(-b u) du, and at U = 0 the whole
+    Gamma(Q/2 + 1) / b^(1 + Q/2)."""
+    for Q, b, U in ((1, 0.5, 40.0), (2, 0.5, 40.0), (4, 0.5, 40.0),
+                    (4, 0.25, 64.0), (3, 2.0, 3.0)):
+        n = 400000
+        h = 400.0 / b / n
+        u = U + h * (np.arange(n) + 0.5)
+        want = Q / (2 * b) * float(np.sum(u ** (Q / 2 - 1) * np.exp(-b * u))) * h
+        assert wiener.inner_tail(Q, b, U) == pytest.approx(want, rel=1e-6)
+        assert wiener.inner_tail(Q, b, 0.0) == pytest.approx(
+            math.gamma(Q / 2 + 1) / b ** (1 + Q / 2), rel=1e-12)
+    assert wiener.inner_tail(1, 1e-300, 1.6e301) == math.inf
 
 
 def test_integral_cylinder_not_divergent(m1):
@@ -387,42 +423,80 @@ def test_integral_cylinder_not_divergent(m1):
     assert not rep.divergent
 
 
-def reference_integral_inner(dom, lam, b, u_grid, v_grid, resolution):
-    """The inner integral with one sample_set_and_measure call per
-    (time node, rho node)."""
-    t0 = dom.z0.t
+def reference_integral_inner(dom, lam, b, U, v_grid, resolution):
+    """The inner integral point by point: at each time node eta, the
+    section's grid laid out cell by cell, each point tested with contains
+    and metric.dist, and the Gaussian weights summed in a Python loop."""
+    x0, t0 = dom.z0.x, dom.z0.t
+    n = 2 ** (resolution + 1)
     inner = np.zeros(v_grid.size)
     for iv, v in enumerate(v_grid):
         eta = math.exp(v)
-        volB = ball_volume(dom.metric, math.sqrt(eta))
-        vals = np.zeros(u_grid.size)
-        for iu, u in enumerate(u_grid):
-            if u == 0.0:
+        if not 0 < eta < lam:
+            continue
+        R = min(math.sqrt(eta * U), (lam ** 2 - eta ** 2) ** 0.25)
+        half = ball_coord_halfwidths(dom.metric, R, x0)
+        axes = [x0[i] + half[i] * ((2.0 * np.arange(n) + 1.0 - n) / n)
+                for i in range(dom.N)]
+        cellvol = float(np.prod(2.0 * half / n))
+        total = 0.0
+        for x in itertools.product(*axes):
+            x = np.array(x)
+            if wc.contains(dom, stp(x, t0 - eta)):
                 continue
-            samp = sample_set_and_measure(
-                dom, SectionTarget(lam, math.exp(u), t0 - eta), resolution)
-            vals[iu] = samp.measure_estimate / volB * math.exp(-b * u)
-        inner[iv] = float(np.trapezoid(vals, u_grid))
+            d = float(wc.dist(dom.metric, x, x0))
+            if d * d / eta <= U and d ** 4 + eta ** 2 <= lam ** 2:
+                total += cellvol * math.exp(-b * d * d / eta)
+        inner[iv] = total / (b * ball_volume(dom.metric, math.sqrt(eta)))
     return inner
 
 
 @pytest.mark.parametrize("name, metric, kwargs", [
-    ("halfspace", wc.euclidean(1), {}),
-    ("cone", wc.euclidean(1), {}),
-    ("cylinder-top", wc.euclidean(1), {}),
-    ("cone", wc.euclidean(2), {}),
-    ("halfspace", wc.heisenberg_koranyi(), {"resolution": 3, "n_u": 16}),
+    ("halfspace", wc.euclidean(1), {"resolution": 4}),
+    ("cone", wc.euclidean(1), {"resolution": 4}),
+    ("cylinder-top", wc.euclidean(1), {"resolution": 4}),
+    ("cone", wc.euclidean(2), {"resolution": 3}),
+    ("halfspace", wc.heisenberg_koranyi(), {"resolution": 2}),
 ])
 def test_integral_matches_per_target_sections(monkeypatch, name, metric,
                                               kwargs):
+    """integral_test's one vectorized pass over all its time nodes matches
+    the per-point reference section by section, to summation order; and
+    in passes of three time nodes it matches itself."""
     dom = wc.benchmark(name, metric)
     probes = (0.45, 0.35, 0.25, 0.18, 0.12, 0.08, 0.055, 0.04, 0.028, 0.02)
     got = wc.integral_test(dom, 0.25, 0.5, probes, **kwargs)
+    cells = (2 ** (kwargs["resolution"] + 1)) ** dom.N
+    with monkeypatch.context() as mp:
+        mp.setattr(domain, "MAX_SAMPLE_GRID", 3 * cells)
+        chunked = wc.integral_test(dom, 0.25, 0.5, probes, **kwargs)
+    assert chunked == got
     monkeypatch.setattr(wiener, "_integral_inner", reference_integral_inner)
     want = wc.integral_test(dom, 0.25, 0.5, probes, **kwargs)
-    for f in fields(want):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for g, w in zip(got.M_values, want.M_values):
+        assert g == pytest.approx(w, rel=1e-12, abs=0)
     assert max(got.M_values) > 0
+
+
+# the integral's divergent flag per registry benchmark on R, R^2 and the
+# Koranyi group, each at its default resolution (8, 5 and 5)
+INTEGRAL_DIVERGENT = {
+    "halfspace": True, "spatial-halfspace": True, "cylinder-top": False,
+    "cone": True, "cusp-power": True, "cusp-loglog": True}
+INTEGRAL_DIVERGENT_N2 = dict(INTEGRAL_DIVERGENT, **{"cusp-power": False})
+
+
+@pytest.mark.parametrize("metric, pinned", [
+    (wc.euclidean(1), INTEGRAL_DIVERGENT),
+    (wc.euclidean(2), INTEGRAL_DIVERGENT_N2),
+    (wc.heisenberg_koranyi(), INTEGRAL_DIVERGENT_N2)])
+def test_registry_integral_flags_are_pinned(metric, pinned):
+    """The suite's integral call (b = 2 b0 = 1/2, its probes, the default
+    resolution) on every registry benchmark gives the pinned flag."""
+    got = {name: wc.integral_test(wc.benchmark(name, metric), 0.25, 0.5,
+                                  SUITE_PROBES).divergent
+           for name in wc.benchmark_names()}
+    assert got == pinned
 
 
 def test_integral_rejects_nonpositive_exponent(m1):
@@ -432,18 +506,16 @@ def test_integral_rejects_nonpositive_exponent(m1):
 
 
 def test_integral_past_the_point_bound_measures_nothing(m1, monkeypatch):
-    """A quadrature whose sections would hold more than
-    INTEGRAL_MAX_POINTS grid points in all is rejected before any section
-    is measured: n_u = 10^6 on R at the automatic resolution 8, or a
-    resolution of 30 at the default n_u."""
+    """A resolution whose time-node grids would hold more than
+    INTEGRAL_MAX_POINTS grid points in all is rejected before any grid is
+    built."""
     def unmeasured(*args):
-        raise AssertionError("a section was measured")
+        raise AssertionError("a section was weighed")
 
-    monkeypatch.setattr(wiener, "section_measures", unmeasured)
+    monkeypatch.setattr(wiener, "weighted_section_sums", unmeasured)
     dom = wc.benchmark("halfspace", m1)
-    for kwargs in ({"n_u": 10 ** 6}, {"resolution": 30}):
-        with pytest.raises(WienerError, match="INTEGRAL_MAX_POINTS"):
-            wc.integral_test(dom, 0.25, 0.5, [0.1, 0.05], **kwargs)
+    with pytest.raises(WienerError, match="INTEGRAL_MAX_POINTS"):
+        wc.integral_test(dom, 0.25, 0.5, [0.1, 0.05], resolution=30)
 
 
 # ---------------------------------------------------------------------------
